@@ -10,11 +10,8 @@ import argparse
 import csv
 
 from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
-from dissipative_spins.variational import landau_expansion
+from dissipative_spins.variational import landau_expansion, sweep_grid
 
-# fit windows must stay below the first kink of the norm on each side,
-# see the landau_expansion docstring
-WINDOWS = {"in-plane": 0.03, "staggered-z": 0.40}
 RANGES = {"in-plane": (0.40, 0.60), "staggered-z": (1.40, 1.60)}
 
 
@@ -45,8 +42,9 @@ def main():
     ap.add_argument("--z", type=int, default=6)
     ap.add_argument("--step", type=float, default=0.02)
     ap.add_argument("--samples", type=int, default=11)
-    ap.add_argument("--phi-max", type=float, default=None,
-                    help="override the per-direction default fit window")
+    ap.add_argument("--phi-max", type=float, default=0.03,
+                    help="fit window; keep it below the norm's first kink, "
+                         "see the landau_expansion docstring")
     ap.add_argument("--out", default="landau_scan.csv")
     args = ap.parse_args()
 
@@ -57,11 +55,9 @@ def main():
     all_rows = []
     for direction in directions:
         lo, hi = RANGES[direction]
-        n = int(round((hi - lo) / args.step))
-        lams = [round(lo + i * args.step, 9) for i in range(n + 1)]
-        phi_max = args.phi_max if args.phi_max is not None else WINDOWS[direction]
-        print(f"{direction}: lambda in [{lo}, {hi}], phi window {phi_max}")
-        rows = scan(direction, lams, lattice, phi_max, args.samples)
+        print(f"{direction}: lambda in [{lo}, {hi}], phi window {args.phi_max}")
+        rows = scan(direction, sweep_grid(lo, hi, args.step), lattice,
+                    args.phi_max, args.samples)
         for l1, l2 in sign_changes(rows):
             print(f"  u2 sign change between lambda={l1} and lambda={l2}")
         all_rows += [(direction, lam, f) for lam, f in rows]

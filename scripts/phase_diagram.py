@@ -10,45 +10,20 @@ import json
 import os
 import time
 
-from dissipative_spins.cli import CSV_HEADER, _format_record, _point_seed
-from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
-from dissipative_spins.variational import (
-    SweepRecord,
-    fit_critical,
-    minimize_norm,
-    order_parameters,
-)
+from dissipative_spins.cli import format_sweep_csv
+from dissipative_spins.models import LatticeSpec
+from dissipative_spins.variational import fit_critical, sweep
 
 
-def sweep(lams, kind, lattice, seed, restarts):
-    records = []
-    for lam in lams:
-        model = dissipative_heisenberg(lam, lattice)
-        res = minimize_norm(model, kind=kind, restarts=restarts,
-                            seed=_point_seed(seed, lam))
-        m, m_s = order_parameters(res.ansatz)
-        records.append(SweepRecord(
-            lam=lam,
-            alpha_A=res.ansatz.alpha_A,
-            alpha_B=res.ansatz.alpha_B,
-            m=m, m_s=m_s, norm=res.norm,
-            converged=res.converged,
-            restarts_used=res.restarts_used,
-        ))
-        print(f"  lambda={lam:6.4f}  m={m:.6f}  ms={m_s:.6f}  norm={res.norm:.4e}")
-    return records
-
-
-def grid(lo, hi, step):
-    n = int(round((hi - lo) / step))
-    return [round(lo + i * step, 9) for i in range(n + 1)]
-
-
-def write_csv(path, records):
+def run_branch(lo, hi, kind, lattice, args, path):
+    """One refined sweep, as `dspin sweep` runs it, written to ``path``."""
+    records = sweep(lo, hi, args.step, lattice, kind,
+                    restarts=args.restarts, seed=args.seed)
+    for r in records:
+        print(f"  lambda={r.lam:6.4f}  m={r.m:.6f}  ms={r.m_s:.6f}  norm={r.norm:.4e}")
     with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        for r in records:
-            f.write(_format_record(r) + "\n")
+        f.write(format_sweep_csv(records) + "\n")
+    return records
 
 
 def main():
@@ -66,8 +41,8 @@ def main():
 
     t0 = time.time()
     print("in-plane branch (uniform ansatz), lambda in [0.3, 0.7]")
-    xy = sweep(grid(0.3, 0.7, args.step), "uniform", lattice, args.seed, args.restarts)
-    write_csv(os.path.join(args.out_dir, "sweep_xy.csv"), xy)
+    xy = run_branch(0.3, 0.7, "uniform", lattice, args,
+                    os.path.join(args.out_dir, "sweep_xy.csv"))
     fit1 = fit_critical(xy, which="m")
     summary["lambda_c1"] = fit1.lambda_c
     summary["beta_xy"] = fit1.beta
@@ -75,8 +50,8 @@ def main():
           f"  (r^2 = {fit1.r_squared:.5f})")
 
     print("staggered branch (bipartite ansatz), lambda in [1.3, 1.7]")
-    afm = sweep(grid(1.3, 1.7, args.step), "bipartite", lattice, args.seed, args.restarts)
-    write_csv(os.path.join(args.out_dir, "sweep_afm.csv"), afm)
+    afm = run_branch(1.3, 1.7, "bipartite", lattice, args,
+                     os.path.join(args.out_dir, "sweep_afm.csv"))
     fit2 = fit_critical(afm, which="ms")
     summary["lambda_c2"] = fit2.lambda_c
     summary["beta_afm"] = fit2.beta

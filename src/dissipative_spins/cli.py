@@ -6,9 +6,10 @@ one coupling), effective (adiabatic elimination of a problem file), oracle
 (exact small-cluster diagnostics).
 
 Exit codes: 0 success, 1 malformed input files, 2 fit or elimination
-failure, 3 resource cap exceeded. Sweeps are bit-stable for a fixed --seed
-regardless of --jobs: each grid point derives its own seed from the global
-one and its coupling.
+failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES,
+sweep grids above MAX_SWEEP_POINTS). Sweeps are bit-stable for a fixed
+--seed regardless of --jobs: each grid point derives its own seed from the
+global one and its coupling.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,49 +33,29 @@ from .variational import (
     FitError,
     SweepRecord,
     fit_critical,
+    grid_size,
     landau_expansion,
-    minimize_norm,
-    order_parameters,
+    sweep,
 )
 
 CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
 MAX_ORACLE_SITES = 6
+MAX_SWEEP_POINTS = 10_000
 
 
-def _point_seed(seed: int, lam: float) -> int:
-    # stable per-coupling seed so results never depend on evaluation order
-    return (seed * 1_000_003 + int(round(lam * 1e6))) % 2**32
-
-
-def _sweep_point(task):
-    lam, z, bipartite, renormalize, kind, restarts, seed = task
-    lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renormalize)
-    model = dissipative_heisenberg(lam, lattice)
-    res = minimize_norm(
-        model, kind=kind, restarts=restarts, seed=_point_seed(seed, lam)
-    )
-    m, m_s = order_parameters(res.ansatz)
-    return SweepRecord(
-        lam=lam,
-        alpha_A=res.ansatz.alpha_A,
-        alpha_B=res.ansatz.alpha_B,
-        m=m,
-        m_s=m_s,
-        norm=res.norm,
-        converged=res.converged,
-        restarts_used=res.restarts_used,
-    )
-
-
-def _format_record(r: SweepRecord) -> str:
-    cols = [
-        r.lam,
-        r.alpha_A[0], r.alpha_A[1], r.alpha_A[2],
-        r.alpha_B[0], r.alpha_B[1], r.alpha_B[2],
-        r.m, r.m_s, r.norm,
-    ]
-    text = ",".join("%.12g" % c for c in cols)
-    return f"{text},{1 if r.converged else 0},{r.restarts_used}"
+def format_sweep_csv(records) -> str:
+    """Sweep CSV text (header plus one row per record, no final newline)."""
+    rows = [CSV_HEADER]
+    for r in records:
+        cols = [
+            r.lam,
+            r.alpha_A[0], r.alpha_A[1], r.alpha_A[2],
+            r.alpha_B[0], r.alpha_B[1], r.alpha_B[2],
+            r.m, r.m_s, r.norm,
+        ]
+        text = ",".join("%.12g" % c for c in cols)
+        rows.append(f"{text},{1 if r.converged else 0},{r.restarts_used}")
+    return "\n".join(rows)
 
 
 def read_sweep_csv(text: str):
@@ -146,56 +126,21 @@ def _model_settings(args, cfg):
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     z, kind, renorm, bipartite = _model_settings(args, cfg)
-    step = args.step
-    if step <= 0:
-        raise OperatorFormatError("step must be positive")
-    lams = []
-    k = 0
-    while True:
-        lam = args.lambda_min + k * step
-        if lam > args.lambda_max + 1e-9:
-            break
-        lams.append(round(lam, 9))
-        k += 1
-
-    def run(points):
-        tasks = [
-            (lam, z, bipartite, renorm, kind, args.restarts, args.seed)
-            for lam in points
-        ]
-        if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                return list(pool.map(_sweep_point, tasks, chunksize=4))
-        return [_sweep_point(t) for t in tasks]
-
-    records = {r.lam: r for r in run(lams)}
-
-    if args.refine and records:
-        # refine the grid around every order-parameter onset
-        fine = step / 10.0
-        srec = sorted(records.values(), key=lambda r: r.lam)
-        extra = set()
-        for key in ("m", "m_s"):
-            vals = np.array([getattr(r, key) for r in srec])
-            above = vals > args.threshold
-            for i in np.nonzero(above[:-1] != above[1:])[0]:
-                center = 0.5 * (srec[i].lam + srec[i + 1].lam)
-                j = 0
-                while True:
-                    off = j * fine
-                    if off > 5 * step:
-                        break
-                    for lam in (center - off, center + off):
-                        lam = round(lam, 9)
-                        if args.lambda_min <= lam <= args.lambda_max and lam not in records:
-                            extra.add(lam)
-                    j += 1
-        for r in run(sorted(extra)):
-            records[r.lam] = r
-
-    rows = [CSV_HEADER]
-    rows += [_format_record(records[lam]) for lam in sorted(records)]
-    _write_out(args, "\n".join(rows))
+    points = grid_size(args.lambda_min, args.lambda_max, args.step)
+    if points > MAX_SWEEP_POINTS:
+        print(
+            f"sweep: {points} grid points exceed the sweep cap "
+            f"({MAX_SWEEP_POINTS} points)",
+            file=sys.stderr,
+        )
+        return 3
+    records = sweep(
+        args.lambda_min, args.lambda_max, args.step,
+        LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm), kind,
+        restarts=args.restarts, seed=args.seed, jobs=args.jobs,
+        refine=args.refine, threshold=args.threshold,
+    )
+    _write_out(args, format_sweep_csv(records))
     return 0
 
 
@@ -291,8 +236,8 @@ def cmd_oracle(args) -> int:
     lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm)
     model = dissipative_heisenberg(lam, lattice)
     liou = ring_liouvillian(model, args.n)
-    evals = np.linalg.eigvals(liou.matrix)
     space = steady_states(liou)
+    evals = space.eigenvalues
     d = liou.dim
     # trace preservation: the identity is a left null vector
     ident = np.eye(d, dtype=complex).flatten(order="F")

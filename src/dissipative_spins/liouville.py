@@ -96,6 +96,7 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
 class SteadySpace:
     dimension: int
     basis: list  # Hermitian representatives; trace 1 where trace is nonzero
+    eigenvalues: np.ndarray  # full spectrum of the generator
 
 
 def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
@@ -105,7 +106,8 @@ def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
     space is spanned by Hermitian matrices; each basis element is
     orthogonalized in the Hilbert-Schmidt inner product and rescaled to
     trace 1 when its trace is nonzero (traceless directions are kept with
-    unit Hilbert-Schmidt norm).
+    unit Hilbert-Schmidt norm). The generator's full spectrum, computed on
+    the way, is kept on the result.
     """
     evals, evecs = np.linalg.eig(liou.matrix)
     null_cols = [evecs[:, k] for k in range(evals.size) if abs(evals[k]) < tol]
@@ -128,7 +130,7 @@ def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
     for b in basis:
         tr = np.trace(b).real
         out.append(b / tr if abs(tr) > 1e-9 else b)
-    return SteadySpace(dimension=dim, basis=out)
+    return SteadySpace(dimension=dim, basis=out, eigenvalues=evals)
 
 
 def exact_norm(liou: Liouvillian, rho: np.ndarray) -> float:

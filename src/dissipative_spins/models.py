@@ -119,20 +119,6 @@ def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel
     return DissipativeModel(lattice=lattice, hamiltonian_terms=[], jump_terms=terms)
 
 
-def xxz_hamiltonian(J: float, lam: float) -> np.ndarray:
-    """Equilibrium XXZ bond Hamiltonian -J[XX + YY + (1-lambda) ZZ].
-
-    Documentation/oracle companion of the dissipative model; not used by
-    the variational sweep itself.
-    """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return -J * (
-        np.kron(sx, sx) + np.kron(sy, sy) + (1 - lam) * np.kron(sz, sz)
-    )
-
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -173,13 +159,3 @@ def parse_config(text: str) -> dict:
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return out
-
-
-def model_from_config(cfg: dict) -> DissipativeModel:
-    """Build the Heisenberg model a config dict describes."""
-    lattice = LatticeSpec(
-        z=cfg.get("z", 6),
-        bipartite=cfg.get("bipartite", True),
-        renormalize=cfg.get("renormalize", True),
-    )
-    return dissipative_heisenberg(cfg.get("lambda", 1.0), lattice)

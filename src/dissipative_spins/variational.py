@@ -22,12 +22,15 @@ orientation never matters for the totals.
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .models import DissipativeModel
+from .models import DissipativeModel, LatticeSpec, dissipative_heisenberg
 from .operators import (
     bloch_to_density,
     dissipator,
@@ -127,10 +130,6 @@ class MinimizeResult:
     norm: float
     converged: bool
     restarts_used: int
-
-    def __iter__(self):
-        # unpacks as the (ansatz, norm) pair
-        return iter((self.ansatz, self.norm))
 
 
 def _as_density(state) -> np.ndarray:
@@ -303,10 +302,6 @@ class CompiledBond:
         return float(np.abs(np.linalg.eigvalsh(self.derivative(alpha_a, alpha_b))).sum())
 
 
-def compile_bond_evaluator(model: DissipativeModel) -> CompiledBond:
-    return CompiledBond(model)
-
-
 def _norm_function(model: DissipativeModel):
     """Best available (alpha_A, alpha_B) -> bond norm evaluator."""
     try:
@@ -464,6 +459,116 @@ def order_parameters(ansatz: ProductAnsatz):
 
 
 # ---------------------------------------------------------------------------
+# lambda sweeps
+# ---------------------------------------------------------------------------
+
+_GRID_SLACK = 1e-9  # lambda_max counts as reached within this slack
+
+
+def grid_size(lambda_min: float, lambda_max: float, step: float) -> int:
+    """Number of points of ``sweep_grid``, counted without building it.
+
+    The grid holds every lambda_min + k * step <= lambda_max + 1e-9. The
+    division can round across that bound at the last point, so the count
+    it gives is checked against the inequality itself.
+    """
+    if not step > 0:
+        raise ValueError("step must be positive")
+    top = lambda_max + _GRID_SLACK
+    span = (top - lambda_min) / step
+    if not span >= 0:  # empty range or NaN bounds
+        return 0
+    n = math.floor(min(span, 2.0**62)) + 1  # an infinite span is over any cap
+    if lambda_min + (n - 1) * step > top:
+        return n - 1
+    if lambda_min + n * step <= top:
+        return n + 1
+    return n
+
+
+def sweep_grid(lambda_min: float, lambda_max: float, step: float) -> list:
+    """lambda_min + k * step up to lambda_max, rounded to 9 digits."""
+    n = grid_size(lambda_min, lambda_max, step)
+    return [round(lambda_min + k * step, 9) for k in range(n)]
+
+
+def _point_seed(seed: int, lam: float) -> int:
+    # stable per-coupling seed so results never depend on evaluation order
+    return (seed * 1_000_003 + int(round(lam * 1e6))) % 2**32
+
+
+def _sweep_point(task) -> SweepRecord:
+    lam, lattice, kind, restarts, seed = task
+    res = minimize_norm(
+        dissipative_heisenberg(lam, lattice),
+        kind=kind,
+        restarts=restarts,
+        seed=_point_seed(seed, lam),
+    )
+    m, m_s = order_parameters(res.ansatz)
+    return SweepRecord(
+        lam=lam,
+        alpha_A=res.ansatz.alpha_A,
+        alpha_B=res.ansatz.alpha_B,
+        m=m,
+        m_s=m_s,
+        norm=res.norm,
+        converged=res.converged,
+        restarts_used=res.restarts_used,
+    )
+
+
+def sweep(
+    lambda_min: float,
+    lambda_max: float,
+    step: float,
+    lattice: LatticeSpec,
+    kind: str,
+    restarts: int = 8,
+    seed: int = 0,
+    jobs: int = 1,
+    refine: bool = True,
+    threshold: float = 1e-4,
+) -> list:
+    """Minimize the Heisenberg bond norm on a lambda grid, sorted by lambda.
+
+    Each point derives its own seed from ``seed`` and its coupling, so the
+    records do not depend on ``jobs`` (worker processes, at most one per
+    point and CPU). With ``refine``, every onset of m or m_s above
+    ``threshold`` gets a grid ten times finer within 5 steps of the
+    bracket's midpoint, clipped to the scan range.
+    """
+
+    def run(points):
+        tasks = [(lam, lattice, kind, restarts, seed) for lam in points]
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_sweep_point, tasks, chunksize=4))
+        return [_sweep_point(t) for t in tasks]
+
+    records = {r.lam: r for r in run(sweep_grid(lambda_min, lambda_max, step))}
+
+    if refine and records:
+        fine = step / 10.0
+        offsets = [j * fine for j in range(51) if j * fine <= 5 * step]
+        srec = sorted(records.values(), key=lambda r: r.lam)
+        extra = set()
+        for key in ("m", "m_s"):
+            above = np.array([getattr(r, key) for r in srec]) > threshold
+            for i in np.nonzero(above[:-1] != above[1:])[0]:
+                center = 0.5 * (srec[i].lam + srec[i + 1].lam)
+                for off in offsets:
+                    for lam in (round(center - off, 9), round(center + off, 9)):
+                        if lambda_min <= lam <= lambda_max and lam not in records:
+                            extra.add(lam)
+        for r in run(sorted(extra)):
+            records[r.lam] = r
+
+    return [records[lam] for lam in sorted(records)]
+
+
+# ---------------------------------------------------------------------------
 # Landau expansion and critical fits
 # ---------------------------------------------------------------------------
 
@@ -547,11 +652,12 @@ def fit_critical(
     """Locate a transition and fit the critical exponent from sweep records.
 
     lambda_c: the order parameter crosses ``threshold`` somewhere between
-    two grid points; the crossing is refined by bisection on the monotone
-    interpolant of the squared order parameter (linear in lambda for a
-    square-root onset) down to a bracket of 1e-4. beta: log-log regression
-    of the order parameter over the ordered-side window |lambda - lambda_c|
-    in [window[0], window[1]], converged records only.
+    two grid points; the squared order parameter (linear in lambda for a
+    square-root onset) is extrapolated to zero through the two ordered-side
+    records nearest the crossing, and the root is clamped into that
+    bracket. beta: log-log regression of the order parameter over the
+    ordered-side window |lambda - lambda_c| in [window[0], window[1]],
+    converged records only.
     """
     if which not in ("m", "m_s", "ms"):
         raise ValueError("which must be 'm' or 'm_s'")
@@ -570,26 +676,15 @@ def fit_critical(
     if crossings.size == 0:
         raise FitError("no transition bracketed in scan range")
     i = int(crossings[0])
-    lo, hi = lams[i], lams[i + 1]
-    p2lo, p2hi = vals[i] ** 2, vals[i + 1] ** 2
-    target = threshold**2
-
-    def interp(lam):
-        w = (lam - lo) / (hi - lo)
-        return p2lo + w * (p2hi - p2lo)
-
-    blo, bhi = lo, hi
-    sign_lo = interp(blo) - target
-    while bhi - blo > 1e-4:
-        mid = 0.5 * (blo + bhi)
-        if (interp(mid) - target) * sign_lo <= 0:
-            bhi = mid
-        else:
-            blo = mid
-            sign_lo = interp(blo) - target
-    lambda_c = 0.5 * (blo + bhi)
-
     ordered_left = vals[i] > threshold  # ordered side sits below lambda_c
+    near, far = (i, i - 1) if ordered_left else (i + 1, i + 2)
+    if far < 0 or far >= len(vals) or vals[far] <= threshold:
+        raise FitError("need two ordered-side records next to the onset")
+    q_near, q_far = vals[near] ** 2, vals[far] ** 2
+    with np.errstate(divide="ignore"):
+        root = lams[near] - q_near * (lams[near] - lams[far]) / (q_near - q_far)
+    lambda_c = np.clip(root, lams[i], lams[i + 1])
+
     if ordered_left:
         dist = lambda_c - lams
     else:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dissipative_spins import variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.opformat import OperatorFormatError
 
@@ -77,6 +78,42 @@ def test_sweep_refinement_adds_points(tmp_path):
     assert (np.diff(np.sort(lams)) > 1e-12).all()  # no duplicates
     # fine spacing present near the onset
     assert np.diff(np.sort(lams)).min() == pytest.approx(0.004, abs=1e-9)
+
+
+def test_sweep_resource_cap(capsys):
+    # a billion grid points are refused before any grid is built
+    assert run(["sweep", "--lambda-min", "0", "--lambda-max", "1",
+                "--step", "1e-9"]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert run(["sweep", "--lambda-min", "0", "--lambda-max", "inf"]) == 3
+
+
+def test_sweep_clamps_workers(tmp_path, monkeypatch):
+    seen = []
+
+    class InlinePool:
+        """Stands in for the process pool and runs every task in-process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(variational, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(variational.os, "cpu_count", lambda: 8)
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--lambda-min", "1.0", "--lambda-max", "1.04",
+                "--step", "0.02", "--no-refine", "--jobs", "64",
+                "--out", str(out)]) == 0
+    assert seen == [3]  # one worker per grid point, not 64
+    assert len(read_sweep_csv(out.read_text())) == 3
 
 
 def test_sweep_config_file(tmp_path):
@@ -190,6 +227,7 @@ def test_oracle_json(capsys):
     assert out["dark_dimension"] == 9
     assert out["max_real_part"] < 1e-10
     assert out["trace_defect"] < 1e-12
+    assert out["conjugate_pair_defect"] < 1e-9
 
 
 def test_oracle_resource_cap(capsys):

@@ -8,14 +8,14 @@ from dissipative_spins.models import (
     anisotropy_jumps,
     dissipative_heisenberg,
     ferro_pump_jumps,
-    model_from_config,
     parse_config,
-    xxz_hamiltonian,
 )
-from dissipative_spins.operators import bell_state, kron, pauli
+from dissipative_spins.operators import bell_state
 
 
 def test_lattice_spec_validation():
+    default = LatticeSpec()
+    assert default.z == 6 and default.bipartite and default.renormalize
     LatticeSpec(z=2)
     with pytest.raises(ValueError):
         LatticeSpec(z=1)
@@ -72,6 +72,11 @@ def test_heisenberg_is_purely_dissipative():
     model = dissipative_heisenberg(0.8, LatticeSpec(z=6))
     assert model.purely_dissipative
     assert len(model.jump_terms) == 7
+    # lambda = 0 silences the anisotropy channels but keeps the slots
+    silent = dissipative_heisenberg(0.0, LatticeSpec())
+    assert len(silent.jump_terms) == 7
+    for t in silent.jump_terms[3:]:
+        assert np.abs(t.matrix).max() == 0.0
 
 
 def test_swap_closure():
@@ -92,15 +97,6 @@ def test_swap_closure():
                 abs(o - n) < 1e-12 and abs(o) > 1e-12
                 for o, n in zip(overlaps, norms)
             )
-
-
-def test_xxz_hamiltonian_coefficients():
-    lam = 0.4
-    h = xxz_hamiltonian(1.0, lam)
-    xx = kron(pauli("x"), pauli("x"))
-    zz = kron(pauli("z"), pauli("z"))
-    assert np.vdot(xx, h).real / 4 == pytest.approx(-1.0)
-    assert np.vdot(zz, h).real / 4 == pytest.approx(-(1 - lam))
 
 
 def test_parse_config():
@@ -131,18 +127,3 @@ def test_parse_config_rejects_unknown_key():
 def test_parse_config_rejects_bad_bool():
     with pytest.raises(ValueError):
         parse_config("bipartite = maybe")
-
-
-def test_model_from_config_defaults():
-    model = model_from_config({})
-    assert model.lattice.z == 6
-    assert model.lattice.bipartite
-    assert model.lattice.renormalize
-
-
-def test_model_from_config_lambda():
-    model = model_from_config({"lambda": 0.0})
-    # lambda = 0 silences the anisotropy channels but keeps the slots
-    assert len(model.jump_terms) == 7
-    for t in model.jump_terms[3:]:
-        assert np.abs(t.matrix).max() == 0.0

@@ -22,14 +22,15 @@ from dissipative_spins.variational import (
     FitError,
     ProductAnsatz,
     SweepRecord,
-    compile_bond_evaluator,
     fit_critical,
+    grid_size,
     landau_expansion,
     mean_field_hamiltonian_term,
     mean_field_jump_term,
     minimize_norm,
     order_parameters,
     reduced_derivative,
+    sweep_grid,
 )
 
 Z6 = LatticeSpec(z=6, bipartite=True, renormalize=True)
@@ -100,7 +101,7 @@ def test_compiled_matches_explicit(seed, lam):
     a = rng.uniform(-0.57, 0.57, 3)
     b = rng.uniform(-0.57, 0.57, 3)
     model = heis(lam)
-    cb = compile_bond_evaluator(model)
+    cb = CompiledBond(model)
     ref = reduced_derivative(model, ProductAnsatz.bipartite(a, b))
     np.testing.assert_allclose(cb.derivative(a, b), ref.total, atol=1e-12)
     assert cb.norm(a, b) == pytest.approx(ref.total_norm, abs=1e-12)
@@ -119,7 +120,7 @@ def test_in_plane_rotation_symmetry(r, az, lam):
     # the functional only sees the in-plane magnitude, never the angle
     if r**2 + az**2 > 1:
         r = np.sqrt(max(0.0, 1 - az**2)) * 0.99
-    cb = compile_bond_evaluator(heis(lam))
+    cb = CompiledBond(heis(lam))
     nx = cb.norm(np.array([r, 0, az]), np.array([r, 0, az]))
     ny = cb.norm(np.array([0, r, az]), np.array([0, r, az]))
     mixed = np.array([r / np.sqrt(2), r / np.sqrt(2), az])
@@ -130,7 +131,7 @@ def test_in_plane_rotation_symmetry(r, az, lam):
 
 def test_bond_swap_symmetry():
     # exchanging the sublattice roles cannot change the norm
-    cb = compile_bond_evaluator(heis(1.3))
+    cb = CompiledBond(heis(1.3))
     a = np.array([0.1, 0.0, 0.4])
     b = np.array([-0.2, 0.0, -0.3])
     assert cb.norm(a, b) == pytest.approx(cb.norm(b, a), abs=1e-12)
@@ -193,9 +194,7 @@ def test_minimize_dark_at_zero():
     res = minimize_norm(heis(0.0), kind="uniform", seed=3)
     assert res.converged
     assert res.norm < 1e-10
-    ansatz, norm = res  # result unpacks as a pair
-    assert norm == res.norm
-    m, _ = order_parameters(ansatz)
+    m, _ = order_parameters(res.ansatz)
     assert m > 0.9  # fully polarized dark state
 
 
@@ -287,6 +286,18 @@ def test_landau_validation():
         landau_expansion(model, "staggered-z", 0.1, 11)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(1e-3, 1.0))
+def test_sweep_grid_matches_loop_rule(lmin, lmax, step):
+    # reference: the step-by-step loop the closed-form count replaces
+    lams, k = [], 0
+    while lmin + k * step <= lmax + 1e-9:
+        lams.append(round(lmin + k * step, 9))
+        k += 1
+    assert grid_size(lmin, lmax, step) == len(lams)
+    assert sweep_grid(lmin, lmax, step) == lams
+
+
 def _synthetic_records(lams, beta=0.5, lam_c=0.5, amp=0.4, which="m"):
     recs = []
     for lam in lams:
@@ -308,10 +319,12 @@ def _synthetic_records(lams, beta=0.5, lam_c=0.5, amp=0.4, which="m"):
     return recs
 
 
-def test_fit_critical_recovers_synthetic_exponent():
-    lams = np.round(np.arange(0.30, 0.701, 0.002), 9)
+@pytest.mark.parametrize("offset", [0.0, 0.001])
+def test_fit_critical_recovers_synthetic_exponent(offset):
+    # offset 0.001 puts no grid point on the transition
+    lams = np.round(np.arange(0.30, 0.701, 0.002) + offset, 9)
     fit = fit_critical(_synthetic_records(lams), which="m")
-    assert fit.lambda_c == pytest.approx(0.5, abs=2e-3)
+    assert abs(fit.lambda_c - 0.5) < 1e-4
     assert fit.beta == pytest.approx(0.5, abs=0.01)
     assert fit.r_squared > 0.999
     lo, hi = fit.window
@@ -348,6 +361,13 @@ def test_fit_critical_no_transition():
 def test_fit_critical_needs_enough_records():
     with pytest.raises(FitError):
         fit_critical(_synthetic_records([0.4, 0.6]), which="m")
+
+
+def test_fit_critical_needs_two_ordered_records():
+    # only lambda = 0.498 lies on the ordered side of the onset at 0.5
+    lams = np.round(np.arange(0.498, 0.52, 0.002), 9)
+    with pytest.raises(FitError, match="two ordered-side records"):
+        fit_critical(_synthetic_records(lams), which="m")
 
 
 def test_fit_critical_ignores_unconverged():
