@@ -130,6 +130,7 @@ class MinimizeResult:
     norm: float
     converged: bool
     restarts_used: int
+    evaluations: int  # norm evaluations: both stages plus the final one
 
 
 def _as_density(state) -> np.ndarray:
@@ -235,84 +236,94 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # ---------------------------------------------------------------------------
 # compiled bond evaluator
 #
-# For models made of two-site jumps only, the bond derivative is bilinear in
-# (rho_A, rho_B) plus trilinear mean-field terms, so it can be precompiled
-# into three tensors contracted with the extended Bloch vectors
-# a = (1, ax, ay, az). One evaluation then costs a few matrix-vector
-# products instead of dozens of 8x8 dissipators, which is what makes dense
-# lambda sweeps cheap. Verified against reduced_derivative in the tests.
+# The bond derivative is a polynomial of degree <= 3 in the extended Bloch
+# vectors a = (1, ax, ay, az) and b: bilinear terms from the bond's own
+# generator (a_mu b_nu) and trilinear mean-field terms (a_mu b_nu b_s for
+# the neighbor of slot i, a_mu b_nu a_s for the neighbor of slot j). The
+# leading 1 of b absorbs the bilinear part into the a(x)b(x)b tensor, so the
+# whole derivative is one 16x128 tensor W contracted with
+# outer(a(x)b, [b; a]). Verified against reduced_derivative in the tests.
 # ---------------------------------------------------------------------------
 
 
+def _superoperator(jumps, hamiltonians) -> np.ndarray:
+    """Sum_c D[c] - i[sum h, .] on 4x4 operators, as a 16x16 row-major map.
+
+    Row-major vectorization sends A X B to (A (x) B^T) vec(X), so
+    D[c] = c (x) conj(c) - (c^dag c (x) 1 + 1 (x) (c^dag c)^T) / 2.
+    """
+    sup = np.zeros((4, 4, 4, 4), dtype=complex)  # (out row, out col, in row, in col)
+    cdc = np.zeros((4, 4), dtype=complex)
+    if jumps:
+        cs = np.asarray(jumps, dtype=complex)
+        sup += np.einsum("nac,nbd->abcd", cs, cs.conj())
+        cdc = np.einsum("nba,nbc->ac", cs.conj(), cs)
+    h = np.sum(hamiltonians, axis=0) if hamiltonians else np.zeros((4, 4))
+    eye = np.eye(4)
+    # left factor (c^dag c / 2 + i h) X, right factor X (c^dag c / 2 - i h)
+    sup -= np.einsum("ac,bd->abcd", 0.5 * cdc + 1j * h, eye)
+    sup -= np.einsum("ac,db->abcd", eye, 0.5 * cdc - 1j * h)
+    return sup.reshape(16, 16)
+
+
 class CompiledBond:
-    """Fast evaluator K(alpha_A, alpha_B) for an all-two-site-jump model."""
+    """Evaluator K(alpha_A, alpha_B) of the bond derivative of any model.
+
+    Two-site jumps and Hamiltonians enter both the bond's own generator and
+    the mean-field terms; single-site ones act on each slot of the bond and
+    enter the bilinear part only. One evaluation is a 16x128 matrix-vector
+    product; the buffers it fills make an instance non-reentrant.
+    """
 
     def __init__(self, model: DissipativeModel):
-        if model.hamiltonian_terms:
-            raise ValueError("compiled path supports purely dissipative models")
-        if any(t.arity != 2 for t in model.jump_terms):
-            raise ValueError("compiled path supports two-site jumps only")
-        zc = float(model.lattice.z - 1)
-        sig = [pauli("identity"), pauli("x"), pauli("y"), pauli("z")]
-        jumps = [t.matrix for t in model.jump_terms]
+        hams = {1: [], 2: []}
+        for arity, h in model.hamiltonian_terms:
+            if arity not in hams:
+                raise ValueError("model arity > 2 not supported")
+            hams[arity].append(np.asarray(h, dtype=complex))
+        jumps = {1: [], 2: []}
+        for t in model.jump_terms:
+            jumps[t.arity].append(t.matrix)
+        eye = np.eye(2)
+        # single-site terms on both slots of the bond
+        local_jumps = [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]
+        local_hams = [kron(h, eye) + kron(eye, h) for h in hams[1]]
+        bond = _superoperator(jumps[2], hams[2])
+        local = _superoperator(local_jumps, local_hams)
 
-        w_int = np.zeros((16, 16), dtype=complex)
-        w_a = np.zeros((16, 64), dtype=complex)
-        w_b = np.zeros((16, 64), dtype=complex)
-        d_sig = {}  # dissipator sum and its single-site trace per basis pair
-        for mu in range(4):
-            for nu in range(4):
-                basis = 0.25 * kron(sig[mu], sig[nu])
-                dd = np.zeros((4, 4), dtype=complex)
-                for c in jumps:
-                    dd += dissipator(c, basis)
-                d_sig[mu, nu] = dd
-                w_int[:, 4 * mu + nu] = dd.reshape(16)
-        for mu in range(4):
-            for nu in range(4):
-                t2 = partial_trace(d_sig[mu, nu], [0], 2)  # 2x2 map T[mu,nu]
-                for mu2 in range(4):
-                    col_a = zc * kron(t2, 0.5 * sig[mu2])
-                    w_a[:, 16 * mu + 4 * nu + mu2] = col_a.reshape(16)
-                    col_b = zc * kron(0.5 * sig[mu2], t2)
-                    # slot order for the B-side term: (mu2 on A, [mu,nu] on B)
-                    w_b[:, 16 * mu2 + 4 * mu + nu] = col_b.reshape(16)
-        self._w_int = w_int
-        self._w_a = w_a
-        self._w_b = w_b
+        sig = np.array([pauli("identity"), pauli("x"), pauli("y"), pauli("z")])
+        # pair basis sigma_mu (x) sigma_nu / 4 as a (row, col) x (mu, nu) matrix
+        basis = 0.25 * np.einsum("mpr,nqs->pqrsmn", sig, sig).reshape(16, 16)
+        w_bond = (bond @ basis).reshape(2, 2, 2, 2, 4, 4)  # (i, j, k, l, mu, nu)
+        w_int = ((bond + local) @ basis).reshape(2, 2, 2, 2, 4, 4)
+        t2 = np.einsum("ijkjmn->ikmn", w_bond)  # bond image traced over slot 2
+        half_zc = 0.5 * float(model.lattice.z - 1)
+        # slot i feels t2[a, b] (x) rho_B: weights a_mu b_nu b_s
+        w_ab_b = half_zc * np.einsum("ikmn,sjl->ijklmns", t2, sig)
+        w_ab_b[..., 0] += w_int
+        # slot j feels rho_A (x) t2[b, a]: weights a_mu b_nu a_s
+        w_ab_a = half_zc * np.einsum("mik,jlns->ijklmns", sig, t2)
+        w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(4, 4, 128)
+        # Hermitian part folded in: x is real, so W x comes out Hermitian
+        self._w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
+        # evaluation buffers and fixed views of them
+        self._ba = np.ones(8)  # [b; a]; the leading 1s are never overwritten
+        self._a_col = self._ba[4:].reshape(4, 1)
+        self._ab = np.empty((4, 4))
+        self._ab_col = self._ab.reshape(16, 1)
+        self._x = np.empty((16, 8), dtype=complex)
+        self._x_flat = self._x.reshape(128)
 
     def derivative(self, alpha_a, alpha_b) -> np.ndarray:
-        a = np.empty(4)
-        a[0] = 1.0
-        a[1:] = alpha_a
-        b = np.empty(4)
-        b[0] = 1.0
-        b[1:] = alpha_b
-        ab = np.kron(a, b)
-        k = self._w_int @ ab
-        # neighbor of slot i carries the B state, neighbor of slot j the A
-        # state (uniform ansatz passes identical vectors, so both readings
-        # coincide there)
-        k = k + self._w_a @ np.kron(ab, b)
-        k = k + self._w_b @ np.kron(np.kron(a, b), a)
-        k = k.reshape(4, 4)
-        return 0.5 * (k + k.conj().T)
+        ba = self._ba
+        ba[1:4] = alpha_b
+        ba[5:8] = alpha_a
+        np.multiply(self._a_col, ba[:4], out=self._ab)
+        np.multiply(self._ab_col, ba, out=self._x)
+        return self._w.dot(self._x_flat).reshape(4, 4)
 
     def norm(self, alpha_a, alpha_b) -> float:
         return float(np.abs(np.linalg.eigvalsh(self.derivative(alpha_a, alpha_b))).sum())
-
-
-def _norm_function(model: DissipativeModel):
-    """Best available (alpha_A, alpha_B) -> bond norm evaluator."""
-    try:
-        compiled = CompiledBond(model)
-        return compiled.norm
-    except ValueError:
-        def slow(alpha_a, alpha_b):
-            kind = "bipartite" if model.lattice.bipartite else "uniform"
-            ans = ProductAnsatz(kind, np.asarray(alpha_a, float), np.asarray(alpha_b, float))
-            return reduced_derivative(model, ans).total_norm
-        return slow
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +405,7 @@ def minimize_norm(
         raise ValueError(f"unknown ansatz kind {kind!r}")
     if kind == "bipartite" and not model.lattice.bipartite:
         raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
-    norm_of = _norm_function(model)
+    norm_of = CompiledBond(model).norm
 
     def objective(x):
         a, b = _unpack(x, kind, gauge_fix)
@@ -410,6 +421,7 @@ def minimize_norm(
     rng = np.random.default_rng(seed)
     best = None
     used = 0
+    evaluations = 1  # the final evaluation at the reported ansatz
     # stage 1: rank the restart basins at loose tolerance, stage 2: polish
     # only the winner at full precision (the wells are separated by far more
     # than the coarse tolerance, so ranking is stable)
@@ -421,6 +433,7 @@ def minimize_norm(
             options=dict(xatol=1e-5, fatol=1e-8, maxiter=2000),
         )
         used += 1
+        evaluations += res.nfev
         if best is None or res.fun < best.fun:
             best = res
         # a numerically dark minimum cannot be improved; stop early
@@ -432,6 +445,7 @@ def minimize_norm(
         method="Nelder-Mead",
         options=dict(xatol=tol, fatol=1e-12, maxiter=4000, maxfev=6000),
     )
+    evaluations += polish.nfev
     best_ok = bool(polish.success)
     if polish.fun <= best.fun:
         best = polish
@@ -447,6 +461,7 @@ def minimize_norm(
         norm=float(norm_of(a, b)),
         converged=best_ok,
         restarts_used=used,
+        evaluations=evaluations,
     )
 
 
@@ -594,7 +609,7 @@ def landau_expansion(
         raise ValueError(f"unknown direction {direction!r}")
     if direction == "staggered-z" and not model.lattice.bipartite:
         raise ValueError("staggered-z direction needs a bipartite lattice")
-    norm_of = _norm_function(model)
+    norm_of = CompiledBond(model).norm
 
     def conditional(phi, guess):
         if direction == "in-plane":

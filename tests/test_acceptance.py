@@ -52,8 +52,9 @@ def test_a1_dark_manifold_at_zero_anisotropy():
         worst = max(worst, nb.total_norm)
     dt = time.monotonic() - t0
     ok = worst < 1e-10 and dt < 1.0
-    record("A1 dark manifold at lambda=0", ok,
-           f"worst norm {worst:.2e} over 20 directions, {dt:.2f}s")
+    line = record("A1 dark manifold at lambda=0", ok,
+                  f"worst norm {worst:.2e} over 20 directions, {dt:.2f}s")
+    assert ok, line
 
 
 def _sweep_and_fit(tmp_path, lo, hi, ansatz, which, window):
@@ -80,8 +81,9 @@ def test_a2_xy_transition(tmp_path):
     ok = (0.48 <= fit["lambda_c"] <= 0.52
           and 0.45 <= fit["beta"] <= 0.55
           and dt < 120.0)
-    record("A2 XY transition (uniform, z=6)", ok,
-           f"lambda_c={fit['lambda_c']:.4f}, beta={fit['beta']:.3f}, {dt:.0f}s")
+    line = record("A2 XY transition (uniform, z=6)", ok,
+                  f"lambda_c={fit['lambda_c']:.4f}, beta={fit['beta']:.3f}, {dt:.0f}s")
+    assert ok, line
 
 
 def test_a3_staggered_transition(tmp_path):
@@ -92,8 +94,9 @@ def test_a3_staggered_transition(tmp_path):
     ok = (1.45 <= fit["lambda_c"] <= 1.55
           and 0.45 <= fit["beta"] <= 0.55
           and dt < 120.0)
-    record("A3 staggered transition (bipartite, z=6)", ok,
-           f"lambda_c={fit['lambda_c']:.4f}, beta={fit['beta']:.3f}, {dt:.0f}s")
+    line = record("A3 staggered transition (bipartite, z=6)", ok,
+                  f"lambda_c={fit['lambda_c']:.4f}, beta={fit['beta']:.3f}, {dt:.0f}s")
+    assert ok, line
 
 
 def test_a4_no_longitudinal_moment_in_xy_phase():
@@ -102,7 +105,8 @@ def test_a4_no_longitudinal_moment_in_xy_phase():
         res = minimize_norm(heis(lam), kind="uniform", seed=0)
         worst = max(worst, abs(res.ansatz.alpha_A[2]))
     ok = worst < 1e-6
-    record("A4 <sigma_z>=0 across the XY phase", ok, f"worst |alpha_z| {worst:.2e}")
+    line = record("A4 <sigma_z>=0 across the XY phase", ok, f"worst |alpha_z| {worst:.2e}")
+    assert ok, line
 
 
 def test_a5_disordered_window_both_ansaetze():
@@ -113,7 +117,8 @@ def test_a5_disordered_window_both_ansaetze():
             m, ms = order_parameters(res.ansatz)
             worst = max(worst, m, ms)
     ok = worst < 1e-4
-    record("A5 disordered window order parameters", ok, f"worst {worst:.2e}")
+    line = record("A5 disordered window order parameters", ok, f"worst {worst:.2e}")
+    assert ok, line
 
 
 def test_a6_landau_structure_of_both_transitions():
@@ -130,11 +135,12 @@ def test_a6_landau_structure_of_both_transitions():
     ok = (u2_xy[0] < 0 < u2_xy[1]
           and u2_st[1] < 0 < u2_st[0]
           and all(u > 0 for u in u4_xy + u4_st))
-    record(
+    line = record(
         "A6 Landau expansion at both transitions", ok,
         "u2(0.48/0.52)=%+.2f/%+.2f, u2(1.48/1.52)=%+.2f/%+.2f, "
         "u4 in {%.1f,%.1f,%.1f,%.1f}" % (*u2_xy, *u2_st, *u4_xy, *u4_st),
     )
+    assert ok, line
 
 
 def _flip_problem(e0, gamma):
@@ -220,12 +226,13 @@ def test_a7_engineered_jump_operators():
           and abs(e0_ratio - 2.0) < 1e-9
           and abs(gamma_ratio - np.sqrt(10)) < 1e-9
           and 3.0 <= ratio <= 5.0)
-    record(
+    line = record(
         "A7 tailored jump operators", ok,
         f"structure residuals {resid1:.1e}/{resid2:.1e}, E0 ratio {e0_ratio:.3f}, "
         f"gamma ratio {gamma_ratio:.3f} (sqrt(10)={np.sqrt(10):.3f}), "
         f"validation ratio {ratio:.2f}",
     )
+    assert ok, line
 
 
 def _brute_force_mf(c, target_slot, nb_alpha, pair):
@@ -317,8 +324,9 @@ def test_a8_mean_field_consistency_and_bound():
     ok = (worst_mf < 1e-12 and min_slack > 0
           and dim_ferro == 9 and dim_aniso == 4 and neel_defect < 1e-12
           and dt < 30.0)
-    record(
+    line = record(
         "A8 mean field vs exact clusters", ok,
         f"mf defect {worst_mf:.1e}, bound slack {min_slack:.2f}, "
         f"dark dims {dim_ferro}/{dim_aniso}, Neel defect {neel_defect:.1e}, {dt:.0f}s",
     )
+    assert ok, line

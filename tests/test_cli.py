@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dissipative_spins import variational
+from dissipative_spins import cli, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.opformat import OperatorFormatError
 
@@ -230,9 +230,14 @@ def test_oracle_json(capsys):
     assert out["conjugate_pair_defect"] < 1e-9
 
 
-def test_oracle_resource_cap(capsys):
-    assert run(["oracle", "--n", "7"]) == 3
-    assert "cap" in capsys.readouterr().err
+def test_oracle_resource_cap(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped ring size built its generator")
+
+    monkeypatch.setattr(cli, "ring_liouvillian", refuse)
+    for n in (6, 7):
+        assert run(["oracle", "--n", str(n)]) == 3
+        assert "cap" in capsys.readouterr().err
 
 
 def test_console_entry_point():
