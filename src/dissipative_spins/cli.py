@@ -7,7 +7,9 @@ one coupling), effective (adiabatic elimination of a problem file), oracle
 
 Exit codes: 0 success, 1 malformed input files, 2 fit or elimination
 failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 5
-sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points). Sweeps are
+sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
+MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
+samples, validations above MAX_RK4_STEPS = 100,000 RK4 steps). Sweeps are
 bit-stable for a fixed --seed regardless of --jobs: each grid point derives
 its own seed from the global one and its coupling.
 """
@@ -21,9 +23,11 @@ import sys
 import numpy as np
 
 from .effective import (
+    RK4_DT,
     GaplessEliminationError,
     effective_hamiltonian,
     effective_jumps,
+    rk4_steps,
     validate_elimination,
 )
 from .liouville import ring_liouvillian, steady_states
@@ -41,6 +45,9 @@ from .variational import (
 CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
 MAX_ORACLE_SITES = 5  # dense generator and eig: n = 6 took minutes and > 1 GB
 MAX_SWEEP_POINTS = 10_000
+MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
+MAX_LANDAU_SAMPLES = 1_000  # one tight Nelder-Mead each
+MAX_RK4_STEPS = 100_000  # per integration: t_max = 2000 at the default step
 
 
 def format_sweep_csv(records) -> str:
@@ -92,6 +99,11 @@ def read_sweep_csv(text: str):
     return records
 
 
+def _over_cap(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 3
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -124,16 +136,15 @@ def _model_settings(args, cfg):
 
 
 def cmd_sweep(args) -> int:
+    if args.restarts > MAX_RESTARTS:
+        return _over_cap(f"sweep: {args.restarts} restarts exceed the restart cap "
+                         f"({MAX_RESTARTS} per point)")
     cfg = _load_config(args.config)
     z, kind, renorm, bipartite = _model_settings(args, cfg)
     points = grid_size(args.lambda_min, args.lambda_max, args.step)
     if points > MAX_SWEEP_POINTS:
-        print(
-            f"sweep: {points} grid points exceed the sweep cap "
-            f"({MAX_SWEEP_POINTS} points)",
-            file=sys.stderr,
-        )
-        return 3
+        return _over_cap(f"sweep: {points} grid points exceed the sweep cap "
+                         f"({MAX_SWEEP_POINTS} points)")
     records = sweep(
         args.lambda_min, args.lambda_max, args.step,
         LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm), kind,
@@ -171,6 +182,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_landau(args) -> int:
+    if args.samples > MAX_LANDAU_SAMPLES:
+        return _over_cap(f"landau: {args.samples} samples exceed the sample cap "
+                         f"({MAX_LANDAU_SAMPLES})")
     cfg = _load_config(args.config)
     z, _, renorm, bipartite = _model_settings(args, cfg)
     lam = args.lam if args.lam is not None else cfg.get("lambda", 1.0)
@@ -193,6 +207,9 @@ def cmd_landau(args) -> int:
 
 
 def cmd_effective(args) -> int:
+    if args.validate and rk4_steps(args.t_max, RK4_DT) > MAX_RK4_STEPS:
+        return _over_cap(f"effective: t_max = {args.t_max:g} needs more RK4 steps than the "
+                         f"step cap ({MAX_RK4_STEPS} steps of {RK4_DT:g})")
     with open(args.problem) as fh:
         pf = parse_problem_text(fh.read())
     h_eff = effective_hamiltonian(pf.problem)
@@ -224,12 +241,8 @@ def cmd_effective(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.n > MAX_ORACLE_SITES:
-        print(
-            f"oracle: n = {args.n} exceeds the exact-diagonalization cap "
-            f"({MAX_ORACLE_SITES} sites)",
-            file=sys.stderr,
-        )
-        return 3
+        return _over_cap(f"oracle: n = {args.n} exceeds the exact-diagonalization cap "
+                         f"({MAX_ORACLE_SITES} sites)")
     cfg = _load_config(args.config)
     z, _, renorm, bipartite = _model_settings(args, cfg)
     lam = args.lam if args.lam is not None else cfg.get("lambda", 1.0)
@@ -287,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8, help=f"capped at {MAX_RESTARTS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--threshold", type=float, default=1e-4,
@@ -313,14 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-max", type=float, default=0.03,
                    help="fit window; keep small near a transition, the norm "
                         "is only quartic below its first kink")
-    p.add_argument("--samples", type=int, default=11)
+    p.add_argument("--samples", type=int, default=11, help=f"capped at {MAX_LANDAU_SAMPLES}")
     p.set_defaults(func=cmd_landau)
 
     p = sub.add_parser("effective", help="adiabatically eliminate a problem file")
     p.add_argument("--problem", required=True)
     p.add_argument("--validate", action="store_true",
                    help="integrate full vs effective dynamics and report the error")
-    p.add_argument("--t-max", type=float, default=50.0)
+    p.add_argument("--t-max", type=float, default=50.0,
+                   help=f"validation horizon, at most {MAX_RK4_STEPS} RK4 steps of {RK4_DT:g}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_effective)
 

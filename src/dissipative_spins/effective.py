@@ -19,6 +19,7 @@ the matrices as sqrt(gamma) prefactors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +123,18 @@ def _lindblad_rhs(rho, hamiltonian, jumps):
     return acc
 
 
-def _rk4_evolve(rho0, hamiltonian, jumps, t_max, dt):
+RK4_DT = 0.02  # default fixed RK4 step of validate_elimination
+
+
+def rk4_steps(t_max: float, dt: float) -> int:
+    """Fixed RK4 steps from 0 to t_max; t_max and dt finite and positive."""
+    if not (0 < t_max < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"t_max and dt must be finite and positive, got {t_max}, {dt}")
+    return int(round(min(t_max / dt, 2.0**62)))  # an overflowing ratio is over any cap
+
+
+def _rk4_evolve(rho0, hamiltonian, jumps, steps, dt):
     rho = rho0.astype(complex).copy()
-    steps = int(round(t_max / dt))
     for _ in range(steps):
         k1 = _lindblad_rhs(rho, hamiltonian, jumps)
         k2 = _lindblad_rhs(rho + 0.5 * dt * k1, hamiltonian, jumps)
@@ -149,7 +159,7 @@ def validate_elimination(
     aux_sites,
     n_sites: int,
     t_max: float = 50.0,
-    dt: float = 0.02,
+    dt: float = RK4_DT,
 ) -> EliminationValidation:
     """Compare full dynamics against the eliminated effective dynamics.
 
@@ -158,7 +168,9 @@ def validate_elimination(
     trace distance (half the trace norm of the difference) at t_max is
     reported. The error should scale with the square of the perturbation,
     i.e. drop by ~4 when the drive weakens by 2 at fixed decay rate.
+    ValueError unless t_max and dt are finite and positive.
     """
+    steps = rk4_steps(t_max, dt)
     aux_sites = sorted(aux_sites)
     keep = [s for s in range(n_sites) if s not in aux_sites]
     # build rho0 on the full space in site order (system sites, aux sites)
@@ -172,14 +184,14 @@ def validate_elimination(
         rho0 = t.reshape(2**n_sites, 2**n_sites)
 
     h_full = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
-    rho_full = _rk4_evolve(rho0, h_full, list(problem.jumps), t_max, dt)
+    rho_full = _rk4_evolve(rho0, h_full, list(problem.jumps), steps, dt)
     rho_full_sys = partial_trace(rho_full, keep, n_sites)
 
     h_eff = effective_hamiltonian(problem)
     c_eff = effective_jumps(problem)
     h_eff_sys = strip_auxiliary(h_eff, aux_sites, n_sites, rho0_aux)
     c_eff_sys = [strip_auxiliary(c, aux_sites, n_sites, rho0_aux) for c in c_eff]
-    rho_eff = _rk4_evolve(rho0_system.astype(complex), h_eff_sys, c_eff_sys, t_max, dt)
+    rho_eff = _rk4_evolve(rho0_system.astype(complex), h_eff_sys, c_eff_sys, steps, dt)
 
     err = 0.5 * trace_norm_hermitian(rho_full_sys - rho_eff)
     return EliminationValidation(

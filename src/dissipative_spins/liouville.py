@@ -1,13 +1,10 @@
 """Exact Liouvillians on small clusters, for cross-checking the mean field.
 
 Column-stacking convention throughout: vec(rho) stacks the columns of rho
-(Fortran order), so vec(A rho B) = kron(B^T, A) vec(rho) and the generator
-reads
+(Fortran order), so vec(A rho B) = kron(B^T, A) vec(rho). With the
+non-Hermitian G = -i H - 1/2 sum_k c_k^dag c_k the generator reads
 
-    L = -i[kron(1, H) - kron(H^T, 1)]
-        + sum_k [ kron(conj(c_k), c_k)
-                  - 1/2 kron(1, c_k^dag c_k)
-                  - 1/2 kron((c_k^dag c_k)^T, 1) ].
+    L = kron(1, G) + kron(conj(G), 1) + sum_k kron(conj(c_k), c_k).
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
 real parts; the null space holds the steady states.
@@ -41,20 +38,26 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
+    """The generator of H and the jumps c_k as a d^2 x d^2 matrix.
+
+    The jump sum is one (d^2, k) @ (k, d^2) product over the stacked jumps.
+    """
     h = np.asarray(hamiltonian, dtype=complex)
     d = h.shape[0]
     if h.shape != (d, d):
         raise ValueError("hamiltonian must be square")
-    eye = np.eye(d)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in jumps:
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (d, d):
-            raise ValueError("jump operator dimension mismatch")
-        cdc = c.conj().T @ c
-        mat += np.kron(c.conj(), c)
-        mat -= 0.5 * np.kron(eye, cdc)
-        mat -= 0.5 * np.kron(cdc.T, eye)
+    cs = np.asarray(jumps, dtype=complex)
+    if cs.size == 0:
+        cs = cs.reshape(0, d, d)
+    if cs.shape[1:] != (d, d):
+        raise ValueError("jump operator dimension mismatch")
+    flat = cs.reshape(-1, d * d)
+    # (i k, j l) entries conj(c)[i, k] c[j, l], reordered to (i j, k l); one
+    # expression, so the product is freed before the krons' temporaries
+    mat = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    g = -1j * h - 0.5 * np.einsum("nji,njk->ik", cs.conj(), cs)
+    mat += np.kron(np.eye(d), g)
+    mat += np.kron(g.conj(), np.eye(d))
     return Liouvillian(matrix=mat, dim=d)
 
 

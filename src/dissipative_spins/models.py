@@ -66,10 +66,6 @@ class DissipativeModel:
     hamiltonian_terms: list = field(default_factory=list)  # (arity, matrix)
     jump_terms: list = field(default_factory=list)
 
-    @property
-    def purely_dissipative(self) -> bool:
-        return len(self.hamiltonian_terms) == 0
-
 
 def ferro_pump_jumps():
     """The three unit-rate pump operators out of the singlet.

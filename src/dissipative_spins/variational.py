@@ -1,4 +1,4 @@
-"""Variational trace-norm principle for purely dissipative lattice models.
+"""Variational trace-norm principle for dissipative lattice models.
 
 The steady state of a translationally invariant master equation is
 approximated by a product ansatz (one Bloch vector per sublattice). For each
@@ -9,10 +9,11 @@ traceless parts
 
 where d_loc collects single-site terms, d_int the bond's own two-site terms,
 and d_mf the mean-field contribution of the 2(z-1) surrounding neighbors.
-The sum of bond trace norms upper-bounds the full-state norm, and for a
-homogeneous ansatz it collapses to a single bond norm, which is what gets
-minimized. Order parameters, the Landau phi^4 expansion of the norm, and
-critical-point fits are extracted from the minimizer.
+Single-site and two-site Hamiltonian terms enter through -i[h, .] beside
+the jumps. The sum of bond trace norms upper-bounds the full-state norm,
+and for a homogeneous ansatz it collapses to a single bond norm, which is
+what gets minimized. Order parameters, the Landau phi^4 expansion of the
+norm, and critical-point fits are extracted from the minimizer.
 
 Jump matrices follow the (this-site, other-site) slot convention: the first
 tensor slot of a two-site term sits on the bond site under consideration.
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
+from .liouville import build_liouvillian
 from .models import DissipativeModel, LatticeSpec, dissipative_heisenberg
 from .operators import (
     bloch_to_density,
@@ -95,13 +97,7 @@ class LandauFit:
     u0: float
     u2: float
     u4: float
-    phi_grid: list  # (phi, norm) samples
     residual: float
-
-    @property
-    def valid_quartic(self) -> bool:
-        # u4 > 0 is required for the phi^4 form to be interpretable
-        return self.u4 > 0
 
 
 @dataclass(frozen=True)
@@ -246,24 +242,11 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # ---------------------------------------------------------------------------
 
 
-def _superoperator(jumps, hamiltonians) -> np.ndarray:
-    """Sum_c D[c] - i[sum h, .] on 4x4 operators, as a 16x16 row-major map.
-
-    Row-major vectorization sends A X B to (A (x) B^T) vec(X), so
-    D[c] = c (x) conj(c) - (c^dag c (x) 1 + 1 (x) (c^dag c)^T) / 2.
-    """
-    sup = np.zeros((4, 4, 4, 4), dtype=complex)  # (out row, out col, in row, in col)
-    cdc = np.zeros((4, 4), dtype=complex)
-    if jumps:
-        cs = np.asarray(jumps, dtype=complex)
-        sup += np.einsum("nac,nbd->abcd", cs, cs.conj())
-        cdc = np.einsum("nba,nbc->ac", cs.conj(), cs)
-    h = np.sum(hamiltonians, axis=0) if hamiltonians else np.zeros((4, 4))
-    eye = np.eye(4)
-    # left factor (c^dag c / 2 + i h) X, right factor X (c^dag c / 2 - i h)
-    sup -= np.einsum("ac,bd->abcd", 0.5 * cdc + 1j * h, eye)
-    sup -= np.einsum("ac,db->abcd", eye, 0.5 * cdc - 1j * h)
-    return sup.reshape(16, 16)
+def _row_major_generator(hamiltonians, jumps) -> np.ndarray:
+    """build_liouvillian's 4x4-operator generator in row-major vectorization."""
+    mat = build_liouvillian(sum(hamiltonians, np.zeros((4, 4))), jumps).matrix
+    # column stacking indexes (out col, out row, in col, in row)
+    return mat.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
 
 
 class CompiledBond:
@@ -288,8 +271,8 @@ class CompiledBond:
         # single-site terms on both slots of the bond
         local_jumps = [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]
         local_hams = [kron(h, eye) + kron(eye, h) for h in hams[1]]
-        bond = _superoperator(jumps[2], hams[2])
-        local = _superoperator(local_jumps, local_hams)
+        bond = _row_major_generator(hams[2], jumps[2])
+        local = _row_major_generator(local_hams, local_jumps)
 
         sig = np.array([pauli("identity"), pauli("x"), pauli("y"), pauli("z")])
         # pair basis sigma_mu (x) sigma_nu / 4 as a (row, col) x (mu, nu) matrix
@@ -344,10 +327,25 @@ def _unpack(x, kind, gauge_fix):
 
 
 def _project(alpha):
-    r = np.linalg.norm(alpha)
+    r = math.sqrt(alpha.dot(alpha))  # np.linalg.norm's own formula, without its overhead
     if r > 1.0:
         return alpha / r, r
     return alpha, r
+
+
+def _penalized_norm(norm_of, a, b) -> float:
+    """norm_of(a, b) after radial projection into the unit ball.
+
+    Each vector that lies outside the ball at radius r adds 100 (r - 1)^2.
+    """
+    a, ra = _project(a)
+    b, rb = _project(b)
+    pen = 0.0
+    if ra > 1.0:
+        pen += 100.0 * (ra - 1.0) ** 2
+    if rb > 1.0:
+        pen += 100.0 * (rb - 1.0) ** 2
+    return norm_of(a, b) + pen
 
 
 def _start_points(kind, gauge_fix, restarts, rng):
@@ -408,15 +406,7 @@ def minimize_norm(
     norm_of = CompiledBond(model).norm
 
     def objective(x):
-        a, b = _unpack(x, kind, gauge_fix)
-        a, ra = _project(a)
-        b, rb = _project(b)
-        pen = 0.0
-        if ra > 1.0:
-            pen += 100.0 * (ra - 1.0) ** 2
-        if rb > 1.0:
-            pen += 100.0 * (rb - 1.0) ** 2
-        return norm_of(a, b) + pen
+        return _penalized_norm(norm_of, *_unpack(x, kind, gauge_fix))
 
     rng = np.random.default_rng(seed)
     best = None
@@ -615,21 +605,12 @@ def landau_expansion(
         if direction == "in-plane":
             def f(x):
                 a = np.array([phi, 0.0, x[0]])
-                a, r = _project(a)
-                pen = 100.0 * (r - 1.0) ** 2 if r > 1 else 0.0
-                return norm_of(a, a) + pen
+                return _penalized_norm(norm_of, a, a)
         else:
             def f(x):
                 a = np.array([x[0], 0.0, x[2] + phi])
                 b = np.array([x[1], 0.0, x[2] - phi])
-                a, ra = _project(a)
-                b, rb = _project(b)
-                pen = 0.0
-                if ra > 1:
-                    pen += 100.0 * (ra - 1.0) ** 2
-                if rb > 1:
-                    pen += 100.0 * (rb - 1.0) ** 2
-                return norm_of(a, b) + pen
+                return _penalized_norm(norm_of, a, b)
         res = _scipy_minimize(
             f,
             guess,
@@ -653,7 +634,6 @@ def landau_expansion(
         u0=float(coef[0]),
         u2=float(coef[1]),
         u4=float(coef[2]),
-        phi_grid=list(zip(phis.tolist(), norms.tolist())),
         residual=residual,
     )
 

@@ -88,6 +88,17 @@ def test_sweep_resource_cap(capsys):
     assert run(["sweep", "--lambda-min", "0", "--lambda-max", "inf"]) == 3
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a capped input reached the library")
+
+
+def test_sweep_restarts_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", refuse)
+    assert run(["sweep", "--lambda-min", "1.0", "--lambda-max", "1.0",
+                "--restarts", str(cli.MAX_RESTARTS + 1)]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_sweep_clamps_workers(tmp_path, monkeypatch):
     seen = []
 
@@ -184,6 +195,13 @@ def test_landau_bad_samples():
     assert run(["landau", "--lambda", "1.0", "--samples", "3"]) == 1
 
 
+def test_landau_samples_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "landau_expansion", refuse)
+    assert run(["landau", "--lambda", "1.0",
+                "--samples", str(cli.MAX_LANDAU_SAMPLES + 1)]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_effective_output(tmp_path, capsys):
     prob = tmp_path / "p.prob"
     prob.write_text(BELL_PROBLEM)
@@ -202,6 +220,25 @@ def test_effective_validate(tmp_path, capsys):
     text = capsys.readouterr().out
     line = [ln for ln in text.splitlines() if ln.startswith("error =")][0]
     assert float(line.partition("=")[2]) < 0.05
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan", "-5", "0"])
+def test_effective_rejects_bad_t_max(tmp_path, t_max):
+    prob = tmp_path / "p.prob"
+    prob.write_text(BELL_PROBLEM)
+    assert run(["effective", "--problem", str(prob), "--validate",
+                f"--t-max={t_max}"]) == 1
+
+
+def test_effective_rk4_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "validate_elimination", refuse)
+    prob = tmp_path / "p.prob"
+    prob.write_text(BELL_PROBLEM)
+    t_max = (cli.MAX_RK4_STEPS + 1) * cli.RK4_DT
+    for horizon in (t_max, 1e300):
+        assert run(["effective", "--problem", str(prob), "--validate",
+                    "--t-max", repr(horizon)]) == 3
+        assert "cap" in capsys.readouterr().err
 
 
 def test_effective_gapless(tmp_path):
@@ -231,9 +268,6 @@ def test_oracle_json(capsys):
 
 
 def test_oracle_resource_cap(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a capped ring size built its generator")
-
     monkeypatch.setattr(cli, "ring_liouvillian", refuse)
     for n in (6, 7):
         assert run(["oracle", "--n", str(n)]) == 3

@@ -148,3 +148,13 @@ def test_validation_error_is_perturbatively_small():
     # both evolutions stay physical
     assert abs(np.trace(val.rho_full) - 1) < 1e-9
     assert abs(np.trace(val.rho_eff) - 1) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "t_max, dt", [(np.inf, 0.02), (np.nan, 0.02), (-5.0, 0.02), (0.0, 0.02), (1.0, 0.0), (1.0, np.inf)]
+)
+def test_validation_rejects_bad_horizon(t_max, dt):
+    prob = single_flip_problem()
+    rho_aux = np.outer(DOWN, DOWN).astype(complex)
+    with pytest.raises(ValueError):
+        validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=t_max, dt=dt)

@@ -8,6 +8,8 @@ neighbors) follow from counting the annihilated subspaces by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dissipative_spins.liouville import (
@@ -29,6 +31,7 @@ from dissipative_spins.operators import (
     bell_state,
     bloch_to_density,
     dissipator,
+    embed,
     kron,
     pauli,
     trace_norm_hermitian,
@@ -50,17 +53,50 @@ def test_amplitude_damping_spectrum():
     np.testing.assert_allclose(ev, [-g, -g / 2, -g / 2, 0.0], atol=1e-12)
 
 
-def test_apply_matches_direct_master_equation():
-    rng = np.random.default_rng(4)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 4, 8]),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_apply_matches_direct_master_equation(seed, d, n_jumps, with_h):
+    # the stacked jump product and the folded G = -iH - 1/2 sum c^dag c
+    # against the applied form
+    rng = np.random.default_rng(seed)
+    h = _random_matrix(rng, d) if with_h else np.zeros((d, d))
     h = h + h.conj().T
-    cs = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)]
-    rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = rho @ rho.conj().T
-    rho /= np.trace(rho)
-    liou = build_liouvillian(h, cs)
-    direct = -1j * (h @ rho - rho @ h) + sum(dissipator(c, rho) for c in cs)
-    np.testing.assert_allclose(liou.apply(rho), direct, atol=1e-12)
+    cs = [_random_matrix(rng, d) for _ in range(n_jumps)]
+    rho = _random_matrix(rng, d)
+    direct = -1j * (h @ rho - rho @ h) + sum(
+        (dissipator(c, rho) for c in cs), np.zeros((d, d), dtype=complex)
+    )
+    np.testing.assert_allclose(build_liouvillian(h, cs).apply(rho), direct, atol=1e-11)
+
+
+def test_build_rejects_mismatched_jumps():
+    with pytest.raises(ValueError):
+        build_liouvillian(np.zeros((4, 4)), [np.zeros((2, 2))])
+    with pytest.raises(ValueError):
+        build_liouvillian(np.zeros((2, 3)), [])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_ring_apply_matches_embedded_jumps(n):
+    # every jump on every ring bond, applied one by one
+    rng = np.random.default_rng(n)
+    model = dissipative_heisenberg(0.7, LatticeSpec(z=6))
+    rho = _random_matrix(rng, 2**n)
+    direct = sum(
+        dissipator(embed(t.matrix, [i, (i + 1) % n], n), rho)
+        for t in model.jump_terms
+        for i in range(n)
+    )
+    np.testing.assert_allclose(ring_liouvillian(model, n).apply(rho), direct, atol=1e-12)
 
 
 def test_trace_preservation():

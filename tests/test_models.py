@@ -70,7 +70,7 @@ def test_heisenberg_renormalization():
 
 def test_heisenberg_is_purely_dissipative():
     model = dissipative_heisenberg(0.8, LatticeSpec(z=6))
-    assert model.purely_dissipative
+    assert model.hamiltonian_terms == []
     assert len(model.jump_terms) == 7
     # lambda = 0 silences the anisotropy channels but keeps the slots
     silent = dissipative_heisenberg(0.0, LatticeSpec())
