@@ -7,7 +7,10 @@ non-Hermitian G = -i H - 1/2 sum_k c_k^dag c_k the generator reads
     L = kron(1, G) + kron(conj(G), 1) + sum_k kron(conj(c_k), c_k).
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
-real parts; the null space holds the steady states.
+real parts; the null space holds the steady states. ``steady_states``
+finds them block by block: the connected components of the generator's
+nonzero pattern are independent diagonal blocks (the coherence orders of
+the ring models), and each is diagonalized on its own.
 """
 
 from __future__ import annotations
@@ -96,24 +99,65 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
 
 
 @dataclass(frozen=True)
+class SpectralBlock:
+    indices: np.ndarray  # vec positions of one diagonal block, ascending
+    eigenvalues: np.ndarray  # spectrum of the generator restricted to them
+
+
+@dataclass(frozen=True)
 class SteadySpace:
     dimension: int
     basis: list  # Hermitian representatives; trace 1 where trace is nonzero
-    eigenvalues: np.ndarray  # full spectrum of the generator
+    blocks: list  # SpectralBlock per diagonal block of the generator
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Full spectrum of the generator: the union of the block spectra."""
+        return np.concatenate([b.eigenvalues for b in self.blocks])
+
+
+def _generator_blocks(liou: Liouvillian) -> list:
+    """Vec positions of each diagonal block of the generator.
+
+    The blocks are the connected components of the generator's nonzero
+    pattern, so permuting them together is an exact similarity that
+    block-diagonalizes the matrix. A weak U(1) symmetry (the ring models'
+    conservation of coherence order popcount(i) - popcount(j) of |i><j|)
+    shows up as separate blocks; a model without one is a single block.
+    """
+    # imported on first use: it adds ~4 ms to the start-up every dspin call pays
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_blocks, labels = connected_components(
+        csr_matrix(liou.matrix != 0), directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
 
 
 def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
     """Null space of the generator, returned as Hermitian representatives.
 
-    The Lindblad generator commutes with the adjoint operation, so the null
-    space is spanned by Hermitian matrices; each basis element is
-    orthogonalized in the Hilbert-Schmidt inner product and rescaled to
-    trace 1 when its trace is nonzero (traceless directions are kept with
-    unit Hilbert-Schmidt norm). The generator's full spectrum, computed on
-    the way, is kept on the result.
+    Each diagonal block of the generator (``_generator_blocks``) is
+    diagonalized on its own; the null vectors of all blocks, embedded back
+    into the full vec space, span the null space. The Lindblad generator
+    commutes with the adjoint operation, so the null space is spanned by
+    Hermitian matrices; each basis element is orthogonalized in the
+    Hilbert-Schmidt inner product and rescaled to trace 1 when its trace is
+    nonzero (traceless directions are kept with unit Hilbert-Schmidt norm).
+    The block spectra, computed on the way, are kept on the result.
     """
-    evals, evecs = np.linalg.eig(liou.matrix)
-    null_cols = [evecs[:, k] for k in range(evals.size) if abs(evals[k]) < tol]
+    blocks, null_cols = [], []
+    for idx in _generator_blocks(liou):
+        block = liou.matrix[np.ix_(idx, idx)]
+        if not block.imag.any():  # real arithmetic, ~3x faster than complex
+            block = block.real
+        evals, evecs = np.linalg.eig(block)
+        blocks.append(SpectralBlock(indices=idx, eigenvalues=evals))
+        for k in np.flatnonzero(np.abs(evals) < tol):
+            col = np.zeros(liou.dim**2, dtype=complex)
+            col[idx] = evecs[:, k]
+            null_cols.append(col)
     dim = len(null_cols)
     herm_candidates = []
     for col in null_cols:
@@ -123,8 +167,8 @@ def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
     basis = []
     for cand in herm_candidates:
         for b in basis:
-            cand = cand - np.trace(b.conj().T @ cand) * b
-        nrm = np.sqrt(abs(np.trace(cand.conj().T @ cand)))
+            cand = cand - np.vdot(b, cand) * b
+        nrm = np.sqrt(abs(np.vdot(cand, cand)))
         if nrm > 10 * tol:
             basis.append(cand / nrm)
         if len(basis) == dim:
@@ -133,7 +177,7 @@ def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
     for b in basis:
         tr = np.trace(b).real
         out.append(b / tr if abs(tr) > 1e-9 else b)
-    return SteadySpace(dimension=dim, basis=out, eigenvalues=evals)
+    return SteadySpace(dimension=dim, basis=out, blocks=blocks)
 
 
 def exact_norm(liou: Liouvillian, rho: np.ndarray) -> float:

@@ -7,6 +7,10 @@ import pytest
 
 from dissipative_spins import cli, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
+from dissipative_spins.effective import EliminationValidation
+from dissipative_spins.liouville import ring_liouvillian, steady_states
+from dissipative_spins.models import DissipativeModel, LatticeSpec, dissipative_heisenberg
+from dissipative_spins.operators import pauli
 from dissipative_spins.opformat import OperatorFormatError
 
 BELL_PROBLEM = """
@@ -231,14 +235,25 @@ def test_effective_rejects_bad_t_max(tmp_path, t_max):
 
 
 def test_effective_rk4_cap(tmp_path, capsys, monkeypatch):
+    # the horizon cap of the old 100,000 fixed RK4 steps of 0.02
+    assert cli.MAX_T_MAX == 2000.0
     monkeypatch.setattr(cli, "validate_elimination", refuse)
     prob = tmp_path / "p.prob"
     prob.write_text(BELL_PROBLEM)
-    t_max = (cli.MAX_RK4_STEPS + 1) * cli.RK4_DT
-    for horizon in (t_max, 1e300):
+    for horizon in (2000.02, 1e300):
         assert run(["effective", "--problem", str(prob), "--validate",
                     "--t-max", repr(horizon)]) == 3
         assert "cap" in capsys.readouterr().err
+    # the cap itself still runs
+    horizons = []
+
+    def record(problem, rho_sys, rho_aux, aux_sites, n_sites, t_max):
+        horizons.append(t_max)
+        return EliminationValidation(error=0.0, t_max=t_max, rho_full=rho_sys, rho_eff=rho_sys)
+
+    monkeypatch.setattr(cli, "validate_elimination", record)
+    assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "2000"]) == 0
+    assert horizons == [2000.0]
 
 
 def test_effective_gapless(tmp_path):
@@ -265,6 +280,29 @@ def test_oracle_json(capsys):
     assert out["max_real_part"] < 1e-10
     assert out["trace_defect"] < 1e-12
     assert out["conjugate_pair_defect"] < 1e-9
+
+
+def test_oracle_conjugate_pairs_n5(capsys):
+    # lambda = 1.5 holds a defective eigenvalue (-2.4, a 2x2 Jordan block)
+    # that eig resolves only to ~sqrt(eps) in each block
+    assert run(["oracle", "--n", "5", "--lambda", "1.5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dark_dimension"] == 1
+    assert out["conjugate_pair_defect"] < 1e-9
+    assert out["max_real_part"] < 1e-9
+    assert out["trace_defect"] < 1e-12
+
+
+def test_conjugate_pair_defect_pairs_opposite_orders():
+    # a sigma_z field keeps the coherence-order blocks but makes them
+    # complex: block q is the conjugate of block -q, not of itself
+    heis = dissipative_heisenberg(0.7, LatticeSpec(z=6))
+    model = DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, 0.4 * pauli("z"))],
+                             jump_terms=heis.jump_terms)
+    blocks = steady_states(ring_liouvillian(model, 3)).blocks
+    assert cli._conjugate_pair_defect(blocks, 8) < 1e-12
+    assert max(np.abs(b.eigenvalues.conj()[:, None] - b.eigenvalues).min(axis=1).max()
+               for b in blocks) > 0.1
 
 
 def test_oracle_resource_cap(capsys, monkeypatch):

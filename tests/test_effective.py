@@ -8,6 +8,7 @@ code must hit at machine precision.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dissipative_spins.effective import (
     EliminationProblem,
@@ -19,7 +20,8 @@ from dissipative_spins.effective import (
     strip_auxiliary,
     validate_elimination,
 )
-from dissipative_spins.operators import bloch_to_density, embed, kron, pauli
+from dissipative_spins.liouville import build_liouvillian, unvec, vec
+from dissipative_spins.operators import bloch_to_density, embed, kron, partial_trace, pauli
 
 UP = np.array([1.0, 0.0])
 DOWN = np.array([0.0, 1.0])
@@ -150,11 +152,29 @@ def test_validation_error_is_perturbatively_small():
     assert abs(np.trace(val.rho_eff) - 1) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "t_max, dt", [(np.inf, 0.02), (np.nan, 0.02), (-5.0, 0.02), (0.0, 0.02), (1.0, 0.0), (1.0, np.inf)]
-)
-def test_validation_rejects_bad_horizon(t_max, dt):
+@pytest.mark.parametrize("delta", [0.0, 0.7])
+def test_validation_matches_dense_propagator(delta):
+    # both evolutions against expm of the dense generator matrix
+    prob = single_flip_problem(e0=0.1, delta=delta)
+    rho_sys = bloch_to_density(np.array([0.3, 0.2, -0.4]))
+    rho_aux = np.outer(DOWN, DOWN).astype(complex)
+    t = 7.5
+    val = validate_elimination(prob, rho_sys, rho_aux, [1], 2, t_max=t)
+
+    def dense(h, jumps, rho0):
+        return unvec(expm(t * build_liouvillian(h, jumps).matrix) @ vec(rho0), rho0.shape[0])
+
+    h_full = prob.h_ground + prob.h_excited + prob.v_plus + prob.v_minus
+    full = partial_trace(dense(h_full, list(prob.jumps), kron(rho_sys, rho_aux)), [0], 2)
+    np.testing.assert_allclose(val.rho_full, full, atol=1e-12)
+    h_eff = strip_auxiliary(effective_hamiltonian(prob), [1], 2, rho_aux)
+    c_eff = [strip_auxiliary(c, [1], 2, rho_aux) for c in effective_jumps(prob)]
+    np.testing.assert_allclose(val.rho_eff, dense(h_eff, c_eff, rho_sys), atol=1e-12)
+
+
+@pytest.mark.parametrize("t_max", [np.inf, np.nan, -5.0, 0.0])
+def test_validation_rejects_bad_horizon(t_max):
     prob = single_flip_problem()
     rho_aux = np.outer(DOWN, DOWN).astype(complex)
     with pytest.raises(ValueError):
-        validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=t_max, dt=dt)
+        validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=t_max)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
     build_liouvillian,
@@ -185,6 +187,70 @@ def test_steady_representatives_are_hermitian_unit_trace():
             assert tr == pytest.approx(1.0)
             traced += 1
     assert traced >= 1
+
+
+def assert_same_spectrum(reference, blocked, tol=1e-9, radius=1e-6):
+    """Equal spectra as multisets: cluster by cluster, equal counts and means.
+
+    A defective eigenvalue (at n = 4, lambda = 1.5 the Heisenberg ring has
+    -1.2 in a Jordan block) comes out of eig split by ~sqrt(eps), differently
+    for the dense and the blocked matrix, while the mean of its cluster is
+    accurate to ~eps. Clusters join eigenvalues of both spectra that are
+    within radius of each other.
+    """
+    both = np.concatenate([reference, blocked])
+    _, labels = connected_components(csr_matrix(np.abs(both[:, None] - both) < radius))
+    ref_labels, blocked_labels = labels[:reference.size], labels[reference.size:]
+    for c in np.unique(labels):
+        ref, blk = reference[ref_labels == c], blocked[blocked_labels == c]
+        assert ref.size == blk.size, (ref, blk)
+        assert abs(ref.mean() - blk.mean()) < tol, (ref, blk)
+
+
+def assert_steady_basis(liou, space):
+    for b in space.basis:
+        np.testing.assert_allclose(b, b.conj().T, atol=1e-9)
+        assert np.abs(liou.apply(b)).max() < 1e-9
+        tr = np.trace(b).real
+        assert abs(tr) < 1e-9 or tr == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 1.5, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocked_kernel_matches_dense_reference(n, lam):
+    liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n)
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert space.dimension == ((n + 1) ** 2 if lam == 0 else 1)
+    assert len(space.blocks) > 1
+    assert_same_spectrum(evals, space.eigenvalues)
+    assert_steady_basis(liou, space)
+
+
+@pytest.mark.parametrize("lam, dim", [(0.0, 36), (1.5, 1)])
+def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
+    liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), 5)
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9) == dim
+    assert_same_spectrum(evals, space.eigenvalues)
+    assert_steady_basis(liou, space)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_transverse_field_is_one_block(lam):
+    # a sigma_x field mixes coherence orders, so nothing splits
+    heis = dissipative_heisenberg(lam, LatticeSpec(z=6))
+    model = DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, 0.3 * pauli("x"))],
+                             jump_terms=heis.jump_terms)
+    liou = ring_liouvillian(model, 3)
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert len(space.blocks) == 1
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert_same_spectrum(evals, space.eigenvalues)
+    assert_steady_basis(liou, space)
 
 
 def test_exact_norm_matches_manual():
