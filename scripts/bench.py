@@ -5,23 +5,39 @@
 Runs the benchmark command that ``BENCHMARK.json`` declares
 (``perfbench/run.py`` on one BLAS thread) from the checkout at --root
 (default: this one) for each of its workloads at a fixed seed, once
-untraced and once with ``--trace 1``, one run at a time. Writes
-``BENCH_<label>.json`` next to this checkout's ``BENCHMARK.json``: the
-checkout's git sha and whether its ``src/`` differed from that commit, the
-git tree id of ``src/`` from the runs' records, and per run its last-line
-JSON result and the path of its full record inside the checkout.
+untraced and once with ``--trace 1``, one run at a time. Then times the
+A2 and A3 acceptance sweeps (``dspin sweep`` over 0.3-0.7 uniform and
+1.3-1.7 bipartite, step 0.01, refined, seed 0, ``--jobs 1``) from that
+checkout's ``src/``, three times each on one BLAS thread and the lowest
+CPU this process may use; these are raw wall-clock seconds, interpreter
+start-up included, not benchmark workloads. Writes ``BENCH_<label>.json``
+next to this checkout's ``BENCHMARK.json``: the checkout's git sha and
+whether its ``src/`` differed from that commit, the git tree id of
+``src/`` from the runs' records, per run its last-line JSON result and the
+path of its full record inside the checkout, and per sweep its times and
+point count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 1
+SWEEP_REPEATS = 3
+# the acceptance sweeps A2 and A3, as tests/test_acceptance.py runs them
+SWEEPS = {
+    "a2_uniform_sweep": ["--ansatz", "uniform", "--lambda-min", "0.3", "--lambda-max", "0.7"],
+    "a3_bipartite_sweep": ["--ansatz", "bipartite", "--lambda-min", "1.3", "--lambda-max", "1.7"],
+}
 
 
 def git(root: Path, *args) -> subprocess.CompletedProcess:
@@ -41,6 +57,27 @@ def run_one(root: Path, command: list, workload: str, seconds: float, trace: int
             "src_tree": src_tree, "result": json.loads(lines[-1])}
 
 
+def time_sweep(root: Path, name: str, args: list) -> dict:
+    argv = [sys.executable, "-m", "dissipative_spins.cli", "sweep", *args,
+            "--step", "0.01", "--seed", "0", "--jobs", "1"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cpu = min(os.sched_getaffinity(0))
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        for _ in range(SWEEP_REPEATS):
+            t0 = time.perf_counter()
+            proc = subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True,
+                                  text=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+            times.append(time.perf_counter() - t0)
+            if proc.returncode != 0:
+                sys.exit(f"bench: {name} exited with {proc.returncode}:\n{proc.stderr}")
+        points = len(out.read_text().strip().splitlines()) - 1
+    return {"name": name, "argv": ["dspin"] + argv[3:], "cpu": cpu, "points": points,
+            "wall_s": times, "wall_s_median": statistics.median(times)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
@@ -53,6 +90,10 @@ def main(argv=None) -> int:
         for trace in (0, 1):
             runs.append(run_one(root, spec["command"], workload, spec["run_seconds"], trace))
             print(f"bench: {workload} trace {trace} done", file=sys.stderr)
+    sweeps = []
+    for name, sweep_args in SWEEPS.items():
+        sweeps.append(time_sweep(root, name, sweep_args))
+        print(f"bench: {name} done", file=sys.stderr)
     sha = git(root, "rev-parse", "HEAD").stdout.strip() or None
     out = {
         "label": args.label,
@@ -62,6 +103,7 @@ def main(argv=None) -> int:
         "command": spec["command"],
         "seconds": spec["run_seconds"],
         "runs": runs,
+        "sweeps": sweeps,
     }
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

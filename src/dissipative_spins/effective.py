@@ -148,7 +148,13 @@ def _propagate(rho0, hamiltonian, jumps, t):
 
     trace = 2 * d * np.trace(g).real + (np.abs(np.trace(cs, axis1=1, axis2=2)) ** 2).sum()
     op = LinearOperator((d * d, d * d), matvec=generator, rmatvec=adjoint, dtype=complex)
-    out = expm_multiply(op, np.asarray(rho0, dtype=complex).ravel(), traceA=t * trace)
+    # scipy's 1-norm estimate inside expm_multiply draws its probe vectors
+    # from numpy's global random stream; a caller's stream is left as it was
+    state = np.random.get_state()
+    try:
+        out = expm_multiply(op, np.asarray(rho0, dtype=complex).ravel(), traceA=t * trace)
+    finally:
+        np.random.set_state(state)
     return out.reshape(d, d)
 
 

@@ -15,6 +15,12 @@ and for a homogeneous ansatz it collapses to a single bond norm, which is
 what gets minimized. Order parameters, the Landau phi^4 expansion of the
 norm, and critical-point fits are extracted from the minimizer.
 
+The minimizer is one array Nelder-Mead engine that steps like scipy's but
+advances many simplices together: every restart of every coupling in a
+sweep chunk, each batch of trial points evaluated with one product per
+coupling and one stacked eigvalsh. ``minimize_norm`` is that engine run
+on a single model; a sweep point's record equals it bit for bit.
+
 Jump matrices follow the (this-site, other-site) slot convention: the first
 tensor slot of a two-site term sits on the bond site under consideration.
 Both Heisenberg jump sets are closed under slot swap (up to phases), so bond
@@ -126,7 +132,7 @@ class MinimizeResult:
     norm: float
     converged: bool
     restarts_used: int
-    evaluations: int  # norm evaluations: both stages plus the final one
+    evaluations: int  # norm evaluations made: every restart, both polishes, the final one
 
 
 def _as_density(state) -> np.ndarray:
@@ -255,7 +261,9 @@ class CompiledBond:
     Two-site jumps and Hamiltonians enter both the bond's own generator and
     the mean-field terms; single-site ones act on each slot of the bond and
     enter the bilinear part only. One evaluation is a 16x128 matrix-vector
-    product; the buffers it fills make an instance non-reentrant.
+    product; the buffers it fills make an instance non-reentrant. ``norms``
+    evaluates many states at once, one (N, 128) @ (128, 32) real product
+    and one stacked ``eigvalsh``.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -289,6 +297,9 @@ class CompiledBond:
         w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(4, 4, 128)
         # Hermitian part folded in: x is real, so W x comes out Hermitian
         self._w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
+        # W^T as a real (128, 32) matrix, real and imaginary parts interleaved
+        # so that feature rows @ _wt read as complex 4x4 matrices in place
+        self._wt = self._w.T.copy().view(float)
         # evaluation buffers and fixed views of them
         self._ba = np.ones(8)  # [b; a]; the leading 1s are never overwritten
         self._a_col = self._ba[4:].reshape(4, 1)
@@ -308,22 +319,71 @@ class CompiledBond:
     def norm(self, alpha_a, alpha_b) -> float:
         return float(np.abs(np.linalg.eigvalsh(self.derivative(alpha_a, alpha_b))).sum())
 
+    def norms(self, alpha_a, alpha_b) -> np.ndarray:
+        """``norm`` of every row pair of the (N, 3) arrays; rows are independent."""
+        return _trace_norms(_product(_features(alpha_a, alpha_b), self._wt))
+
+
+def _features(alpha_a, alpha_b) -> np.ndarray:
+    """Rows outer(a (x) b, [b; a]) for the extended Bloch vectors (1, alpha)."""
+    n = len(alpha_a)
+    ba = np.ones((n, 8))
+    ba[:, 1:4] = alpha_b
+    ba[:, 5:8] = alpha_a
+    ab = ba[:, 4:, None] * ba[:, None, :4]
+    return (ab.reshape(n, 16, 1) * ba[:, None, :]).reshape(n, 128)
+
+
+def _product(features, wt) -> np.ndarray:
+    if len(features) == 1:
+        # numpy sends a 1-row product through gemv, which rounds unlike the
+        # gemm of every longer batch; pad so a row never depends on how many
+        # others it is evaluated with
+        return (np.repeat(features, 2, axis=0) @ wt)[:1]
+    return features @ wt
+
+
+def _trace_norms(products) -> np.ndarray:
+    """Trace norms of the Hermitian 4x4 matrices held row-wise as (re, im) pairs."""
+    return np.abs(np.linalg.eigvalsh(products.view(complex).reshape(-1, 4, 4))).sum(axis=1)
+
+
+def _grouped_norms(wts, owner, alpha_a, alpha_b) -> np.ndarray:
+    """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``.
+
+    Rows of one bond are contiguous: one product per bond present, one
+    ``eigvalsh`` for all rows, each row as ``CompiledBond.norms`` gives it.
+    """
+    x = _features(alpha_a, alpha_b)
+    y = np.empty((len(x), 32))
+    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(x)]):
+        y[lo:hi] = _product(x[lo:hi], wts[owner[lo]])
+    return _trace_norms(y)
+
 
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
 
 
-def _unpack(x, kind, gauge_fix):
+def _unpack_rows(x, kind, gauge_fix):
+    """Bloch vector rows (alpha_A, alpha_B) of parameter rows x."""
+    if not gauge_fix:
+        return x[:, :3], (x[:, :3] if kind == "uniform" else x[:, 3:6])
+    a = np.zeros((len(x), 3))
+    a[:, ::2] = x[:, :2]
     if kind == "uniform":
-        if gauge_fix:
-            a = np.array([x[0], 0.0, x[1]])
-        else:
-            a = np.array(x[:3], dtype=float)
         return a, a
-    if gauge_fix:
-        return np.array([x[0], 0.0, x[1]]), np.array([x[2], 0.0, x[3]])
-    return np.array(x[:3], dtype=float), np.array(x[3:6], dtype=float)
+    b = np.zeros((len(x), 3))
+    b[:, ::2] = x[:, 2:4]
+    return a, b
+
+
+def _project_rows(alpha):
+    """Rows pulled radially into the unit ball, and 100 (r - 1)^2 for those outside."""
+    r = np.maximum(np.sqrt((alpha * alpha).sum(axis=1)), 1.0)  # x / 1.0 is exact
+    return alpha / r[:, None], 100.0 * (r - 1.0) ** 2
 
 
 def _project(alpha):
@@ -346,6 +406,129 @@ def _penalized_norm(norm_of, a, b) -> float:
     if rb > 1.0:
         pen += 100.0 * (rb - 1.0) ** 2
     return norm_of(a, b) + pen
+
+
+# scipy's Nelder-Mead coefficients (reflection, expansion, contraction,
+# shrink) and initial simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_RESTART_STEP = 1e-5  # the polish's restart simplex: stage 1's xatol
+# the second trial point of an iteration is C1 xbar - C2 worst, indexed by
+# case: inside contraction, outside contraction, expansion
+_C1 = np.array([1 - _PSI, 1 + _PSI * _RHO, 1 + _RHO * _CHI])
+_C2 = np.array([-_PSI, _PSI * _RHO, _RHO * _CHI])
+
+
+@dataclass(frozen=True)
+class _SimplexResult:
+    x: np.ndarray        # (S, d) best vertex of each simplex
+    fun: np.ndarray      # (S,)
+    nfev: np.ndarray     # (S,) evaluations made
+    nit: np.ndarray      # (S,) iterations, counted as scipy counts them
+    success: np.ndarray  # (S,) converged before maxiter and maxfev
+
+
+def _sorted(sim, fsim):
+    """Each simplex's vertices in ascending order of value (scipy's argsort)."""
+    ind = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev=math.inf, step=None) -> _SimplexResult:
+    """scipy's Nelder-Mead run on S independent problems at once.
+
+    ``fun(rows, x)`` returns the objective of the points x (n, d), where
+    point k belongs to problem ``rows[k]``; rows always come in ascending
+    order. Each problem follows ``scipy.optimize.minimize(method=
+    "Nelder-Mead")`` step by step from its start ``x0[s]``: same initial
+    simplex, coefficients, convergence test, sort and caps, so with an
+    objective whose rows do not depend on each other every result is the
+    one scipy gives. With ``step``, vertex k + 1 is x0 + step e_k instead
+    (scipy's ``initial_simplex``). Per iteration the reflections of all
+    live simplices are one batch; the expansions and contractions they
+    call for are a second, picked by masks; shrinks are a third. A simplex
+    leaves the live set once it converges or reaches ``maxiter`` or
+    ``maxfev``.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    count, dim = x0.shape
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    k = np.arange(dim)
+    if step is None:
+        sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    else:
+        sim[:, k + 1, k] += step
+    fsim = np.full((count, dim + 1), np.inf)
+    first = min(dim + 1, maxfev)  # vertices scipy evaluates before it runs out
+    fsim[:, :first] = fun(np.repeat(np.arange(count), first),
+                          sim[:, :first].reshape(-1, dim)).reshape(count, first)
+    sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts twice here
+    nfev = np.full(count, first)
+    nit = np.ones(count, dtype=int)
+
+    live = np.arange(count)  # problem index of each row of the live arrays
+    x_out, f_out = np.empty((count, dim)), np.empty(count)
+    nfev_out, nit_out = np.empty(count, dtype=int), np.empty(count, dtype=int)
+    ok_out = np.empty(count, dtype=bool)
+    while live.size:
+        capped = (nfev >= maxfev) | (nit >= maxiter)
+        done = capped | (
+            (np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(live), -1).max(axis=1) <= xatol)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
+        )
+        if done.any():
+            ids = live[done]
+            x_out[ids], f_out[ids] = sim[done, 0], fsim[done].min(axis=1)
+            nfev_out[ids], nit_out[ids], ok_out[ids] = nfev[done], nit[done], ~capped[done]
+            keep = ~done
+            live, sim, fsim, nfev, nit = live[keep], sim[keep], fsim[keep], nfev[keep], nit[keep]
+            if not live.size:
+                break
+
+        xbar = sim[:, :-1].sum(axis=1) / dim
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = fun(live, xr)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        case = 2 * expand + outside  # 0 inside contraction, 1 outside, 2 expansion
+        second = ~accept & (nfev < maxfev)  # scipy abandons the step past maxfev
+        aborted = ~accept & ~second
+        x2 = _C1[case][:, None] * xbar - _C2[case][:, None] * worst
+        f2 = np.full(len(live), np.nan)
+        if second.any():
+            f2[second] = fun(live[second], x2[second])
+            nfev += second
+        # accepted if below fsim[-1] (inside), at most fxr (outside), below fxr (expansion)
+        bound = np.where(case == 0, fsim[:, -1], fxr)
+        take2 = second & ((f2 < bound) | (outside & (f2 == bound)))
+        replace = accept | (second & expand) | take2
+        sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
+        fsim[replace, -1] = np.where(take2, f2, fxr)[replace]
+
+        shrink = np.flatnonzero(second & ~replace)
+        if shrink.size:
+            best = sim[shrink, :1]
+            shrunk = best + _SIGMA * (sim[shrink, 1:] - best)
+            # vertices scipy evaluates before maxfev; it also moves the next
+            budget = np.minimum(maxfev - nfev[shrink], dim).astype(int)
+            evaluated = k < budget[:, None]
+            moved = k <= budget[:, None]
+            fs = fsim[shrink, 1:]
+            if evaluated.any():
+                fs[evaluated] = fun(np.repeat(live[shrink], dim)[evaluated.ravel()],
+                                    shrunk[evaluated])
+            sim[shrink, 1:] = np.where(moved[:, :, None], shrunk, sim[shrink, 1:])
+            fsim[shrink, 1:] = fs
+            nfev[shrink] += budget
+            aborted[shrink[budget < dim]] = True
+        nit += ~aborted
+        sim, fsim = _sorted(sim, fsim)
+
+    return _SimplexResult(x_out, f_out, nfev_out, nit_out, ok_out)
 
 
 def _start_points(kind, gauge_fix, restarts, rng):
@@ -394,65 +577,89 @@ def minimize_norm(
 
     Derivative-free simplex descent from fixed restart directions plus
     seeded random interiors; |alpha| <= 1 enforced by radial projection with
-    a quadratic penalty outside the ball. Deterministic for a fixed seed.
-    Non-convergence is flagged on the result, never raised.
+    a quadratic penalty outside the ball. All restarts descend together at
+    loose tolerance; the first strictly best one is polished at ``tol``,
+    and the polish is restarted once from a small simplex. ``evaluations``
+    counts every evaluation made, also those of restarts that ran past an
+    early stop at a dark minimum. Deterministic for a fixed seed.
+    Non-convergence is flagged on the result, never raised. A sweep point
+    is exactly this minimization, run in a batch with its neighbors.
+    """
+    return _minimize_batch([model], kind, restarts, tol, [seed], gauge_fix)[0]
+
+
+def _minimize_batch(models, kind, restarts, tol, seeds, gauge_fix) -> list:
+    """``minimize_norm`` of every model, with its own seed, in one descent.
+
+    Stage 1 runs every restart simplex of every model through one
+    ``_nelder_mead``; stage 2 polishes each model's winner in a second one
+    and restarts that polish once in a third. A model's result depends only
+    on its own simplices.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if kind not in ("uniform", "bipartite"):
         raise ValueError(f"unknown ansatz kind {kind!r}")
-    if kind == "bipartite" and not model.lattice.bipartite:
+    if kind == "bipartite" and not all(m.lattice.bipartite for m in models):
         raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
-    norm_of = CompiledBond(model).norm
+    wts = [CompiledBond(m)._wt for m in models]  # the batched path needs no more
+    count = len(models)
 
-    def objective(x):
-        return _penalized_norm(norm_of, *_unpack(x, kind, gauge_fix))
+    def objective(owner):
+        def penalized_norms(rows, x):
+            a, b = _unpack_rows(x, kind, gauge_fix)
+            a, pen_a = _project_rows(a)
+            b, pen_b = _project_rows(b)
+            return _grouped_norms(wts, owner[rows], a, b) + (pen_a + pen_b)
+        return penalized_norms
 
-    rng = np.random.default_rng(seed)
-    best = None
-    used = 0
-    evaluations = 1  # the final evaluation at the reported ansatz
     # stage 1: rank the restart basins at loose tolerance, stage 2: polish
     # only the winner at full precision (the wells are separated by far more
     # than the coarse tolerance, so ranking is stable)
-    for x0 in _start_points(kind, gauge_fix, restarts, rng):
-        res = _scipy_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-5, fatol=1e-8, maxiter=2000),
+    starts = [x for seed in seeds
+              for x in _start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))]
+    rank = _nelder_mead(objective(np.repeat(np.arange(count), restarts)), np.array(starts),
+                        xatol=1e-5, fatol=1e-8, maxiter=2000)
+    winners, used = [], []
+    for p in range(count):
+        best = p * restarts
+        for r in range(restarts):
+            if rank.fun[p * restarts + r] < rank.fun[best]:
+                best = p * restarts + r
+            # a numerically dark minimum cannot be improved; later restarts
+            # do not count (they ran alongside, so their evaluations do)
+            if rank.fun[best] < 1e-13:
+                break
+        winners.append(best)
+        used.append(r + 1)
+    polish = _nelder_mead(objective(np.arange(count)), rank.x[winners],
+                          xatol=tol, fatol=1e-12, maxiter=4000, maxfev=6000)
+    better = polish.fun <= rank.fun[winners]
+    x = np.where(better[:, None], polish.x, rank.x[winners])
+    fx = np.where(better, polish.fun, rank.fun[winners])
+    # restart once from a simplex of steps at the stage-1 tolerance: the
+    # minima sit on kinks of the norm, where a simplex scaled to 5 % of
+    # near-zero coordinates can stall well above the minimum
+    restart = _nelder_mead(objective(np.arange(count)), x, xatol=tol, fatol=1e-12,
+                           maxiter=4000, maxfev=6000, step=_RESTART_STEP)
+    x = np.where((restart.fun < fx)[:, None], restart.x, x)
+    a, b = _unpack_rows(x, kind, gauge_fix)
+    a, _ = _project_rows(a)
+    b, _ = _project_rows(b)
+    norms = _grouped_norms(wts, np.arange(count), a, b)
+    evaluations = (rank.nfev.reshape(count, restarts).sum(axis=1)
+                   + polish.nfev + restart.nfev + 1)
+    return [
+        MinimizeResult(
+            ansatz=(ProductAnsatz.uniform(a[p]) if kind == "uniform"
+                    else ProductAnsatz.bipartite(a[p], b[p])),
+            norm=float(norms[p]),
+            converged=bool(restart.success[p]),
+            restarts_used=used[p],
+            evaluations=int(evaluations[p]),
         )
-        used += 1
-        evaluations += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-        # a numerically dark minimum cannot be improved; stop early
-        if best.fun < 1e-13:
-            break
-    polish = _scipy_minimize(
-        objective,
-        best.x,
-        method="Nelder-Mead",
-        options=dict(xatol=tol, fatol=1e-12, maxiter=4000, maxfev=6000),
-    )
-    evaluations += polish.nfev
-    best_ok = bool(polish.success)
-    if polish.fun <= best.fun:
-        best = polish
-
-    a, b = _unpack(best.x, kind, gauge_fix)
-    a, _ = _project(a)
-    b, _ = _project(b)
-    ansatz = (
-        ProductAnsatz.uniform(a) if kind == "uniform" else ProductAnsatz.bipartite(a, b)
-    )
-    return MinimizeResult(
-        ansatz=ansatz,
-        norm=float(norm_of(a, b)),
-        converged=best_ok,
-        restarts_used=used,
-        evaluations=evaluations,
-    )
+        for p in range(count)
+    ]
 
 
 def order_parameters(ansatz: ProductAnsatz):
@@ -502,25 +709,29 @@ def _point_seed(seed: int, lam: float) -> int:
     return (seed * 1_000_003 + int(round(lam * 1e6))) % 2**32
 
 
-def _sweep_point(task) -> SweepRecord:
-    lam, lattice, kind, restarts, seed = task
-    res = minimize_norm(
-        dissipative_heisenberg(lam, lattice),
-        kind=kind,
-        restarts=restarts,
-        seed=_point_seed(seed, lam),
+def _sweep_chunk(task) -> list:
+    lams, lattice, kind, restarts, seed = task
+    results = _minimize_batch(
+        [dissipative_heisenberg(lam, lattice) for lam in lams],
+        kind, restarts, 1e-9, [_point_seed(seed, lam) for lam in lams], True,
     )
-    m, m_s = order_parameters(res.ansatz)
-    return SweepRecord(
-        lam=lam,
-        alpha_A=res.ansatz.alpha_A,
-        alpha_B=res.ansatz.alpha_B,
-        m=m,
-        m_s=m_s,
-        norm=res.norm,
-        converged=res.converged,
-        restarts_used=res.restarts_used,
-    )
+    records = []
+    for lam, res in zip(lams, results):
+        m, m_s = order_parameters(res.ansatz)
+        records.append(SweepRecord(
+            lam=lam,
+            alpha_A=res.ansatz.alpha_A,
+            alpha_B=res.ansatz.alpha_B,
+            m=m,
+            m_s=m_s,
+            norm=res.norm,
+            converged=res.converged,
+            restarts_used=res.restarts_used,
+        ))
+    return records
+
+
+_CHUNK_SIMPLICES = 192  # restart simplices per descent: keeps each batch under 1 MB
 
 
 def sweep(
@@ -537,20 +748,29 @@ def sweep(
 ) -> list:
     """Minimize the Heisenberg bond norm on a lambda grid, sorted by lambda.
 
-    Each point derives its own seed from ``seed`` and its coupling, so the
-    records do not depend on ``jobs`` (worker processes, at most one per
-    point and CPU). With ``refine``, every onset of m or m_s above
-    ``threshold`` gets a grid ten times finer within 5 steps of the
-    bracket's midpoint, clipped to the scan range.
+    Each point derives its own seed from ``seed`` and its coupling, and
+    its record is exactly ``minimize_norm`` with that seed. The grid is cut
+    into contiguous chunks of at most 192 restart simplices, at least one
+    per worker process (``jobs``, at most one per point and CPU); each
+    chunk is one batched descent. A point's result depends only on its own
+    simplices, so the records do not depend on ``jobs``. With ``refine``,
+    every onset of m or m_s above ``threshold`` gets a grid ten times finer
+    within 5 steps of the bracket's midpoint, clipped to the scan range.
     """
 
     def run(points):
-        tasks = [(lam, lattice, kind, restarts, seed) for lam in points]
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if not points:
+            return []
+        workers = min(jobs, len(points), os.cpu_count() or 1)
+        parts = max(workers, -(-len(points) // max(1, _CHUNK_SIMPLICES // restarts)))
+        cuts = [len(points) * i // parts for i in range(parts + 1)]
+        tasks = [(points[lo:hi], lattice, kind, restarts, seed) for lo, hi in zip(cuts, cuts[1:])]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_sweep_point, tasks, chunksize=4))
-        return [_sweep_point(t) for t in tasks]
+                chunks = list(pool.map(_sweep_chunk, tasks))
+        else:
+            chunks = [_sweep_chunk(t) for t in tasks]
+        return [r for chunk in chunks for r in chunk]
 
     records = {r.lam: r for r in run(sweep_grid(lambda_min, lambda_max, step))}
 

@@ -152,6 +152,17 @@ def test_validation_error_is_perturbatively_small():
     assert abs(np.trace(val.rho_eff) - 1) < 1e-9
 
 
+def test_validation_leaves_global_random_stream_alone():
+    # expm_multiply's 1-norm estimate draws from np.random's global state
+    prob = single_flip_problem(e0=0.1)
+    rho_aux = np.outer(DOWN, DOWN).astype(complex)
+    np.random.seed(0)
+    expected = np.random.rand()
+    np.random.seed(0)
+    validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
+    assert np.random.rand() == expected == pytest.approx(0.5488135)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.7])
 def test_validation_matches_dense_propagator(delta):
     # both evolutions against expm of the dense generator matrix

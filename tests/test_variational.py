@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
+from dissipative_spins import variational
 from dissipative_spins.models import (
     DissipativeModel,
     JumpTerm,
@@ -306,18 +308,74 @@ def test_minimize_bipartite_gauge_off_agrees(lam):
         assert ms_on == pytest.approx(ms_off, abs=1e-5)
 
 
-@pytest.mark.parametrize("kind, lam", [("uniform", 0.35), ("bipartite", 1.6)])
+@pytest.mark.parametrize("kind, lam", [("uniform", 0.35), ("bipartite", 1.6), ("uniform", 0.0)])
 def test_minimize_counts_evaluations(monkeypatch, kind, lam):
-    calls = []
-    norm = CompiledBond.norm
+    # every batched norm ends in one stacked eigvalsh: count its rows
+    rows = []
+    trace_norms = variational._trace_norms
 
-    def counted(self, alpha_a, alpha_b):
-        calls.append(1)
-        return norm(self, alpha_a, alpha_b)
+    def counted(products):
+        rows.append(len(products))
+        return trace_norms(products)
 
-    monkeypatch.setattr(CompiledBond, "norm", counted)
+    monkeypatch.setattr(variational, "_trace_norms", counted)
     res = minimize_norm(heis(lam), kind=kind, restarts=3, seed=0)
-    assert res.evaluations == len(calls) > 0
+    # all restarts count, also those past a dark early stop (lambda = 0)
+    assert res.evaluations == sum(rows) > 0
+
+
+def _rosenbrock_rows(x):
+    # no reduction across rows, so a batch gives each row scipy's value bitwise
+    return (100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1.0 - x[:, :-1]) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("options", [
+    dict(xatol=1e-5, fatol=1e-8, maxiter=2000),
+    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, maxfev=6000),
+    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, maxfev=150),
+    dict(xatol=1e-9, fatol=1e-12, maxiter=40),
+    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, maxfev=6000, step=1e-3),
+])
+def test_nelder_mead_matches_scipy(dim, options):
+    starts = np.vstack([
+        np.zeros(dim), -np.ones(dim), np.random.default_rng(dim).uniform(-2, 2, (6, dim)),
+    ])
+    got = variational._nelder_mead(lambda rows, x: _rosenbrock_rows(x), starts, **options)
+    scipy_options = {k: v for k, v in options.items() if k != "step"}
+    for s, x0 in enumerate(starts):
+        if "step" in options:  # the engine's step is scipy's initial_simplex
+            scipy_options["initial_simplex"] = np.vstack([x0, x0 + options["step"] * np.eye(dim)])
+        ref = scipy_minimize(lambda x: _rosenbrock_rows(x[None])[0], x0,
+                             method="Nelder-Mead", options=scipy_options)
+        assert np.array_equal(got.x[s], ref.x)
+        assert (got.fun[s], got.nfev[s], got.nit[s], got.success[s]) == (
+            ref.fun, ref.nfev, ref.nit, ref.success)
+    if options.get("maxfev") == 150:
+        assert not got.success.any() and (got.nfev <= 150).all()
+
+
+def test_batched_norms_do_not_depend_on_the_batch():
+    bond = CompiledBond(heis(1.52))
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1, 1, (64, 3)) / np.sqrt(3)
+    b = rng.uniform(-1, 1, (64, 3)) / np.sqrt(3)
+    single = np.array([bond.norms(a[k:k + 1], b[k:k + 1])[0] for k in range(64)])
+    for n in (2, 7, 64):
+        assert np.array_equal(bond.norms(a[:n], b[:n]), single[:n])
+    scalar = np.array([bond.norm(a[k], b[k]) for k in range(64)])
+    np.testing.assert_allclose(single, scalar, rtol=0, atol=1e-14)
+
+
+def test_sweep_record_is_minimize_norm():
+    records = variational.sweep(1.48, 1.54, 0.02, Z6, "bipartite", seed=5, refine=False)
+    for rec in records:
+        res = minimize_norm(heis(rec.lam), kind="bipartite",
+                            seed=variational._point_seed(5, rec.lam))
+        assert np.array_equal(rec.alpha_A, res.ansatz.alpha_A)
+        assert np.array_equal(rec.alpha_B, res.ansatz.alpha_B)
+        assert (rec.norm, rec.converged, rec.restarts_used) == (
+            res.norm, res.converged, res.restarts_used)
 
 
 def test_minimize_bipartite_needs_bipartite_lattice():
