@@ -10,12 +10,16 @@ A2 and A3 acceptance sweeps (``dspin sweep`` over 0.3-0.7 uniform and
 1.3-1.7 bipartite, step 0.01, refined, seed 0, ``--jobs 1``) from that
 checkout's ``src/``, three times each on one BLAS thread and the lowest
 CPU this process may use; these are raw wall-clock seconds, interpreter
-start-up included, not benchmark workloads. Writes ``BENCH_<label>.json``
-next to this checkout's ``BENCHMARK.json``: the checkout's git sha and
-whether its ``src/`` differed from that commit, the git tree id of
-``src/`` from the runs' records, per run its last-line JSON result and the
-path of its full record inside the checkout, and per sweep its times and
-point count.
+start-up included, not benchmark workloads. Last it times one full tier-1
+test run (``python -m pytest -q --continue-on-collection-errors`` in the
+checkout, its ``src/`` on the path, one BLAS thread, no CPU pinning, since
+some tests start worker processes). Writes ``BENCH_<label>.json`` next to
+this checkout's ``BENCHMARK.json``: the checkout's git sha and whether its
+``src/`` differed from that commit, the git tree id of ``src/`` from the
+runs' records, per run its last-line JSON result and the path of its full
+record inside the checkout, per sweep its times and point count, and under
+``tier1`` the test run's wall time, exit code and passed/failed/error
+counts.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -78,6 +83,21 @@ def time_sweep(root: Path, name: str, args: list) -> dict:
             "wall_s": times, "wall_s_median": statistics.median(times)}
 
 
+def time_tier1(root: Path) -> dict:
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {kind: 0 for kind in ("passed", "failed", "errors")}
+    for number, kind in re.findall(r"(\d+) (passed|failed|errors?)\b", summary):
+        counts["errors" if kind.startswith("error") else kind] = int(number)
+    return {"argv": ["python"] + argv[1:], "wall_s": wall, "returncode": proc.returncode,
+            **counts, "summary": summary}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
@@ -94,6 +114,8 @@ def main(argv=None) -> int:
     for name, sweep_args in SWEEPS.items():
         sweeps.append(time_sweep(root, name, sweep_args))
         print(f"bench: {name} done", file=sys.stderr)
+    tier1 = time_tier1(root)
+    print(f"bench: tier1 done ({tier1['summary']})", file=sys.stderr)
     sha = git(root, "rev-parse", "HEAD").stdout.strip() or None
     out = {
         "label": args.label,
@@ -104,6 +126,7 @@ def main(argv=None) -> int:
         "seconds": spec["run_seconds"],
         "runs": runs,
         "sweeps": sweeps,
+        "tier1": tier1,
     }
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 malformed input files, 2 fit or elimination
 failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 5
 sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
 MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
-samples, validation horizons --t-max above MAX_T_MAX = 2000). Sweeps are
-bit-stable for a fixed --seed regardless of --jobs: each grid point derives
-its own seed from the global one and its coupling.
+samples, validation horizons --t-max above MAX_T_MAX = 2000, problem files
+of more than MAX_PROBLEM_SITES = 6 sites). Sweeps are bit-stable for a
+fixed --seed regardless of --jobs: each grid point derives its own seed
+from the global one and its coupling.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .effective import (
 )
 from .liouville import ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg, parse_config
-from .opformat import OperatorFormatError, format_operator, parse_problem_text
+from .opformat import OperatorFormatError, format_operator, parse_problem_text, problem_sites
 from .variational import (
     FitError,
     SweepRecord,
@@ -48,6 +49,7 @@ MAX_SWEEP_POINTS = 10_000
 MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
 MAX_LANDAU_SAMPLES = 1_000  # one tight Nelder-Mead each
 MAX_T_MAX = 2000.0  # validation horizon; the propagator's work grows with it
+MAX_PROBLEM_SITES = 6  # output lists 4^n Pauli strings: n = 7 took ~35 s, n = 6 ~3 s
 
 
 def format_sweep_csv(records) -> str:
@@ -211,7 +213,12 @@ def cmd_effective(args) -> int:
         return _over_cap(f"effective: t_max = {args.t_max:g} exceeds the validation "
                          f"horizon cap ({MAX_T_MAX:g})")
     with open(args.problem) as fh:
-        pf = parse_problem_text(fh.read())
+        text = fh.read()
+    n_sites = problem_sites(text)
+    if n_sites > MAX_PROBLEM_SITES:
+        return _over_cap(f"effective: n = {n_sites} exceeds the problem-size cap "
+                         f"({MAX_PROBLEM_SITES} sites)")
+    pf = parse_problem_text(text)
     h_eff = effective_hamiltonian(pf.problem)
     c_eff = effective_jumps(pf.problem)
     chunks = ["[H_eff]"]

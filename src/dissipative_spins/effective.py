@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .operators import partial_trace, trace_norm_hermitian
+from .operators import embed, partial_trace, trace_norm_hermitian
 
 
 class GaplessEliminationError(ValueError):
@@ -186,15 +186,8 @@ def validate_elimination(
     check_horizon(t_max)
     aux_sites = sorted(aux_sites)
     keep = [s for s in range(n_sites) if s not in aux_sites]
-    # build rho0 on the full space in site order (system sites, aux sites)
-    rho0 = np.kron(rho0_system, rho0_aux)
-    order = keep + aux_sites
-    if order != list(range(n_sites)):
-        perm = np.argsort(order)
-        dims = [2] * n_sites
-        t = rho0.reshape(dims + dims)
-        t = np.transpose(t, list(perm) + [n_sites + p for p in perm])
-        rho0 = t.reshape(2**n_sites, 2**n_sites)
+    # the product's slots are the system sites, then the auxiliary ones
+    rho0 = embed(np.kron(rho0_system, rho0_aux), keep + aux_sites, n_sites)
 
     h_full = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
     rho_full = _propagate(rho0, h_full, list(problem.jumps), t_max)

@@ -132,7 +132,8 @@ class ProblemFile:
 _OP_SECTIONS = ("H_g", "H_e", "V+", "P_e")
 
 
-def parse_problem_text(text: str) -> ProblemFile:
+def _read_sites(text: str):
+    """Section bodies of a problem file and its [sites] values; no operator is built."""
     sections = {}   # name -> list of (lineno, line) bodies
     jump_bodies = []  # one list per [jump] section
     current = None
@@ -178,6 +179,16 @@ def parse_problem_text(text: str) -> ProblemFile:
     for s in aux_sites:
         if not 0 <= s < n_sites:
             raise OperatorFormatError(f"aux site {s} outside 0..{n_sites - 1}")
+    return sections, jump_bodies, n_sites, aux_sites
+
+
+def problem_sites(text: str) -> int:
+    """Total site count n of a problem file, read before any 2^n x 2^n operator exists."""
+    return _read_sites(text)[2]
+
+
+def parse_problem_text(text: str) -> ProblemFile:
+    sections, jump_bodies, n_sites, aux_sites = _read_sites(text)
 
     def parse_body(body):
         # bodies hold only non-blank lines, so map parse positions back to

@@ -18,8 +18,9 @@ norm, and critical-point fits are extracted from the minimizer.
 The minimizer is one array Nelder-Mead engine that steps like scipy's but
 advances many simplices together: every restart of every coupling in a
 sweep chunk, each batch of trial points evaluated with one product per
-coupling and one stacked eigvalsh. ``minimize_norm`` is that engine run
-on a single model; a sweep point's record equals it bit for bit.
+coupling and one stacked eigvalsh. Its only budget is an iteration cap.
+``minimize_norm`` is that engine run on a single model; a sweep point's
+record equals it bit for bit.
 
 Jump matrices follow the (this-site, other-site) slot convention: the first
 tensor slot of a two-site term sits on the bond site under consideration.
@@ -261,9 +262,8 @@ class CompiledBond:
     Two-site jumps and Hamiltonians enter both the bond's own generator and
     the mean-field terms; single-site ones act on each slot of the bond and
     enter the bilinear part only. One evaluation is a 16x128 matrix-vector
-    product; the buffers it fills make an instance non-reentrant. ``norms``
-    evaluates many states at once, one (N, 128) @ (128, 32) real product
-    and one stacked ``eigvalsh``.
+    product; the buffers it fills make an instance non-reentrant. ``_wt``
+    holds the same tensor for the batched evaluation of ``_grouped_norms``.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -319,10 +319,6 @@ class CompiledBond:
     def norm(self, alpha_a, alpha_b) -> float:
         return float(np.abs(np.linalg.eigvalsh(self.derivative(alpha_a, alpha_b))).sum())
 
-    def norms(self, alpha_a, alpha_b) -> np.ndarray:
-        """``norm`` of every row pair of the (N, 3) arrays; rows are independent."""
-        return _trace_norms(_product(_features(alpha_a, alpha_b), self._wt))
-
 
 def _features(alpha_a, alpha_b) -> np.ndarray:
     """Rows outer(a (x) b, [b; a]) for the extended Bloch vectors (1, alpha)."""
@@ -351,8 +347,9 @@ def _trace_norms(products) -> np.ndarray:
 def _grouped_norms(wts, owner, alpha_a, alpha_b) -> np.ndarray:
     """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``.
 
-    Rows of one bond are contiguous: one product per bond present, one
-    ``eigvalsh`` for all rows, each row as ``CompiledBond.norms`` gives it.
+    Rows of one bond are contiguous: one (n, 128) @ (128, 32) real product
+    per bond present and one stacked ``eigvalsh`` for all rows. A row's
+    value does not depend on the other rows it is evaluated with.
     """
     x = _features(alpha_a, alpha_b)
     y = np.empty((len(x), 32))
@@ -425,7 +422,7 @@ class _SimplexResult:
     fun: np.ndarray      # (S,)
     nfev: np.ndarray     # (S,) evaluations made
     nit: np.ndarray      # (S,) iterations, counted as scipy counts them
-    success: np.ndarray  # (S,) converged before maxiter and maxfev
+    success: np.ndarray  # (S,) converged before maxiter
 
 
 def _sorted(sim, fsim):
@@ -435,21 +432,23 @@ def _sorted(sim, fsim):
     return sim[rows, ind], fsim[rows, ind]
 
 
-def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev=math.inf, step=None) -> _SimplexResult:
+def _nelder_mead(fun, x0, xatol, fatol, maxiter, step=None) -> _SimplexResult:
     """scipy's Nelder-Mead run on S independent problems at once.
 
     ``fun(rows, x)`` returns the objective of the points x (n, d), where
     point k belongs to problem ``rows[k]``; rows always come in ascending
     order. Each problem follows ``scipy.optimize.minimize(method=
-    "Nelder-Mead")`` step by step from its start ``x0[s]``: same initial
-    simplex, coefficients, convergence test, sort and caps, so with an
-    objective whose rows do not depend on each other every result is the
-    one scipy gives. With ``step``, vertex k + 1 is x0 + step e_k instead
-    (scipy's ``initial_simplex``). Per iteration the reflections of all
-    live simplices are one batch; the expansions and contractions they
-    call for are a second, picked by masks; shrinks are a third. A simplex
-    leaves the live set once it converges or reaches ``maxiter`` or
-    ``maxfev``.
+    "Nelder-Mead")`` with ``maxiter`` and no ``maxfev`` step by step from
+    its start ``x0[s]``: same initial simplex, coefficients, convergence
+    test, sort and cap, so with an objective whose rows do not depend on
+    each other every result is the one scipy gives. With ``step``, vertex
+    k + 1 is x0 + step e_k instead (scipy's ``initial_simplex``). Per
+    iteration the reflections of all live simplices are one batch; the
+    expansions and contractions they call for are a second, picked by
+    masks; shrinks are a third. A simplex leaves the live set once it
+    converges or reaches ``maxiter``, after at most (d + 1) + maxiter (d + 2)
+    evaluations. Its best value never rises, so ``fun`` is at most the
+    objective at its start.
     """
     x0 = np.asarray(x0, dtype=float)
     count, dim = x0.shape
@@ -459,12 +458,10 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev=math.inf, step=None) -> 
         sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
     else:
         sim[:, k + 1, k] += step
-    fsim = np.full((count, dim + 1), np.inf)
-    first = min(dim + 1, maxfev)  # vertices scipy evaluates before it runs out
-    fsim[:, :first] = fun(np.repeat(np.arange(count), first),
-                          sim[:, :first].reshape(-1, dim)).reshape(count, first)
+    fsim = fun(np.repeat(np.arange(count), dim + 1),
+               sim.reshape(-1, dim)).reshape(count, dim + 1)
     sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts twice here
-    nfev = np.full(count, first)
+    nfev = np.full(count, dim + 1)
     nit = np.ones(count, dtype=int)
 
     live = np.arange(count)  # problem index of each row of the live arrays
@@ -472,7 +469,7 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev=math.inf, step=None) -> 
     nfev_out, nit_out = np.empty(count, dtype=int), np.empty(count, dtype=int)
     ok_out = np.empty(count, dtype=bool)
     while live.size:
-        capped = (nfev >= maxfev) | (nit >= maxiter)
+        capped = nit >= maxiter
         done = capped | (
             (np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(live), -1).max(axis=1) <= xatol)
             & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
@@ -495,8 +492,7 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev=math.inf, step=None) -> 
         accept = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~accept & (fxr < fsim[:, -1])
         case = 2 * expand + outside  # 0 inside contraction, 1 outside, 2 expansion
-        second = ~accept & (nfev < maxfev)  # scipy abandons the step past maxfev
-        aborted = ~accept & ~second
+        second = ~accept
         x2 = _C1[case][:, None] * xbar - _C2[case][:, None] * worst
         f2 = np.full(len(live), np.nan)
         if second.any():
@@ -505,27 +501,18 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev=math.inf, step=None) -> 
         # accepted if below fsim[-1] (inside), at most fxr (outside), below fxr (expansion)
         bound = np.where(case == 0, fsim[:, -1], fxr)
         take2 = second & ((f2 < bound) | (outside & (f2 == bound)))
-        replace = accept | (second & expand) | take2
+        replace = accept | expand | take2
         sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
         fsim[replace, -1] = np.where(take2, f2, fxr)[replace]
 
-        shrink = np.flatnonzero(second & ~replace)
+        shrink = np.flatnonzero(~replace)
         if shrink.size:
             best = sim[shrink, :1]
-            shrunk = best + _SIGMA * (sim[shrink, 1:] - best)
-            # vertices scipy evaluates before maxfev; it also moves the next
-            budget = np.minimum(maxfev - nfev[shrink], dim).astype(int)
-            evaluated = k < budget[:, None]
-            moved = k <= budget[:, None]
-            fs = fsim[shrink, 1:]
-            if evaluated.any():
-                fs[evaluated] = fun(np.repeat(live[shrink], dim)[evaluated.ravel()],
-                                    shrunk[evaluated])
-            sim[shrink, 1:] = np.where(moved[:, :, None], shrunk, sim[shrink, 1:])
-            fsim[shrink, 1:] = fs
-            nfev[shrink] += budget
-            aborted[shrink[budget < dim]] = True
-        nit += ~aborted
+            sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
+            fsim[shrink, 1:] = fun(np.repeat(live[shrink], dim),
+                                   sim[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
+            nfev[shrink] += dim
+        nit += 1
         sim, fsim = _sorted(sim, fsim)
 
     return _SimplexResult(x_out, f_out, nfev_out, nit_out, ok_out)
@@ -569,7 +556,6 @@ def minimize_norm(
     model: DissipativeModel,
     kind: str = "uniform",
     restarts: int = 8,
-    tol: float = 1e-9,
     seed: int = 0,
     gauge_fix: bool = True,
 ) -> MinimizeResult:
@@ -578,23 +564,26 @@ def minimize_norm(
     Derivative-free simplex descent from fixed restart directions plus
     seeded random interiors; |alpha| <= 1 enforced by radial projection with
     a quadratic penalty outside the ball. All restarts descend together at
-    loose tolerance; the first strictly best one is polished at ``tol``,
-    and the polish is restarted once from a small simplex. ``evaluations``
+    loose tolerance; the first strictly best one is polished at xatol 1e-9,
+    and the polish is restarted once from a small simplex; each descent is
+    capped only by its iteration count (``maxiter``). ``evaluations``
     counts every evaluation made, also those of restarts that ran past an
     early stop at a dark minimum. Deterministic for a fixed seed.
-    Non-convergence is flagged on the result, never raised. A sweep point
-    is exactly this minimization, run in a batch with its neighbors.
+    Non-convergence (the polish's restart reaching ``maxiter``) is flagged
+    on the result, never raised. A sweep point is exactly this
+    minimization, run in a batch with its neighbors.
     """
-    return _minimize_batch([model], kind, restarts, tol, [seed], gauge_fix)[0]
+    return _minimize_batch([model], kind, restarts, [seed], gauge_fix)[0]
 
 
-def _minimize_batch(models, kind, restarts, tol, seeds, gauge_fix) -> list:
+def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     """``minimize_norm`` of every model, with its own seed, in one descent.
 
     Stage 1 runs every restart simplex of every model through one
     ``_nelder_mead``; stage 2 polishes each model's winner in a second one
-    and restarts that polish once in a third. A model's result depends only
-    on its own simplices.
+    and restarts that polish once in a third. The polish starts at the
+    winner, so it ends no higher; the restart is kept only where it ends
+    lower. A model's result depends only on its own simplices.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -633,16 +622,13 @@ def _minimize_batch(models, kind, restarts, tol, seeds, gauge_fix) -> list:
         winners.append(best)
         used.append(r + 1)
     polish = _nelder_mead(objective(np.arange(count)), rank.x[winners],
-                          xatol=tol, fatol=1e-12, maxiter=4000, maxfev=6000)
-    better = polish.fun <= rank.fun[winners]
-    x = np.where(better[:, None], polish.x, rank.x[winners])
-    fx = np.where(better, polish.fun, rank.fun[winners])
+                          xatol=1e-9, fatol=1e-12, maxiter=4000)
     # restart once from a simplex of steps at the stage-1 tolerance: the
     # minima sit on kinks of the norm, where a simplex scaled to 5 % of
     # near-zero coordinates can stall well above the minimum
-    restart = _nelder_mead(objective(np.arange(count)), x, xatol=tol, fatol=1e-12,
-                           maxiter=4000, maxfev=6000, step=_RESTART_STEP)
-    x = np.where((restart.fun < fx)[:, None], restart.x, x)
+    restart = _nelder_mead(objective(np.arange(count)), polish.x, xatol=1e-9, fatol=1e-12,
+                           maxiter=4000, step=_RESTART_STEP)
+    x = np.where((restart.fun < polish.fun)[:, None], restart.x, polish.x)
     a, b = _unpack_rows(x, kind, gauge_fix)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
@@ -713,7 +699,7 @@ def _sweep_chunk(task) -> list:
     lams, lattice, kind, restarts, seed = task
     results = _minimize_batch(
         [dissipative_heisenberg(lam, lattice) for lam in lams],
-        kind, restarts, 1e-9, [_point_seed(seed, lam) for lam in lams], True,
+        kind, restarts, [_point_seed(seed, lam) for lam in lams], True,
     )
     records = []
     for lam, res in zip(lams, results):

@@ -256,6 +256,31 @@ def test_effective_rk4_cap(tmp_path, capsys, monkeypatch):
     assert horizons == [2000.0]
 
 
+def driven_auxiliary_problem(n):
+    """Sites 0..n-2 each driven into one decaying auxiliary, site n - 1."""
+    aux = n - 1
+    lines = ["[sites]", f"n = {n}", f"aux = {aux}", "[V+]"]
+    lines += [f"0.025 0 {s}:x {aux}:+" for s in range(aux)]
+    lines += ["[jump]", "rate = 1.0", f"1 0 {aux}:-", "[P_e]", f"1 0 {aux}:uu"]
+    return "\n".join(lines) + "\n"
+
+
+def test_effective_problem_size_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parse_problem_text", refuse)
+    prob = tmp_path / "p.prob"
+    # refused from [sites] alone, before any 2^n x 2^n operator is built
+    for n in (cli.MAX_PROBLEM_SITES + 1, 40):
+        prob.write_text(driven_auxiliary_problem(n))
+        assert run(["effective", "--problem", str(prob)]) == 3
+        assert "cap" in capsys.readouterr().err
+    # the cap itself still runs
+    monkeypatch.undo()
+    prob.write_text(driven_auxiliary_problem(cli.MAX_PROBLEM_SITES))
+    assert run(["effective", "--problem", str(prob)]) == 0
+    text = capsys.readouterr().out
+    assert "[H_eff]" in text and "[c_eff 0]" in text
+
+
 def test_effective_gapless(tmp_path):
     prob = tmp_path / "p.prob"
     prob.write_text(BELL_PROBLEM.replace("[jump]\nrate = 1.0\n1 0 1:-\n", ""))

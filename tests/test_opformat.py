@@ -6,6 +6,7 @@ from dissipative_spins.opformat import (
     format_operator,
     parse_operator_text,
     parse_problem_text,
+    problem_sites,
 )
 from dissipative_spins.operators import embed, kron, pauli
 
@@ -142,3 +143,11 @@ def test_problem_error_points_at_file_line():
 def test_problem_jump_without_body():
     with pytest.raises(OperatorFormatError):
         parse_problem_text(PROBLEM.replace("1 0 1:-", ""))
+
+
+def test_problem_sites_reads_only_the_sites_section():
+    assert problem_sites(PROBLEM) == parse_problem_text(PROBLEM).n_sites == 2
+    # operator bodies are left unparsed: a bad token does not stop it
+    assert problem_sites(PROBLEM.replace("1:+", "1:??").replace("n = 2", "n = 30")) == 30
+    with pytest.raises(OperatorFormatError):
+        problem_sites(PROBLEM.replace("aux = 1", "aux = 7"))

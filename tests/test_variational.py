@@ -332,10 +332,9 @@ def _rosenbrock_rows(x):
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("options", [
     dict(xatol=1e-5, fatol=1e-8, maxiter=2000),
-    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, maxfev=6000),
-    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, maxfev=150),
+    dict(xatol=1e-9, fatol=1e-12, maxiter=4000),
     dict(xatol=1e-9, fatol=1e-12, maxiter=40),
-    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, maxfev=6000, step=1e-3),
+    dict(xatol=1e-9, fatol=1e-12, maxiter=4000, step=1e-3),
 ])
 def test_nelder_mead_matches_scipy(dim, options):
     starts = np.vstack([
@@ -351,8 +350,11 @@ def test_nelder_mead_matches_scipy(dim, options):
         assert np.array_equal(got.x[s], ref.x)
         assert (got.fun[s], got.nfev[s], got.nit[s], got.success[s]) == (
             ref.fun, ref.nfev, ref.nit, ref.success)
-    if options.get("maxfev") == 150:
-        assert not got.success.any() and (got.nfev <= 150).all()
+    # a simplex's best value never rises, and maxiter bounds its evaluations
+    assert (got.fun <= _rosenbrock_rows(starts)).all()
+    assert (got.nfev <= (dim + 1) + options["maxiter"] * (dim + 2)).all()
+    if options["maxiter"] == 40:  # the capped case does reach its cap
+        assert not got.success.any()
 
 
 def test_batched_norms_do_not_depend_on_the_batch():
@@ -360,9 +362,15 @@ def test_batched_norms_do_not_depend_on_the_batch():
     rng = np.random.default_rng(4)
     a = rng.uniform(-1, 1, (64, 3)) / np.sqrt(3)
     b = rng.uniform(-1, 1, (64, 3)) / np.sqrt(3)
-    single = np.array([bond.norms(a[k:k + 1], b[k:k + 1])[0] for k in range(64)])
+
+    def norms(lo, hi):
+        # one owner: the batched evaluation the Nelder-Mead engine calls
+        return variational._grouped_norms([bond._wt], np.zeros(hi - lo, dtype=int),
+                                          a[lo:hi], b[lo:hi])
+
+    single = np.array([norms(k, k + 1)[0] for k in range(64)])
     for n in (2, 7, 64):
-        assert np.array_equal(bond.norms(a[:n], b[:n]), single[:n])
+        assert np.array_equal(norms(0, n), single[:n])
     scalar = np.array([bond.norm(a[k], b[k]) for k in range(64)])
     np.testing.assert_allclose(single, scalar, rtol=0, atol=1e-14)
 
