@@ -10,14 +10,16 @@ A2 and A3 acceptance sweeps (``dspin sweep`` over 0.3-0.7 uniform and
 1.3-1.7 bipartite, step 0.01, refined, seed 0, ``--jobs 1``) from that
 checkout's ``src/``, three times each on one BLAS thread and the lowest
 CPU this process may use; these are raw wall-clock seconds, interpreter
-start-up included, not benchmark workloads. Last it times one full tier-1
+start-up included, not benchmark workloads. The last CSV of each is fitted
+with ``dspin fit`` as the acceptance tests fit it, and its ``lambda_c`` and
+``beta`` go beside the times. Last it times one full tier-1
 test run (``python -m pytest -q --continue-on-collection-errors`` in the
 checkout, its ``src/`` on the path, one BLAS thread, no CPU pinning, since
 some tests start worker processes). Writes ``BENCH_<label>.json`` next to
 this checkout's ``BENCHMARK.json``: the checkout's git sha and whether its
 ``src/`` differed from that commit, the git tree id of ``src/`` from the
 runs' records, per run its last-line JSON result and the path of its full
-record inside the checkout, per sweep its times and point count, and under
+record inside the checkout, per sweep its times, point count and fit, and under
 ``tier1`` the test run's wall time, exit code and passed/failed/error
 counts.
 """
@@ -38,10 +40,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEED = 1
 SWEEP_REPEATS = 3
-# the acceptance sweeps A2 and A3, as tests/test_acceptance.py runs them
+# the acceptance sweeps A2 and A3 and their fits, as tests/test_acceptance.py runs them
 SWEEPS = {
-    "a2_uniform_sweep": ["--ansatz", "uniform", "--lambda-min", "0.3", "--lambda-max", "0.7"],
-    "a3_bipartite_sweep": ["--ansatz", "bipartite", "--lambda-min", "1.3", "--lambda-max", "1.7"],
+    "a2_uniform_sweep": (["--ansatz", "uniform", "--lambda-min", "0.3", "--lambda-max", "0.7"],
+                         ["--which", "m", "--window", "0.01,0.1"]),
+    "a3_bipartite_sweep": (["--ansatz", "bipartite", "--lambda-min", "1.3", "--lambda-max", "1.7"],
+                           ["--which", "ms", "--window", "0.01,0.1"]),
 }
 
 
@@ -62,7 +66,7 @@ def run_one(root: Path, command: list, workload: str, seconds: float, trace: int
             "src_tree": src_tree, "result": json.loads(lines[-1])}
 
 
-def time_sweep(root: Path, name: str, args: list) -> dict:
+def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
     argv = [sys.executable, "-m", "dissipative_spins.cli", "sweep", *args,
             "--step", "0.01", "--seed", "0", "--jobs", "1"]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
@@ -79,8 +83,15 @@ def time_sweep(root: Path, name: str, args: list) -> dict:
             if proc.returncode != 0:
                 sys.exit(f"bench: {name} exited with {proc.returncode}:\n{proc.stderr}")
         points = len(out.read_text().strip().splitlines()) - 1
+        fit_argv = argv[:3] + ["fit", "--in", str(out), *fit_args]
+        proc = subprocess.run(fit_argv, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"bench: {name} fit exited with {proc.returncode}:\n{proc.stderr}")
+        fit = json.loads(proc.stdout)
     return {"name": name, "argv": ["dspin"] + argv[3:], "cpu": cpu, "points": points,
-            "wall_s": times, "wall_s_median": statistics.median(times)}
+            "wall_s": times, "wall_s_median": statistics.median(times),
+            "fit_argv": ["dspin", "fit", *fit_args],
+            "lambda_c": fit["lambda_c"], "beta": fit["beta"]}
 
 
 def time_tier1(root: Path) -> dict:
@@ -111,8 +122,8 @@ def main(argv=None) -> int:
             runs.append(run_one(root, spec["command"], workload, spec["run_seconds"], trace))
             print(f"bench: {workload} trace {trace} done", file=sys.stderr)
     sweeps = []
-    for name, sweep_args in SWEEPS.items():
-        sweeps.append(time_sweep(root, name, sweep_args))
+    for name, (sweep_args, fit_args) in SWEEPS.items():
+        sweeps.append(time_sweep(root, name, sweep_args, fit_args))
         print(f"bench: {name} done", file=sys.stderr)
     tier1 = time_tier1(root)
     print(f"bench: tier1 done ({tier1['summary']})", file=sys.stderr)

@@ -27,7 +27,6 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -97,6 +96,25 @@ def parse_operator_text(text: str, n_sites: int) -> np.ndarray:
     return total
 
 
+_LETTERS = ("identity", "x", "y", "z")
+# row k: conj(sigma_k) / 2 over a site's (ket, bra) index pair
+_PAULI_DUAL = np.array([pauli(k).conj() for k in _LETTERS]).reshape(4, 4) / 2
+
+
+def _pauli_coefficients(op: np.ndarray, n_sites: int) -> np.ndarray:
+    """tr(P^+ op) / 2^n for all 4^n Pauli strings P, site 0 most significant.
+
+    Each site's (ket, bra) index pair is contracted with the four Paulis in
+    turn, O(n 4^n) in all; the contracted index moves to the back, so after
+    n sites the strings are in order again.
+    """
+    order = [ax for s in range(n_sites) for ax in (s, n_sites + s)]
+    x = op.reshape((2,) * (2 * n_sites)).transpose(order).reshape(-1)
+    for _ in range(n_sites):
+        x = (_PAULI_DUAL @ x.reshape(4, -1)).T.reshape(-1)
+    return x
+
+
 def format_operator(op: np.ndarray, n_sites: int, tol: float = 1e-12) -> str:
     """Pauli-string decomposition of op, one term per line.
 
@@ -107,14 +125,11 @@ def format_operator(op: np.ndarray, n_sites: int, tol: float = 1e-12) -> str:
     dim = 2**n_sites
     if op.shape != (dim, dim):
         raise ValueError(f"operator shape {op.shape} does not match {n_sites} sites")
-    letters = ("identity", "x", "y", "z")
     lines = []
-    for combo in product(range(4), repeat=n_sites):
-        p = kron(*[pauli(letters[k]) for k in combo]) if n_sites else np.eye(1)
-        coeff = np.trace(p.conj().T @ op) / dim
+    for combo, coeff in zip(np.ndindex(*(4,) * n_sites), _pauli_coefficients(op, n_sites)):
         if abs(coeff) <= tol:
             continue
-        toks = [f"{s}:{letters[k]}" for s, k in enumerate(combo) if k != 0]
+        toks = [f"{s}:{_LETTERS[k]}" for s, k in enumerate(combo) if k != 0]
         lines.append(
             " ".join(["%.12g" % coeff.real, "%.12g" % coeff.imag] + toks)
         )

@@ -15,12 +15,16 @@ and for a homogeneous ansatz it collapses to a single bond norm, which is
 what gets minimized. Order parameters, the Landau phi^4 expansion of the
 norm, and critical-point fits are extracted from the minimizer.
 
-The minimizer is one array Nelder-Mead engine that steps like scipy's but
-advances many simplices together: every restart of every coupling in a
-sweep chunk, each batch of trial points evaluated with one product per
-coupling and one stacked eigvalsh. Its only budget is an iteration cap.
-``minimize_norm`` is that engine run on a single model; a sweep point's
-record equals it bit for bit.
+The minimizer runs in two stages, each on many problems at once. An array
+Nelder-Mead engine that steps like scipy's advances every restart of every
+coupling in a sweep chunk together, each batch of trial points evaluated
+with one product per coupling and one stacked eigvalsh; its only budget is
+an iteration cap. Each coupling's best restart is then polished by a
+kink-aware Newton method on closed-form first and second derivatives of
+the bond matrix: the minima of the ordered phases sit where one eigenvalue
+of it vanishes, a kink of the norm, and the polish reports the first-order
+residual and the kink's multiplier as a certificate. ``minimize_norm`` is
+this run on a single model; a sweep point's record equals it bit for bit.
 
 Jump matrices follow the (this-site, other-site) slot convention: the first
 tensor slot of a two-site term sits on the bond site under consideration.
@@ -133,7 +137,9 @@ class MinimizeResult:
     norm: float
     converged: bool
     restarts_used: int
-    evaluations: int  # norm evaluations made: every restart, both polishes, the final one
+    evaluations: int  # evaluations made: every restart, the polish's passes and trials, the final one
+    stationarity: float  # first-order residual of the polish at the result
+    multiplier: float  # kink multiplier t in [-1, 1], 0.0 where no eigenvalue is active
 
 
 def _as_density(state) -> np.ndarray:
@@ -339,24 +345,32 @@ def _product(features, wt) -> np.ndarray:
     return features @ wt
 
 
-def _trace_norms(products) -> np.ndarray:
-    """Trace norms of the Hermitian 4x4 matrices held row-wise as (re, im) pairs."""
-    return np.abs(np.linalg.eigvalsh(products.view(complex).reshape(-1, 4, 4))).sum(axis=1)
+def _spectra(products) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian 4x4 matrices held row-wise as (re, im) pairs."""
+    return np.linalg.eigvalsh(products.view(complex).reshape(-1, 4, 4))
+
+
+def _grouped_products(wts, owner, features) -> np.ndarray:
+    """Feature rows times the ``_wt`` of their bond, ``wts[owner[k]]`` for row k.
+
+    Rows of one bond are contiguous: one (n, 128) @ (128, 32) real product
+    per bond present. A row's value does not depend on the other rows.
+    """
+    y = np.empty((len(features), 32))
+    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(features)]):
+        y[lo:hi] = _product(features[lo:hi], wts[owner[lo]])
+    return y
+
+
+def _grouped_spectra(wts, owner, alpha_a, alpha_b) -> np.ndarray:
+    """Eigenvalues of K at row k under the bond ``wts[owner[k]]``: one stacked ``eigvalsh``."""
+    return _spectra(_grouped_products(wts, owner, _features(alpha_a, alpha_b)))
 
 
 def _grouped_norms(wts, owner, alpha_a, alpha_b) -> np.ndarray:
-    """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``.
-
-    Rows of one bond are contiguous: one (n, 128) @ (128, 32) real product
-    per bond present and one stacked ``eigvalsh`` for all rows. A row's
-    value does not depend on the other rows it is evaluated with.
-    """
-    x = _features(alpha_a, alpha_b)
-    y = np.empty((len(x), 32))
-    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(x)]):
-        y[lo:hi] = _product(x[lo:hi], wts[owner[lo]])
-    return _trace_norms(y)
+    """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``."""
+    return np.abs(_grouped_spectra(wts, owner, alpha_a, alpha_b)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +423,6 @@ def _penalized_norm(norm_of, a, b) -> float:
 # shrink) and initial simplex steps
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
-_RESTART_STEP = 1e-5  # the polish's restart simplex: stage 1's xatol
 # the second trial point of an iteration is C1 xbar - C2 worst, indexed by
 # case: inside contraction, outside contraction, expansion
 _C1 = np.array([1 - _PSI, 1 + _PSI * _RHO, 1 + _RHO * _CHI])
@@ -432,7 +445,7 @@ def _sorted(sim, fsim):
     return sim[rows, ind], fsim[rows, ind]
 
 
-def _nelder_mead(fun, x0, xatol, fatol, maxiter, step=None) -> _SimplexResult:
+def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
     """scipy's Nelder-Mead run on S independent problems at once.
 
     ``fun(rows, x)`` returns the objective of the points x (n, d), where
@@ -441,23 +454,19 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, step=None) -> _SimplexResult:
     "Nelder-Mead")`` with ``maxiter`` and no ``maxfev`` step by step from
     its start ``x0[s]``: same initial simplex, coefficients, convergence
     test, sort and cap, so with an objective whose rows do not depend on
-    each other every result is the one scipy gives. With ``step``, vertex
-    k + 1 is x0 + step e_k instead (scipy's ``initial_simplex``). Per
-    iteration the reflections of all live simplices are one batch; the
-    expansions and contractions they call for are a second, picked by
-    masks; shrinks are a third. A simplex leaves the live set once it
-    converges or reaches ``maxiter``, after at most (d + 1) + maxiter (d + 2)
-    evaluations. Its best value never rises, so ``fun`` is at most the
-    objective at its start.
+    each other every result is the one scipy gives. Per iteration the
+    reflections of all live simplices are one batch; the expansions and
+    contractions they call for are a second, picked by masks; shrinks are
+    a third. A simplex leaves the live set once it converges or reaches
+    ``maxiter``, after at most (d + 1) + maxiter (d + 2) evaluations. Its
+    best value never rises, so ``fun`` is at most the objective at its
+    start.
     """
     x0 = np.asarray(x0, dtype=float)
     count, dim = x0.shape
     sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
     k = np.arange(dim)
-    if step is None:
-        sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
-    else:
-        sim[:, k + 1, k] += step
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
     fsim = fun(np.repeat(np.arange(count), dim + 1),
                sim.reshape(-1, dim)).reshape(count, dim + 1)
     sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts twice here
@@ -518,6 +527,239 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, step=None) -> _SimplexResult:
     return _SimplexResult(x_out, f_out, nfev_out, nit_out, ok_out)
 
 
+# ---------------------------------------------------------------------------
+# kink-aware Newton polish
+#
+# At a minimum of the bond norm sum_i |lambda_i(K)| either no eigenvalue of
+# K vanishes and the norm is smooth, or exactly one does and the minimum
+# sits on a kink. The polish takes Newton steps on sum_i s_i lambda_i,
+# s_i = sign(lambda_i), in the first case; in the second it solves the KKT
+# system of min sum_{i != 0} s_i lambda_i subject to lambda_0 = 0, whose
+# multiplier t certifies the minimum when |t| <= 1 (the eigenvalue-sum
+# optimality condition of Overton & Womersley, Math. Program. 62, 321
+# (1993)). K = W phi(x) with phi trilinear in (a, b, [b; a]), all affine in
+# the parameters x, so dK and d2K are exact products of the same W.
+# ---------------------------------------------------------------------------
+
+_NEWTON_MAXITER = 50  # derivative passes a row may take
+_NEWTON_XTOL = 1e-12  # a step or line-search trial shorter than this ends a row
+_KINK_RTOL = 1e-3     # |lambda_0| <= this * max |lambda| may be an active kink
+_SOLVE_RCOND = 1e-12  # relative eigenvalue cut of the least-squares solves
+
+
+@dataclass(frozen=True)
+class _PolishResult:
+    x: np.ndarray             # (S, d) final parameters
+    fun: np.ndarray           # (S,) penalized norm, never above the start's
+    nfev: np.ndarray          # (S,) derivative passes plus line-search trials
+    nit: np.ndarray           # (S,) derivative passes
+    success: np.ndarray       # (S,) stopped by its own test before the cap
+    stationarity: np.ndarray  # (S,) first-order residual at x
+    multiplier: np.ndarray    # (S,) kink multiplier t at x, 0 where no kink is active
+
+
+@dataclass(frozen=True)
+class _NewtonStep:
+    step: np.ndarray          # (n, d)
+    active: np.ndarray        # (n,) the smallest |lambda| is an active kink
+    kink: np.ndarray          # (n,) index of that eigenvalue in ascending order
+    kink_grad: np.ndarray     # (n, d) its gradient gc
+    stationarity: np.ndarray  # (n,) |g_F + t gc| on active rows, |g| elsewhere
+    multiplier: np.ndarray    # (n,) t on active rows, else 0
+
+
+def _penalized_spectra(wts, owner, kind, gauge_fix):
+    """fun(rows, x): penalized norms and eigenvalues at parameter rows x of problems ``rows``."""
+    def fun(rows, x):
+        a, b = _unpack_rows(x, kind, gauge_fix)
+        a, pen_a = _project_rows(a)
+        b, pen_b = _project_rows(b)
+        lam = _grouped_spectra(wts, owner[rows], a, b)
+        return np.abs(lam).sum(axis=1) + (pen_a + pen_b), lam
+    return fun
+
+
+def _triple(x, y, z):
+    """Feature rows x (x) y (x) z in ``_features``' slot order, broadcast over leading axes."""
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], z.shape[:-1])
+    return (x[..., :, None, None] * y[..., None, :, None] * z[..., None, None, :]).reshape(
+        lead + (128,))
+
+
+def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
+    """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n states.
+
+    a, b and c = [b; a] move along the constant directions ``dirs_a`` and
+    ``dirs_b`` (d, 3) of the parameters, so the product rule gives every
+    derivative of the trilinear features exactly. Shape (n, 1 + d + p, 128)
+    with p = d (d + 1) / 2 pairs in ``np.triu_indices`` order.
+    """
+    n, d = len(alpha_a), len(dirs_a)
+    a = np.hstack([np.ones((n, 1)), alpha_a])[:, None]
+    b = np.hstack([np.ones((n, 1)), alpha_b])[:, None]
+    c = np.concatenate([b, a], axis=-1)
+    da = np.hstack([np.zeros((d, 1)), dirs_a])
+    db = np.hstack([np.zeros((d, 1)), dirs_b])
+    dc = np.hstack([db, da])
+    k, l = np.triu_indices(d)
+    grad = _triple(da, b, c) + _triple(a, db, c) + _triple(a, b, dc)
+    hess = (_triple(da[k], db[l], c) + _triple(da[l], db[k], c)
+            + _triple(da[k], b, dc[l]) + _triple(da[l], b, dc[k])
+            + _triple(a, db[k], dc[l]) + _triple(a, db[l], dc[k]))
+    return np.concatenate([_triple(a, b, c), grad, hess], axis=1)
+
+
+def _bond_derivatives(wts, owner, features) -> np.ndarray:
+    """The complex 4x4 matrices of feature stacks (n, m, 128), one product per bond."""
+    n, m, _ = features.shape
+    y = _grouped_products(wts, np.repeat(owner, m), features.reshape(n * m, 128))
+    return y.view(complex).reshape(n, m, 4, 4)
+
+
+def _rotation_modes(x, gauge_fix):
+    """Unit rotation about z of each parameter row: an exact zero mode once the gauge is free.
+
+    None with ``gauge_fix``, where ay = 0 leaves no rotation; a row with no
+    in-plane component has no mode and gets zeros.
+    """
+    if gauge_fix:
+        return None
+    v = np.zeros_like(x)
+    v[:, 0::3], v[:, 1::3] = -x[:, 1::3], x[:, 0::3]  # (ax, ay, az) -> (-ay, ax, 0) per vector
+    r = np.sqrt((v * v).sum(axis=1, keepdims=True))
+    return np.divide(v, r, out=np.zeros_like(v), where=r > 0)
+
+
+def _newton_step(mats, dim, modes=None) -> _NewtonStep:
+    """Kink-aware Newton step from K, dK and d2K (``_bond_derivatives`` rows).
+
+    ``modes`` (n, d) are unit zero modes of the norm (``_rotation_modes``);
+    the step is solved in their orthogonal complement.
+    """
+    kmat, dk, ddk = mats[:, 0], mats[:, 1:dim + 1], mats[:, dim + 1:]
+    n = len(mats)
+    rows = np.arange(n)
+    lam, u = np.linalg.eigh(kmat)
+    m = u.conj().swapaxes(-1, -2)[:, None] @ dk @ u[:, None]   # M_k = U^+ dK_k U
+    grads = np.diagonal(m, axis1=-2, axis2=-1).real            # (n, d, 4) d lambda_i / dx_k
+    curv = np.einsum("npi,nmpq,nqi->nmi", u.conj(), ddk, u).real  # diag(U^+ d2K U)
+
+    i0 = np.abs(lam).argmin(axis=1)
+    weights = np.where(lam < 0, -1.0, 1.0)
+    s0 = weights[rows, i0]
+    weights[rows, i0] = 0.0
+    g_f = np.einsum("nki,ni->nk", grads, weights)  # gradient of sum_{i != i0} s_i lambda_i
+    gc = grads[rows, :, i0]
+    gc2 = (gc * gc).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -(g_f * gc).sum(axis=1) / gc2  # least-squares multiplier; NaN where gc = 0
+    active = ((np.abs(lam[rows, i0]) <= _KINK_RTOL * np.abs(lam).max(axis=1))
+              & (gc2 > 0) & (np.abs(t) <= 1))
+    t = np.where(active, t, 0.0)
+    weights[rows, i0] = np.where(active, t, s0)
+    grad = g_f + weights[rows, i0][:, None] * gc  # the Lagrangian's gradient, or the plain one
+
+    # Hessian of sum_i w_i lambda_i: sum_i w_i diag(U^+ d2K U)_i
+    # + sum_{i != j} (w_i - w_j) / (lambda_i - lambda_j) Re (M_k)_ij (M_l)_ji
+    dw = weights[:, :, None] - weights[:, None, :]
+    dl = lam[:, :, None] - lam[:, None, :]
+    coupling = np.divide(dw, dl, out=np.zeros_like(dw), where=(dw != 0) & (dl != 0))
+    k, l = np.triu_indices(dim)
+    hess = np.empty((n, dim, dim))
+    hess[:, k, l] = hess[:, l, k] = np.einsum("npi,ni->np", curv, weights)
+    hess += np.einsum("nij,nkij,nlji->nkl", coupling, m, m).real
+    if modes is not None:
+        # the Hessian along a symmetry orbit is -J^T g, not 0, away from a
+        # stationary point: project the mode out so it is exactly null
+        proj = np.eye(dim) - modes[:, :, None] * modes[:, None, :]
+        hess = proj @ hess @ proj
+        g_f, gc, grad = [(proj @ g[:, :, None])[:, :, 0] for g in (g_f, gc, grad)]
+
+    # active rows: [[H, gc], [gc^T, 0]] (dx, t') = (-g_F, -lambda_0); the
+    # others carry a zero border and solve H dx = -g
+    kkt = np.zeros((n, dim + 1, dim + 1))
+    kkt[:, :dim, :dim] = hess
+    kkt[active, :dim, dim] = kkt[active, dim, :dim] = gc[active]
+    rhs = np.zeros((n, dim + 1))
+    rhs[:, :dim] = -np.where(active[:, None], g_f, grad)
+    rhs[active, dim] = -lam[rows, i0][active]
+    mu, q = np.linalg.eigh(kkt)
+    scale = np.abs(mu).max(axis=1)
+    # a positive-definite shift where the plain Hessian is not
+    shift = ~active & (mu[:, 0] < -_SOLVE_RCOND * scale)
+    mu = mu - np.where(shift, 2.0 * mu[:, 0], 0.0)[:, None]
+    # least squares: directions with |mu| below the cut (with gauge_fix
+    # off, the rotation about z) get no step
+    keep = np.abs(mu) > _SOLVE_RCOND * np.abs(mu).max(axis=1)[:, None]
+    inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=keep)
+    coef = (q.swapaxes(1, 2) @ rhs[:, :, None])[:, :, 0] * inv
+    step = (q @ coef[:, :, None])[:, :dim, 0]
+    return _NewtonStep(step, active, i0, gc, np.sqrt((grad * grad).sum(axis=1)), t)
+
+
+def _newton_polish(wts, owner, kind, gauge_fix, x0, f0) -> _PolishResult:
+    """Kink-aware Newton descent of S problems at once from x0 with penalized norms f0.
+
+    Problem s is the bond ``wts[owner[s]]`` (owner ascending). Each
+    iteration is one derivative pass for every live row; the step is
+    backtracked (1, 1/2, ...) on the true penalized norm and taken at the
+    first trial that lowers it; on an active kink each trial also tries
+    one second-order correction back onto lambda_0 = 0 and keeps the lower
+    of the two. A row stops when no trial of at least 1e-12 lowers its
+    norm or its step is shorter than that (success), or after 50 passes.
+    A row's value never rises.
+    """
+    count, dim = x0.shape
+    fun = _penalized_spectra(wts, owner, kind, gauge_fix)
+    dirs_a, dirs_b = _unpack_rows(np.eye(dim), kind, gauge_fix)
+    x, f = np.array(x0, dtype=float), np.array(f0, dtype=float)
+    nfev, nit = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    success = np.zeros(count, dtype=bool)
+    stationarity, multiplier = np.zeros(count), np.zeros(count)
+    live = np.arange(count)
+    while live.size:
+        a, b = _unpack_rows(x[live], kind, gauge_fix)
+        newton = _newton_step(
+            _bond_derivatives(wts, owner[live], _derivative_features(a, b, dirs_a, dirs_b)), dim,
+            _rotation_modes(x[live], gauge_fix))
+        nfev[live] += 1
+        nit[live] += 1
+        stationarity[live], multiplier[live] = newton.stationarity, newton.multiplier
+        length = np.sqrt((newton.step * newton.step).sum(axis=1))
+        moves = length >= _NEWTON_XTOL  # False for a NaN step too
+        success[live[~moves]] = True
+        go = moves & (nit[live] < _NEWTON_MAXITER)
+        rows = live[go]
+        step, length = newton.step[go], length[go]
+        active, kink, gc = newton.active[go], newton.kink[go], newton.kink_grad[go]
+
+        lowered = np.zeros(len(rows), dtype=bool)
+        trying = np.arange(len(rows))
+        scale = 1.0
+        while trying.size:
+            ids = rows[trying]
+            xt = x[ids] + scale * step[trying]
+            ft, lam = fun(ids, xt)
+            nfev[ids] += 1
+            soc = np.flatnonzero(active[trying])
+            if soc.size:
+                g = gc[trying[soc]]
+                lam0 = lam[soc, kink[trying[soc]]]
+                xc = xt[soc] - (lam0 / (g * g).sum(axis=1))[:, None] * g
+                fc, _ = fun(ids[soc], xc)
+                nfev[ids[soc]] += 1
+                better = fc < ft[soc]
+                xt[soc[better]], ft[soc[better]] = xc[better], fc[better]
+            lower = ft < f[ids]
+            x[ids[lower]], f[ids[lower]] = xt[lower], ft[lower]
+            lowered[trying[lower]] = True
+            scale *= 0.5
+            trying = trying[~lower & (scale * length[trying] >= _NEWTON_XTOL)]
+        success[rows[~lowered]] = True
+        live = rows[lowered]
+    return _PolishResult(x, f, nfev, nit, success, stationarity, multiplier)
+
+
 def _start_points(kind, gauge_fix, restarts, rng):
     """Fixed restart directions padded with seeded random interior points."""
     if kind == "uniform":
@@ -564,14 +806,21 @@ def minimize_norm(
     Derivative-free simplex descent from fixed restart directions plus
     seeded random interiors; |alpha| <= 1 enforced by radial projection with
     a quadratic penalty outside the ball. All restarts descend together at
-    loose tolerance; the first strictly best one is polished at xatol 1e-9,
-    and the polish is restarted once from a small simplex; each descent is
-    capped only by its iteration count (``maxiter``). ``evaluations``
-    counts every evaluation made, also those of restarts that ran past an
-    early stop at a dark minimum. Deterministic for a fixed seed.
-    Non-convergence (the polish's restart reaching ``maxiter``) is flagged
-    on the result, never raised. A sweep point is exactly this
-    minimization, run in a batch with its neighbors.
+    loose tolerance (capped only by ``maxiter``); the first strictly best
+    one is polished by the kink-aware Newton method, at most 50 derivative
+    passes, whose value never rises above the winner's. ``converged`` says
+    the polish stopped by its own test (no backtracked step lowers the
+    norm, or the step is below 1e-12) before that cap; ``stationarity`` is
+    its first-order residual at the result, min over |t| <= 1 of
+    |g_F + t gc| on an active kink (g_F the gradient of the other
+    eigenvalues' signed sum, gc that of the vanishing one) and the plain
+    gradient's length elsewhere; ``multiplier`` is t, or 0.0 without an
+    active kink. ``evaluations`` counts every evaluation made: all restarts
+    (also those that ran past an early stop at a dark minimum), each
+    derivative pass and line-search trial of the polish, and the final
+    norm. Deterministic for a fixed seed. Non-convergence is flagged on the
+    result, never raised. A sweep point is exactly this minimization, run
+    in a batch with its neighbors.
     """
     return _minimize_batch([model], kind, restarts, [seed], gauge_fix)[0]
 
@@ -580,10 +829,11 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     """``minimize_norm`` of every model, with its own seed, in one descent.
 
     Stage 1 runs every restart simplex of every model through one
-    ``_nelder_mead``; stage 2 polishes each model's winner in a second one
-    and restarts that polish once in a third. The polish starts at the
-    winner, so it ends no higher; the restart is kept only where it ends
-    lower. A model's result depends only on its own simplices.
+    ``_nelder_mead``; stage 2 polishes each model's winner with one batched
+    ``_newton_polish`` (one derivative product per model and one stacked
+    ``eigh`` per pass). The polish starts at the winner and only takes
+    steps that lower the norm, so it ends no higher. A model's result
+    depends only on its own rows.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -594,20 +844,14 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     wts = [CompiledBond(m)._wt for m in models]  # the batched path needs no more
     count = len(models)
 
-    def objective(owner):
-        def penalized_norms(rows, x):
-            a, b = _unpack_rows(x, kind, gauge_fix)
-            a, pen_a = _project_rows(a)
-            b, pen_b = _project_rows(b)
-            return _grouped_norms(wts, owner[rows], a, b) + (pen_a + pen_b)
-        return penalized_norms
-
     # stage 1: rank the restart basins at loose tolerance, stage 2: polish
-    # only the winner at full precision (the wells are separated by far more
+    # only the winner to full precision (the wells are separated by far more
     # than the coarse tolerance, so ranking is stable)
     starts = [x for seed in seeds
               for x in _start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))]
-    rank = _nelder_mead(objective(np.repeat(np.arange(count), restarts)), np.array(starts),
+    owner = np.repeat(np.arange(count), restarts)
+    spectra = _penalized_spectra(wts, owner, kind, gauge_fix)
+    rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.array(starts),
                         xatol=1e-5, fatol=1e-8, maxiter=2000)
     winners, used = [], []
     for p in range(count):
@@ -621,28 +865,23 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
                 break
         winners.append(best)
         used.append(r + 1)
-    polish = _nelder_mead(objective(np.arange(count)), rank.x[winners],
-                          xatol=1e-9, fatol=1e-12, maxiter=4000)
-    # restart once from a simplex of steps at the stage-1 tolerance: the
-    # minima sit on kinks of the norm, where a simplex scaled to 5 % of
-    # near-zero coordinates can stall well above the minimum
-    restart = _nelder_mead(objective(np.arange(count)), polish.x, xatol=1e-9, fatol=1e-12,
-                           maxiter=4000, step=_RESTART_STEP)
-    x = np.where((restart.fun < polish.fun)[:, None], restart.x, polish.x)
-    a, b = _unpack_rows(x, kind, gauge_fix)
+    polish = _newton_polish(wts, np.arange(count), kind, gauge_fix,
+                            rank.x[winners], rank.fun[winners])
+    a, b = _unpack_rows(polish.x, kind, gauge_fix)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
     norms = _grouped_norms(wts, np.arange(count), a, b)
-    evaluations = (rank.nfev.reshape(count, restarts).sum(axis=1)
-                   + polish.nfev + restart.nfev + 1)
+    evaluations = rank.nfev.reshape(count, restarts).sum(axis=1) + polish.nfev + 1
     return [
         MinimizeResult(
             ansatz=(ProductAnsatz.uniform(a[p]) if kind == "uniform"
                     else ProductAnsatz.bipartite(a[p], b[p])),
             norm=float(norms[p]),
-            converged=bool(restart.success[p]),
+            converged=bool(polish.success[p]),
             restarts_used=used[p],
             evaluations=int(evaluations[p]),
+            stationarity=float(polish.stationarity[p]),
+            multiplier=float(polish.multiplier[p]),
         )
         for p in range(count)
     ]

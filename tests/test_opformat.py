@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from dissipative_spins.opformat import (
     OperatorFormatError,
+    _pauli_coefficients,
     format_operator,
     parse_operator_text,
     parse_problem_text,
@@ -71,6 +74,23 @@ def test_format_roundtrip():
         op += coeff * kron(*factors)
     text = format_operator(op, 3)
     np.testing.assert_allclose(parse_operator_text(text, 3), op, atol=1e-9)
+
+
+def _kron_loop_coefficients(op, n):
+    # reference: one kron and one dense trace per Pauli string
+    letters = ("identity", "x", "y", "z")
+    return np.array([
+        np.trace(kron(*[pauli(letters[k]) for k in combo]).conj().T @ op) / 2**n
+        for combo in product(range(4), repeat=n)
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_coefficients_match_kron_loop(n):
+    rng = np.random.default_rng(n)
+    op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    np.testing.assert_allclose(_pauli_coefficients(op, n), _kron_loop_coefficients(op, n),
+                               rtol=0, atol=1e-14)
 
 
 def test_format_zero_operator():
