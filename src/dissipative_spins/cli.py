@@ -47,7 +47,7 @@ CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
 MAX_ORACLE_SITES = 5  # the dense n = 6 generator alone is 268 MB
 MAX_SWEEP_POINTS = 10_000
 MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
-MAX_LANDAU_SAMPLES = 1_000  # one tight Nelder-Mead each
+MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at once
 MAX_T_MAX = 2000.0  # validation horizon; the propagator's work grows with it
 MAX_PROBLEM_SITES = 6  # dense 2^n x 2^n operators; --validate took 0.3 s at n = 6, 1.4 s at n = 7
 
@@ -203,6 +203,8 @@ def cmd_landau(args) -> int:
         "u2": fit.u2,
         "u4": fit.u4,
         "residual": fit.residual,
+        "converged": fit.converged,
+        "stationarity": fit.stationarity,
     }
     _write_out(args, json.dumps(out))
     return 0

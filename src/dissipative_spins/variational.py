@@ -25,6 +25,9 @@ the bond matrix: the minima of the ordered phases sit where one eigenvalue
 of it vanishes, a kink of the norm, and the polish reports the first-order
 residual and the kink's multiplier as a certificate. ``minimize_norm`` is
 this run on a single model; a sweep point's record equals it bit for bit.
+A Landau profile runs the same two stages on its phi samples, with phi
+held fixed by the offsets of an affine map from the parameters to the Bloch
+vectors.
 
 Jump matrices follow the (this-site, other-site) slot convention: the first
 tensor slot of a two-site term sits on the bond site under consideration.
@@ -40,7 +43,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .liouville import build_liouvillian
 from .models import DissipativeModel, LatticeSpec, dissipative_heisenberg
@@ -109,6 +111,8 @@ class LandauFit:
     u2: float
     u4: float
     residual: float
+    converged: bool       # every sample's polish stopped by its own test
+    stationarity: float   # largest first-order residual over the samples
 
 
 @dataclass(frozen=True)
@@ -378,45 +382,62 @@ def _grouped_norms(wts, owner, alpha_a, alpha_b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unpack_rows(x, kind, gauge_fix):
-    """Bloch vector rows (alpha_A, alpha_B) of parameter rows x."""
-    if not gauge_fix:
-        return x[:, :3], (x[:, :3] if kind == "uniform" else x[:, 3:6])
-    a = np.zeros((len(x), 3))
-    a[:, ::2] = x[:, :2]
-    if kind == "uniform":
-        return a, a
-    b = np.zeros((len(x), 3))
-    b[:, ::2] = x[:, 2:4]
-    return a, b
-
-
 def _project_rows(alpha):
     """Rows pulled radially into the unit ball, and 100 (r - 1)^2 for those outside."""
     r = np.maximum(np.sqrt((alpha * alpha).sum(axis=1)), 1.0)  # x / 1.0 is exact
     return alpha / r[:, None], 100.0 * (r - 1.0) ** 2
 
 
-def _project(alpha):
-    r = math.sqrt(alpha.dot(alpha))  # np.linalg.norm's own formula, without its overhead
-    if r > 1.0:
-        return alpha / r, r
-    return alpha, r
+@dataclass(frozen=True)
+class _AffineMap:
+    """Bloch vector rows (x D_A + o_A[s], x D_B + o_B[s]) of parameter rows x of problems s.
 
-
-def _penalized_norm(norm_of, a, b) -> float:
-    """norm_of(a, b) after radial projection into the unit ball.
-
-    Each vector that lies outside the ball at radius r adds 100 (r - 1)^2.
+    D is a 0/1 selection, held as the column of [x, 0] that each Bloch
+    component takes (index d takes the 0), so the components are copied
+    from x exactly; ``take_b`` None means alpha_B = alpha_A (the uniform
+    ansatz). The offsets o (S, 3) belong to each problem, None for none.
+    ``rotation``: x holds whole Bloch vectors, so the rotation about z is
+    an exact zero mode of the norm.
     """
-    a, ra = _project(a)
-    b, rb = _project(b)
-    pen = 0.0
-    if ra > 1.0:
-        pen += 100.0 * (ra - 1.0) ** 2
-    if rb > 1.0:
-        pen += 100.0 * (rb - 1.0) ** 2
-    return norm_of(a, b) + pen
+
+    take_a: np.ndarray
+    take_b: np.ndarray | None = None
+    off_a: np.ndarray | None = None
+    off_b: np.ndarray | None = None
+    rotation: bool = False
+
+    def __call__(self, rows, x):
+        ext = np.zeros((len(x), x.shape[1] + 1))
+        ext[:, :-1] = x
+        a = ext.take(self.take_a, axis=1)
+        if self.off_a is not None:
+            a += self.off_a[rows]
+        if self.take_b is None:
+            return a, a
+        b = ext.take(self.take_b, axis=1)
+        if self.off_b is not None:
+            b += self.off_b[rows]
+        return a, b
+
+    def directions(self, dim):
+        """D_A and D_B (dim, 3), the derivatives of the Bloch vectors by x."""
+        eye = np.eye(dim + 1)[:dim]
+        dirs_a = eye.take(self.take_a, axis=1)
+        return dirs_a, (dirs_a if self.take_b is None else eye.take(self.take_b, axis=1))
+
+
+def _sweep_map(kind, gauge_fix) -> _AffineMap:
+    """The minimizer's parameters: whole Bloch vectors, or (ax, az) per sublattice with ay = 0.
+
+    ``gauge_fix`` sets ay = 0: a rotation about z is a symmetry of the
+    norm, and for the bipartite ansatz it also fixes the sublattices'
+    relative in-plane angle.
+    """
+    if kind == "uniform":
+        return _AffineMap(np.array([0, 2, 1] if gauge_fix else [0, 1, 2]), rotation=not gauge_fix)
+    if gauge_fix:
+        return _AffineMap(np.array([0, 4, 1]), np.array([2, 4, 3]))
+    return _AffineMap(np.array([0, 1, 2]), np.array([3, 4, 5]), rotation=True)
 
 
 # scipy's Nelder-Mead coefficients (reflection, expansion, contraction,
@@ -450,11 +471,11 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
 
     ``fun(rows, x)`` returns the objective of the points x (n, d), where
     point k belongs to problem ``rows[k]``; rows always come in ascending
-    order. Each problem follows ``scipy.optimize.minimize(method=
-    "Nelder-Mead")`` with ``maxiter`` and no ``maxfev`` step by step from
-    its start ``x0[s]``: same initial simplex, coefficients, convergence
-    test, sort and cap, so with an objective whose rows do not depend on
-    each other every result is the one scipy gives. Per iteration the
+    order. Each problem follows scipy's ``minimize(method="Nelder-Mead")``
+    with ``maxiter`` and no ``maxfev`` step by step from its start
+    ``x0[s]``: same initial simplex, coefficients, convergence test, sort
+    and cap, so with an objective whose rows do not depend on each other
+    every result is the one scipy gives. Per iteration the
     reflections of all live simplices are one batch; the expansions and
     contractions they call for are a second, picked by masks; shrinks are
     a third. A simplex leaves the live set once it converges or reaches
@@ -543,6 +564,7 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
 
 _NEWTON_MAXITER = 50  # derivative passes a row may take
 _NEWTON_XTOL = 1e-12  # a step or line-search trial shorter than this ends a row
+_NEWTON_FTOL = 4 * np.finfo(float).eps  # a decrease left below this * norm ends a row
 _KINK_RTOL = 1e-3     # |lambda_0| <= this * max |lambda| may be an active kink
 _SOLVE_RCOND = 1e-12  # relative eigenvalue cut of the least-squares solves
 
@@ -566,12 +588,17 @@ class _NewtonStep:
     kink_grad: np.ndarray     # (n, d) its gradient gc
     stationarity: np.ndarray  # (n,) |g_F + t gc| on active rows, |g| elsewhere
     multiplier: np.ndarray    # (n,) t on active rows, else 0
+    decrease: np.ndarray      # (n,) decrease of the norm the quadratic model predicts for the step
 
 
-def _penalized_spectra(wts, owner, kind, gauge_fix):
-    """fun(rows, x): penalized norms and eigenvalues at parameter rows x of problems ``rows``."""
+def _penalized_spectra(wts, owner, pmap):
+    """fun(rows, x): penalized norms and eigenvalues at parameter rows x of problems ``rows``.
+
+    ``pmap`` is the problems' ``_AffineMap``; a Bloch vector outside the
+    unit ball at radius r is pulled onto it and adds 100 (r - 1)^2.
+    """
     def fun(rows, x):
-        a, b = _unpack_rows(x, kind, gauge_fix)
+        a, b = pmap(rows, x)
         a, pen_a = _project_rows(a)
         b, pen_b = _project_rows(b)
         lam = _grouped_spectra(wts, owner[rows], a, b)
@@ -616,14 +643,11 @@ def _bond_derivatives(wts, owner, features) -> np.ndarray:
     return y.view(complex).reshape(n, m, 4, 4)
 
 
-def _rotation_modes(x, gauge_fix):
-    """Unit rotation about z of each parameter row: an exact zero mode once the gauge is free.
+def _rotation_modes(x):
+    """Unit rotation about z of each row of whole Bloch vectors: an exact zero mode of the norm.
 
-    None with ``gauge_fix``, where ay = 0 leaves no rotation; a row with no
-    in-plane component has no mode and gets zeros.
+    A row with no in-plane component has no mode and gets zeros.
     """
-    if gauge_fix:
-        return None
     v = np.zeros_like(x)
     v[:, 0::3], v[:, 1::3] = -x[:, 1::3], x[:, 0::3]  # (ax, ay, az) -> (-ay, ax, 0) per vector
     r = np.sqrt((v * v).sum(axis=1, keepdims=True))
@@ -694,39 +718,54 @@ def _newton_step(mats, dim, modes=None) -> _NewtonStep:
     inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=keep)
     coef = (q.swapaxes(1, 2) @ rhs[:, :, None])[:, :, 0] * inv
     step = (q @ coef[:, :, None])[:, :dim, 0]
-    return _NewtonStep(step, active, i0, gc, np.sqrt((grad * grad).sum(axis=1)), t)
+    # the model: g.dx + dx.H dx / 2, on active rows plus the change of |lambda_0 + gc.dx|
+    lam0 = lam[rows, i0]
+    decrease = (np.where(active, np.abs(lam0) - np.abs(lam0 + (gc * step).sum(axis=1)), 0.0)
+                + (rhs[:, :dim] * step).sum(axis=1)
+                - 0.5 * np.einsum("nk,nkl,nl->n", step, hess, step))
+    return _NewtonStep(step, active, i0, gc, np.sqrt((grad * grad).sum(axis=1)), t, decrease)
 
 
-def _newton_polish(wts, owner, kind, gauge_fix, x0, f0) -> _PolishResult:
+def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     """Kink-aware Newton descent of S problems at once from x0 with penalized norms f0.
 
-    Problem s is the bond ``wts[owner[s]]`` (owner ascending). Each
+    Problem s is the bond ``wts[owner[s]]`` (owner ascending) under the
+    parameterization ``pmap`` (an ``_AffineMap``); with its rotation flag
+    set the rotation about z is projected out of every step. Each
     iteration is one derivative pass for every live row; the step is
     backtracked (1, 1/2, ...) on the true penalized norm and taken at the
     first trial that lowers it; on an active kink each trial also tries
     one second-order correction back onto lambda_0 = 0 and keeps the lower
-    of the two. A row stops when no trial of at least 1e-12 lowers its
-    norm or its step is shorter than that (success), or after 50 passes.
-    A row's value never rises.
+    of the two. A row stops (success) when no trial of at least 1e-12
+    lowers its norm, when its step is shorter than that, or when the
+    decrease its quadratic model predicts, plus on an active kink the
+    |lambda_0| the norm itself last saw there, is at most 4 eps times the
+    norm; else after 50 passes. A row's value never rises.
     """
     count, dim = x0.shape
-    fun = _penalized_spectra(wts, owner, kind, gauge_fix)
-    dirs_a, dirs_b = _unpack_rows(np.eye(dim), kind, gauge_fix)
+    fun = _penalized_spectra(wts, owner, pmap)
+    dirs_a, dirs_b = pmap.directions(dim)
     x, f = np.array(x0, dtype=float), np.array(f0, dtype=float)
     nfev, nit = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
     success = np.zeros(count, dtype=bool)
     stationarity, multiplier = np.zeros(count), np.zeros(count)
+    kink_at = np.full(count, np.nan)  # smallest |lambda| the norm saw at x, once a step is taken
     live = np.arange(count)
     while live.size:
-        a, b = _unpack_rows(x[live], kind, gauge_fix)
-        newton = _newton_step(
-            _bond_derivatives(wts, owner[live], _derivative_features(a, b, dirs_a, dirs_b)), dim,
-            _rotation_modes(x[live], gauge_fix))
+        a, b = pmap(live, x[live])
+        features = _derivative_features(a, b, dirs_a, dirs_b)
+        newton = _newton_step(_bond_derivatives(wts, owner[live], features), dim,
+                              _rotation_modes(x[live]) if pmap.rotation else None)
         nfev[live] += 1
         nit[live] += 1
         stationarity[live], multiplier[live] = newton.stationarity, newton.multiplier
         length = np.sqrt((newton.step * newton.step).sum(axis=1))
-        moves = length >= _NEWTON_XTOL  # False for a NaN step too
+        # the model's decrease is below the norm's rounding; on a kink the
+        # norm's own lambda_0 must be too, since its product rounds unlike
+        # the derivative pass and a correction onto it can still lower f
+        tol = _NEWTON_FTOL * f[live]
+        spent = np.abs(newton.decrease) + np.where(newton.active, kink_at[live], 0.0) <= tol
+        moves = (length >= _NEWTON_XTOL) & ~spent  # False for a NaN step too
         success[live[~moves]] = True
         go = moves & (nit[live] < _NEWTON_MAXITER)
         rows = live[go]
@@ -746,12 +785,14 @@ def _newton_polish(wts, owner, kind, gauge_fix, x0, f0) -> _PolishResult:
                 g = gc[trying[soc]]
                 lam0 = lam[soc, kink[trying[soc]]]
                 xc = xt[soc] - (lam0 / (g * g).sum(axis=1))[:, None] * g
-                fc, _ = fun(ids[soc], xc)
+                fc, lamc = fun(ids[soc], xc)
                 nfev[ids[soc]] += 1
                 better = fc < ft[soc]
                 xt[soc[better]], ft[soc[better]] = xc[better], fc[better]
+                lam[soc[better]] = lamc[better]
             lower = ft < f[ids]
             x[ids[lower]], f[ids[lower]] = xt[lower], ft[lower]
+            kink_at[ids[lower]] = np.abs(lam[lower]).min(axis=1)
             lowered[trying[lower]] = True
             scale *= 0.5
             trying = trying[~lower & (scale * length[trying] >= _NEWTON_XTOL)]
@@ -810,7 +851,8 @@ def minimize_norm(
     one is polished by the kink-aware Newton method, at most 50 derivative
     passes, whose value never rises above the winner's. ``converged`` says
     the polish stopped by its own test (no backtracked step lowers the
-    norm, or the step is below 1e-12) before that cap; ``stationarity`` is
+    norm, the step is below 1e-12, or the decrease left is below the
+    norm's rounding) before that cap; ``stationarity`` is
     its first-order residual at the result, min over |t| <= 1 of
     |g_F + t gc| on an active kink (g_F the gradient of the other
     eigenvalues' signed sum, gc that of the vanishing one) and the plain
@@ -850,7 +892,8 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     starts = [x for seed in seeds
               for x in _start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))]
     owner = np.repeat(np.arange(count), restarts)
-    spectra = _penalized_spectra(wts, owner, kind, gauge_fix)
+    pmap = _sweep_map(kind, gauge_fix)
+    spectra = _penalized_spectra(wts, owner, pmap)
     rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.array(starts),
                         xatol=1e-5, fatol=1e-8, maxiter=2000)
     winners, used = [], []
@@ -865,9 +908,8 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
                 break
         winners.append(best)
         used.append(r + 1)
-    polish = _newton_polish(wts, np.arange(count), kind, gauge_fix,
-                            rank.x[winners], rank.fun[winners])
-    a, b = _unpack_rows(polish.x, kind, gauge_fix)
+    polish = _newton_polish(wts, np.arange(count), pmap, rank.x[winners], rank.fun[winners])
+    a, b = pmap(None, polish.x)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
     norms = _grouped_norms(wts, np.arange(count), a, b)
@@ -1023,6 +1065,35 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
+def _landau_profile(model, direction, phis) -> _PolishResult:
+    """Conditional minima of the penalized bond norm at every phi, all in one descent.
+
+    phi enters through the offsets of an ``_AffineMap``: in-plane,
+    alpha_A = alpha_B = (phi, 0, x0); staggered-z, alpha_A = (x0, 0, x2 + phi)
+    and alpha_B = (x1, 0, x2 - phi). Stage 1 runs ``_nelder_mead`` from
+    x = 0 for every sample at the sweep's stage-1 tolerances; stage 2
+    polishes each result with ``_newton_polish``. The polish alone stalls:
+    from x = 0 it stops on the stationary point of the z mirror. A sample's
+    result depends only on its own phi.
+    """
+    count = len(phis)
+    off_a = np.zeros((count, 3))
+    if direction == "in-plane":
+        dim = 1
+        off_a[:, 0] = phis
+        pmap = _AffineMap(np.array([1, 1, 0]), off_a=off_a)
+    else:
+        dim = 3
+        off_b = np.zeros((count, 3))
+        off_a[:, 2], off_b[:, 2] = phis, -phis
+        pmap = _AffineMap(np.array([0, 3, 2]), np.array([1, 3, 2]), off_a, off_b)
+    wts, owner = [CompiledBond(model)._wt], np.zeros(count, dtype=int)
+    spectra = _penalized_spectra(wts, owner, pmap)
+    rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.zeros((count, dim)),
+                        xatol=1e-5, fatol=1e-8, maxiter=2000)
+    return _newton_polish(wts, owner, pmap, rank.x, rank.fun)
+
+
 def landau_expansion(
     model: DissipativeModel,
     direction: str,
@@ -1037,6 +1108,13 @@ def landau_expansion(
     phi_max matters: the norm is only a smooth phi^4 form below its first
     eigenvalue-crossing kink, while the confining quartic growth on the
     disordered side is only visible on windows spanning that kink.
+
+    The ``samples`` conditional minimizations run as one batch through the
+    sweep's two stages, each from x = 0 (no warm start, so a sample's
+    minimum does not depend on its neighbors): a loose batched Nelder-Mead,
+    then the kink-aware Newton polish with phi held fixed. ``converged``
+    says every sample's polish stopped by its own test; ``stationarity`` is
+    the largest first-order residual over the samples.
     """
     if samples < 5:
         raise ValueError("need at least 5 phi samples")
@@ -1044,34 +1122,11 @@ def landau_expansion(
         raise ValueError(f"unknown direction {direction!r}")
     if direction == "staggered-z" and not model.lattice.bipartite:
         raise ValueError("staggered-z direction needs a bipartite lattice")
-    norm_of = CompiledBond(model).norm
-
-    def conditional(phi, guess):
-        if direction == "in-plane":
-            def f(x):
-                a = np.array([phi, 0.0, x[0]])
-                return _penalized_norm(norm_of, a, a)
-        else:
-            def f(x):
-                a = np.array([x[0], 0.0, x[2] + phi])
-                b = np.array([x[1], 0.0, x[2] - phi])
-                return _penalized_norm(norm_of, a, b)
-        res = _scipy_minimize(
-            f,
-            guess,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-11, fatol=1e-13, maxiter=4000),
-        )
-        return res.fun, res.x
-
-    guess = np.zeros(1 if direction == "in-plane" else 3)
     phis = np.linspace(0.0, phi_max, samples)
-    norms = np.empty(samples)
-    for idx, phi in enumerate(phis):
-        norms[idx], guess = conditional(phi, guess)
+    profile = _landau_profile(model, direction, phis)
 
     design = np.vstack([np.ones_like(phis), phis**2, phis**4]).T
-    coef, res_arr, rank, _ = np.linalg.lstsq(design, norms, rcond=None)
+    coef, res_arr, rank, _ = np.linalg.lstsq(design, profile.fun, rcond=None)
     if rank < 3:
         raise FitError("ill-conditioned phi^4 fit (degenerate phi grid)")
     residual = float(np.sqrt(res_arr[0] / samples)) if res_arr.size else 0.0
@@ -1080,6 +1135,8 @@ def landau_expansion(
         u2=float(coef[1]),
         u4=float(coef[2]),
         residual=residual,
+        converged=bool(profile.success.all()),
+        stationarity=float(profile.stationarity.max()),
     )
 
 

@@ -192,7 +192,9 @@ def test_landau_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["direction"] == "in-plane"
     assert out["u2"] < 0
-    assert set(out) >= {"lambda", "u0", "u2", "u4", "residual"}
+    assert set(out) >= {"lambda", "u0", "u2", "u4", "residual", "converged", "stationarity"}
+    assert out["converged"] is True
+    assert 0.0 <= out["stationarity"] <= 1e-7
 
 
 def test_landau_bad_samples():
@@ -335,6 +337,16 @@ def test_oracle_resource_cap(capsys, monkeypatch):
     for n in (6, 7):
         assert run(["oracle", "--n", str(n)]) == 3
         assert "cap" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dissipative_spins.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_console_entry_point():

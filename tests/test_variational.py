@@ -389,13 +389,14 @@ def test_closed_form_derivatives_match_central_differences(kind, gauge_fix, dim)
     h = 1e-2
     bond = CompiledBond(heis(1.37))
     x = np.random.default_rng(dim).uniform(-0.4, 0.4, dim)
-    dirs_a, dirs_b = variational._unpack_rows(np.eye(dim), kind, gauge_fix)
+    pmap = variational._sweep_map(kind, gauge_fix)
+    dirs_a, dirs_b = pmap.directions(dim)
 
     def k_at(y):
-        a, b = variational._unpack_rows(y[None], kind, gauge_fix)
+        a, b = pmap(None, y[None])
         return bond.derivative(a[0], b[0])
 
-    a, b = variational._unpack_rows(x[None], kind, gauge_fix)
+    a, b = pmap(None, x[None])
     mats = variational._bond_derivatives(
         [bond._wt], np.zeros(1, dtype=int),
         variational._derivative_features(a, b, dirs_a, dirs_b))[0]
@@ -415,7 +416,7 @@ def test_closed_form_derivatives_match_central_differences(kind, gauge_fix, dim)
     ("uniform", np.round(np.arange(0.40, 0.601, 0.02), 9)),
     ("bipartite", np.round(np.arange(1.40, 1.601, 0.02), 9)),
 ])
-def test_polish_certifies_every_minimum(kind, lams):
+def test_polish_certifies_every_minimum(monkeypatch, kind, lams):
     # first-order optimality (Clarke stationarity on a kink) at every point
     results = variational._minimize_batch(
         [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams], True)
@@ -423,6 +424,14 @@ def test_polish_certifies_every_minimum(kind, lams):
         assert res.converged
         assert res.stationarity <= 1e-7
         assert abs(res.multiplier) <= 1
+    # the polish stops once the decrease left is below the norm's rounding;
+    # run to exhaustion instead (until no trial lowers the norm), it gains
+    # at most 2 eps more
+    monkeypatch.setattr(variational, "_NEWTON_FTOL", 0.0)
+    exhaustive = variational._minimize_batch(
+        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams], True)
+    for res, ref in zip(results, exhaustive):
+        assert res.norm <= ref.norm + 4.4e-16
 
 
 @pytest.mark.parametrize("kind, lam, x0", [
@@ -433,8 +442,9 @@ def test_polish_certifies_every_minimum(kind, lams):
 def test_newton_from_a_vanishing_kink_gradient(kind, lam, x0):
     wts, owner = [CompiledBond(heis(lam))._wt], np.zeros(1, dtype=int)
     x0 = np.array([x0])
-    f0 = variational._penalized_spectra(wts, owner, kind, True)(owner, x0)[0]
-    res = variational._newton_polish(wts, owner, kind, True, x0, f0)
+    pmap = variational._sweep_map(kind, True)
+    f0 = variational._penalized_spectra(wts, owner, pmap)(owner, x0)[0]
+    res = variational._newton_polish(wts, owner, pmap, x0, f0)
     for field in (res.x, res.fun, res.stationarity, res.multiplier):
         assert np.isfinite(field).all()
     assert res.fun[0] <= f0[0]
@@ -473,10 +483,13 @@ def test_minimize_bipartite_needs_bipartite_lattice():
 
 
 def test_landau_u2_signs():
-    assert landau_expansion(heis(0.3), "in-plane", 0.03, 11).u2 < 0
-    assert landau_expansion(heis(1.0), "in-plane", 0.03, 11).u2 > 0
-    assert landau_expansion(heis(1.4), "staggered-z", 0.03, 11).u2 > 0
-    assert landau_expansion(heis(1.6), "staggered-z", 0.03, 11).u2 < 0
+    fits = [landau_expansion(heis(lam), direction, 0.03, 11) for direction, lam in (
+        ("in-plane", 0.3), ("in-plane", 1.0), ("staggered-z", 1.4), ("staggered-z", 1.6))]
+    assert fits[0].u2 < 0 < fits[1].u2
+    assert fits[3].u2 < 0 < fits[2].u2
+    for fit in fits:  # every conditional minimization certified
+        assert fit.converged
+        assert 0.0 <= fit.stationarity <= 1e-7
 
 
 def test_landau_u2_root_sits_at_transition():
@@ -509,6 +522,53 @@ def test_landau_quartic_confinement():
     assert fit.u2 > 0 and fit.u4 > 0
     fit = landau_expansion(heis(1.48), "staggered-z", 0.40, 11)
     assert fit.u2 > 0 and fit.u4 > 0
+
+
+def _warm_started_scipy_chain(model, direction, phis):
+    """Conditional norms of one scipy Nelder-Mead per phi, each started at the previous minimum."""
+    bond = CompiledBond(model)
+
+    def penalized(x, phi):
+        if direction == "in-plane":
+            a = b = np.array([[phi, 0.0, x[0]]])
+        else:
+            a, b = np.array([[x[0], 0.0, x[2] + phi]]), np.array([[x[1], 0.0, x[2] - phi]])
+        (a, pen_a), (b, pen_b) = variational._project_rows(a), variational._project_rows(b)
+        return bond.norm(a[0], b[0]) + pen_a[0] + pen_b[0]
+
+    x, norms = np.zeros(1 if direction == "in-plane" else 3), []
+    for phi in phis:
+        res = scipy_minimize(penalized, x, args=(phi,), method="Nelder-Mead",
+                             options=dict(xatol=1e-11, fatol=1e-13, maxiter=4000))
+        x = res.x
+        norms.append(res.fun)
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("direction, lam, phi_max", [
+    ("in-plane", 0.48, 0.03), ("in-plane", 0.52, 0.03),
+    ("staggered-z", 1.48, 0.03), ("staggered-z", 1.52, 0.03),
+    # the A6 windows, which span the kink
+    ("in-plane", 0.48, 0.15), ("in-plane", 0.52, 0.15),
+    ("staggered-z", 1.48, 0.40), ("staggered-z", 1.52, 0.40),
+])
+def test_landau_profile_is_never_above_a_warm_started_chain(direction, lam, phi_max):
+    # independent starts may find lower conditional minima than the chain
+    # on a wide window, never higher ones
+    phis = np.linspace(0.0, phi_max, 11)
+    profile = variational._landau_profile(heis(lam), direction, phis)
+    assert profile.success.all()
+    assert (profile.fun <= _warm_started_scipy_chain(heis(lam), direction, phis) + 1e-12).all()
+
+
+@pytest.mark.parametrize("direction, lam", [("in-plane", 0.3), ("staggered-z", 1.48)])
+def test_landau_sample_does_not_depend_on_the_batch(direction, lam):
+    phis = np.linspace(0.0, 0.4, 11)
+    whole = variational._landau_profile(heis(lam), direction, phis)
+    for lo, hi in [(k, k + 1) for k in range(11)] + [(3, 8)]:
+        part = variational._landau_profile(heis(lam), direction, phis[lo:hi])
+        assert np.array_equal(part.fun, whole.fun[lo:hi])
+        assert np.array_equal(part.x, whole.x[lo:hi])
 
 
 def test_landau_validation():
