@@ -28,6 +28,9 @@ from scipy.sparse.linalg import LinearOperator, expm_multiply
 from .operators import embed, partial_trace, trace_norm_hermitian
 
 
+_GAP_TOL = 1e-10  # an excited-manifold eigenvalue below this neither decays nor dephases
+
+
 class GaplessEliminationError(ValueError):
     """The excited manifold contains a non-decaying direction."""
 
@@ -61,10 +64,6 @@ class EliminationProblem:
             raise ValueError("p_excited must be an orthogonal projector")
 
     @property
-    def dim(self) -> int:
-        return self.h_ground.shape[0]
-
-    @property
     def v_minus(self) -> np.ndarray:
         return self.v_plus.conj().T
 
@@ -78,14 +77,12 @@ def nonhermitian_hamiltonian(problem: EliminationProblem) -> np.ndarray:
     return p @ acc @ p
 
 
-def invert_on_decaying_manifold(
-    htilde: np.ndarray, p_excited: np.ndarray, gap_tol: float = 1e-10
-) -> np.ndarray:
+def invert_on_decaying_manifold(htilde: np.ndarray, p_excited: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of Htilde on the range of the excited projector.
 
     Htilde is diagonalized inside the projector's range (it is not normal,
     so a direct eigendecomposition of the restricted block is used). Any
-    eigenvalue of magnitude below gap_tol means part of the manifold
+    eigenvalue of magnitude below ``_GAP_TOL`` means part of the manifold
     neither decays nor dephases, and the perturbative elimination has no
     leading order there.
     """
@@ -95,7 +92,7 @@ def invert_on_decaying_manifold(
         return np.zeros_like(htilde)
     block = cols.conj().T @ htilde @ cols
     w, v = np.linalg.eig(block)
-    if np.abs(w).min() < gap_tol:
+    if np.abs(w).min() < _GAP_TOL:
         raise GaplessEliminationError(
             "gapless elimination: excited manifold has a non-decaying "
             f"direction (|eigenvalue| = {np.abs(w).min():.3e})"

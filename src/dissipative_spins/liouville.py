@@ -22,6 +22,8 @@ import numpy as np
 from .models import DissipativeModel
 from .operators import embed, trace_norm_hermitian
 
+_NULL_TOL = 1e-9  # generator eigenvalues below this in magnitude span the steady space
+
 
 @dataclass(frozen=True)
 class Liouvillian:
@@ -135,7 +137,7 @@ def _generator_blocks(liou: Liouvillian) -> list:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
 
 
-def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
+def steady_states(liou: Liouvillian) -> SteadySpace:
     """Null space of the generator, returned as Hermitian representatives.
 
     Each diagonal block of the generator (``_generator_blocks``) is
@@ -154,7 +156,7 @@ def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
             block = block.real
         evals, evecs = np.linalg.eig(block)
         blocks.append(SpectralBlock(indices=idx, eigenvalues=evals))
-        for k in np.flatnonzero(np.abs(evals) < tol):
+        for k in np.flatnonzero(np.abs(evals) < _NULL_TOL):
             col = np.zeros(liou.dim**2, dtype=complex)
             col[idx] = evecs[:, k]
             null_cols.append(col)
@@ -169,7 +171,7 @@ def steady_states(liou: Liouvillian, tol: float = 1e-9) -> SteadySpace:
         for b in basis:
             cand = cand - np.vdot(b, cand) * b
         nrm = np.sqrt(abs(np.vdot(cand, cand)))
-        if nrm > 10 * tol:
+        if nrm > 10 * _NULL_TOL:
             basis.append(cand / nrm)
         if len(basis) == dim:
             break

@@ -89,8 +89,8 @@ def anisotropy_jumps(lam: float):
     sqrt(lambda) {|ud><uu|, |du><uu|, |ud><dd|, |du><dd|}: they lift the
     SU(2) symmetry and leave |ud> and |du> (the Neel bond states) dark.
     """
-    if lam < 0:
-        raise ValueError(f"anisotropy rate lambda={lam} must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"anisotropy rate lambda={lam} must be finite and >= 0")
     s = np.sqrt(lam)
     return [
         JumpTerm(2, s * ketbra(_UD, _UU), "ud<uu"),

@@ -61,13 +61,13 @@ def bloch_to_density(alpha) -> np.ndarray:
     )
 
 
-def kron(*ops, max_dim: int = MAX_DIM) -> np.ndarray:
+def kron(*ops) -> np.ndarray:
     """Tensor product; leftmost factor is the most significant qubit."""
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         op = np.asarray(op, dtype=complex)
-        if out.shape[0] * op.shape[0] > max_dim:
-            raise ValueError(f"kron result exceeds max dimension {max_dim}")
+        if out.shape[0] * op.shape[0] > MAX_DIM:
+            raise ValueError(f"kron result exceeds max dimension {MAX_DIM}")
         out = np.kron(out, op)
     return out
 
@@ -113,17 +113,17 @@ def dissipator(c, rho) -> np.ndarray:
     return c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
 
 
-def trace_norm_hermitian(op, tol: float = HERM_TOL) -> float:
+def trace_norm_hermitian(op) -> float:
     """Trace norm (sum of |eigenvalues|) of a Hermitian operator.
 
     The input is symmetrized to absorb rounding from chained products, then
-    verified Hermitian within ``tol``; anything further off is an error, not
-    noise.
+    verified Hermitian within ``HERM_TOL``; anything further off is an
+    error, not noise.
     """
     op = np.asarray(op, dtype=complex)
     herm = 0.5 * (op + op.conj().T)
     defect = np.abs(op - op.conj().T).max()
-    if defect > tol:
+    if defect > HERM_TOL:
         raise ValueError(f"operator is non-Hermitian (defect {defect:.2e})")
     return float(np.abs(np.linalg.eigvalsh(herm)).sum())
 

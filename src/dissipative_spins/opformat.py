@@ -99,6 +99,7 @@ def parse_operator_text(text: str, n_sites: int) -> np.ndarray:
 _LETTERS = ("identity", "x", "y", "z")
 # row k: conj(sigma_k) / 2 over a site's (ket, bra) index pair
 _PAULI_DUAL = np.array([pauli(k).conj() for k in _LETTERS]).reshape(4, 4) / 2
+_COEFF_TOL = 1e-12  # Pauli coefficients at most this large are not printed
 
 
 def _pauli_coefficients(op: np.ndarray, n_sites: int) -> np.ndarray:
@@ -115,11 +116,12 @@ def _pauli_coefficients(op: np.ndarray, n_sites: int) -> np.ndarray:
     return x
 
 
-def format_operator(op: np.ndarray, n_sites: int, tol: float = 1e-12) -> str:
+def format_operator(op: np.ndarray, n_sites: int) -> str:
     """Pauli-string decomposition of op, one term per line.
 
     Inverse of parse_operator_text up to the choice of basis (output uses
-    x/y/z only, never the ket-bra tokens).
+    x/y/z only, never the ket-bra tokens). Terms with |coefficient| at most
+    ``_COEFF_TOL`` are left out.
     """
     op = np.asarray(op, dtype=complex)
     dim = 2**n_sites
@@ -127,7 +129,7 @@ def format_operator(op: np.ndarray, n_sites: int, tol: float = 1e-12) -> str:
         raise ValueError(f"operator shape {op.shape} does not match {n_sites} sites")
     lines = []
     for combo, coeff in zip(np.ndindex(*(4,) * n_sites), _pauli_coefficients(op, n_sites)):
-        if abs(coeff) <= tol:
+        if abs(coeff) <= _COEFF_TOL:
             continue
         toks = [f"{s}:{_LETTERS[k]}" for s, k in enumerate(combo) if k != 0]
         lines.append(

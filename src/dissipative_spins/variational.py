@@ -15,6 +15,10 @@ and for a homogeneous ansatz it collapses to a single bond norm, which is
 what gets minimized. Order parameters, the Landau phi^4 expansion of the
 norm, and critical-point fits are extracted from the minimizer.
 
+``CompiledBond`` compiles a model once into a tensor W; every bond matrix
+K, the norm's and the polish's alike, is one batched product of feature
+rows with W, and a state's K does not depend on its batch.
+
 The minimizer runs in two stages, each on many problems at once. An array
 Nelder-Mead engine that steps like scipy's advances every restart of every
 coupling in a sweep chunk together, each batch of trial points evaluated
@@ -267,13 +271,13 @@ def _row_major_generator(hamiltonians, jumps) -> np.ndarray:
 
 
 class CompiledBond:
-    """Evaluator K(alpha_A, alpha_B) of the bond derivative of any model.
+    """The bond derivative K(alpha_A, alpha_B) of any model, compiled once.
 
     Two-site jumps and Hamiltonians enter both the bond's own generator and
     the mean-field terms; single-site ones act on each slot of the bond and
-    enter the bilinear part only. One evaluation is a 16x128 matrix-vector
-    product; the buffers it fills make an instance non-reentrant. ``_wt``
-    holds the same tensor for the batched evaluation of ``_grouped_norms``.
+    enter the bilinear part only. The compile folds everything into one
+    Hermitian 16x128 tensor W, held as ``_wt`` for the batched products of
+    ``_grouped_products``; K at a state is W times its ``_features`` row.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -306,28 +310,15 @@ class CompiledBond:
         w_ab_a = half_zc * np.einsum("mik,jlns->ijklmns", sig, t2)
         w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(4, 4, 128)
         # Hermitian part folded in: x is real, so W x comes out Hermitian
-        self._w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
+        w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
         # W^T as a real (128, 32) matrix, real and imaginary parts interleaved
         # so that feature rows @ _wt read as complex 4x4 matrices in place
-        self._wt = self._w.T.copy().view(float)
-        # evaluation buffers and fixed views of them
-        self._ba = np.ones(8)  # [b; a]; the leading 1s are never overwritten
-        self._a_col = self._ba[4:].reshape(4, 1)
-        self._ab = np.empty((4, 4))
-        self._ab_col = self._ab.reshape(16, 1)
-        self._x = np.empty((16, 8), dtype=complex)
-        self._x_flat = self._x.reshape(128)
-
-    def derivative(self, alpha_a, alpha_b) -> np.ndarray:
-        ba = self._ba
-        ba[1:4] = alpha_b
-        ba[5:8] = alpha_a
-        np.multiply(self._a_col, ba[:4], out=self._ab)
-        np.multiply(self._ab_col, ba, out=self._x)
-        return self._w.dot(self._x_flat).reshape(4, 4)
+        self._wt = w.T.copy().view(float)
 
     def norm(self, alpha_a, alpha_b) -> float:
-        return float(np.abs(np.linalg.eigvalsh(self.derivative(alpha_a, alpha_b))).sum())
+        """The bond norm at one state: its ``_grouped_norms`` row, bit for bit."""
+        a, b = np.reshape(alpha_a, (1, 3)), np.reshape(alpha_b, (1, 3))
+        return float(_grouped_norms([self._wt], np.zeros(1, dtype=int), a, b)[0])
 
 
 def _features(alpha_a, alpha_b) -> np.ndarray:
@@ -574,7 +565,6 @@ class _PolishResult:
     x: np.ndarray             # (S, d) final parameters
     fun: np.ndarray           # (S,) penalized norm, never above the start's
     nfev: np.ndarray          # (S,) derivative passes plus line-search trials
-    nit: np.ndarray           # (S,) derivative passes
     success: np.ndarray       # (S,) stopped by its own test before the cap
     stationarity: np.ndarray  # (S,) first-order residual at x
     multiplier: np.ndarray    # (S,) kink multiplier t at x, 0 where no kink is active
@@ -616,8 +606,9 @@ def _triple(x, y, z):
 def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
     """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n states.
 
-    a, b and c = [b; a] move along the constant directions ``dirs_a`` and
-    ``dirs_b`` (d, 3) of the parameters, so the product rule gives every
+    The K rows are ``_features`` itself, so K here is bitwise the K of the
+    norm. a, b and c = [b; a] move along the constant directions ``dirs_a``
+    and ``dirs_b`` (d, 3) of the parameters, so the product rule gives every
     derivative of the trilinear features exactly. Shape (n, 1 + d + p, 128)
     with p = d (d + 1) / 2 pairs in ``np.triu_indices`` order.
     """
@@ -633,7 +624,7 @@ def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
     hess = (_triple(da[k], db[l], c) + _triple(da[l], db[k], c)
             + _triple(da[k], b, dc[l]) + _triple(da[l], b, dc[k])
             + _triple(a, db[k], dc[l]) + _triple(a, db[l], dc[k]))
-    return np.concatenate([_triple(a, b, c), grad, hess], axis=1)
+    return np.concatenate([_features(alpha_a, alpha_b)[:, None], grad, hess], axis=1)
 
 
 def _bond_derivatives(wts, owner, features) -> np.ndarray:
@@ -761,8 +752,8 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
         stationarity[live], multiplier[live] = newton.stationarity, newton.multiplier
         length = np.sqrt((newton.step * newton.step).sum(axis=1))
         # the model's decrease is below the norm's rounding; on a kink the
-        # norm's own lambda_0 must be too, since its product rounds unlike
-        # the derivative pass and a correction onto it can still lower f
+        # norm's own lambda_0 must be too: the KKT solve meets the linearized
+        # lambda_0 = 0 only to ~1e-15, so a correction onto it can still lower f
         tol = _NEWTON_FTOL * f[live]
         spent = np.abs(newton.decrease) + np.where(newton.active, kink_at[live], 0.0) <= tol
         moves = (length >= _NEWTON_XTOL) & ~spent  # False for a NaN step too
@@ -798,7 +789,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
             trying = trying[~lower & (scale * length[trying] >= _NEWTON_XTOL)]
         success[rows[~lowered]] = True
         live = rows[lowered]
-    return _PolishResult(x, f, nfev, nit, success, stationarity, multiplier)
+    return _PolishResult(x, f, nfev, success, stationarity, multiplier)
 
 
 def _start_points(kind, gauge_fix, restarts, rng):
@@ -1107,7 +1098,8 @@ def landau_expansion(
     parameters sit at their conditional minimum for each phi. The fit window
     phi_max matters: the norm is only a smooth phi^4 form below its first
     eigenvalue-crossing kink, while the confining quartic growth on the
-    disordered side is only visible on windows spanning that kink.
+    disordered side is only visible on windows spanning that kink. Beyond
+    |phi_max| = 1 a Bloch vector leaves the unit ball, so that is refused.
 
     The ``samples`` conditional minimizations run as one batch through the
     sweep's two stages, each from x = 0 (no warm start, so a sample's
@@ -1122,6 +1114,8 @@ def landau_expansion(
         raise ValueError(f"unknown direction {direction!r}")
     if direction == "staggered-z" and not model.lattice.bipartite:
         raise ValueError("staggered-z direction needs a bipartite lattice")
+    if not abs(phi_max) <= 1:  # else the fit sees the ball penalty, not the norm
+        raise ValueError(f"phi_max = {phi_max} must be finite with |phi_max| <= 1")
     phis = np.linspace(0.0, phi_max, samples)
     profile = _landau_profile(model, direction, phis)
 

@@ -201,6 +201,26 @@ def test_landau_bad_samples():
     assert run(["landau", "--lambda", "1.0", "--samples", "3"]) == 1
 
 
+def test_landau_phi_max_outside_the_ball(capsys):
+    # |phi_max| > 1 or non-finite is an input error; a zero window a fit failure
+    for phi_max in ("5", "-1.5", "nan", "inf"):
+        assert run(["landau", "--lambda", "1.0", "--phi-max", phi_max]) == 1
+        assert "phi_max" in capsys.readouterr().err
+    assert run(["landau", "--lambda", "1.0", "--phi-max", "0"]) == 2
+
+
+def test_non_finite_lambda_is_refused(tmp_path, capsys):
+    for lam in ("nan", "inf"):
+        assert run(["landau", "--lambda", lam]) == 1
+        assert "lambda" in capsys.readouterr().err
+        assert run(["oracle", "--n", "2", "--lambda", lam]) == 1
+        assert "lambda" in capsys.readouterr().err
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("lambda = nan\n")
+    assert run(["landau", "--config", str(cfg)]) == 1
+    assert "lambda" in capsys.readouterr().err
+
+
 def test_landau_samples_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "landau_expansion", refuse)
     assert run(["landau", "--lambda", "1.0",

@@ -50,6 +50,10 @@ def test_anisotropy_scaling():
         np.testing.assert_allclose(a.matrix, np.sqrt(lam) * b.matrix)
     with pytest.raises(ValueError):
         anisotropy_jumps(-0.5)
+    # a non-finite rate would only fail later, inside LAPACK
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            anisotropy_jumps(lam)
 
 
 def test_anisotropy_targets_aligned_states():

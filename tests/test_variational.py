@@ -1,4 +1,4 @@
-"""Bond norm functional, its compiled fast path, and the critical fits.
+"""Bond norm functional, its compiled evaluator, and the critical fits.
 
 Closed-form oracle used below: at alpha = 0 the bond derivative of the
 (renormalized) model is diagonal in the Bell basis with eigenvalues
@@ -101,6 +101,12 @@ def test_dark_states_at_lambda_zero():
         assert nb.total_norm < 1e-12
 
 
+def compiled_k(bond, a, b):
+    """K at one state from the batched product the norm and the polish share."""
+    features = variational._features(np.reshape(a, (1, 3)), np.reshape(b, (1, 3)))[:, None]
+    return variational._bond_derivatives([bond._wt], np.zeros(1, dtype=int), features)[0, 0]
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
 def test_compiled_matches_explicit(seed, lam):
@@ -110,7 +116,7 @@ def test_compiled_matches_explicit(seed, lam):
     model = heis(lam)
     cb = CompiledBond(model)
     ref = reduced_derivative(model, ProductAnsatz.bipartite(a, b))
-    np.testing.assert_allclose(cb.derivative(a, b), ref.total, atol=1e-12)
+    np.testing.assert_allclose(compiled_k(cb, a, b), ref.total, atol=1e-12)
     assert cb.norm(a, b) == pytest.approx(ref.total_norm, abs=1e-12)
 
 
@@ -135,7 +141,7 @@ def test_compiled_matches_explicit_with_local_and_hamiltonian_terms(seed, lam):
     b = rng.uniform(-0.57, 0.57, 3)
     for ansatz in (ProductAnsatz.uniform(a), ProductAnsatz.bipartite(a, b)):
         ref = reduced_derivative(model, ansatz)
-        got = cb.derivative(ansatz.alpha_A, ansatz.alpha_B)
+        got = compiled_k(cb, ansatz.alpha_A, ansatz.alpha_B)
         np.testing.assert_allclose(got, ref.total, atol=1e-12)
         np.testing.assert_array_equal(got, got.conj().T)
         assert cb.norm(ansatz.alpha_A, ansatz.alpha_B) == pytest.approx(
@@ -158,7 +164,7 @@ def test_compiled_matches_explicit_without_two_site_jumps():
     for ansatz in (ProductAnsatz.uniform(a), ProductAnsatz.bipartite(a, b)):
         ref = reduced_derivative(model, ansatz)
         np.testing.assert_allclose(
-            cb.derivative(ansatz.alpha_A, ansatz.alpha_B), ref.total, atol=1e-12
+            compiled_k(cb, ansatz.alpha_A, ansatz.alpha_B), ref.total, atol=1e-12
         )
 
 
@@ -375,8 +381,8 @@ def test_batched_norms_do_not_depend_on_the_batch():
     single = np.array([norms(k, k + 1)[0] for k in range(64)])
     for n in (2, 7, 64):
         assert np.array_equal(norms(0, n), single[:n])
-    scalar = np.array([bond.norm(a[k], b[k]) for k in range(64)])
-    np.testing.assert_allclose(single, scalar, rtol=0, atol=1e-14)
+    # the single-state norm is one such row, bit for bit
+    assert np.array_equal(np.array([bond.norm(a[k], b[k]) for k in range(64)]), single)
 
 
 @pytest.mark.parametrize("kind, gauge_fix, dim", [
@@ -394,7 +400,7 @@ def test_closed_form_derivatives_match_central_differences(kind, gauge_fix, dim)
 
     def k_at(y):
         a, b = pmap(None, y[None])
-        return bond.derivative(a[0], b[0])
+        return compiled_k(bond, a[0], b[0])
 
     a, b = pmap(None, x[None])
     mats = variational._bond_derivatives(
@@ -410,6 +416,22 @@ def test_closed_form_derivatives_match_central_differences(kind, gauge_fix, dim)
         fd = (k_at(x + e[k] + e[l]) - k_at(x + e[k] - e[l])
               - k_at(x - e[k] + e[l]) + k_at(x - e[k] - e[l])) / (4 * h * h)
         np.testing.assert_allclose(mats[1 + dim + p], fd, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind, gauge_fix, dim", [
+    ("uniform", True, 2), ("uniform", False, 3), ("bipartite", True, 4), ("bipartite", False, 6),
+])
+def test_derivative_pass_k_is_the_norms_k_bitwise(kind, gauge_fix, dim):
+    # the polish's stop adds the norm's lambda_0 at x (kink_at) to the
+    # decrease the derivative pass predicts from x: both must read one K
+    pmap = variational._sweep_map(kind, gauge_fix)
+    a, b = pmap(None, np.random.default_rng(dim).uniform(-0.5, 0.5, (50, dim)))
+    owner = np.repeat(np.arange(3), [20, 15, 15])
+    wts = [CompiledBond(heis(lam))._wt for lam in (0.46, 1.0, 1.52)]
+    norm_k = variational._grouped_products(wts, owner, variational._features(a, b))
+    pass_k = variational._bond_derivatives(
+        wts, owner, variational._derivative_features(a, b, *pmap.directions(dim)))[:, 0]
+    assert np.array_equal(norm_k.view(complex).reshape(-1, 4, 4), pass_k)
 
 
 @pytest.mark.parametrize("kind, lams", [
@@ -579,6 +601,15 @@ def test_landau_validation():
     model = dissipative_heisenberg(1.0, LatticeSpec(z=6, bipartite=False))
     with pytest.raises(ValueError):
         landau_expansion(model, "staggered-z", 0.1, 11)
+    # beyond the unit ball the profile is the ball penalty, not the norm
+    for direction in ("in-plane", "staggered-z"):
+        for phi_max in (1.01, -5.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="phi_max") as err:
+                landau_expansion(heis(1.0), direction, phi_max, 11)
+            assert not isinstance(err.value, FitError)
+    # a zero-width window stays a fit failure
+    with pytest.raises(FitError):
+        landau_expansion(heis(1.0), "in-plane", 0.0, 11)
 
 
 @settings(deadline=None, max_examples=300)
