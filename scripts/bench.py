@@ -12,16 +12,22 @@ checkout's ``src/``, three times each on one BLAS thread and the lowest
 CPU this process may use; these are raw wall-clock seconds, interpreter
 start-up included, not benchmark workloads. The last CSV of each is fitted
 with ``dspin fit`` as the acceptance tests fit it, and its ``lambda_c`` and
-``beta`` go beside the times. Last it times one full tier-1
-test run (``python -m pytest -q --continue-on-collection-errors`` in the
-checkout, its ``src/`` on the path, one BLAS thread, no CPU pinning, since
-some tests start worker processes). Writes ``BENCH_<label>.json`` next to
+``beta`` go beside the times. Then it times the start-up every ``dspin``
+call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
+on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
+start-up included), and one more under ``python -X importtime`` whose
+cumulative microseconds of ``numpy``, ``scipy`` (0 when start-up does not
+load it) and each ``dissipative_spins`` module go beside them. Last it
+times one full tier-1 test run (``python -m pytest -q
+--continue-on-collection-errors`` in the checkout, its ``src/`` on the
+path, one BLAS thread, no CPU pinning, since some tests start worker
+processes). Writes ``BENCH_<label>.json`` next to
 this checkout's ``BENCHMARK.json``: the checkout's git sha and whether its
 ``src/`` differed from that commit, the git tree id of ``src/`` from the
 runs' records, per run its last-line JSON result and the path of its full
-record inside the checkout, per sweep its times, point count and fit, and under
-``tier1`` the test run's wall time, exit code and passed/failed/error
-counts.
+record inside the checkout, per sweep its times, point count and fit, under
+``startup`` the import times and their median, and under ``tier1`` the
+test run's wall time, exit code and passed/failed/error counts.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEED = 1
 SWEEP_REPEATS = 3
+STARTUP_REPEATS = 5
 # the acceptance sweeps A2 and A3 and their fits, as tests/test_acceptance.py runs them
 SWEEPS = {
     "a2_uniform_sweep": (["--ansatz", "uniform", "--lambda-min", "0.3", "--lambda-max", "0.7"],
@@ -51,6 +58,12 @@ SWEEPS = {
 
 def git(root: Path, *args) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+
+
+def child_env(root: Path) -> dict:
+    """This environment with the checkout's ``src/`` on the path and one BLAS thread."""
+    return dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def run_one(root: Path, command: list, workload: str, seconds: float, trace: int) -> dict:
@@ -69,8 +82,7 @@ def run_one(root: Path, command: list, workload: str, seconds: float, trace: int
 def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
     argv = [sys.executable, "-m", "dissipative_spins.cli", "sweep", *args,
             "--step", "0.01", "--seed", "0", "--jobs", "1"]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = child_env(root)
     cpu = min(os.sched_getaffinity(0))
     times = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,10 +106,39 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
             "lambda_c": fit["lambda_c"], "beta": fit["beta"]}
 
 
+def time_startup(root: Path) -> dict:
+    argv = [sys.executable, "-c", "import dissipative_spins.cli"]
+    env = child_env(root)
+    cpu = min(os.sched_getaffinity(0))
+
+    def pin():
+        os.sched_setaffinity(0, {cpu})
+
+    times = []
+    for _ in range(STARTUP_REPEATS):
+        t0 = time.perf_counter()
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=pin)
+        times.append(time.perf_counter() - t0)
+        if proc.returncode != 0:
+            sys.exit(f"bench: start-up import exited with {proc.returncode}:\n{proc.stderr}")
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv[1:]], env=env,
+                          capture_output=True, text=True, preexec_fn=pin)
+    # "import time: self [us] | cumulative | name", one line per module loaded
+    cumulative = {}
+    for line in proc.stderr.splitlines():
+        parts = line.split("|")
+        if line.startswith("import time:") and len(parts) == 3 and parts[1].strip().isdigit():
+            cumulative[parts[2].strip()] = int(parts[1])
+    modules = {"numpy": cumulative.get("numpy", 0), "scipy": cumulative.get("scipy", 0)}
+    modules.update((name, us) for name, us in cumulative.items()
+                   if name.split(".")[0] == "dissipative_spins")
+    return {"argv": ["python"] + argv[1:], "cpu": cpu, "wall_s": times,
+            "wall_s_median": statistics.median(times), "importtime_cumulative_us": modules}
+
+
 def time_tier1(root: Path) -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = child_env(root)
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -125,6 +166,8 @@ def main(argv=None) -> int:
     for name, (sweep_args, fit_args) in SWEEPS.items():
         sweeps.append(time_sweep(root, name, sweep_args, fit_args))
         print(f"bench: {name} done", file=sys.stderr)
+    startup = time_startup(root)
+    print(f"bench: startup done ({startup['wall_s_median']:.3f} s)", file=sys.stderr)
     tier1 = time_tier1(root)
     print(f"bench: tier1 done ({tier1['summary']})", file=sys.stderr)
     sha = git(root, "rev-parse", "HEAD").stdout.strip() or None
@@ -137,6 +180,7 @@ def main(argv=None) -> int:
         "seconds": spec["run_seconds"],
         "runs": runs,
         "sweeps": sweeps,
+        "startup": startup,
         "tier1": tier1,
     }
     path = HERE / f"BENCH_{args.label}.json"

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .operators import embed, partial_trace, trace_norm_hermitian
 
@@ -129,6 +128,10 @@ def _propagate(rho0, hamiltonian, jumps, t):
     L rho = G rho + rho G^dag + sum c rho c^dag, and its trace, which
     shifts the Taylor series, is 2 d Re tr G + sum |tr c|^2.
     """
+    # imported on first use: scipy.sparse.linalg is most of what importing
+    # this package would otherwise cost, and only validation needs it
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+
     d = rho0.shape[0]
     cs = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
     cs_dag = cs.conj().transpose(0, 2, 1)

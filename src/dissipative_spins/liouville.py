@@ -127,7 +127,8 @@ def _generator_blocks(liou: Liouvillian) -> list:
     conservation of coherence order popcount(i) - popcount(j) of |i><j|)
     shows up as separate blocks; a model without one is a single block.
     """
-    # imported on first use: it adds ~4 ms to the start-up every dspin call pays
+    # imported on first use: scipy.sparse with csgraph takes 0.2-0.4 s to
+    # import, more than the rest of the start-up every dspin call pays
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 

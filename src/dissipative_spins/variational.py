@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +58,9 @@ from .operators import (
     pauli,
     trace_norm_hermitian,
 )
+
+
+_BALL_SLACK = 1e-9  # a Bloch vector counts as inside the unit ball up to this far past it
 
 
 class FitError(ValueError):
@@ -80,7 +82,7 @@ class ProductAnsatz:
             if np.asarray(a).shape != (3,):
                 raise ValueError("Bloch vectors must have 3 components")
             # small slack: optimizer output may graze the sphere
-            if np.linalg.norm(a) > 1 + 1e-9:
+            if np.linalg.norm(a) > 1 + _BALL_SLACK:
                 raise ValueError("Bloch vector leaves the unit ball")
 
     @classmethod
@@ -115,7 +117,7 @@ class LandauFit:
     u2: float
     u4: float
     residual: float
-    converged: bool       # every sample's polish stopped by its own test
+    converged: bool       # every sample's polish stopped by its own test, inside the ball
     stationarity: float   # largest first-order residual over the samples
 
 
@@ -565,7 +567,7 @@ class _PolishResult:
     x: np.ndarray             # (S, d) final parameters
     fun: np.ndarray           # (S,) penalized norm, never above the start's
     nfev: np.ndarray          # (S,) derivative passes plus line-search trials
-    success: np.ndarray       # (S,) stopped by its own test before the cap
+    success: np.ndarray       # (S,) stopped by its own test before the cap, inside the ball
     stationarity: np.ndarray  # (S,) first-order residual at x
     multiplier: np.ndarray    # (S,) kink multiplier t at x, 0 where no kink is active
 
@@ -731,7 +733,10 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     lowers its norm, when its step is shorter than that, or when the
     decrease its quadratic model predicts, plus on an active kink the
     |lambda_0| the norm itself last saw there, is at most 4 eps times the
-    norm; else after 50 passes. A row's value never rises.
+    norm; else after 50 passes. A row's value never rises. A row whose
+    Bloch vectors end more than 1e-9 outside the unit ball is no success
+    however it stopped: the penalty's kink at |alpha| = 1 is not in the
+    model, so the stop test can pass there off any minimum.
     """
     count, dim = x0.shape
     fun = _penalized_spectra(wts, owner, pmap)
@@ -789,6 +794,9 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
             trying = trying[~lower & (scale * length[trying] >= _NEWTON_XTOL)]
         success[rows[~lowered]] = True
         live = rows[lowered]
+    a, b = pmap(np.arange(count), x)
+    radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
+    success &= radius <= 1 + _BALL_SLACK
     return _PolishResult(x, f, nfev, success, stationarity, multiplier)
 
 
@@ -843,7 +851,8 @@ def minimize_norm(
     passes, whose value never rises above the winner's. ``converged`` says
     the polish stopped by its own test (no backtracked step lowers the
     norm, the step is below 1e-12, or the decrease left is below the
-    norm's rounding) before that cap; ``stationarity`` is
+    norm's rounding) before that cap, with the polished Bloch vectors at
+    most 1e-9 outside the unit ball; ``stationarity`` is
     its first-order residual at the result, min over |t| <= 1 of
     |g_F + t gc| on an active kink (g_F the gradient of the other
     eigenvalues' signed sum, gc that of the vanishing one) and the plain
@@ -962,6 +971,16 @@ def sweep_grid(lambda_min: float, lambda_max: float, step: float) -> list:
     return [round(lambda_min + k * step, 9) for k in range(n)]
 
 
+def _check_threshold(threshold: float):
+    """ValueError unless the onset threshold is finite and positive.
+
+    Every comparison with a NaN is False, so a NaN threshold would find no
+    onset at all; one <= 0 would put the onset at rounding noise, or nowhere.
+    """
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold = {threshold} must be finite and positive")
+
+
 def _point_seed(seed: int, lam: float) -> int:
     # stable per-coupling seed so results never depend on evaluation order
     return (seed * 1_000_003 + int(round(lam * 1e6))) % 2**32
@@ -1014,7 +1033,9 @@ def sweep(
     simplices, so the records do not depend on ``jobs``. With ``refine``,
     every onset of m or m_s above ``threshold`` gets a grid ten times finer
     within 5 steps of the bracket's midpoint, clipped to the scan range.
+    ValueError unless ``threshold`` is finite and positive.
     """
+    _check_threshold(threshold)
 
     def run(points):
         if not points:
@@ -1024,6 +1045,8 @@ def sweep(
         cuts = [len(points) * i // parts for i in range(parts + 1)]
         tasks = [(points[lo:hi], lattice, kind, restarts, seed) for lo, hi in zip(cuts, cuts[1:])]
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_sweep_chunk, tasks))
         else:
@@ -1105,8 +1128,10 @@ def landau_expansion(
     sweep's two stages, each from x = 0 (no warm start, so a sample's
     minimum does not depend on its neighbors): a loose batched Nelder-Mead,
     then the kink-aware Newton polish with phi held fixed. ``converged``
-    says every sample's polish stopped by its own test; ``stationarity`` is
-    the largest first-order residual over the samples.
+    says every sample's polish stopped by its own test with its Bloch
+    vectors at most 1e-9 outside the unit ball (a conditional minimum that
+    wants |alpha| > 1 sits on the ball penalty, not on the norm);
+    ``stationarity`` is the largest first-order residual over the samples.
     """
     if samples < 5:
         raise ValueError("need at least 5 phi samples")
@@ -1148,10 +1173,12 @@ def fit_critical(
     records nearest the crossing, and the root is clamped into that
     bracket. beta: log-log regression of the order parameter over the
     ordered-side window |lambda - lambda_c| in [window[0], window[1]],
-    converged records only.
+    converged records only. ValueError unless ``threshold`` is finite and
+    positive.
     """
     if which not in ("m", "m_s", "ms"):
         raise ValueError("which must be 'm' or 'm_s'")
+    _check_threshold(threshold)
     key = "m" if which == "m" else "m_s"
     pts = sorted(
         ((r.lam, getattr(r, key)) for r in records if r.converged),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -121,7 +122,8 @@ def test_sweep_clamps_workers(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(variational, "ProcessPoolExecutor", InlinePool)
+    # sweep imports the pool where it starts one, so the stand-in goes on its module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(variational.os, "cpu_count", lambda: 8)
     out = tmp_path / "s.csv"
     assert run(["sweep", "--lambda-min", "1.0", "--lambda-max", "1.04",
@@ -185,6 +187,19 @@ def test_fit_rejects_malformed_csv(tmp_path):
     assert run(["fit", "--in", str(bad)]) == 1
     with pytest.raises(OperatorFormatError):
         read_sweep_csv(bad.read_text())
+
+
+def test_threshold_must_be_finite_and_positive(tmp_path, capsys):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text(CSV_HEADER + "\n")
+    for threshold in ("nan", "0", "-1e-4", "inf"):
+        assert run(["sweep", "--lambda-min", "0.4", "--lambda-max", "0.6",
+                    f"--threshold={threshold}"]) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert run(["fit", "--in", str(header_only), f"--threshold={threshold}"]) == 1
+        assert "threshold" in capsys.readouterr().err
+    # a valid threshold reaches the fit, which has no records to fit
+    assert run(["fit", "--in", str(header_only)]) == 2
 
 
 def test_landau_json(capsys):
@@ -360,13 +375,21 @@ def test_oracle_resource_cap(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Start-up loads no scipy module and no process pool.
+
+    scipy is imported on first use (``oracle`` and ``effective --validate``)
+    and the pool only by a sweep with more than one worker.
+    """
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, dissipative_spins.cli; print('scipy.optimize' in sys.modules)"],
+         "import json, sys, dissipative_spins.cli; print(json.dumps(sorted(sys.modules)))"],
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    loaded = json.loads(out.stdout)
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert "concurrent.futures.process" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
 
 
 def test_console_entry_point():

@@ -37,6 +37,7 @@ from dissipative_spins.variational import (
     minimize_norm,
     order_parameters,
     reduced_derivative,
+    sweep,
     sweep_grid,
 )
 
@@ -610,6 +611,33 @@ def test_landau_validation():
     # a zero-width window stays a fit failure
     with pytest.raises(FitError):
         landau_expansion(heis(1.0), "in-plane", 0.0, 11)
+
+
+def test_landau_sample_outside_the_ball_is_not_converged():
+    # at lambda = 1.5 the conditional minima of phi = 0.81 and 0.90 want
+    # |alpha_A| > 1 and stop on the ball penalty's kink, not on the norm
+    model = heis(1.5)
+    assert landau_expansion(model, "staggered-z", 0.9, 11).converged is False
+    assert landau_expansion(model, "staggered-z", 1.0, 11).converged is False
+    phis = np.linspace(0.0, 0.9, 11)
+    profile = variational._landau_profile(model, "staggered-z", phis)
+    assert profile.success.tolist() == [True] * 9 + [False] * 2
+    # a window up to 0.7 stays inside the ball (r <= 0.874) and converges
+    fit = landau_expansion(model, "staggered-z", 0.7, 11)
+    assert fit.converged is True
+    assert fit.stationarity < 1e-7
+
+
+def test_onset_threshold_must_be_finite_and_positive():
+    lams = np.round(np.arange(0.30, 0.701, 0.002), 9)
+    recs = _synthetic_records(lams)
+    for threshold in (np.nan, 0.0, -1e-4, np.inf):
+        with pytest.raises(ValueError, match="threshold") as err:
+            fit_critical(recs, which="m", threshold=threshold)
+        assert not isinstance(err.value, FitError)
+        # refused before any point is minimized
+        with pytest.raises(ValueError, match="threshold"):
+            sweep(0.4, 0.6, 0.01, Z6, "uniform", threshold=threshold)
 
 
 @settings(deadline=None, max_examples=300)
