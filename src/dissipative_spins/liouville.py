@@ -118,6 +118,30 @@ class SteadySpace:
         return np.concatenate([b.eigenvalues for b in self.blocks])
 
 
+def _weak_components(pattern) -> np.ndarray:
+    """Component label of each node of a square boolean pattern, weak connection.
+
+    Components are numbered 0, 1, ... in the order of their smallest node,
+    as ``scipy.sparse.csgraph.connected_components`` numbers them. Each
+    round lowers the labels of both ends of every edge, and of the nodes
+    those labels name, to the smaller label of the edge; pointer jumping
+    then follows every label to its root. It stops when a round changes
+    nothing, so no edge joins two labels.
+    """
+    rows, cols = np.nonzero(pattern)
+    labels = np.arange(len(pattern))
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        hooked = labels.copy()
+        for ends in (rows, cols, labels[rows], labels[cols]):
+            np.minimum.at(hooked, ends, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = hooked
+
+
 def _generator_blocks(liou: Liouvillian) -> list:
     """Vec positions of each diagonal block of the generator.
 
@@ -127,15 +151,9 @@ def _generator_blocks(liou: Liouvillian) -> list:
     conservation of coherence order popcount(i) - popcount(j) of |i><j|)
     shows up as separate blocks; a model without one is a single block.
     """
-    # imported on first use: scipy.sparse with csgraph takes 0.2-0.4 s to
-    # import, more than the rest of the start-up every dspin call pays
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n_blocks, labels = connected_components(
-        csr_matrix(liou.matrix != 0), directed=True, connection="weak")
+    labels = _weak_components(liou.matrix != 0)
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def steady_states(liou: Liouvillian) -> SteadySpace:

@@ -23,11 +23,15 @@ The minimizer runs in two stages, each on many problems at once. An array
 Nelder-Mead engine that steps like scipy's advances every restart of every
 coupling in a sweep chunk together, each batch of trial points evaluated
 with one product per coupling and one stacked eigvalsh; its only budget is
-an iteration cap. Each coupling's best restart is then polished by a
-kink-aware Newton method on closed-form first and second derivatives of
-the bond matrix: the minima of the ordered phases sit where one eigenvalue
-of it vanishes, a kink of the norm, and the polish reports the first-order
-residual and the kink's multiplier as a certificate. ``minimize_norm`` is
+an iteration cap. It stops at basin resolution, since it only ranks the
+restarts. Each coupling's best restart is then polished by a kink-aware
+Newton method on closed-form first and second derivatives of the bond
+matrix: the minima of the ordered phases sit where one eigenvalue of it
+vanishes, a kink of the norm, and the polish reports the first-order
+residual and the kink's multiplier as a certificate. Where every
+eigenvalue vanishes, at a dark state, a Gauss-Newton step onto K = 0 from
+the same derivatives takes the norm to rounding, and a norm below 1e-13 is
+its own certificate of a global minimum. ``minimize_norm`` is
 this run on a single model; a sweep point's record equals it bit for bit.
 A Landau profile runs the same two stages on its phi samples, with phi
 held fixed by the offsets of an affine map from the parameters to the Bloch
@@ -441,6 +445,9 @@ _NONZDELT, _ZDELT = 0.05, 0.00025
 # case: inside contraction, outside contraction, expansion
 _C1 = np.array([1 - _PSI, 1 + _PSI * _RHO, 1 + _RHO * _CHI])
 _C2 = np.array([-_PSI, _PSI * _RHO, _RHO * _CHI])
+# stage 1 of the minimizers only ranks the restart basins and the Newton
+# polish gives the digits, so it stops at basin resolution
+_RANK_OPTIONS = dict(xatol=1e-4, fatol=1e-7, maxiter=2000)
 
 
 @dataclass(frozen=True)
@@ -560,6 +567,8 @@ _NEWTON_XTOL = 1e-12  # a step or line-search trial shorter than this ends a row
 _NEWTON_FTOL = 4 * np.finfo(float).eps  # a decrease left below this * norm ends a row
 _KINK_RTOL = 1e-3     # |lambda_0| <= this * max |lambda| may be an active kink
 _SOLVE_RCOND = 1e-12  # relative eigenvalue cut of the least-squares solves
+_DARK_NORM = 1e-13    # a norm below this is numerically dark: a global minimum
+_GN_FIT = 0.1         # a Gauss-Newton trial where the linear model leaves at most this of |K|
 
 
 @dataclass(frozen=True)
@@ -719,6 +728,31 @@ def _newton_step(mats, dim, modes=None) -> _NewtonStep:
     return _NewtonStep(step, active, i0, gc, np.sqrt((grad * grad).sum(axis=1)), t, decrease)
 
 
+def _gauss_newton_step(mats, dim):
+    """Least-squares step of K + sum_k dx_k dK_k = 0 from K and dK, and the fit it leaves.
+
+    The fit is |K + dK dx| / |K| in the Frobenius norm: near 0 where the
+    linear model zeroes K, as on the manifold of dark states, where every
+    eigenvalue of K vanishes and the one-kink model of ``_newton_step``
+    has nothing to hold on to; near 1 at a minimum with a nonzero norm.
+    NaN where K is exactly 0.
+    """
+    n = len(mats)
+    kvec = np.concatenate([mats[:, 0].real, mats[:, 0].imag], axis=1).reshape(n, 32)
+    jac = np.concatenate([mats[:, 1:dim + 1].real, mats[:, 1:dim + 1].imag], axis=2)
+    jac = jac.reshape(n, dim, 32).swapaxes(1, 2)
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    # directions with a singular value below the cut (along the dark
+    # manifold, or the rotation about z) get no step
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > _SOLVE_RCOND * s[:, :1])
+    coef = (u.swapaxes(1, 2) @ kvec[:, :, None]) * inv[:, :, None]
+    step = -(vt.swapaxes(1, 2) @ coef)[:, :, 0]
+    left = kvec + (jac @ step[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = np.sqrt((left * left).sum(axis=1) / (kvec * kvec).sum(axis=1))
+    return step, fit
+
+
 def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     """Kink-aware Newton descent of S problems at once from x0 with penalized norms f0.
 
@@ -729,14 +763,18 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     backtracked (1, 1/2, ...) on the true penalized norm and taken at the
     first trial that lowers it; on an active kink each trial also tries
     one second-order correction back onto lambda_0 = 0 and keeps the lower
-    of the two. A row stops (success) when no trial of at least 1e-12
-    lowers its norm, when its step is shorter than that, or when the
-    decrease its quadratic model predicts, plus on an active kink the
-    |lambda_0| the norm itself last saw there, is at most 4 eps times the
-    norm; else after 50 passes. A row's value never rises. A row whose
-    Bloch vectors end more than 1e-9 outside the unit ball is no success
-    however it stopped: the penalty's kink at |alpha| = 1 is not in the
-    model, so the stop test can pass there off any minimum.
+    of the two. Where the linear model of K zeroes K to within a tenth of
+    it, the pass first tries the Gauss-Newton step onto K = 0 and, if that
+    lowers the norm, takes it instead. A row stops (success) when its norm
+    is below the dark level 1e-13 after that trial, with stationarity 0.0
+    (the norm is >= 0, so 0 is in its subdifferential there); when no
+    trial of at least 1e-12 lowers its norm, when its step is shorter than
+    that, or when the decrease its quadratic model predicts, plus on an
+    active kink the |lambda_0| the norm itself last saw there, is at most
+    4 eps times the norm; else after 50 passes. A row's value never rises.
+    A row whose Bloch vectors end more than 1e-9 outside the unit ball is
+    no success however it stopped: the penalty's kink at |alpha| = 1 is not
+    in the model, so the stop test can pass there off any minimum.
     """
     count, dim = x0.shape
     fun = _penalized_spectra(wts, owner, pmap)
@@ -750,11 +788,27 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     while live.size:
         a, b = pmap(live, x[live])
         features = _derivative_features(a, b, dirs_a, dirs_b)
-        newton = _newton_step(_bond_derivatives(wts, owner[live], features), dim,
-                              _rotation_modes(x[live]) if pmap.rotation else None)
+        mats = _bond_derivatives(wts, owner[live], features)
+        newton = _newton_step(mats, dim, _rotation_modes(x[live]) if pmap.rotation else None)
         nfev[live] += 1
         nit[live] += 1
         stationarity[live], multiplier[live] = newton.stationarity, newton.multiplier
+
+        gn_step, gn_fit = _gauss_newton_step(mats, dim)
+        jumped = np.zeros(len(live), dtype=bool)
+        trial = np.flatnonzero(gn_fit <= _GN_FIT)  # False for a NaN fit
+        if trial.size:
+            ids = live[trial]
+            xt = x[ids] + gn_step[trial]
+            ft, lam = fun(ids, xt)
+            nfev[ids] += 1
+            lower = ft < f[ids]
+            x[ids[lower]], f[ids[lower]] = xt[lower], ft[lower]
+            kink_at[ids[lower]] = np.abs(lam[lower]).min(axis=1)
+            jumped[trial[lower]] = True
+        dark = f[live] < _DARK_NORM
+        stationarity[live[dark]] = multiplier[live[dark]] = 0.0
+
         length = np.sqrt((newton.step * newton.step).sum(axis=1))
         # the model's decrease is below the norm's rounding; on a kink the
         # norm's own lambda_0 must be too: the KKT solve meets the linearized
@@ -762,8 +816,11 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
         tol = _NEWTON_FTOL * f[live]
         spent = np.abs(newton.decrease) + np.where(newton.active, kink_at[live], 0.0) <= tol
         moves = (length >= _NEWTON_XTOL) & ~spent  # False for a NaN step too
-        success[live[~moves]] = True
-        go = moves & (nit[live] < _NEWTON_MAXITER)
+        success[live[dark | ~(moves | jumped)]] = True
+        capped = nit[live] >= _NEWTON_MAXITER
+        # a row that took the Gauss-Newton step starts its next pass there
+        again = jumped & ~dark & ~capped
+        go = moves & ~jumped & ~dark & ~capped
         rows = live[go]
         step, length = newton.step[go], length[go]
         active, kink, gc = newton.active[go], newton.kink[go], newton.kink_grad[go]
@@ -793,7 +850,8 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
             scale *= 0.5
             trying = trying[~lower & (scale * length[trying] >= _NEWTON_XTOL)]
         success[rows[~lowered]] = True
-        live = rows[lowered]
+        again[np.flatnonzero(go)[lowered]] = True
+        live = live[again]
     a, b = pmap(np.arange(count), x)
     radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
     success &= radius <= 1 + _BALL_SLACK
@@ -845,24 +903,25 @@ def minimize_norm(
 
     Derivative-free simplex descent from fixed restart directions plus
     seeded random interiors; |alpha| <= 1 enforced by radial projection with
-    a quadratic penalty outside the ball. All restarts descend together at
-    loose tolerance (capped only by ``maxiter``); the first strictly best
-    one is polished by the kink-aware Newton method, at most 50 derivative
-    passes, whose value never rises above the winner's. ``converged`` says
-    the polish stopped by its own test (no backtracked step lowers the
-    norm, the step is below 1e-12, or the decrease left is below the
-    norm's rounding) before that cap, with the polished Bloch vectors at
-    most 1e-9 outside the unit ball; ``stationarity`` is
-    its first-order residual at the result, min over |t| <= 1 of
-    |g_F + t gc| on an active kink (g_F the gradient of the other
-    eigenvalues' signed sum, gc that of the vanishing one) and the plain
-    gradient's length elsewhere; ``multiplier`` is t, or 0.0 without an
-    active kink. ``evaluations`` counts every evaluation made: all restarts
-    (also those that ran past an early stop at a dark minimum), each
-    derivative pass and line-search trial of the polish, and the final
-    norm. Deterministic for a fixed seed. Non-convergence is flagged on the
-    result, never raised. A sweep point is exactly this minimization, run
-    in a batch with its neighbors.
+    a quadratic penalty outside the ball. All restarts descend together to
+    basin resolution (xatol 1e-4, fatol 1e-7, capped only by ``maxiter``);
+    the first strictly best one is polished by the kink-aware Newton
+    method, at most 50 derivative passes, whose value never rises above the
+    winner's. ``converged`` says the polish stopped by its own test (the
+    norm is dark, below 1e-13; no backtracked step lowers the norm; the
+    step is below 1e-12; or the decrease left is below the norm's rounding)
+    before that cap, with the polished Bloch vectors at most 1e-9 outside
+    the unit ball; ``stationarity`` is its first-order residual at the
+    result, min over |t| <= 1 of |g_F + t gc| on an active kink (g_F the
+    gradient of the other eigenvalues' signed sum, gc that of the vanishing
+    one), 0.0 at a dark norm and the plain gradient's length elsewhere;
+    ``multiplier`` is t, or 0.0 without an active kink. ``evaluations``
+    counts every evaluation made: all restarts (also those that ran past an
+    early stop at a dark minimum), each derivative pass, line-search trial
+    and Gauss-Newton trial of the polish, and the final norm. Deterministic
+    for a fixed seed. Non-convergence is flagged on the result, never
+    raised. A sweep point is exactly this minimization, run in a batch with
+    its neighbors.
     """
     return _minimize_batch([model], kind, restarts, [seed], gauge_fix)[0]
 
@@ -886,16 +945,17 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     wts = [CompiledBond(m)._wt for m in models]  # the batched path needs no more
     count = len(models)
 
-    # stage 1: rank the restart basins at loose tolerance, stage 2: polish
-    # only the winner to full precision (the wells are separated by far more
-    # than the coarse tolerance, so ranking is stable)
+    # stage 1: rank the restart basins at basin resolution, stage 2: polish
+    # only the winner to full precision. Over full 0-2 sweeps and the A2
+    # and A3 windows at 1e-3 steps, the best restart that polishes into
+    # another basin ended stage 1 at least 1.0e3 times the winner's stage-1
+    # error above the winner (8.0e3 at 1e-5 / 1e-8, 0.24 at 1e-3 / 1e-6)
     starts = [x for seed in seeds
               for x in _start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))]
     owner = np.repeat(np.arange(count), restarts)
     pmap = _sweep_map(kind, gauge_fix)
     spectra = _penalized_spectra(wts, owner, pmap)
-    rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.array(starts),
-                        xatol=1e-5, fatol=1e-8, maxiter=2000)
+    rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.array(starts), **_RANK_OPTIONS)
     winners, used = [], []
     for p in range(count):
         best = p * restarts
@@ -904,7 +964,7 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
                 best = p * restarts + r
             # a numerically dark minimum cannot be improved; later restarts
             # do not count (they ran alongside, so their evaluations do)
-            if rank.fun[best] < 1e-13:
+            if rank.fun[best] < _DARK_NORM:
                 break
         winners.append(best)
         used.append(r + 1)
@@ -1104,7 +1164,7 @@ def _landau_profile(model, direction, phis) -> _PolishResult:
     wts, owner = [CompiledBond(model)._wt], np.zeros(count, dtype=int)
     spectra = _penalized_spectra(wts, owner, pmap)
     rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.zeros((count, dim)),
-                        xatol=1e-5, fatol=1e-8, maxiter=2000)
+                        **_RANK_OPTIONS)
     return _newton_polish(wts, owner, pmap, rank.x, rank.fun)
 
 
@@ -1126,7 +1186,8 @@ def landau_expansion(
 
     The ``samples`` conditional minimizations run as one batch through the
     sweep's two stages, each from x = 0 (no warm start, so a sample's
-    minimum does not depend on its neighbors): a loose batched Nelder-Mead,
+    minimum does not depend on its neighbors): a batched Nelder-Mead at
+    basin resolution,
     then the kink-aware Newton polish with phi held fixed. ``converged``
     says every sample's polish stopped by its own test with its Bloch
     vectors at most 1e-9 outside the unit ball (a conditional minimum that

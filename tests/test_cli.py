@@ -377,8 +377,8 @@ def test_oracle_resource_cap(capsys, monkeypatch):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Start-up loads no scipy module and no process pool.
 
-    scipy is imported on first use (``oracle`` and ``effective --validate``)
-    and the pool only by a sweep with more than one worker.
+    scipy is imported on first use (``effective --validate``) and the
+    pool only by a sweep with more than one worker.
     """
     out = subprocess.run(
         [sys.executable, "-c",
@@ -390,6 +390,22 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
     assert "concurrent.futures.process" not in loaded
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+
+
+def test_oracle_loads_no_scipy(tmp_path):
+    # the generator's blocks come from numpy's own weak components
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\nfrom dissipative_spins.cli import main\n"
+         f"code = main(['oracle', '--n', '3', '--out', {str(tmp_path / 'o.json')!r}])\n"
+         "print(json.dumps([code, sorted(sys.modules)]))"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    code, loaded = json.loads(out.stdout)
+    assert code == 0
+    assert json.loads((tmp_path / "o.json").read_text())["dark_dimension"] == 1
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_console_entry_point():

@@ -15,6 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
+    _weak_components,
     build_liouvillian,
     exact_norm,
     ring_liouvillian,
@@ -251,6 +252,22 @@ def test_transverse_field_is_one_block(lam):
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
     assert_same_spectrum(evals, space.eigenvalues)
     assert_steady_basis(liou, space)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("lam", [0.0, 0.7, 1.5])
+def test_weak_components_match_scipy(n, lam):
+    pattern = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n).matrix != 0
+    _, ref = connected_components(csr_matrix(pattern), directed=True, connection="weak")
+    assert np.array_equal(_weak_components(pattern), ref)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 40), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+def test_weak_components_match_scipy_on_random_patterns(size, density, seed):
+    pattern = np.random.default_rng(seed).random((size, size)) < density
+    _, ref = connected_components(csr_matrix(pattern), directed=True, connection="weak")
+    assert np.array_equal(_weak_components(pattern), ref)
 
 
 def test_exact_norm_matches_manual():

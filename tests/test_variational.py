@@ -253,11 +253,22 @@ def test_mean_field_jump_brute_force():
 
 
 def test_minimize_dark_at_zero():
+    # at lambda = 0 every pure state is dark, so which one wins is not
+    # pinned: only that it is pure, dark and certified as such
     res = minimize_norm(heis(0.0), kind="uniform", seed=3)
     assert res.converged
     assert res.norm < 1e-10
-    m, _ = order_parameters(res.ansatz)
-    assert m > 0.9  # fully polarized dark state
+    assert np.linalg.norm(res.ansatz.alpha_A) == pytest.approx(1.0, abs=1e-9)
+    assert res.stationarity == 0.0 and res.multiplier == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_minimize_bipartite_dark_at_zero(seed):
+    # the Gauss-Newton trial onto K = 0 takes the dark point to rounding
+    res = minimize_norm(heis(0.0), kind="bipartite", seed=seed)
+    assert res.converged
+    assert res.norm <= 4.4e-16
+    assert res.stationarity == 0.0 and res.multiplier == 0.0
 
 
 def test_minimize_ordered_phase_value():
@@ -317,7 +328,9 @@ def test_minimize_bipartite_gauge_off_agrees(lam):
         assert ms_on == pytest.approx(ms_off, abs=1e-8)
 
 
-@pytest.mark.parametrize("kind, lam", [("uniform", 0.35), ("bipartite", 1.6), ("uniform", 0.0)])
+@pytest.mark.parametrize("kind, lam", [
+    ("uniform", 0.35), ("bipartite", 1.6), ("uniform", 0.0), ("bipartite", 0.0),
+])
 def test_minimize_counts_evaluations(monkeypatch, kind, lam):
     # every batched norm ends in one stacked eigvalsh and every Newton
     # derivative pass in one stacked product: count the rows of both
@@ -335,7 +348,8 @@ def test_minimize_counts_evaluations(monkeypatch, kind, lam):
     monkeypatch.setattr(variational, "_spectra", counted_spectra)
     monkeypatch.setattr(variational, "_bond_derivatives", counted_derivatives)
     res = minimize_norm(heis(lam), kind=kind, restarts=3, seed=0)
-    # all restarts count, also those past a dark early stop (lambda = 0)
+    # all restarts count, also those past a dark early stop (lambda = 0),
+    # and so do the polish's Gauss-Newton trials at the dark points
     assert res.evaluations == sum(rows) > 0
 
 
@@ -349,6 +363,7 @@ def _rosenbrock_rows(x):
     dict(xatol=1e-5, fatol=1e-8, maxiter=2000),
     dict(xatol=1e-9, fatol=1e-12, maxiter=4000),
     dict(xatol=1e-9, fatol=1e-12, maxiter=40),
+    variational._RANK_OPTIONS,  # the minimizers' stage 1
 ])
 def test_nelder_mead_matches_scipy(dim, options):
     starts = np.vstack([
@@ -455,6 +470,29 @@ def test_polish_certifies_every_minimum(monkeypatch, kind, lams):
         [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams], True)
     for res, ref in zip(results, exhaustive):
         assert res.norm <= ref.norm + 4.4e-16
+
+
+@pytest.mark.parametrize("kind, lams", [
+    ("uniform", np.round(np.arange(0.40, 0.601, 0.02), 9)),
+    ("bipartite", np.round(np.arange(1.40, 1.601, 0.02), 9)),
+])
+def test_stage_one_ranks_the_basins(kind, lams):
+    # stage 1 stops at basin resolution and only its winner is polished:
+    # polish every restart instead, and none may end below the result
+    restarts, seeds = 8, [variational._point_seed(0, lam) for lam in lams]
+    models = [heis(lam) for lam in lams]
+    results = variational._minimize_batch(models, kind, restarts, seeds, True)
+    wts = [CompiledBond(m)._wt for m in models]
+    owner = np.repeat(np.arange(len(lams)), restarts)
+    pmap = variational._sweep_map(kind, True)
+    starts = np.array([x for seed in seeds for x in variational._start_points(
+        kind, True, restarts, np.random.default_rng(seed))])
+    spectra = variational._penalized_spectra(wts, owner, pmap)
+    rank = variational._nelder_mead(lambda rows, x: spectra(rows, x)[0], starts,
+                                    **variational._RANK_OPTIONS)
+    every = variational._newton_polish(wts, owner, pmap, rank.x, rank.fun)
+    best = every.fun.reshape(len(lams), restarts).min(axis=1)
+    assert (best >= np.array([res.norm for res in results]) - 4.4e-16).all()
 
 
 @pytest.mark.parametrize("kind, lam, x0", [
