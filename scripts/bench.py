@@ -27,7 +27,10 @@ this checkout's ``BENCHMARK.json``: the checkout's git sha and whether its
 runs' records, per run its last-line JSON result and the path of its full
 record inside the checkout, per sweep its times, point count and fit, under
 ``startup`` the import times and their median, and under ``tier1`` the
-test run's wall time, exit code and passed/failed/error counts.
+test run's wall time, exit code and passed/failed/error counts, and under
+``src_lines`` the non-blank lines of each ``src/dissipative_spins`` module
+and their total, so a change that shrinks the code quotes its size from
+the same file as its timings.
 """
 
 from __future__ import annotations
@@ -150,6 +153,13 @@ def time_tier1(root: Path) -> dict:
             **counts, "summary": summary}
 
 
+def count_src_lines(root: Path) -> dict:
+    """Non-blank lines per ``src/dissipative_spins`` module, and their total."""
+    modules = {path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
+               for path in sorted((root / "src" / "dissipative_spins").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
@@ -182,6 +192,7 @@ def main(argv=None) -> int:
         "sweeps": sweeps,
         "startup": startup,
         "tier1": tier1,
+        "src_lines": count_src_lines(root),
     }
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -4,7 +4,9 @@ Subcommands: sweep (phase-diagram scan over the anisotropy), fit (critical
 point and exponent from sweep CSV), landau (quartic expansion of the norm at
 one coupling), effective (adiabatic elimination of a problem file, with
 --validate comparing the exact full and effective evolutions), oracle (exact
-small-ring diagnostics: the generator is diagonalized block by block).
+small-ring diagnostics: the generator is diagonalized block by block). The
+oracle prints what ``liouville`` computes; nothing here handles the
+generator's matrix layout.
 
 Exit codes: 0 success, 1 malformed input files, 2 fit or elimination
 failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 5
@@ -31,7 +33,7 @@ from .effective import (
     effective_jumps,
     validate_elimination,
 )
-from .liouville import ring_liouvillian, steady_states
+from .liouville import conjugate_pair_defect, ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg, parse_config
 from .opformat import OperatorFormatError, format_operator, parse_problem_text, problem_sites
 from .variational import (
@@ -248,36 +250,6 @@ def cmd_effective(args) -> int:
     return 0
 
 
-def _conjugate_pair_defect(blocks, d: int) -> float:
-    """How far each block's conjugated spectrum is from its partner block's.
-
-    L(rho^dag) = L(rho)^dag, so the spectrum of the block holding vec
-    position i + d j (the entry |i><j|) is the conjugate of the spectrum of
-    the block holding j + d i. A defective eigenvalue (a Jordan block, as
-    -1.5 at n = 4, lambda = 1) comes out of eig only to ~sqrt(eps), split
-    differently in a block and in its partner, while the mean of its
-    cluster is accurate to ~eps. So each conjugated eigenvalue is compared
-    through the means of the eigenvalues within a radius of it on both
-    sides; clusters of different sizes count as at least the radius apart.
-    """
-    radius = 1e-6  # far above the ~1e-8 split of a defective pair
-    label = np.empty(d * d, dtype=int)
-    for b, block in enumerate(blocks):
-        label[block.indices] = b
-    worst = 0.0
-    for block in blocks:
-        i, j = divmod(int(block.indices[0]), d)  # vec position j + d i
-        w = block.eigenvalues.conj()
-        v = blocks[label[i + d * j]].eigenvalues
-        gap_w, gap_v = np.abs(w[:, None] - w), np.abs(w[:, None] - v)
-        near_w, near_v = gap_w < radius, gap_v < radius
-        n_w, n_v = near_w.sum(axis=1), near_v.sum(axis=1)
-        mean_gap = np.abs(near_w @ w / n_w - near_v @ v / np.maximum(n_v, 1))
-        unpaired = np.maximum(gap_v.min(axis=1), radius)
-        worst = max(worst, float(np.where(n_w == n_v, mean_gap, unpaired).max()))
-    return worst
-
-
 def cmd_oracle(args) -> int:
     if args.n > MAX_ORACLE_SITES:
         return _over_cap(f"oracle: n = {args.n} exceeds the exact-diagonalization cap "
@@ -289,17 +261,13 @@ def cmd_oracle(args) -> int:
     model = dissipative_heisenberg(lam, lattice)
     liou = ring_liouvillian(model, args.n)
     space = steady_states(liou)
-    d = liou.dim
-    # trace preservation: the identity is a left null vector
-    ident = np.eye(d, dtype=complex).flatten(order="F")
-    tp_defect = float(np.abs(ident.conj() @ liou.matrix).max())
     out = {
         "n": args.n,
         "lambda": lam,
         "dark_dimension": space.dimension,
         "max_real_part": float(space.eigenvalues.real.max()),
-        "trace_defect": tp_defect,
-        "conjugate_pair_defect": _conjugate_pair_defect(space.blocks, d),
+        "trace_defect": liou.trace_defect(),
+        "conjugate_pair_defect": conjugate_pair_defect(space.blocks, liou.dim),
     }
     _write_out(args, json.dumps(out))
     return 0

@@ -14,7 +14,9 @@ does not decay is reported as an error rather than silently regularized.
 
 All operators act on the full (system x auxiliary) Hilbert space; callers
 describe the block structure through projectors. Jump rates are folded into
-the matrices as sqrt(gamma) prefactors.
+the matrices as sqrt(gamma) prefactors. ``validate_elimination`` propagates
+the full and the effective dynamics with ``Liouvillian.evolve``, which
+forms no d^2 x d^2 generator.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .liouville import build_liouvillian
 from .operators import embed, partial_trace, trace_norm_hermitian
 
 
@@ -79,8 +82,8 @@ def nonhermitian_hamiltonian(problem: EliminationProblem) -> np.ndarray:
 def invert_on_decaying_manifold(htilde: np.ndarray, p_excited: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of Htilde on the range of the excited projector.
 
-    Htilde is diagonalized inside the projector's range (it is not normal,
-    so a direct eigendecomposition of the restricted block is used). Any
+    The block of Htilde inside the projector's range is inverted directly,
+    which holds where it is defective too (an exceptional point). Any
     eigenvalue of magnitude below ``_GAP_TOL`` means part of the manifold
     neither decays nor dephases, and the perturbative elimination has no
     leading order there.
@@ -90,14 +93,13 @@ def invert_on_decaying_manifold(htilde: np.ndarray, p_excited: np.ndarray) -> np
     if cols.shape[1] == 0:
         return np.zeros_like(htilde)
     block = cols.conj().T @ htilde @ cols
-    w, v = np.linalg.eig(block)
+    w = np.linalg.eigvals(block)
     if np.abs(w).min() < _GAP_TOL:
         raise GaplessEliminationError(
             "gapless elimination: excited manifold has a non-decaying "
             f"direction (|eigenvalue| = {np.abs(w).min():.3e})"
         )
-    inv_block = v @ np.diag(1.0 / w) @ np.linalg.inv(v)
-    return cols @ inv_block @ cols.conj().T
+    return cols @ np.linalg.inv(block) @ cols.conj().T
 
 
 def effective_hamiltonian(problem: EliminationProblem) -> np.ndarray:
@@ -118,44 +120,6 @@ def check_horizon(t_max: float) -> float:
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     return t_max
-
-
-def _propagate(rho0, hamiltonian, jumps, t):
-    """exp(t L) rho0 for the Lindblad generator L of H and the jumps.
-
-    expm_multiply works through the applied generator and its adjoint, so
-    no d^2 x d^2 superoperator is formed. With G = -i H - 1/2 sum c^dag c,
-    L rho = G rho + rho G^dag + sum c rho c^dag, and its trace, which
-    shifts the Taylor series, is 2 d Re tr G + sum |tr c|^2.
-    """
-    # imported on first use: scipy.sparse.linalg is most of what importing
-    # this package would otherwise cost, and only validation needs it
-    from scipy.sparse.linalg import LinearOperator, expm_multiply
-
-    d = rho0.shape[0]
-    cs = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
-    cs_dag = cs.conj().transpose(0, 2, 1)
-    g = -1j * np.asarray(hamiltonian, dtype=complex) - 0.5 * (cs_dag @ cs).sum(axis=0)
-    g_dag = g.conj().T
-
-    def generator(v):
-        rho = v.reshape(d, d)
-        return t * (g @ rho + rho @ g_dag + (cs @ rho @ cs_dag).sum(axis=0)).ravel()
-
-    def adjoint(v):
-        x = v.reshape(d, d)
-        return t * (g_dag @ x + x @ g + (cs_dag @ x @ cs).sum(axis=0)).ravel()
-
-    trace = 2 * d * np.trace(g).real + (np.abs(np.trace(cs, axis1=1, axis2=2)) ** 2).sum()
-    op = LinearOperator((d * d, d * d), matvec=generator, rmatvec=adjoint, dtype=complex)
-    # scipy's 1-norm estimate inside expm_multiply draws its probe vectors
-    # from numpy's global random stream; a caller's stream is left as it was
-    state = np.random.get_state()
-    try:
-        out = expm_multiply(op, np.asarray(rho0, dtype=complex).ravel(), traceA=t * trace)
-    finally:
-        np.random.set_state(state)
-    return out.reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -190,14 +154,14 @@ def validate_elimination(
     rho0 = embed(np.kron(rho0_system, rho0_aux), keep + aux_sites, n_sites)
 
     h_full = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
-    rho_full = _propagate(rho0, h_full, list(problem.jumps), t_max)
+    rho_full = build_liouvillian(h_full, list(problem.jumps)).evolve(rho0, t_max)
     rho_full_sys = partial_trace(rho_full, keep, n_sites)
 
     h_eff = effective_hamiltonian(problem)
     c_eff = effective_jumps(problem)
     h_eff_sys = strip_auxiliary(h_eff, aux_sites, n_sites, rho0_aux)
     c_eff_sys = [strip_auxiliary(c, aux_sites, n_sites, rho0_aux) for c in c_eff]
-    rho_eff = _propagate(rho0_system, h_eff_sys, c_eff_sys, t_max)
+    rho_eff = build_liouvillian(h_eff_sys, c_eff_sys).evolve(rho0_system, t_max)
 
     err = 0.5 * trace_norm_hermitian(rho_full_sys - rho_eff)
     return EliminationValidation(

@@ -1,10 +1,13 @@
-"""Exact Liouvillians on small clusters, for cross-checking the mean field.
+"""Exact Lindblad generators on small clusters, for cross-checking the mean field.
 
-Column-stacking convention throughout: vec(rho) stacks the columns of rho
-(Fortran order), so vec(A rho B) = kron(B^T, A) vec(rho). With the
-non-Hermitian G = -i H - 1/2 sum_k c_k^dag c_k the generator reads
-
-    L = kron(1, G) + kron(conj(G), 1) + sum_k kron(conj(c_k), c_k).
+``Liouvillian`` holds the generator of H and the jumps c_k as the stacked
+jumps and G = -i H - 1/2 sum_k c_k^dag c_k, so L rho = G rho + rho G^dag +
+sum_k c_k rho c_k^dag. ``apply``, ``adjoint`` and ``evolve`` (exp(t L) rho)
+form no d^2 x d^2 superoperator; ``matrix``, built on first use and kept,
+is that superoperator for the oracle. Only this module knows its layout:
+vec(rho) stacks the columns of rho (Fortran order), so vec(A rho B) =
+kron(B^T, A) vec(rho) and matrix = kron(1, G) + kron(conj(G), 1) +
+sum_k kron(conj(c_k), c_k).
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
 real parts; the null space holds the steady states. ``steady_states``
@@ -16,6 +19,7 @@ the ring models), and each is diagonalized on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +31,67 @@ _NULL_TOL = 1e-9  # generator eigenvalues below this in magnitude span the stead
 
 @dataclass(frozen=True)
 class Liouvillian:
-    matrix: np.ndarray
-    dim: int  # Hilbert-space dimension d; matrix is d^2 x d^2
+    g: np.ndarray      # G = -i H - 1/2 sum_k c_k^dag c_k, (d, d)
+    jumps: np.ndarray  # the c_k stacked, (k, d, d)
+
+    @property
+    def dim(self) -> int:  # Hilbert-space dimension d
+        return self.g.shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.dim)
+        """L rho, formed from d x d products."""
+        g, cs = self.g, self.jumps
+        return g @ rho + rho @ g.conj().T + (cs @ rho @ cs.conj().transpose(0, 2, 1)).sum(axis=0)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """L^dag x = G^dag x + x G + sum_k c_k^dag x c_k, the Hilbert-Schmidt adjoint."""
+        g, cs = self.g, self.jumps
+        return g.conj().T @ x + x @ g + (cs.conj().transpose(0, 2, 1) @ x @ cs).sum(axis=0)
+
+    def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
+        """exp(t L) rho0 by expm_multiply through ``apply`` and ``adjoint``, rows flattened.
+
+        The trace of L, which shifts the Taylor series, is 2 d Re tr G + sum |tr c|^2.
+        """
+        # imported on first use: scipy.sparse.linalg is most of what importing
+        # this package would otherwise cost, and only validation needs it
+        from scipy.sparse.linalg import LinearOperator, expm_multiply
+
+        d = self.dim
+        tr_c = np.trace(self.jumps, axis1=1, axis2=2)
+        trace = 2 * d * np.trace(self.g).real + (np.abs(tr_c) ** 2).sum()
+        op = LinearOperator((d * d, d * d), dtype=complex,
+                            matvec=lambda v: t * self.apply(v.reshape(d, d)).ravel(),
+                            rmatvec=lambda v: t * self.adjoint(v.reshape(d, d)).ravel())
+        # scipy's 1-norm estimate inside expm_multiply draws its probe vectors
+        # from numpy's global random stream; a caller's stream is left as it was
+        state = np.random.get_state()
+        try:
+            out = expm_multiply(op, np.asarray(rho0, dtype=complex).ravel(), traceA=t * trace)
+        finally:
+            np.random.set_state(state)
+        return out.reshape(d, d)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The column-stacked d^2 x d^2 generator, built on first use and kept."""
+        d, g = self.dim, self.g
+        flat = self.jumps.reshape(-1, d * d)
+        # the jump sum as one (d^2, k) @ (k, d^2) product: (i k, j l) entries
+        # conj(c)[i, k] c[j, l], reordered to (i j, k l); one expression, so
+        # the product is freed before the krons' temporaries
+        mat = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        mat += np.kron(np.eye(d), g)
+        mat += np.kron(g.conj(), np.eye(d))
+        return mat
+
+    def row_major(self) -> np.ndarray:
+        """``matrix`` reindexed from (out col, out row) x (in col, in row) to row-major."""
+        return self.matrix.reshape((self.dim,) * 4).transpose(1, 0, 3, 2).reshape(self.matrix.shape)
+
+    def trace_defect(self) -> float:
+        """max |vec(1)^dag matrix|: trace preservation, on the matrix the kernel is taken from."""
+        return float(np.abs(vec(np.eye(self.dim)).conj() @ self.matrix).max())
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -43,10 +103,7 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
-    """The generator of H and the jumps c_k as a d^2 x d^2 matrix.
-
-    The jump sum is one (d^2, k) @ (k, d^2) product over the stacked jumps.
-    """
+    """The generator of H and the jumps c_k; no d^2 x d^2 work is done here."""
     h = np.asarray(hamiltonian, dtype=complex)
     d = h.shape[0]
     if h.shape != (d, d):
@@ -56,14 +113,8 @@ def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
         cs = cs.reshape(0, d, d)
     if cs.shape[1:] != (d, d):
         raise ValueError("jump operator dimension mismatch")
-    flat = cs.reshape(-1, d * d)
-    # (i k, j l) entries conj(c)[i, k] c[j, l], reordered to (i j, k l); one
-    # expression, so the product is freed before the krons' temporaries
-    mat = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     g = -1j * h - 0.5 * np.einsum("nji,njk->ik", cs.conj(), cs)
-    mat += np.kron(np.eye(d), g)
-    mat += np.kron(g.conj(), np.eye(d))
-    return Liouvillian(matrix=mat, dim=d)
+    return Liouvillian(g=g, jumps=cs)
 
 
 def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
@@ -77,26 +128,13 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     """
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
-    d = 2**n_sites
-    h = np.zeros((d, d), dtype=complex)
-    jumps = []
-    bonds = [(i, (i + 1) % n_sites) for i in range(n_sites)]
-    if n_sites == 2:
-        bonds = [(0, 1)]
-    for arity, term in model.hamiltonian_terms:
-        if arity == 1:
-            for s in range(n_sites):
-                h += embed(term, [s], n_sites)
-        else:
-            for i, j in bonds:
-                h += embed(term, [i, j], n_sites)
-    for jt in model.jump_terms:
-        if jt.arity == 1:
-            for s in range(n_sites):
-                jumps.append(embed(jt.matrix, [s], n_sites))
-        else:
-            for i, j in bonds:
-                jumps.append(embed(jt.matrix, [i, j], n_sites))
+    bonds = [[i, (i + 1) % n_sites] for i in range(n_sites)] if n_sites > 2 else [[0, 1]]
+    # where a term goes: a single-site one on every site, any other on every bond
+    places = {1: [[s] for s in range(n_sites)]}
+    h = sum((embed(term, at, n_sites) for arity, term in model.hamiltonian_terms
+             for at in places.get(arity, bonds)), np.zeros((2**n_sites,) * 2, dtype=complex))
+    jumps = [embed(jt.matrix, at, n_sites) for jt in model.jump_terms
+             for at in places.get(jt.arity, bonds)]
     return build_liouvillian(h, jumps)
 
 
@@ -199,6 +237,36 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         tr = np.trace(b).real
         out.append(b / tr if abs(tr) > 1e-9 else b)
     return SteadySpace(dimension=dim, basis=out, blocks=blocks)
+
+
+def conjugate_pair_defect(blocks, d: int) -> float:
+    """How far each block's conjugated spectrum is from its partner block's.
+
+    L(rho^dag) = L(rho)^dag, so the spectrum of the block holding vec
+    position i + d j (the entry |i><j|) is the conjugate of the spectrum of
+    the block holding j + d i. A defective eigenvalue (a Jordan block, as
+    -1.5 at n = 4, lambda = 1) comes out of eig only to ~sqrt(eps), split
+    differently in a block and in its partner, while the mean of its
+    cluster is accurate to ~eps. So each conjugated eigenvalue is compared
+    through the means of the eigenvalues within a radius of it on both
+    sides; clusters of different sizes count as at least the radius apart.
+    """
+    radius = 1e-6  # far above the ~1e-8 split of a defective pair
+    label = np.empty(d * d, dtype=int)
+    for b, block in enumerate(blocks):
+        label[block.indices] = b
+    worst = 0.0
+    for block in blocks:
+        i, j = divmod(int(block.indices[0]), d)  # vec position j + d i
+        w = block.eigenvalues.conj()
+        v = blocks[label[i + d * j]].eigenvalues
+        gap_w, gap_v = np.abs(w[:, None] - w), np.abs(w[:, None] - v)
+        near_w, near_v = gap_w < radius, gap_v < radius
+        n_w, n_v = near_w.sum(axis=1), near_v.sum(axis=1)
+        mean_gap = np.abs(near_w @ w / n_w - near_v @ v / np.maximum(n_v, 1))
+        unpaired = np.maximum(gap_v.min(axis=1), radius)
+        worst = max(worst, float(np.where(n_w == n_v, mean_gap, unpaired).max()))
+    return worst
 
 
 def exact_norm(liou: Liouvillian, rho: np.ndarray) -> float:

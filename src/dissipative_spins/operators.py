@@ -23,6 +23,9 @@ MAX_DIM = 4096
 # Hermiticity tolerance used before eigenvalue-based norms.
 HERM_TOL = 1e-10
 
+# A Bloch vector (optimizer output may graze the sphere) is in the unit ball up to this far past it.
+BALL_TOL = 1e-9
+
 _PAULI = {
     "identity": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -53,7 +56,7 @@ def bloch_to_density(alpha) -> np.ndarray:
     if alpha.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
     r = np.linalg.norm(alpha)
-    if r > 1 + 1e-12:
+    if r > 1 + BALL_TOL:
         raise ValueError(f"Bloch vector length {r} > 1 violates positivity")
     ax, ay, az = alpha
     return 0.5 * np.array(

@@ -54,6 +54,7 @@ import numpy as np
 from .liouville import build_liouvillian
 from .models import DissipativeModel, LatticeSpec, dissipative_heisenberg
 from .operators import (
+    BALL_TOL,
     bloch_to_density,
     dissipator,
     embed,
@@ -62,9 +63,6 @@ from .operators import (
     pauli,
     trace_norm_hermitian,
 )
-
-
-_BALL_SLACK = 1e-9  # a Bloch vector counts as inside the unit ball up to this far past it
 
 
 class FitError(ValueError):
@@ -85,8 +83,7 @@ class ProductAnsatz:
         for a in (self.alpha_A, self.alpha_B):
             if np.asarray(a).shape != (3,):
                 raise ValueError("Bloch vectors must have 3 components")
-            # small slack: optimizer output may graze the sphere
-            if np.linalg.norm(a) > 1 + _BALL_SLACK:
+            if np.linalg.norm(a) > 1 + BALL_TOL:
                 raise ValueError("Bloch vector leaves the unit ball")
 
     @classmethod
@@ -269,13 +266,6 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # ---------------------------------------------------------------------------
 
 
-def _row_major_generator(hamiltonians, jumps) -> np.ndarray:
-    """build_liouvillian's 4x4-operator generator in row-major vectorization."""
-    mat = build_liouvillian(sum(hamiltonians, np.zeros((4, 4))), jumps).matrix
-    # column stacking indexes (out col, out row, in col, in row)
-    return mat.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
-
-
 class CompiledBond:
     """The bond derivative K(alpha_A, alpha_B) of any model, compiled once.
 
@@ -299,8 +289,8 @@ class CompiledBond:
         # single-site terms on both slots of the bond
         local_jumps = [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]
         local_hams = [kron(h, eye) + kron(eye, h) for h in hams[1]]
-        bond = _row_major_generator(hams[2], jumps[2])
-        local = _row_major_generator(local_hams, local_jumps)
+        bond = build_liouvillian(sum(hams[2], np.zeros((4, 4))), jumps[2]).row_major()
+        local = build_liouvillian(sum(local_hams, np.zeros((4, 4))), local_jumps).row_major()
 
         sig = np.array([pauli("identity"), pauli("x"), pauli("y"), pauli("z")])
         # pair basis sigma_mu (x) sigma_nu / 4 as a (row, col) x (mu, nu) matrix
@@ -854,7 +844,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
         live = live[again]
     a, b = pmap(np.arange(count), x)
     radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
-    success &= radius <= 1 + _BALL_SLACK
+    success &= radius <= 1 + BALL_TOL
     return _PolishResult(x, f, nfev, success, stationarity, multiplier)
 
 

@@ -9,7 +9,7 @@ import pytest
 from dissipative_spins import cli, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.effective import EliminationValidation
-from dissipative_spins.liouville import ring_liouvillian, steady_states
+from dissipative_spins.liouville import conjugate_pair_defect, ring_liouvillian, steady_states
 from dissipative_spins.models import DissipativeModel, LatticeSpec, dissipative_heisenberg
 from dissipative_spins.operators import pauli
 from dissipative_spins.opformat import OperatorFormatError
@@ -362,7 +362,7 @@ def test_conjugate_pair_defect_pairs_opposite_orders():
     model = DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, 0.4 * pauli("z"))],
                              jump_terms=heis.jump_terms)
     blocks = steady_states(ring_liouvillian(model, 3)).blocks
-    assert cli._conjugate_pair_defect(blocks, 8) < 1e-12
+    assert conjugate_pair_defect(blocks, 8) < 1e-12
     assert max(np.abs(b.eigenvalues.conj()[:, None] - b.eigenvalues).min(axis=1).max()
                for b in blocks) > 0.1
 

@@ -20,7 +20,7 @@ from dissipative_spins.effective import (
     strip_auxiliary,
     validate_elimination,
 )
-from dissipative_spins.liouville import build_liouvillian, unvec, vec
+from dissipative_spins.liouville import Liouvillian, build_liouvillian, unvec, vec
 from dissipative_spins.operators import bloch_to_density, embed, kron, partial_trace, pauli
 
 UP = np.array([1.0, 0.0])
@@ -96,6 +96,33 @@ def test_effective_rate_scales_with_gamma():
     assert amps[0] / amps[1] == pytest.approx(np.sqrt(10), rel=1e-12)
 
 
+def test_resolvent_at_an_exceptional_point():
+    # one ground and two excited levels decaying at gamma_1 and gamma_2,
+    # coupled at (gamma_1 - gamma_2) / 4: Htilde's two eigenvalues meet and
+    # it is defective there, with no eigenbasis
+    ket = np.eye(3)
+    gamma_1, gamma_2 = 3.0, 1.0
+    omega = (gamma_1 - gamma_2) / 4
+    prob = EliminationProblem(
+        h_ground=np.zeros((3, 3), dtype=complex),
+        h_excited=omega * (np.outer(ket[1], ket[2]) + np.outer(ket[2], ket[1])).astype(complex),
+        v_plus=np.outer(ket[1], ket[0]).astype(complex),
+        jumps=(np.sqrt(gamma_1) * np.outer(ket[0], ket[1]).astype(complex),
+               np.sqrt(gamma_2) * np.outer(ket[0], ket[2]).astype(complex)),
+        p_excited=np.diag([0.0, 1.0, 1.0]).astype(complex),
+    )
+    ht = nonhermitian_hamiltonian(prob)
+    inv = invert_on_decaying_manifold(ht, prob.p_excited)
+    assert np.abs(ht @ inv - prob.p_excited).max() <= 1e-12
+    assert np.abs(inv @ ht - prob.p_excited).max() <= 1e-12
+
+
+def test_resolvent_of_a_jordan_block():
+    ht = np.array([[-0.5j, 1.0], [0.0, -0.5j]])
+    inv = invert_on_decaying_manifold(ht, np.eye(2))
+    np.testing.assert_allclose(ht @ inv, np.eye(2), atol=1e-12)
+
+
 def test_gapless_elimination_raises():
     prob = single_flip_problem()
     bad = EliminationProblem(
@@ -161,6 +188,22 @@ def test_validation_leaves_global_random_stream_alone():
     np.random.seed(0)
     validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
     assert np.random.rand() == expected == pytest.approx(0.5488135)
+
+
+def test_validation_forms_no_superoperator(monkeypatch):
+    # a problem file may hold 6 sites, where the d^2 x d^2 generator has
+    # 4096^2 entries: validation propagates matrix-free
+    prob = single_flip_problem(e0=0.1)
+    rho_aux = np.outer(DOWN, DOWN).astype(complex)
+    expected = validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
+
+    def refuse(self):
+        raise AssertionError("validation formed the d^2 x d^2 generator")
+
+    monkeypatch.setattr(Liouvillian, "matrix", property(refuse))
+    val = validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
+    assert val.error == expected.error
+    np.testing.assert_array_equal(val.rho_eff, expected.rho_eff)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.7])

@@ -81,6 +81,33 @@ def test_apply_matches_direct_master_equation(seed, d, n_jumps, with_h):
     np.testing.assert_allclose(build_liouvillian(h, cs).apply(rho), direct, atol=1e-11)
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 4, 8]),
+    st.integers(0, 3),
+)
+def test_matrix_is_the_applied_generator(seed, d, n_jumps):
+    # apply and adjoint never read the matrix, so this pins its layout
+    rng = np.random.default_rng(seed)
+    h = _random_matrix(rng, d)
+    liou = build_liouvillian(h + h.conj().T, [_random_matrix(rng, d) for _ in range(n_jumps)])
+    rho, x = _random_matrix(rng, d), _random_matrix(rng, d)
+    np.testing.assert_allclose(vec(liou.apply(rho)), liou.matrix @ vec(rho), atol=1e-11)
+    np.testing.assert_allclose(vec(liou.adjoint(x)), liou.matrix.conj().T @ vec(x), atol=1e-11)
+    np.testing.assert_allclose(liou.row_major() @ rho.ravel(), liou.apply(rho).ravel(), atol=1e-11)
+
+
+def test_matrix_is_built_on_first_use_and_kept():
+    liou = ring_liouvillian(dissipative_heisenberg(0.7, LatticeSpec(z=6)), 3)
+    x = _random_matrix(np.random.default_rng(0), 8)
+    rho = x @ x.conj().T
+    liou.apply(rho), liou.adjoint(rho), exact_norm(liou, rho)
+    assert "matrix" not in vars(liou)
+    assert liou.matrix is liou.matrix
+    assert "matrix" in vars(liou)
+
+
 def test_build_rejects_mismatched_jumps():
     with pytest.raises(ValueError):
         build_liouvillian(np.zeros((4, 4)), [np.zeros((2, 2))])
@@ -107,6 +134,7 @@ def test_trace_preservation():
     ident = np.eye(liou.dim, dtype=complex)
     left = vec(ident).conj() @ liou.matrix
     assert np.abs(left).max() < 1e-12
+    assert liou.trace_defect() == np.abs(left).max()
 
 
 def test_spectrum_real_parts_nonpositive():
