@@ -12,7 +12,9 @@ checkout's ``src/``, three times each on one BLAS thread and the lowest
 CPU this process may use; these are raw wall-clock seconds, interpreter
 start-up included, not benchmark workloads. The last CSV of each is fitted
 with ``dspin fit`` as the acceptance tests fit it, and its ``lambda_c`` and
-``beta`` go beside the times. Then it times the start-up every ``dspin``
+``beta`` go beside the times, with the CSV's sha256 (``csv_sha256``), so
+that two BENCH files show whether a change left the A2 and A3 outputs
+byte-identical. Then it times the start-up every ``dspin``
 call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
 on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
 start-up included), and one more under ``python -X importtime`` whose
@@ -36,6 +38,7 @@ the same file as its timings.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -98,6 +101,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
             if proc.returncode != 0:
                 sys.exit(f"bench: {name} exited with {proc.returncode}:\n{proc.stderr}")
         points = len(out.read_text().strip().splitlines()) - 1
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
         fit_argv = argv[:3] + ["fit", "--in", str(out), *fit_args]
         proc = subprocess.run(fit_argv, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -106,7 +110,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
     return {"name": name, "argv": ["dspin"] + argv[3:], "cpu": cpu, "points": points,
             "wall_s": times, "wall_s_median": statistics.median(times),
             "fit_argv": ["dspin", "fit", *fit_args],
-            "lambda_c": fit["lambda_c"], "beta": fit["beta"]}
+            "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest}
 
 
 def time_startup(root: Path) -> dict:

@@ -1,29 +1,44 @@
 """Map the steady-state phase diagram of the dissipative Heisenberg model.
 
-Sweeps the anisotropy through both transitions, fits the critical couplings
-and exponents from the variational order parameters, and writes the sweep
-data as CSV files that `dspin fit` can consume directly.
+Sweeps the anisotropy through both transitions with `dspin sweep`, fits the
+critical couplings and exponents with `dspin fit`, and writes the sweep data
+as CSV files that `dspin fit` can consume directly. Both commands run
+through `dissipative_spins.cli.main`, so the CLI's caps and input checks
+apply: an over-cap --step or --restarts exits 3 before any sweep runs, and
+any failing command ends the script with that command's exit code.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import sys
 import time
 
-from dissipative_spins.cli import format_sweep_csv
-from dissipative_spins.models import LatticeSpec
-from dissipative_spins.variational import fit_critical, sweep
+from dissipative_spins.cli import main as dspin_main
+from dissipative_spins.cli import read_sweep_csv
 
 
-def run_branch(lo, hi, kind, lattice, args, path):
-    """One refined sweep, as `dspin sweep` runs it, written to ``path``."""
-    records = sweep(lo, hi, args.step, lattice, kind,
-                    restarts=args.restarts, seed=args.seed)
-    for r in records:
-        print(f"  lambda={r.lam:6.4f}  m={r.m:.6f}  ms={r.m_s:.6f}  norm={r.norm:.4e}")
-    with open(path, "w") as f:
-        f.write(format_sweep_csv(records) + "\n")
-    return records
+def dspin(*argv) -> str:
+    """Standard output of one `dspin` command; exits with its code if that is not 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dspin_main([str(a) for a in argv])
+    if code:
+        sys.exit(code)
+    return out.getvalue()
+
+
+def run_branch(lo, hi, kind, which, args, path):
+    """One refined `dspin sweep` written to ``path``, then its `dspin fit`."""
+    dspin("sweep", "--lambda-min", lo, "--lambda-max", hi, "--step", repr(args.step),
+          "--ansatz", kind, "--z", args.z, "--restarts", args.restarts, "--seed", args.seed,
+          "--out", path)
+    with open(path) as f:
+        for r in read_sweep_csv(f.read()):
+            print(f"  lambda={r.lam:6.4f}  m={r.m:.6f}  ms={r.m_s:.6f}  norm={r.norm:.4e}")
+    return json.loads(dspin("fit", "--in", path, "--which", which))
 
 
 def main():
@@ -35,37 +50,33 @@ def main():
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
-    lattice = LatticeSpec(z=args.z, bipartite=True, renormalize=True)
     os.makedirs(args.out_dir, exist_ok=True)
     summary = {"z": args.z, "step": args.step, "seed": args.seed}
 
     t0 = time.time()
     print("in-plane branch (uniform ansatz), lambda in [0.3, 0.7]")
-    xy = run_branch(0.3, 0.7, "uniform", lattice, args,
-                    os.path.join(args.out_dir, "sweep_xy.csv"))
-    fit1 = fit_critical(xy, which="m")
-    summary["lambda_c1"] = fit1.lambda_c
-    summary["beta_xy"] = fit1.beta
-    print(f"  -> lambda_c1 = {fit1.lambda_c:.4f},  beta = {fit1.beta:.3f}"
-          f"  (r^2 = {fit1.r_squared:.5f})")
+    fit1 = run_branch(0.3, 0.7, "uniform", "m", args, os.path.join(args.out_dir, "sweep_xy.csv"))
+    summary["lambda_c1"] = fit1["lambda_c"]
+    summary["beta_xy"] = fit1["beta"]
+    print(f"  -> lambda_c1 = {fit1['lambda_c']:.4f},  beta = {fit1['beta']:.3f}"
+          f"  (r^2 = {fit1['r_squared']:.5f})")
 
     print("staggered branch (bipartite ansatz), lambda in [1.3, 1.7]")
-    afm = run_branch(1.3, 1.7, "bipartite", lattice, args,
-                     os.path.join(args.out_dir, "sweep_afm.csv"))
-    fit2 = fit_critical(afm, which="ms")
-    summary["lambda_c2"] = fit2.lambda_c
-    summary["beta_afm"] = fit2.beta
-    print(f"  -> lambda_c2 = {fit2.lambda_c:.4f},  beta = {fit2.beta:.3f}"
-          f"  (r^2 = {fit2.r_squared:.5f})")
+    fit2 = run_branch(1.3, 1.7, "bipartite", "ms", args,
+                      os.path.join(args.out_dir, "sweep_afm.csv"))
+    summary["lambda_c2"] = fit2["lambda_c"]
+    summary["beta_afm"] = fit2["beta"]
+    print(f"  -> lambda_c2 = {fit2['lambda_c']:.4f},  beta = {fit2['beta']:.3f}"
+          f"  (r^2 = {fit2['r_squared']:.5f})")
 
     with open(os.path.join(args.out_dir, "phase_diagram.json"), "w") as f:
         json.dump(summary, f, indent=2)
         f.write("\n")
 
     print()
-    print(f"ferromagnetic  XY order for lambda < {fit1.lambda_c:.4f}")
-    print(f"disordered     {fit1.lambda_c:.4f} < lambda < {fit2.lambda_c:.4f}")
-    print(f"staggered (z)  lambda > {fit2.lambda_c:.4f}")
+    print(f"ferromagnetic  XY order for lambda < {fit1['lambda_c']:.4f}")
+    print(f"disordered     {fit1['lambda_c']:.4f} < lambda < {fit2['lambda_c']:.4f}")
+    print(f"staggered (z)  lambda > {fit2['lambda_c']:.4f}")
     print(f"done in {time.time() - t0:.1f}s, results in {args.out_dir}/")
 
 

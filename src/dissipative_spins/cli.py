@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,9 +86,15 @@ def read_sweep_csv(text: str):
                 f"expected {len(expected)} columns, got {len(parts)}", lineno
             )
         try:
-            vals = [float(p) for p in parts]
+            vals = [float(p) for p in parts[:-2]]
+            converged, restarts = int(parts[-2]), int(parts[-1])
         except ValueError:
             raise OperatorFormatError(f"bad number in {ln!r}", lineno) from None
+        if not all(map(math.isfinite, vals)):
+            raise OperatorFormatError(f"non-finite number in {ln!r}", lineno)
+        if converged not in (0, 1) or restarts < 1:
+            raise OperatorFormatError(
+                f"converged must be 0 or 1 and restarts a positive count in {ln!r}", lineno)
         records.append(
             SweepRecord(
                 lam=vals[0],
@@ -96,8 +103,8 @@ def read_sweep_csv(text: str):
                 m=vals[7],
                 m_s=vals[8],
                 norm=vals[9],
-                converged=bool(int(vals[10])),
-                restarts_used=int(vals[11]),
+                converged=bool(converged),
+                restarts_used=restarts,
             )
         )
     return records

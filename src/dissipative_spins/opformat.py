@@ -53,9 +53,14 @@ def _token_matrix(token: str):
 
 def parse_operator_text(text: str, n_sites: int) -> np.ndarray:
     """Sum of all term lines, as a 2^n x 2^n matrix."""
+    return _parse_terms(enumerate(text.splitlines(), start=1), n_sites)
+
+
+def _parse_terms(numbered_lines, n_sites: int) -> np.ndarray:
+    """Sum of the term lines of (line number, text) pairs; an error carries its pair's number."""
     dim = 2**n_sites
     total = np.zeros((dim, dim), dtype=complex)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -207,21 +212,8 @@ def problem_sites(text: str) -> int:
 def parse_problem_text(text: str) -> ProblemFile:
     sections, jump_bodies, n_sites, aux_sites = _read_sites(text)
 
-    def parse_body(body):
-        # bodies hold only non-blank lines, so map parse positions back to
-        # the original file line by line
-        joined = "\n".join(line for _, line in body)
-        try:
-            return parse_operator_text(joined, n_sites)
-        except OperatorFormatError as exc:
-            orig = body[exc.line - 1][0] if 0 < exc.line <= len(body) else exc.line
-            raise OperatorFormatError(str(exc).split(": ", 1)[1], orig) from None
-
     def body_matrix(name):
-        dim = 2**n_sites
-        if name not in sections or not sections[name]:
-            return np.zeros((dim, dim), dtype=complex)
-        return parse_body(sections[name])
+        return _parse_terms(sections.get(name, ()), n_sites)
 
     if "V+" not in sections:
         raise OperatorFormatError("missing [V+] section")
@@ -245,7 +237,7 @@ def parse_problem_text(text: str) -> ProblemFile:
                 op_lines.append((lineno, line))
         if not op_lines:
             raise OperatorFormatError("[jump] section has no operator lines")
-        mat = parse_body(op_lines)
+        mat = _parse_terms(op_lines, n_sites)
         jumps.append(np.sqrt(rate) * mat)
         rates.append(rate)
 

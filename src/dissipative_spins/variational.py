@@ -31,11 +31,11 @@ vanishes, a kink of the norm, and the polish reports the first-order
 residual and the kink's multiplier as a certificate. Where every
 eigenvalue vanishes, at a dark state, a Gauss-Newton step onto K = 0 from
 the same derivatives takes the norm to rounding, and a norm below 1e-13 is
-its own certificate of a global minimum. ``minimize_norm`` is
-this run on a single model; a sweep point's record equals it bit for bit.
-A Landau profile runs the same two stages on its phi samples, with phi
-held fixed by the offsets of an affine map from the parameters to the Bloch
-vectors.
+its own certificate of a global minimum. Both stages and the ranking
+between them are one function, ``_descend``. ``minimize_norm`` is it run
+on a single model; a sweep point's record equals it bit for bit. A Landau
+profile runs it on its phi samples, one start each, with phi held fixed by
+the offsets of an affine map from the parameters to the Bloch vectors.
 
 Jump matrices follow the (this-site, other-site) slot convention: the first
 tensor slot of a two-site term sits on the bond site under consideration.
@@ -482,7 +482,7 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
                sim.reshape(-1, dim)).reshape(count, dim + 1)
     sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts twice here
     nfev = np.full(count, dim + 1)
-    nit = np.ones(count, dtype=int)
+    nit = 1  # every live simplex has made the same number of iterations
 
     live = np.arange(count)  # problem index of each row of the live arrays
     x_out, f_out = np.empty((count, dim)), np.empty(count)
@@ -497,9 +497,9 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
         if done.any():
             ids = live[done]
             x_out[ids], f_out[ids] = sim[done, 0], fsim[done].min(axis=1)
-            nfev_out[ids], nit_out[ids], ok_out[ids] = nfev[done], nit[done], ~capped[done]
+            nfev_out[ids], nit_out[ids], ok_out[ids] = nfev[done], nit, not capped
             keep = ~done
-            live, sim, fsim, nfev, nit = live[keep], sim[keep], fsim[keep], nfev[keep], nit[keep]
+            live, sim, fsim, nfev = live[keep], sim[keep], fsim[keep], nfev[keep]
             if not live.size:
                 break
 
@@ -770,7 +770,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     fun = _penalized_spectra(wts, owner, pmap)
     dirs_a, dirs_b = pmap.directions(dim)
     x, f = np.array(x0, dtype=float), np.array(f0, dtype=float)
-    nfev, nit = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    nfev, passes = np.zeros(count, dtype=int), 0  # every live row has made `passes` passes
     success = np.zeros(count, dtype=bool)
     stationarity, multiplier = np.zeros(count), np.zeros(count)
     kink_at = np.full(count, np.nan)  # smallest |lambda| the norm saw at x, once a step is taken
@@ -781,7 +781,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
         mats = _bond_derivatives(wts, owner[live], features)
         newton = _newton_step(mats, dim, _rotation_modes(x[live]) if pmap.rotation else None)
         nfev[live] += 1
-        nit[live] += 1
+        passes += 1
         stationarity[live], multiplier[live] = newton.stationarity, newton.multiplier
 
         gn_step, gn_fit = _gauss_newton_step(mats, dim)
@@ -807,10 +807,10 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
         spent = np.abs(newton.decrease) + np.where(newton.active, kink_at[live], 0.0) <= tol
         moves = (length >= _NEWTON_XTOL) & ~spent  # False for a NaN step too
         success[live[dark | ~(moves | jumped)]] = True
-        capped = nit[live] >= _NEWTON_MAXITER
+        uncapped = passes < _NEWTON_MAXITER
         # a row that took the Gauss-Newton step starts its next pass there
-        again = jumped & ~dark & ~capped
-        go = moves & ~jumped & ~dark & ~capped
+        again = jumped & ~dark & uncapped
+        go = moves & ~jumped & ~dark & uncapped
         rows = live[go]
         step, length = newton.step[go], length[go]
         active, kink, gc = newton.active[go], newton.kink[go], newton.kink_grad[go]
@@ -848,38 +848,34 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     return _PolishResult(x, f, nfev, success, stationarity, multiplier)
 
 
-def _start_points(kind, gauge_fix, restarts, rng):
-    """Fixed restart directions padded with seeded random interior points."""
-    if kind == "uniform":
-        fixed3 = [
-            (0.9, 0.0, 0.0),
-            (-0.9, 0.0, 0.0),
-            (0.0, 0.0, 0.9),
-            (0.0, 0.0, -0.9),
-            (0.5, 0.0, 0.5),
-            (0.0, 0.0, 0.0),
-        ]
-        pts = [np.array(p) for p in fixed3]
-    else:
-        fixed6 = [
-            (0.9, 0, 0, 0.9, 0, 0),
-            (-0.9, 0, 0, -0.9, 0, 0),
-            (0, 0, 0.9, 0, 0, -0.9),   # Neel
-            (0, 0, -0.9, 0, 0, 0.9),
-            (0.5, 0, 0.3, 0.5, 0, -0.3),
-            (0, 0, 0, 0, 0, 0),
-        ]
-        pts = [np.array(p, dtype=float) for p in fixed6]
-    while len(pts) < restarts:
-        raw = rng.uniform(-0.7, 0.7, size=3 if kind == "uniform" else 6)
-        pts.append(raw)
-    pts = pts[:restarts]
-    if gauge_fix:
-        if kind == "uniform":
-            pts = [np.array([p[0], p[2]]) for p in pts]
-        else:
-            pts = [np.array([p[0], p[2], p[3], p[5]]) for p in pts]
-    return pts
+# fixed restart directions, whole Bloch vectors: alpha, or (alpha_A, alpha_B)
+_FIXED_STARTS = {
+    "uniform": np.array([
+        (0.9, 0.0, 0.0),
+        (-0.9, 0.0, 0.0),
+        (0.0, 0.0, 0.9),
+        (0.0, 0.0, -0.9),
+        (0.5, 0.0, 0.5),
+        (0.0, 0.0, 0.0),
+    ]),
+    "bipartite": np.array([
+        (0.9, 0, 0, 0.9, 0, 0),
+        (-0.9, 0, 0, -0.9, 0, 0),
+        (0, 0, 0.9, 0, 0, -0.9),   # Neel
+        (0, 0, -0.9, 0, 0, 0.9),
+        (0.5, 0, 0.3, 0.5, 0, -0.3),
+        (0, 0, 0, 0, 0, 0),
+    ], dtype=float),
+}
+_GAUGE_COLUMNS = {"uniform": [0, 2], "bipartite": [0, 2, 3, 5]}  # (ax, az) per vector
+
+
+def _start_points(kind, gauge_fix, restarts, rng) -> np.ndarray:
+    """(restarts, d) starts: the fixed directions padded with seeded random interior points."""
+    fixed = _FIXED_STARTS[kind]
+    extra = rng.uniform(-0.7, 0.7, (max(restarts - len(fixed), 0), fixed.shape[1]))
+    pts = np.vstack([fixed, extra])[:restarts]
+    return pts[:, _GAUGE_COLUMNS[kind]] if gauge_fix else pts
 
 
 def minimize_norm(
@@ -916,15 +912,40 @@ def minimize_norm(
     return _minimize_batch([model], kind, restarts, [seed], gauge_fix)[0]
 
 
-def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
-    """``minimize_norm`` of every model, with its own seed, in one descent.
+def _descend(wts, owner, pmap, starts, restarts):
+    """Both stages of the minimizer on S problems at once: (polish, restarts used, evaluations).
 
-    Stage 1 runs every restart simplex of every model through one
-    ``_nelder_mead``; stage 2 polishes each model's winner with one batched
-    ``_newton_polish`` (one derivative product per model and one stacked
-    ``eigh`` per pass). The polish starts at the winner and only takes
-    steps that lower the norm, so it ends no higher. A model's result
-    depends only on its own rows.
+    Problem s owns rows s R ... s R + R - 1 of ``starts`` (R = ``restarts``),
+    the bond ``wts[owner[s]]`` and the offsets of s in ``pmap``. Stage 1
+    runs every row through one ``_nelder_mead`` at basin resolution; each
+    problem's first strictly best restart is polished by one batched
+    ``_newton_polish``, which only takes steps that lower the norm, so it
+    ends no higher. A problem's result depends only on its own rows.
+    """
+    count = len(owner)
+    problem = np.repeat(np.arange(count), restarts)
+    spectra = _penalized_spectra(wts, owner, pmap)
+    rank = _nelder_mead(lambda rows, x: spectra(problem[rows], x)[0], starts, **_RANK_OPTIONS)
+    # stage 1 only ranks the basins: over full 0-2 sweeps and the A2 and A3
+    # windows at 1e-3 steps, the best restart that polishes into another
+    # basin ended stage 1 at least 1.0e3 times the winner's stage-1 error
+    # above the winner (8.0e3 at 1e-5 / 1e-8, 0.24 at 1e-3 / 1e-6)
+    fun = rank.fun.reshape(count, restarts)
+    # a numerically dark minimum cannot be improved: the ranking stops at the
+    # first one and later restarts do not count (they ran alongside, so
+    # their evaluations do)
+    dark = np.minimum.accumulate(fun, axis=1) < _DARK_NORM
+    used = np.where(dark.any(axis=1), dark.argmax(axis=1) + 1, restarts)
+    best = np.where(np.arange(restarts) < used[:, None], fun, np.inf).argmin(axis=1)
+    winners = np.arange(count) * restarts + best
+    polish = _newton_polish(wts, owner, pmap, rank.x[winners], rank.fun[winners])
+    return polish, used, rank.nfev.reshape(count, restarts).sum(axis=1) + polish.nfev
+
+
+def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
+    """``minimize_norm`` of every model, with its own seed, in one ``_descend``.
+
+    A model's result depends only on its own rows.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -934,44 +955,22 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
         raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
     wts = [CompiledBond(m)._wt for m in models]  # the batched path needs no more
     count = len(models)
-
-    # stage 1: rank the restart basins at basin resolution, stage 2: polish
-    # only the winner to full precision. Over full 0-2 sweeps and the A2
-    # and A3 windows at 1e-3 steps, the best restart that polishes into
-    # another basin ended stage 1 at least 1.0e3 times the winner's stage-1
-    # error above the winner (8.0e3 at 1e-5 / 1e-8, 0.24 at 1e-3 / 1e-6)
-    starts = [x for seed in seeds
-              for x in _start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))]
-    owner = np.repeat(np.arange(count), restarts)
+    starts = np.vstack([_start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))
+                        for seed in seeds])
     pmap = _sweep_map(kind, gauge_fix)
-    spectra = _penalized_spectra(wts, owner, pmap)
-    rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.array(starts), **_RANK_OPTIONS)
-    winners, used = [], []
-    for p in range(count):
-        best = p * restarts
-        for r in range(restarts):
-            if rank.fun[p * restarts + r] < rank.fun[best]:
-                best = p * restarts + r
-            # a numerically dark minimum cannot be improved; later restarts
-            # do not count (they ran alongside, so their evaluations do)
-            if rank.fun[best] < _DARK_NORM:
-                break
-        winners.append(best)
-        used.append(r + 1)
-    polish = _newton_polish(wts, np.arange(count), pmap, rank.x[winners], rank.fun[winners])
+    polish, used, evaluations = _descend(wts, np.arange(count), pmap, starts, restarts)
     a, b = pmap(None, polish.x)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
     norms = _grouped_norms(wts, np.arange(count), a, b)
-    evaluations = rank.nfev.reshape(count, restarts).sum(axis=1) + polish.nfev + 1
     return [
         MinimizeResult(
             ansatz=(ProductAnsatz.uniform(a[p]) if kind == "uniform"
                     else ProductAnsatz.bipartite(a[p], b[p])),
             norm=float(norms[p]),
             converged=bool(polish.success[p]),
-            restarts_used=used[p],
-            evaluations=int(evaluations[p]),
+            restarts_used=int(used[p]),
+            evaluations=int(evaluations[p]) + 1,  # and the final norm
             stationarity=float(polish.stationarity[p]),
             multiplier=float(polish.multiplier[p]),
         )
@@ -1130,14 +1129,13 @@ def sweep(
 
 
 def _landau_profile(model, direction, phis) -> _PolishResult:
-    """Conditional minima of the penalized bond norm at every phi, all in one descent.
+    """Conditional minima of the penalized bond norm at every phi, all in one ``_descend``.
 
     phi enters through the offsets of an ``_AffineMap``: in-plane,
     alpha_A = alpha_B = (phi, 0, x0); staggered-z, alpha_A = (x0, 0, x2 + phi)
-    and alpha_B = (x1, 0, x2 - phi). Stage 1 runs ``_nelder_mead`` from
-    x = 0 for every sample at the sweep's stage-1 tolerances; stage 2
-    polishes each result with ``_newton_polish``. The polish alone stalls:
-    from x = 0 it stops on the stationary point of the z mirror. A sample's
+    and alpha_B = (x1, 0, x2 - phi). Every sample is one problem with one
+    start, x = 0. The polish alone stalls: from x = 0 it stops on the
+    stationary point of the z mirror, so stage 1 runs first. A sample's
     result depends only on its own phi.
     """
     count = len(phis)
@@ -1151,11 +1149,8 @@ def _landau_profile(model, direction, phis) -> _PolishResult:
         off_b = np.zeros((count, 3))
         off_a[:, 2], off_b[:, 2] = phis, -phis
         pmap = _AffineMap(np.array([0, 3, 2]), np.array([1, 3, 2]), off_a, off_b)
-    wts, owner = [CompiledBond(model)._wt], np.zeros(count, dtype=int)
-    spectra = _penalized_spectra(wts, owner, pmap)
-    rank = _nelder_mead(lambda rows, x: spectra(rows, x)[0], np.zeros((count, dim)),
-                        **_RANK_OPTIONS)
-    return _newton_polish(wts, owner, pmap, rank.x, rank.fun)
+    return _descend([CompiledBond(model)._wt], np.zeros(count, dtype=int), pmap,
+                    np.zeros((count, dim)), 1)[0]
 
 
 def landau_expansion(

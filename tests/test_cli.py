@@ -189,6 +189,34 @@ def test_fit_rejects_malformed_csv(tmp_path):
         read_sweep_csv(bad.read_text())
 
 
+_ROW = "0.5,0.1,0,0.2,0.1,0,0.2,0.1,0,0.25"
+
+
+@pytest.mark.parametrize("row", [
+    *(f"{_ROW},{bad},8" for bad in ("inf", "nan", "1.5", "2", "-1", "1e0")),
+    *(f"{_ROW},1,{bad}" for bad in ("inf", "-inf", "nan", "1.5", "0")),
+    "nan" + _ROW[3:] + ",1,8",
+    _ROW[:-4] + "inf,1,8",
+])
+def test_fit_refuses_a_bad_field_with_its_line(tmp_path, capsys, row):
+    # converged and restarts are integers (converged 0 or 1), every other field finite
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{CSV_HEADER}\n{_ROW},1,8\n{row}\n")
+    assert run(["fit", "--in", str(bad)]) == 1
+    assert "line 3" in capsys.readouterr().err
+    with pytest.raises(OperatorFormatError) as err:
+        read_sweep_csv(bad.read_text())
+    assert err.value.line == 3
+
+
+def test_sweep_csv_reads_back_unchanged():
+    records = variational.sweep(0.48, 0.52, 0.02, LatticeSpec(z=6), "uniform", restarts=2, seed=1)
+    text = cli.format_sweep_csv(records)
+    again = read_sweep_csv(text)
+    assert [r.restarts_used for r in again] == [2] * len(records)
+    assert cli.format_sweep_csv(again) == text
+
+
 def test_threshold_must_be_finite_and_positive(tmp_path, capsys):
     header_only = tmp_path / "empty.csv"
     header_only.write_text(CSV_HEADER + "\n")

@@ -1,8 +1,13 @@
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from dissipative_spins import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,3 +29,42 @@ def test_landau_scan_finds_staggered_sign_change(tmp_path):
     assert sorted(u2) == [1.4, 1.5, 1.6]
     # the staggered transition lambda_c2 = 3/2 is where u2 turns negative
     assert u2[1.5] > 0 > u2[1.6]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a capped or invalid input reached the library")
+
+
+@pytest.mark.parametrize("script, argv, code", [
+    ("phase_diagram.py", ["--step", "1e-6"], 3),         # 400,001 points a branch
+    ("phase_diagram.py", ["--restarts", "5000"], 3),
+    ("phase_diagram.py", ["--step", "0"], 1),
+    ("phase_diagram.py", ["--z", "1"], 1),
+    ("landau_scan.py", ["--samples", "5000"], 3),
+    ("landau_scan.py", ["--step", "1e-6"], 3),           # 200,001 points a direction
+    ("landau_scan.py", ["--direction", "in-plane", "--step", "1e-5"], 3),
+    ("landau_scan.py", ["--step", "0"], 1),
+    ("landau_scan.py", ["--z", "1"], 1),
+])
+def test_script_exits_with_the_cli_code_before_computing(tmp_path, monkeypatch, script, argv, code):
+    # both scripts drive dspin through cli.main: its caps and checks apply,
+    # and a refused input starts no sweep or fit and leaves no CSV
+    monkeypatch.setattr(cli, "sweep", _refuse)
+    monkeypatch.setattr(cli, "landau_expansion", _refuse)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, *argv, *(
+        ["--out", "scan.csv"] if script == "landau_scan.py" else ["--out-dir", "results"])])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    assert stop.value.code == code
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_landau_scan_refuses_a_window_outside_the_ball(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["landau_scan.py", "--phi-max", "5", "--out", "scan.csv"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(ROOT / "scripts" / "landau_scan.py"), run_name="__main__")
+    assert stop.value.code == 1
+    assert "phi_max" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()

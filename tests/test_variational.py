@@ -10,6 +10,8 @@ Summing magnitudes gives the disordered norm (3/2 - lambda)/(z-1) for
 lambda < 1/2 and (lambda + 1/2)/(z-1) up to lambda = 3/2.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -500,14 +502,78 @@ def test_stage_one_ranks_the_basins(kind, lams):
     wts = [CompiledBond(m)._wt for m in models]
     owner = np.repeat(np.arange(len(lams)), restarts)
     pmap = variational._sweep_map(kind, True)
-    starts = np.array([x for seed in seeds for x in variational._start_points(
-        kind, True, restarts, np.random.default_rng(seed))])
+    starts = np.vstack([variational._start_points(kind, True, restarts, np.random.default_rng(seed))
+                        for seed in seeds])
     spectra = variational._penalized_spectra(wts, owner, pmap)
     rank = variational._nelder_mead(lambda rows, x: spectra(rows, x)[0], starts,
                                     **variational._RANK_OPTIONS)
     every = variational._newton_polish(wts, owner, pmap, rank.x, rank.fun)
     best = every.fun.reshape(len(lams), restarts).min(axis=1)
     assert (best >= np.array([res.norm for res in results]) - 4.4e-16).all()
+
+
+def _loop_ranking(fun):
+    """The restart ranking as a loop: the first strictly best, stopped at a dark running minimum."""
+    best = 0
+    for r in range(len(fun)):
+        if fun[r] < fun[best]:
+            best = r
+        if fun[best] < variational._DARK_NORM:
+            break
+    return best, r + 1
+
+
+_STAGE_ONE_VALUES = st.one_of(st.sampled_from([0.0, 1e-14, 9.9e-14, 1e-13, 2e-13, 0.25, 0.5]),
+                              st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12).flatmap(lambda restarts: st.lists(
+    st.lists(_STAGE_ONE_VALUES, min_size=restarts, max_size=restarts), min_size=1, max_size=5)))
+@example([[0.5, 1e-14, 0.0, 1e-14]])
+@example([[0.25, 0.25, 0.5], [2e-13, 1e-13, 9.9e-14]])
+def test_descent_ranks_restarts_as_the_loop_did(table):
+    # stage 1 and the polish stubbed out: row k of stage 1 ends at x = k with
+    # the table's value, and the polish returns its starts unchanged
+    fun = np.array(table)
+    count, restarts = fun.shape
+
+    def stage_one(objective, x0, **options):
+        ones = np.ones(count * restarts, dtype=int)
+        return variational._SimplexResult(np.arange(count * restarts, dtype=float)[:, None],
+                                          fun.ravel(), ones, ones, ones.astype(bool))
+
+    def polish(wts, owner, pmap, x0, f0):
+        zeros = np.zeros(len(x0))
+        return variational._PolishResult(x0, f0, zeros.astype(int), zeros.astype(bool), zeros, zeros)
+
+    with mock.patch.object(variational, "_nelder_mead", stage_one), \
+            mock.patch.object(variational, "_newton_polish", polish):
+        result, used, evaluations = variational._descend(
+            [None], np.zeros(count, dtype=int), None, np.zeros((count * restarts, 1)), restarts)
+    for s in range(count):
+        best, counted = _loop_ranking(fun[s])
+        assert (result.x[s, 0], result.fun[s], used[s]) == (s * restarts + best, fun[s, best], counted)
+    assert evaluations.tolist() == [restarts] * count
+
+
+@pytest.mark.parametrize("kind", ["uniform", "bipartite"])
+@pytest.mark.parametrize("gauge_fix", [True, False])
+def test_start_points_are_the_per_draw_construction(kind, gauge_fix):
+    fixed = {"uniform": [(0.9, 0, 0), (-0.9, 0, 0), (0, 0, 0.9), (0, 0, -0.9), (0.5, 0, 0.5), (0, 0, 0)],
+             "bipartite": [(0.9, 0, 0, 0.9, 0, 0), (-0.9, 0, 0, -0.9, 0, 0), (0, 0, 0.9, 0, 0, -0.9),
+                           (0, 0, -0.9, 0, 0, 0.9), (0.5, 0, 0.3, 0.5, 0, -0.3), (0,) * 6]}[kind]
+    for restarts in range(1, 21):
+        rng = np.random.default_rng(restarts)
+        pts = [np.array(p, dtype=float) for p in fixed]
+        while len(pts) < restarts:  # one draw per point
+            pts.append(rng.uniform(-0.7, 0.7, size=len(fixed[0])))
+        pts = pts[:restarts]
+        if gauge_fix:
+            pts = [p[[0, 2]] if kind == "uniform" else p[[0, 2, 3, 5]] for p in pts]
+        got = variational._start_points(kind, gauge_fix, restarts, np.random.default_rng(restarts))
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, np.array(pts))
 
 
 @pytest.mark.parametrize("kind, lam, x0", [
