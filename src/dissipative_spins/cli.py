@@ -4,23 +4,26 @@ Subcommands: sweep (phase-diagram scan over the anisotropy), fit (critical
 point and exponent from sweep CSV), landau (quartic expansion of the norm at
 one coupling), effective (adiabatic elimination of a problem file, with
 --validate comparing the exact full and effective evolutions), oracle (exact
-small-ring diagnostics: the generator is diagonalized block by block). The
-oracle prints what ``liouville`` computes; nothing here handles the
-generator's matrix layout.
+small-ring diagnostics: the generator is diagonalized sector by sector, one
+coherence order and ring momentum at a time). The oracle prints what
+``liouville`` computes; nothing here handles the generator's layout.
 
 Exit codes: 0 success, 1 malformed input files, 2 fit or elimination
-failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 5
+failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 6
 sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
 MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
 samples, validation horizons --t-max above MAX_T_MAX = 2000, problem files
 of more than MAX_PROBLEM_SITES = 6 sites). Sweeps are bit-stable for a
 fixed --seed regardless of --jobs: each grid point derives its own seed
-from the global one and its coupling.
+from the global one and its coupling. The argument parser is built on the
+first ``main`` call and kept; each call dispatches to the module's
+``cmd_<name>`` as it is then.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,7 +50,7 @@ from .variational import (
 )
 
 CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
-MAX_ORACLE_SITES = 5  # the dense n = 6 generator alone is 268 MB
+MAX_ORACLE_SITES = 6  # largest sector 160 rows at n = 6 (0.4 s), 492 at n = 7
 MAX_SWEEP_POINTS = 10_000
 MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
 MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at once
@@ -273,7 +276,7 @@ def cmd_oracle(args) -> int:
         "lambda": lam,
         "dark_dimension": space.dimension,
         "max_real_part": float(space.eigenvalues.real.max()),
-        "trace_defect": liou.trace_defect(),
+        "trace_defect": space.trace_defect,
         "conjugate_pair_defect": conjugate_pair_defect(space.blocks, liou.dim),
     }
     _write_out(args, json.dumps(out))
@@ -290,6 +293,7 @@ def _window(text: str):
     return (lo, hi)
 
 
+@functools.cache  # built on first use, not at import, and kept
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dspin",
@@ -316,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order-parameter onset used to place grid refinement")
     p.add_argument("--no-refine", dest="refine", action="store_false",
                    help="skip the automatic fine grid around the transition")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="critical coupling and exponent from sweep CSV")
     p.add_argument("--in", dest="infile", default="-", help="sweep CSV ('-' = stdin)")
@@ -325,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="|lambda - lambda_c| range for the exponent fit, 'lo,hi'")
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("landau", help="quartic norm expansion at one coupling")
     add_model_flags(p)
@@ -336,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit window; keep small near a transition, the norm "
                         "is only quartic below its first kink")
     p.add_argument("--samples", type=int, default=11, help=f"capped at {MAX_LANDAU_SAMPLES}")
-    p.set_defaults(func=cmd_landau)
 
     p = sub.add_parser("effective", help="adiabatically eliminate a problem file")
     p.add_argument("--problem", required=True)
@@ -345,22 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=50.0,
                    help=f"validation horizon (capped at {MAX_T_MAX:g})")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_effective)
 
     p = sub.add_parser("oracle", help="exact diagnostics on a small ring")
     add_model_flags(p)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--n", type=int, default=2, help=f"ring size (capped at {MAX_ORACLE_SITES})")
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (OperatorFormatError, FileNotFoundError) as exc:
         print(f"dspin {args.command}: {exc}", file=sys.stderr)
         return 1

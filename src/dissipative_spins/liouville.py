@@ -11,14 +11,17 @@ sum_k kron(conj(c_k), c_k).
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
 real parts; the null space holds the steady states. ``steady_states``
-finds them block by block: the connected components of the generator's
-nonzero pattern are independent diagonal blocks (the coherence orders of
-the ring models), and each is diagonalized on its own.
+finds them sector by sector without ``matrix``: a conserved coherence
+order q (the weak U(1) symmetry of the ring models) and, on a ring, the
+momentum k of the site translation split the generator into (q, k)
+sectors, whose matrices are gathered from G and the jumps and
+diagonalized one at a time (at n = 6 the largest has 160 rows, against
+4,096 for the whole generator).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +36,7 @@ _NULL_TOL = 1e-9  # generator eigenvalues below this in magnitude span the stead
 class Liouvillian:
     g: np.ndarray      # G = -i H - 1/2 sum_k c_k^dag c_k, (d, d)
     jumps: np.ndarray  # the c_k stacked, (k, d, d)
+    ring: int = 0      # sites n of a ring whose translation commutes with L; 0 for none
 
     @property
     def dim(self) -> int:  # Hilbert-space dimension d
@@ -89,10 +93,6 @@ class Liouvillian:
         """``matrix`` reindexed from (out col, out row) x (in col, in row) to row-major."""
         return self.matrix.reshape((self.dim,) * 4).transpose(1, 0, 3, 2).reshape(self.matrix.shape)
 
-    def trace_defect(self) -> float:
-        """max |vec(1)^dag matrix|: trace preservation, on the matrix the kernel is taken from."""
-        return float(np.abs(vec(np.eye(self.dim)).conj() @ self.matrix).max())
-
 
 def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).flatten(order="F")
@@ -135,131 +135,176 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
              for at in places.get(arity, bonds)), np.zeros((2**n_sites,) * 2, dtype=complex))
     jumps = [embed(jt.matrix, at, n_sites) for jt in model.jump_terms
              for at in places.get(jt.arity, bonds)]
-    return build_liouvillian(h, jumps)
+    # every bond carries every term, so the site translation is exact; the
+    # single bond of n = 2 is not symmetric under the swap in general
+    return replace(build_liouvillian(h, jumps), ring=n_sites if n_sites > 2 else 0)
 
 
 @dataclass(frozen=True)
 class SpectralBlock:
-    indices: np.ndarray  # vec positions of one diagonal block, ascending
-    eigenvalues: np.ndarray  # spectrum of the generator restricted to them
+    q: int  # coherence order popcount(i) - popcount(j) of the sector; 0 where not conserved
+    k: int  # momentum 2 pi k / n under the ring's translation; 0 without one
+    eigenvalues: np.ndarray  # spectrum of the generator on the sector
 
 
 @dataclass(frozen=True)
 class SteadySpace:
     dimension: int
     basis: list  # Hermitian representatives; trace 1 where trace is nonzero
-    blocks: list  # SpectralBlock per diagonal block of the generator
+    blocks: list  # SpectralBlock per (q, k) sector of the generator
+    trace_defect: float  # max |u^dag F_0| on sector (0, 0), u = vec(1) there
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Full spectrum of the generator: the union of the block spectra."""
+        """Full spectrum of the generator: the union of the sector spectra."""
         return np.concatenate([b.eigenvalues for b in self.blocks])
 
 
-def _weak_components(pattern) -> np.ndarray:
-    """Component label of each node of a square boolean pattern, weak connection.
+def _coherence_orders(liou: Liouvillian):
+    """popcount(i) - popcount(j) of each |i><j| (row-major) if L conserves it, else None.
 
-    Components are numbered 0, 1, ... in the order of their smallest node,
-    as ``scipy.sparse.csgraph.connected_components`` numbers them. Each
-    round lowers the labels of both ends of every edge, and of the nodes
-    those labels name, to the smaller label of the edge; pointer jumping
-    then follows every label to its root. It stops when a round changes
-    nothing, so no edge joins two labels.
+    It is conserved when G keeps popcount and every jump shifts it by one
+    fixed amount of its own: G rho, rho G^dag and c rho c^dag then keep the
+    order of each |i><j|.
     """
-    rows, cols = np.nonzero(pattern)
-    labels = np.arange(len(pattern))
-    while True:
-        low = np.minimum(labels[rows], labels[cols])
-        hooked = labels.copy()
-        for ends in (rows, cols, labels[rows], labels[cols]):
-            np.minimum.at(hooked, ends, low)
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = hooked
+    pc = np.array([bin(i).count("1") for i in range(liou.dim)])
+    shift = pc[:, None] - pc  # popcount change made by the entry (i, k) of an operator
+    nonzero = liou.jumps != 0
+    low = np.where(nonzero, shift, liou.dim).min(axis=(1, 2))
+    high = np.where(nonzero, shift, -liou.dim).max(axis=(1, 2))
+    if shift[liou.g != 0].any() or (low < high).any():
+        return None
+    return shift.ravel()
 
 
-def _generator_blocks(liou: Liouvillian) -> list:
-    """Vec positions of each diagonal block of the generator.
+def _site_rotations(liou: Liouvillian) -> np.ndarray:
+    """T^m as a map of basis states, m < n: (n, d); T rotates the ring's sites by one.
 
-    The blocks are the connected components of the generator's nonzero
-    pattern, so permuting them together is an exact similarity that
-    block-diagonalizes the matrix. A weak U(1) symmetry (the ring models'
-    conservation of coherence order popcount(i) - popcount(j) of |i><j|)
-    shows up as separate blocks; a model without one is a single block.
+    Without a ring (``liou.ring`` 0) the only map is the identity, n = 1.
     """
-    labels = _weak_components(liou.matrix != 0)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    i = np.arange(liou.dim)
+    if not liou.ring:
+        return i[None]
+    m = np.arange(liou.ring)[:, None]
+    return ((i << m) | (i >> (liou.ring - m))) & (liou.dim - 1)
 
 
 def steady_states(liou: Liouvillian) -> SteadySpace:
-    """Null space of the generator, returned as Hermitian representatives.
+    """Null space of the generator, sector by sector, as Hermitian representatives.
 
-    Each diagonal block of the generator (``_generator_blocks``) is
-    diagonalized on its own; the null vectors of all blocks, embedded back
-    into the full vec space, span the null space. The Lindblad generator
-    commutes with the adjoint operation, so the null space is spanned by
-    Hermitian matrices; each basis element is orthogonalized in the
-    Hilbert-Schmidt inner product and rescaled to trace 1 when its trace is
-    nonzero (traceless directions are kept with unit Hilbert-Schmidt norm).
-    The block spectra, computed on the way, are kept on the result.
+    L commutes with the weak U(1) symmetry (coherence order q, when
+    ``_coherence_orders`` finds it conserved) and with the ring's
+    translation T, so it is block diagonal in (q, k) sectors. A sector's
+    basis holds one vector per T-orbit of entries |i><j| of order q: with
+    representative r_a and period p_a, v_a = sqrt(p_a)/n sum_m
+    exp(-2 pi i k m/n) T^m r_a, kept when k p_a = 0 mod n. Its matrix,
+    F_k[a, b] = sqrt(p_a p_b)/n sum_m exp(-2 pi i k m/n) L[r_a, T^m r_b],
+    is gathered from G and the jumps, L[(i, j), (k, l)] = G[i, k] d(j, l) +
+    conj G[j, l] d(i, k) + sum_c c[i, k] conj c[j, l]; the d^2 x d^2
+    generator is never formed. A real generator has F_{n-k} = conj F_k, so
+    only k <= n/2 is diagonalized and k = 0 (and n/2) in real arithmetic.
+
+    L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
+    matrices: the Hermitian parts of the sectors' null vectors, mapped back
+    to d x d, are made orthonormal in the Hilbert-Schmidt inner product and
+    rescaled to trace 1 when their trace is nonzero (traceless directions
+    keep unit Hilbert-Schmidt norm). The sector spectra are kept on the
+    result, and ``trace_defect`` is max |u^dag F_0| on the sector (0, 0),
+    u = vec(1) in that sector's basis (sqrt(p_a) on the diagonal orbits).
     """
-    blocks, null_cols = [], []
-    for idx in _generator_blocks(liou):
-        block = liou.matrix[np.ix_(idx, idx)]
-        if not block.imag.any():  # real arithmetic, ~3x faster than complex
-            block = block.real
-        evals, evecs = np.linalg.eig(block)
-        blocks.append(SpectralBlock(indices=idx, eigenvalues=evals))
-        for k in np.flatnonzero(np.abs(evals) < _NULL_TOL):
-            col = np.zeros(liou.dim**2, dtype=complex)
-            col[idx] = evecs[:, k]
-            null_cols.append(col)
-    dim = len(null_cols)
-    herm_candidates = []
-    for col in null_cols:
-        x = unvec(col, liou.dim)
-        herm_candidates.append(x + x.conj().T)
-        herm_candidates.append(1j * (x - x.conj().T))
-    basis = []
-    for cand in herm_candidates:
-        for b in basis:
-            cand = cand - np.vdot(b, cand) * b
-        nrm = np.sqrt(abs(np.vdot(cand, cand)))
-        if nrm > 10 * _NULL_TOL:
-            basis.append(cand / nrm)
-        if len(basis) == dim:
-            break
-    out = []
-    for b in basis:
-        tr = np.trace(b).real
-        out.append(b / tr if abs(tr) > 1e-9 else b)
-    return SteadySpace(dimension=dim, basis=out, blocks=blocks)
+    d, g, cs = liou.dim, liou.g, liou.jumps
+    real = not (g.imag.any() or cs.imag.any())
+    if real:  # real arithmetic in the gather and in the real sectors
+        g, cs = g.real, cs.real
+    rot = _site_rotations(liou)
+    n = len(rot)
+    orbit = (rot[:, :, None] * d + rot[:, None, :]).reshape(n, d * d)  # T^m |i><j|
+    reps = np.flatnonzero(orbit.min(axis=0) == np.arange(d * d))
+    period = n // (orbit[:, reps] == reps).sum(axis=0)
+    orders = _coherence_orders(liou)
+    q_of = np.zeros(reps.size, dtype=int) if orders is None else orders[reps]
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    blocks, nulls, trace_defect = [], [], 0.0
+    for q in np.unique(q_of):
+        r, p = reps[q_of == q], period[q_of == q]
+        i, j = divmod(r, d)
+        a = np.arange(r.size)
+        # row r_a of L as a d x d array over (k, l): the jump sum as one batched
+        # (d, jumps) @ (jumps, d) product per row, then the two G terms
+        rows = cs[:, i].transpose(1, 2, 0) @ cs[:, j].conj().transpose(1, 0, 2)
+        rows[a, :, j] += g[i]
+        rows[a, i, :] += g[j].conj()
+        gather = rows[a[:, None], rot[:, i][:, None, :], rot[:, j][:, None, :]]  # R_m, (n, A, A)
+        ks = np.arange(n // 2 + 1 if real else n)
+        sectors = (phase[ks] @ gather.reshape(n, -1)).reshape(-1, r.size, r.size)
+        sectors *= np.sqrt(np.outer(p, p)) / n
+        for k, f in zip(ks, sectors):
+            keep = k * p % n == 0
+            if not keep.any():
+                continue
+            f = f[np.ix_(keep, keep)]
+            if real and 2 * k % n == 0:
+                f = f.real
+            if q == 0 and k == 0:
+                u = np.where(i == j, np.sqrt(p), 0.0)
+                trace_defect = float(np.abs(u @ f).max())
+            evals = np.linalg.eigvals(f)
+            blocks.append(SpectralBlock(q=int(q), k=k, eigenvalues=evals))
+            if real and 2 * k % n:  # sector n - k is the complex conjugate
+                blocks.append(SpectralBlock(q=int(q), k=n - k, eigenvalues=evals.conj()))
+            zero = np.count_nonzero(np.abs(evals) < _NULL_TOL)
+            if zero:
+                # null vectors from the SVD: for a repeated zero of an exactly
+                # structured sector eig can return dependent vectors, while a
+                # bounded semigroup has no Jordan block at zero, so the last
+                # singular vectors span it; then x_a v_a summed over the orbits
+                x = np.linalg.svd(f)[2][-zero:].conj().T * (np.sqrt(p[keep]) / n)[:, None]
+                null = np.zeros((d * d, zero), dtype=complex)
+                terms = (phase[k][:, None, None] * x).reshape(-1, zero)  # (m, a) rows
+                np.add.at(null, orbit[:, r[keep]].ravel(), terms)
+                nulls.append(null.T)
+                if real and 2 * k % n:
+                    nulls.append(null.T.conj())
+    basis = _hermitian_basis(np.concatenate(nulls or [np.zeros((0, d * d))]).reshape(-1, d, d))
+    return SteadySpace(dimension=len(basis), basis=basis, blocks=blocks, trace_defect=trace_defect)
+
+
+def _hermitian_basis(nulls: np.ndarray) -> list:
+    """Hermitian basis of the span of the (dim, d, d) null matrices.
+
+    The Hermitian parts x + x^dag and i (x - x^dag) span it over the reals:
+    the top dim eigenvectors of their real Gram matrix combine them into an
+    orthonormal basis, Hermitian by construction. Each element is rescaled
+    to trace 1 where its trace is nonzero.
+    """
+    dim, d = len(nulls), nulls.shape[-1]
+    xh = nulls.conj().transpose(0, 2, 1)
+    herm = np.concatenate([nulls + xh, 1j * (nulls - xh)]).reshape(2 * dim, d * d)
+    weight, comb = np.linalg.eigh((herm.conj() @ herm.T).real)
+    basis = (comb[:, -dim:].T @ herm / np.sqrt(weight[-dim:])[:, None]).reshape(-1, d, d)
+    return [b / tr if abs(tr := np.trace(b).real) > 1e-9 else b for b in basis]
 
 
 def conjugate_pair_defect(blocks, d: int) -> float:
-    """How far each block's conjugated spectrum is from its partner block's.
+    """How far each sector's conjugated spectrum is from its partner sector's.
 
-    L(rho^dag) = L(rho)^dag, so the spectrum of the block holding vec
-    position i + d j (the entry |i><j|) is the conjugate of the spectrum of
-    the block holding j + d i. A defective eigenvalue (a Jordan block, as
+    L(rho^dag) = L(rho)^dag and the adjoint maps |i><j| to |j><i| and the
+    phases of T's orbits to their conjugates, so the spectrum of sector
+    (q, k) is the conjugate of the spectrum of sector (-q, -k mod n), n the
+    sites of the ring (d = 2^n). A defective eigenvalue (a Jordan block, as
     -1.5 at n = 4, lambda = 1) comes out of eig only to ~sqrt(eps), split
-    differently in a block and in its partner, while the mean of its
+    differently in a sector and in its partner, while the mean of its
     cluster is accurate to ~eps. So each conjugated eigenvalue is compared
     through the means of the eigenvalues within a radius of it on both
     sides; clusters of different sizes count as at least the radius apart.
     """
     radius = 1e-6  # far above the ~1e-8 split of a defective pair
-    label = np.empty(d * d, dtype=int)
-    for b, block in enumerate(blocks):
-        label[block.indices] = b
+    n = max(d.bit_length() - 1, 1)
+    by_sector = {(b.q, b.k): b for b in blocks}
     worst = 0.0
     for block in blocks:
-        i, j = divmod(int(block.indices[0]), d)  # vec position j + d i
         w = block.eigenvalues.conj()
-        v = blocks[label[i + d * j]].eigenvalues
+        v = by_sector[(-block.q, -block.k % n)].eigenvalues
         gap_w, gap_v = np.abs(w[:, None] - w), np.abs(w[:, None] - v)
         near_w, near_v = gap_w < radius, gap_v < radius
         n_w, n_v = near_w.sum(axis=1), near_v.sum(axis=1)

@@ -9,7 +9,12 @@ import pytest
 from dissipative_spins import cli, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.effective import EliminationValidation
-from dissipative_spins.liouville import conjugate_pair_defect, ring_liouvillian, steady_states
+from dissipative_spins.liouville import (
+    Liouvillian,
+    conjugate_pair_defect,
+    ring_liouvillian,
+    steady_states,
+)
 from dissipative_spins.models import DissipativeModel, LatticeSpec, dissipative_heisenberg
 from dissipative_spins.operators import pauli
 from dissipative_spins.opformat import OperatorFormatError
@@ -383,6 +388,29 @@ def test_oracle_conjugate_pairs_n5(capsys):
     assert out["trace_defect"] < 1e-12
 
 
+@pytest.mark.parametrize("n, lam, dim", [(2, 0.0, 9), (3, 0.7, 1), (4, 0.0, 25), (5, 1.0, 1)])
+def test_oracle_forms_no_superoperator(capsys, monkeypatch, n, lam, dim):
+    # the sectors are gathered from G and the jumps
+    def refuse(self):
+        raise AssertionError("the oracle formed the d^2 x d^2 generator")
+
+    monkeypatch.setattr(Liouvillian, "matrix", property(refuse))
+    assert run(["oracle", "--n", str(n), "--lambda", str(lam)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dark_dimension"] == dim
+    assert out["trace_defect"] < 1e-12
+
+
+@pytest.mark.parametrize("lam, dim", [(0.0, 49), (1.5, 1)])
+def test_oracle_n6(capsys, lam, dim):
+    assert run(["oracle", "--n", "6", "--lambda", str(lam)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dark_dimension"] == dim
+    assert out["trace_defect"] <= 1e-12
+    assert out["max_real_part"] <= 1e-9
+    assert out["conjugate_pair_defect"] < 1e-9
+
+
 def test_conjugate_pair_defect_pairs_opposite_orders():
     # a sigma_z field keeps the coherence-order blocks but makes them
     # complex: block q is the conjugate of block -q, not of itself
@@ -397,7 +425,7 @@ def test_conjugate_pair_defect_pairs_opposite_orders():
 
 def test_oracle_resource_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ring_liouvillian", refuse)
-    for n in (6, 7):
+    for n in (7, 8):
         assert run(["oracle", "--n", str(n)]) == 3
         assert "cap" in capsys.readouterr().err
 
@@ -421,7 +449,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_oracle_loads_no_scipy(tmp_path):
-    # the generator's blocks come from numpy's own weak components
+    # the sectors need numpy alone
     out = subprocess.run(
         [sys.executable, "-c",
          "import json, sys\nfrom dissipative_spins.cli import main\n"
@@ -434,6 +462,19 @@ def test_oracle_loads_no_scipy(tmp_path):
     assert code == 0
     assert json.loads((tmp_path / "o.json").read_text())["dark_dimension"] == 1
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_main_dispatches_to_the_current_command(capsys, monkeypatch):
+    # the parser is built once and kept; the command is looked up per call,
+    # so a function patched after the first call is the one that runs
+    assert run(["oracle", "--n", "2", "--lambda", "0"]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_oracle", lambda args: calls.append(args.n) or 0)
+    assert run(["oracle", "--n", "3"]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().out == ""
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_console_entry_point():

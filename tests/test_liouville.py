@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
-    _weak_components,
+    Liouvillian,
     build_liouvillian,
     exact_norm,
     ring_liouvillian,
@@ -134,7 +134,19 @@ def test_trace_preservation():
     ident = np.eye(liou.dim, dtype=complex)
     left = vec(ident).conj() @ liou.matrix
     assert np.abs(left).max() < 1e-12
-    assert liou.trace_defect() == np.abs(left).max()
+    assert steady_states(liou).trace_defect < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_defect_sees_a_leak(n):
+    # G + 0.1 loses trace at rate 0.2; at n = 2 (no translation) the sector
+    # value is max |vec(1)^dag matrix|, on a ring each diagonal orbit
+    # carries sqrt(period) of it
+    liou = ring_liouvillian(dissipative_heisenberg(0.9, LatticeSpec(z=6)), n)
+    leaky = Liouvillian(g=liou.g + 0.1 * np.eye(liou.dim), jumps=liou.jumps, ring=liou.ring)
+    dense = np.abs(vec(np.eye(liou.dim)).conj() @ leaky.matrix).max()
+    assert dense == pytest.approx(0.2)
+    assert steady_states(leaky).trace_defect == pytest.approx(0.2 * np.sqrt(n if n > 2 else 1))
 
 
 def test_spectrum_real_parts_nonpositive():
@@ -267,35 +279,69 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
     assert_steady_basis(liou, space)
 
 
+def field_model(lam, axis, strength):
+    heis = dissipative_heisenberg(lam, LatticeSpec(z=6))
+    return DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, strength * pauli(axis))],
+                            jump_terms=heis.jump_terms)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_transverse_field_is_one_block(lam):
-    # a sigma_x field mixes coherence orders, so nothing splits
-    heis = dissipative_heisenberg(lam, LatticeSpec(z=6))
-    model = DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, 0.3 * pauli("x"))],
-                             jump_terms=heis.jump_terms)
-    liou = ring_liouvillian(model, 3)
+    # a sigma_x field mixes coherence orders: one block of orders, which
+    # only the ring's three momenta split
+    liou = ring_liouvillian(field_model(lam, "x", 0.3), 3)
     evals = np.linalg.eig(liou.matrix)[0]
     space = steady_states(liou)
-    assert len(space.blocks) == 1
+    assert sorted((b.q, b.k) for b in space.blocks) == [(0, 0), (0, 1), (0, 2)]
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
     assert_same_spectrum(evals, space.eigenvalues)
     assert_steady_basis(liou, space)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-@pytest.mark.parametrize("lam", [0.0, 0.7, 1.5])
-def test_weak_components_match_scipy(n, lam):
-    pattern = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n).matrix != 0
-    _, ref = connected_components(csr_matrix(pattern), directed=True, connection="weak")
-    assert np.array_equal(_weak_components(pattern), ref)
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("axis, orders", [("z", True), ("x", False)])
+def test_complex_generator_matches_dense_reference(n, axis, orders):
+    # a field makes G complex, so every momentum is diagonalized on its own;
+    # sigma_z keeps the coherence orders, sigma_x leaves the momenta alone
+    liou = ring_liouvillian(field_model(0.7, axis, 0.4), n)
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert {b.k for b in space.blocks} == set(range(n))
+    assert {b.q for b in space.blocks} == (set(range(-n, n + 1)) if orders else {0})
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert space.trace_defect < 1e-12
+    assert_same_spectrum(evals, space.eigenvalues)
+    assert_steady_basis(liou, space)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(1, 40), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
-def test_weak_components_match_scipy_on_random_patterns(size, density, seed):
-    pattern = np.random.default_rng(seed).random((size, size)) < density
-    _, ref = connected_components(csr_matrix(pattern), directed=True, connection="weak")
-    assert np.array_equal(_weak_components(pattern), ref)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ring_generator_commutes_with_translation(n):
+    # T shifts every site by one, built from nearest-neighbor swaps
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    shift = np.eye(2**n)
+    for s in range(n - 1):
+        shift = embed(swap, [s, s + 1], n) @ shift
+    rng = np.random.default_rng(n)
+    for model in (dissipative_heisenberg(0.7, LatticeSpec(z=6)), field_model(0.7, "x", 0.4)):
+        liou = ring_liouvillian(model, n)
+        assert liou.ring == n
+        rho = _random_matrix(rng, 2**n)
+        np.testing.assert_allclose(liou.apply(shift @ rho @ shift.T),
+                                   shift @ liou.apply(rho) @ shift.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("z, renormalize", [(6, True), (2, False)])
+def test_dark_dimensions_match_dense_reference_n4(z, renormalize):
+    # 64 couplings over [0, 2], the resolution at which the ring's dark
+    # dimension jumps from (n + 1)^2 at lambda = 0 to 1
+    lattice = LatticeSpec(z=z, bipartite=True, renormalize=renormalize)
+    for lam in np.linspace(0.0, 2.0, 64):
+        liou = ring_liouvillian(dissipative_heisenberg(lam, lattice), 4)
+        space = steady_states(liou)
+        evals = np.linalg.eigvals(liou.matrix)
+        assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9), lam
+        assert space.trace_defect <= 1e-12
+        assert space.eigenvalues.real.max() <= 1e-9
 
 
 def test_exact_norm_matches_manual():
