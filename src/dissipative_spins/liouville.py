@@ -248,9 +248,10 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
             if q == 0 and k == 0:
                 u = np.where(i == j, np.sqrt(p), 0.0)
                 trace_defect = float(np.abs(u @ f).max())
+            mirrored = real and 2 * k % n  # sector n - k is the complex conjugate
             evals = np.linalg.eigvals(f)
             blocks.append(SpectralBlock(q=int(q), k=k, eigenvalues=evals))
-            if real and 2 * k % n:  # sector n - k is the complex conjugate
+            if mirrored:
                 blocks.append(SpectralBlock(q=int(q), k=n - k, eigenvalues=evals.conj()))
             zero = np.count_nonzero(np.abs(evals) < _NULL_TOL)
             if zero:
@@ -263,7 +264,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
                 terms = (phase[k][:, None, None] * x).reshape(-1, zero)  # (m, a) rows
                 np.add.at(null, orbit[:, r[keep]].ravel(), terms)
                 nulls.append(null.T)
-                if real and 2 * k % n:
+                if mirrored:
                     nulls.append(null.T.conj())
     basis = _hermitian_basis(np.concatenate(nulls or [np.zeros((0, d * d))]).reshape(-1, d, d))
     return SteadySpace(dimension=len(basis), basis=basis, blocks=blocks, trace_defect=trace_defect)

@@ -314,6 +314,21 @@ def test_complex_generator_matches_dense_reference(n, axis, orders):
     assert_steady_basis(liou, space)
 
 
+def test_null_vectors_at_complex_momenta():
+    # XY hopping alone: the magnons k = 1, 2 of the 3-ring are degenerate,
+    # so |1><2| is dark at momentum -1, whose orbit phases are complex
+    hop = np.kron(pauli("+"), pauli("-"))
+    model = DissipativeModel(lattice=LatticeSpec(z=6), hamiltonian_terms=[(2, hop + hop.T)],
+                             jump_terms=[])
+    liou = ring_liouvillian(model, 3)
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert any(b.k == 1 and np.abs(b.eigenvalues).min() < 1e-9 for b in space.blocks)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert_same_spectrum(evals, space.eigenvalues)
+    assert_steady_basis(liou, space)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_ring_generator_commutes_with_translation(n):
     # T shifts every site by one, built from nearest-neighbor swaps
@@ -338,7 +353,8 @@ def test_dark_dimensions_match_dense_reference_n4(z, renormalize):
     for lam in np.linspace(0.0, 2.0, 64):
         liou = ring_liouvillian(dissipative_heisenberg(lam, lattice), 4)
         space = steady_states(liou)
-        evals = np.linalg.eigvals(liou.matrix)
+        assert not liou.matrix.imag.any()  # real arithmetic for the reference too
+        evals = np.linalg.eigvals(liou.matrix.real)
         assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9), lam
         assert space.trace_defect <= 1e-12
         assert space.eigenvalues.real.max() <= 1e-9
