@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
     Liouvillian,
+    _coherence_orders,
     build_liouvillian,
     exact_norm,
     ring_liouvillian,
@@ -283,6 +284,23 @@ def field_model(lam, axis, strength):
     heis = dissipative_heisenberg(lam, LatticeSpec(z=6))
     return DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, strength * pauli(axis))],
                             jump_terms=heis.jump_terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("lam", [0.0, 0.7, 1.5])
+def test_weak_components_match_scipy(n, lam):
+    # the oracle's coherence-order split follows the generator's nonzero
+    # pattern: each of scipy's weak components holds a single order, so no
+    # element of L joins two q-groups
+    liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n)
+    orders = _coherence_orders(liou)
+    assert orders is not None
+    d = liou.dim
+    count, labels = connected_components(csr_matrix(liou.matrix != 0), directed=True,
+                                         connection="weak")
+    in_vec = orders.reshape(d, d).ravel(order="F")  # row-major |i><j| to vec(rho) positions
+    assert np.unique(np.stack([labels, in_vec]), axis=1).shape[1] == count
+    assert set(orders) == set(range(-n, n + 1))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
