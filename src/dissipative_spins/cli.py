@@ -13,11 +13,11 @@ failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 6
 sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
 MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
 samples, validation horizons --t-max above MAX_T_MAX = 2000, problem files
-of more than MAX_PROBLEM_SITES = 6 sites). Sweeps are bit-stable for a
-fixed --seed regardless of --jobs: each grid point derives its own seed
-from the global one and its coupling. The argument parser is built on the
-first ``main`` call and kept; each call dispatches to the module's
-``cmd_<name>`` as it is then.
+of more than MAX_PROBLEM_SITES = 6 sites or MAX_PROBLEM_JUMPS = 16 [jump]
+sections). Sweeps are bit-stable for a fixed --seed regardless of --jobs:
+each grid point derives its own seed from the global one and its
+coupling. The argument parser is built on the first ``main`` call and
+kept; each call dispatches to the module's ``cmd_<name>`` as it is then.
 """
 
 from __future__ import annotations
@@ -39,7 +39,13 @@ from .effective import (
 )
 from .liouville import conjugate_pair_defect, ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg, parse_config
-from .opformat import OperatorFormatError, format_operator, parse_problem_text, problem_sites
+from .opformat import (
+    OperatorFormatError,
+    format_operator,
+    parse_problem_text,
+    problem_jumps,
+    problem_sites,
+)
 from .variational import (
     FitError,
     SweepRecord,
@@ -56,6 +62,7 @@ MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
 MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at once
 MAX_T_MAX = 2000.0  # validation horizon; the propagator's work grows with it
 MAX_PROBLEM_SITES = 6  # dense 2^n x 2^n operators; --validate took 0.3 s at n = 6, 1.4 s at n = 7
+MAX_PROBLEM_JUMPS = 16  # at n = 6, 16 rate-1 jumps took 0.3 s (10.5 s with --validate), 2,000 3.7 s
 
 
 def format_sweep_csv(records) -> str:
@@ -232,6 +239,10 @@ def cmd_effective(args) -> int:
     if n_sites > MAX_PROBLEM_SITES:
         return _over_cap(f"effective: n = {n_sites} exceeds the problem-size cap "
                          f"({MAX_PROBLEM_SITES} sites)")
+    n_jumps = problem_jumps(text)
+    if n_jumps > MAX_PROBLEM_JUMPS:
+        return _over_cap(f"effective: {n_jumps} [jump] sections exceed the jump cap "
+                         f"({MAX_PROBLEM_JUMPS})")
     pf = parse_problem_text(text)
     h_eff = effective_hamiltonian(pf.problem)
     c_eff = effective_jumps(pf.problem)

@@ -3,11 +3,11 @@
 ``Liouvillian`` holds the generator of H and the jumps c_k as the stacked
 jumps and G = -i H - 1/2 sum_k c_k^dag c_k, so L rho = G rho + rho G^dag +
 sum_k c_k rho c_k^dag. ``apply``, ``adjoint`` and ``evolve`` (exp(t L) rho)
-form no d^2 x d^2 superoperator; ``matrix``, built on first use and kept,
-is that superoperator for the oracle. Only this module knows its layout:
-vec(rho) stacks the columns of rho (Fortran order), so vec(A rho B) =
-kron(B^T, A) vec(rho) and matrix = kron(1, G) + kron(conj(G), 1) +
-sum_k kron(conj(c_k), c_k).
+form no d^2 x d^2 superoperator. The one layout is row-major: |i><j| is
+entry i d + j of rho.ravel(), and ``_rows`` is the one place where the
+entries L[(i, j), (k, l)] are formed, for ``steady_states`` and for
+``matrix``, the whole d^2 x d^2 generator that the bond compile and dense
+references read.
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
 real parts; the null space holds the steady states. ``steady_states``
@@ -22,7 +22,6 @@ diagonalized one at a time (at n = 6 the largest has 160 rows, against
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -76,30 +75,25 @@ class Liouvillian:
             np.random.set_state(state)
         return out.reshape(d, d)
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The column-stacked d^2 x d^2 generator, built on first use and kept."""
-        d, g = self.dim, self.g
-        flat = self.jumps.reshape(-1, d * d)
-        # the jump sum as one (d^2, k) @ (k, d^2) product: (i k, j l) entries
-        # conj(c)[i, k] c[j, l], reordered to (i j, k l); one expression, so
-        # the product is freed before the krons' temporaries
-        mat = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        mat += np.kron(np.eye(d), g)
-        mat += np.kron(g.conj(), np.eye(d))
-        return mat
-
-    def row_major(self) -> np.ndarray:
-        """``matrix`` reindexed from (out col, out row) x (in col, in row) to row-major."""
-        return self.matrix.reshape((self.dim,) * 4).transpose(1, 0, 3, 2).reshape(self.matrix.shape)
+        """The d^2 x d^2 generator, row-major: L @ rho.ravel() is (L rho).ravel()."""
+        d = self.dim
+        return _rows(self.g, self.jumps, *np.divmod(np.arange(d * d), d)).reshape(d * d, d * d)
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).flatten(order="F")
+def _rows(g: np.ndarray, cs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows (i, j) of L, each a d x d array over (k, l): (len(i), d, d).
 
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
+    L[(i, j), (k, l)] = G[i, k] d(j, l) + conj G[j, l] d(i, k) + sum_c c[i, k] conj c[j, l]:
+    the jump sum as one batched (d, jumps) @ (jumps, d) product per row,
+    then the two G terms.
+    """
+    a = np.arange(len(i))
+    rows = cs[:, i].transpose(1, 2, 0) @ cs[:, j].conj().transpose(1, 0, 2)
+    rows[a, :, j] += g[i]
+    rows[a, i, :] += g[j].conj()
+    return rows
 
 
 def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
@@ -152,7 +146,7 @@ class SteadySpace:
     dimension: int
     basis: list  # Hermitian representatives; trace 1 where trace is nonzero
     blocks: list  # SpectralBlock per (q, k) sector of the generator
-    trace_defect: float  # max |u^dag F_0| on sector (0, 0), u = vec(1) there
+    trace_defect: float  # max |u^dag F_0| on sector (0, 0), u the identity there
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -199,10 +193,10 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     representative r_a and period p_a, v_a = sqrt(p_a)/n sum_m
     exp(-2 pi i k m/n) T^m r_a, kept when k p_a = 0 mod n. Its matrix,
     F_k[a, b] = sqrt(p_a p_b)/n sum_m exp(-2 pi i k m/n) L[r_a, T^m r_b],
-    is gathered from G and the jumps, L[(i, j), (k, l)] = G[i, k] d(j, l) +
-    conj G[j, l] d(i, k) + sum_c c[i, k] conj c[j, l]; the d^2 x d^2
-    generator is never formed. A real generator has F_{n-k} = conj F_k, so
-    only k <= n/2 is diagonalized and k = 0 (and n/2) in real arithmetic.
+    is gathered from the rows r_a of L that ``_rows`` forms from G and the
+    jumps; the d^2 x d^2 generator is never formed. A real generator has
+    F_{n-k} = conj F_k, so only k <= n/2 is diagonalized and k = 0 (and
+    n/2) in real arithmetic.
 
     L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
     matrices: the Hermitian parts of the sectors' null vectors, mapped back
@@ -210,7 +204,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     rescaled to trace 1 when their trace is nonzero (traceless directions
     keep unit Hilbert-Schmidt norm). The sector spectra are kept on the
     result, and ``trace_defect`` is max |u^dag F_0| on the sector (0, 0),
-    u = vec(1) in that sector's basis (sqrt(p_a) on the diagonal orbits).
+    u the identity in that sector's basis (sqrt(p_a) on the diagonal orbits).
     """
     d, g, cs = liou.dim, liou.g, liou.jumps
     real = not (g.imag.any() or cs.imag.any())
@@ -228,13 +222,9 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     for q in np.unique(q_of):
         r, p = reps[q_of == q], period[q_of == q]
         i, j = divmod(r, d)
-        a = np.arange(r.size)
-        # row r_a of L as a d x d array over (k, l): the jump sum as one batched
-        # (d, jumps) @ (jumps, d) product per row, then the two G terms
-        rows = cs[:, i].transpose(1, 2, 0) @ cs[:, j].conj().transpose(1, 0, 2)
-        rows[a, :, j] += g[i]
-        rows[a, i, :] += g[j].conj()
-        gather = rows[a[:, None], rot[:, i][:, None, :], rot[:, j][:, None, :]]  # R_m, (n, A, A)
+        a = np.arange(r.size)[:, None]
+        # R_m[a, b] = L[r_a, T^m r_b] from the rows r_a of L: (n, A, A)
+        gather = _rows(g, cs, i, j)[a, rot[:, i][:, None, :], rot[:, j][:, None, :]]
         ks = np.arange(n // 2 + 1 if real else n)
         sectors = (phase[ks] @ gather.reshape(n, -1)).reshape(-1, r.size, r.size)
         sectors *= np.sqrt(np.outer(p, p)) / n

@@ -73,6 +73,8 @@ def _parse_terms(numbered_lines, n_sites: int) -> np.ndarray:
             raise OperatorFormatError(
                 f"bad coefficient {fields[0]!r} {fields[1]!r}", lineno
             ) from None
+        if not np.isfinite(coeff):
+            raise OperatorFormatError(f"non-finite coefficient {fields[0]!r} {fields[1]!r}", lineno)
         factors = {}
         for tok in fields[2:]:
             site_str, _, name = tok.partition(":")
@@ -183,30 +185,41 @@ def _read_sites(text: str):
     if "sites" not in sections:
         raise OperatorFormatError("missing [sites] section")
     n_sites = None
-    aux_sites = ()
+    aux_sites, aux_line = (), 0
     for lineno, line in sections["sites"]:
         key, eq, value = (p.strip() for p in line.partition("="))
         if not eq:
             raise OperatorFormatError("expected 'key = value'", lineno)
-        if key == "n":
-            n_sites = int(value)
-        elif key == "aux":
-            aux_sites = tuple(
-                int(v) for v in value.replace(",", " ").split()
-            )
-        else:
+        if key not in ("n", "aux"):
             raise OperatorFormatError(f"unknown [sites] key {key!r}", lineno)
+        try:
+            ints = tuple(int(v) for v in value.replace(",", " ").split())
+        except ValueError:
+            ints = None
+        if ints is None or key == "n" and len(ints) != 1:
+            raise OperatorFormatError(f"bad [sites] {key} value {value!r}", lineno)
+        if key == "n":
+            n_sites = ints[0]
+        elif len(set(ints)) < len(ints):
+            raise OperatorFormatError(f"repeated aux site in {value!r}", lineno)
+        else:
+            aux_sites, aux_line = ints, lineno
     if n_sites is None or n_sites < 1:
         raise OperatorFormatError("[sites] must set n to a positive integer")
     for s in aux_sites:
         if not 0 <= s < n_sites:
-            raise OperatorFormatError(f"aux site {s} outside 0..{n_sites - 1}")
+            raise OperatorFormatError(f"aux site {s} outside 0..{n_sites - 1}", aux_line)
     return sections, jump_bodies, n_sites, aux_sites
 
 
 def problem_sites(text: str) -> int:
     """Total site count n of a problem file, read before any 2^n x 2^n operator exists."""
     return _read_sites(text)[2]
+
+
+def problem_jumps(text: str) -> int:
+    """Number of [jump] sections of a problem file, counted before any operator exists."""
+    return len(_read_sites(text)[1])
 
 
 def parse_problem_text(text: str) -> ProblemFile:
@@ -231,8 +244,8 @@ def parse_problem_text(text: str) -> ProblemFile:
                     rate = float(line.partition("=")[2])
                 except ValueError:
                     raise OperatorFormatError("bad rate value", lineno) from None
-                if rate < 0:
-                    raise OperatorFormatError("rate must be nonnegative", lineno)
+                if not (np.isfinite(rate) and rate >= 0):
+                    raise OperatorFormatError("rate must be finite and nonnegative", lineno)
             else:
                 op_lines.append((lineno, line))
         if not op_lines:

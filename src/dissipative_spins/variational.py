@@ -289,8 +289,8 @@ class CompiledBond:
         # single-site terms on both slots of the bond
         local_jumps = [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]
         local_hams = [kron(h, eye) + kron(eye, h) for h in hams[1]]
-        bond = build_liouvillian(sum(hams[2], np.zeros((4, 4))), jumps[2]).row_major()
-        local = build_liouvillian(sum(local_hams, np.zeros((4, 4))), local_jumps).row_major()
+        bond = build_liouvillian(sum(hams[2], np.zeros((4, 4))), jumps[2]).matrix
+        local = build_liouvillian(sum(local_hams, np.zeros((4, 4))), local_jumps).matrix
 
         sig = np.array([pauli("identity"), pauli("x"), pauli("y"), pauli("z")])
         # pair basis sigma_mu (x) sigma_nu / 4 as a (row, col) x (mu, nu) matrix

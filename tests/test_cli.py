@@ -351,6 +351,39 @@ def test_effective_problem_size_cap(tmp_path, capsys, monkeypatch):
     assert "[H_eff]" in text and "[c_eff 0]" in text
 
 
+def test_effective_jump_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "effective_hamiltonian", refuse)
+    prob, out = tmp_path / "p.prob", tmp_path / "eff.txt"
+    # cap + 1 sections, refused before any jump operator is built
+    prob.write_text(BELL_PROBLEM + "[jump]\n1 0 1:-\n" * cli.MAX_PROBLEM_JUMPS)
+    assert run(["effective", "--problem", str(prob), "--out", str(out)]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert not out.exists()
+    # the cap itself still runs
+    monkeypatch.undo()
+    prob.write_text(BELL_PROBLEM + "[jump]\n1 0 1:-\n" * (cli.MAX_PROBLEM_JUMPS - 1))
+    assert run(["effective", "--problem", str(prob), "--out", str(out)]) == 0
+    assert f"[c_eff {cli.MAX_PROBLEM_JUMPS - 1}]" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "old,new,lineno",
+    [
+        ("0.025 0 0:uu", "nan 0 0:uu", 6),
+        ("rate = 1.0", "rate = nan", 11),
+        ("rate = 1.0", "rate = inf", 11),
+        ("n = 2", "n = two", 3),
+        ("aux = 1", "aux = 1 1", 4),
+    ],
+)
+def test_effective_refuses_bad_numbers_at_their_line(tmp_path, capsys, old, new, lineno):
+    prob, out = tmp_path / "p.prob", tmp_path / "eff.txt"
+    prob.write_text(BELL_PROBLEM.replace(old, new))
+    assert run(["effective", "--problem", str(prob), "--out", str(out)]) == 1
+    assert f"line {lineno}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_effective_gapless(tmp_path):
     prob = tmp_path / "p.prob"
     prob.write_text(BELL_PROBLEM.replace("[jump]\nrate = 1.0\n1 0 1:-\n", ""))

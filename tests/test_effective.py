@@ -20,7 +20,7 @@ from dissipative_spins.effective import (
     strip_auxiliary,
     validate_elimination,
 )
-from dissipative_spins.liouville import Liouvillian, build_liouvillian, unvec, vec
+from dissipative_spins.liouville import Liouvillian, build_liouvillian
 from dissipative_spins.operators import bloch_to_density, embed, kron, partial_trace, pauli
 
 UP = np.array([1.0, 0.0])
@@ -216,7 +216,7 @@ def test_validation_matches_dense_propagator(delta):
     val = validate_elimination(prob, rho_sys, rho_aux, [1], 2, t_max=t)
 
     def dense(h, jumps, rho0):
-        return unvec(expm(t * build_liouvillian(h, jumps).matrix) @ vec(rho0), rho0.shape[0])
+        return (expm(t * build_liouvillian(h, jumps).matrix) @ rho0.ravel()).reshape(rho0.shape)
 
     h_full = prob.h_ground + prob.h_excited + prob.v_plus + prob.v_minus
     full = partial_trace(dense(h_full, list(prob.jumps), kron(rho_sys, rho_aux)), [0], 2)

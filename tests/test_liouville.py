@@ -21,8 +21,6 @@ from dissipative_spins.liouville import (
     exact_norm,
     ring_liouvillian,
     steady_states,
-    unvec,
-    vec,
 )
 from dissipative_spins.models import (
     DissipativeModel,
@@ -40,14 +38,6 @@ from dissipative_spins.operators import (
     pauli,
     trace_norm_hermitian,
 )
-
-
-def test_vec_roundtrip():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(unvec(vec(x), 4), x)
-    # column stacking: first d entries are the first column
-    np.testing.assert_allclose(vec(x)[:4], x[:, 0])
 
 
 def test_amplitude_damping_spectrum():
@@ -89,24 +79,14 @@ def test_apply_matches_direct_master_equation(seed, d, n_jumps, with_h):
     st.integers(0, 3),
 )
 def test_matrix_is_the_applied_generator(seed, d, n_jumps):
-    # apply and adjoint never read the matrix, so this pins its layout
+    # apply and adjoint never read the matrix, and the matrix comes from the
+    # same row gather as the oracle's sectors, so this keeps that gather honest
     rng = np.random.default_rng(seed)
     h = _random_matrix(rng, d)
     liou = build_liouvillian(h + h.conj().T, [_random_matrix(rng, d) for _ in range(n_jumps)])
     rho, x = _random_matrix(rng, d), _random_matrix(rng, d)
-    np.testing.assert_allclose(vec(liou.apply(rho)), liou.matrix @ vec(rho), atol=1e-11)
-    np.testing.assert_allclose(vec(liou.adjoint(x)), liou.matrix.conj().T @ vec(x), atol=1e-11)
-    np.testing.assert_allclose(liou.row_major() @ rho.ravel(), liou.apply(rho).ravel(), atol=1e-11)
-
-
-def test_matrix_is_built_on_first_use_and_kept():
-    liou = ring_liouvillian(dissipative_heisenberg(0.7, LatticeSpec(z=6)), 3)
-    x = _random_matrix(np.random.default_rng(0), 8)
-    rho = x @ x.conj().T
-    liou.apply(rho), liou.adjoint(rho), exact_norm(liou, rho)
-    assert "matrix" not in vars(liou)
-    assert liou.matrix is liou.matrix
-    assert "matrix" in vars(liou)
+    np.testing.assert_allclose(liou.apply(rho).ravel(), liou.matrix @ rho.ravel(), atol=1e-11)
+    np.testing.assert_allclose(liou.adjoint(x).ravel(), liou.matrix.conj().T @ x.ravel(), atol=1e-11)
 
 
 def test_build_rejects_mismatched_jumps():
@@ -133,7 +113,7 @@ def test_ring_apply_matches_embedded_jumps(n):
 def test_trace_preservation():
     liou = ring_liouvillian(dissipative_heisenberg(0.9, LatticeSpec(z=6)), 2)
     ident = np.eye(liou.dim, dtype=complex)
-    left = vec(ident).conj() @ liou.matrix
+    left = ident.ravel().conj() @ liou.matrix
     assert np.abs(left).max() < 1e-12
     assert steady_states(liou).trace_defect < 1e-12
 
@@ -141,11 +121,11 @@ def test_trace_preservation():
 @pytest.mark.parametrize("n", [2, 3])
 def test_trace_defect_sees_a_leak(n):
     # G + 0.1 loses trace at rate 0.2; at n = 2 (no translation) the sector
-    # value is max |vec(1)^dag matrix|, on a ring each diagonal orbit
+    # value is max |1^dag matrix| over the flattened identity, on a ring each diagonal orbit
     # carries sqrt(period) of it
     liou = ring_liouvillian(dissipative_heisenberg(0.9, LatticeSpec(z=6)), n)
     leaky = Liouvillian(g=liou.g + 0.1 * np.eye(liou.dim), jumps=liou.jumps, ring=liou.ring)
-    dense = np.abs(vec(np.eye(liou.dim)).conj() @ leaky.matrix).max()
+    dense = np.abs(np.eye(liou.dim).ravel() @ leaky.matrix).max()
     assert dense == pytest.approx(0.2)
     assert steady_states(leaky).trace_defect == pytest.approx(0.2 * np.sqrt(n if n > 2 else 1))
 
@@ -173,7 +153,7 @@ def test_cp_spot_check():
         for j in range(d):
             e_ij = np.zeros((d, d), dtype=complex)
             e_ij[i, j] = 1.0
-            out = unvec(prop @ vec(e_ij), d)
+            out = (prop @ e_ij.ravel()).reshape(d, d)
             choi += np.kron(e_ij, out)
     assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min() > -1e-10
 
@@ -295,11 +275,9 @@ def test_weak_components_match_scipy(n, lam):
     liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n)
     orders = _coherence_orders(liou)
     assert orders is not None
-    d = liou.dim
     count, labels = connected_components(csr_matrix(liou.matrix != 0), directed=True,
                                          connection="weak")
-    in_vec = orders.reshape(d, d).ravel(order="F")  # row-major |i><j| to vec(rho) positions
-    assert np.unique(np.stack([labels, in_vec]), axis=1).shape[1] == count
+    assert np.unique(np.stack([labels, orders]), axis=1).shape[1] == count
     assert set(orders) == set(range(-n, n + 1))
 
 

@@ -9,6 +9,7 @@ from dissipative_spins.opformat import (
     format_operator,
     parse_operator_text,
     parse_problem_text,
+    problem_jumps,
     problem_sites,
 )
 from dissipative_spins.operators import embed, kron, pauli
@@ -171,3 +172,51 @@ def test_problem_sites_reads_only_the_sites_section():
     assert problem_sites(PROBLEM.replace("1:+", "1:??").replace("n = 2", "n = 30")) == 30
     with pytest.raises(OperatorFormatError):
         problem_sites(PROBLEM.replace("aux = 1", "aux = 7"))
+
+
+def _line_of(text, start):
+    return next(k for k, line in enumerate(text.splitlines(), 1) if line.startswith(start))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("0.05 0 0:ud", "nan 0 0:ud"),
+        ("0.05 0 0:ud", "0.05 -inf 0:ud"),
+        ("0.05 0 0:ud", "1e400 0 0:ud"),
+        ("rate = 4.0", "rate = nan"),
+        ("rate = 4.0", "rate = inf"),
+        ("rate = 4.0", "rate = -1"),
+    ],
+)
+def test_problem_refuses_non_finite_numbers(old, new):
+    # nan passes a sign test and inf reaches the linear algebra: both are
+    # refused at their own line
+    bad = PROBLEM.replace(old, new)
+    with pytest.raises(OperatorFormatError) as err:
+        parse_problem_text(bad)
+    assert err.value.line == _line_of(bad, new)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("n = 2", "n = two"),
+        ("n = 2", "n = 2 3"),
+        ("aux = 1", "aux = x"),
+        ("aux = 1", "aux = 1 1"),
+        ("aux = 1", "aux = 1, 1"),
+        ("aux = 1", "aux = 7"),
+    ],
+)
+def test_sites_values_are_refused_at_their_line(old, new):
+    bad = PROBLEM.replace(old, new)
+    for parse in (problem_sites, parse_problem_text):
+        with pytest.raises(OperatorFormatError) as err:
+            parse(bad)
+        assert err.value.line == _line_of(bad, new)
+
+
+def test_problem_jumps_counts_sections_unparsed():
+    assert problem_jumps(PROBLEM) == 1
+    assert problem_jumps(PROBLEM + "[jump]\n1 0 1:??\n" * 3) == 4
