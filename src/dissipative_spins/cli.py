@@ -14,10 +14,12 @@ sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
 MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
 samples, validation horizons --t-max above MAX_T_MAX = 2000, problem files
 of more than MAX_PROBLEM_SITES = 6 sites or MAX_PROBLEM_JUMPS = 16 [jump]
-sections). Sweeps are bit-stable for a fixed --seed regardless of --jobs:
-each grid point derives its own seed from the global one and its
-coupling. The argument parser is built on the first ``main`` call and
-kept; each call dispatches to the module's ``cmd_<name>`` as it is then.
+sections, validations whose work t_max (2 ||H||_2 + 2 sum_k ||c_k||_2^2)
+(jumps + 1) is above MAX_VALIDATION_WORK = 10,000). Sweeps are bit-stable
+for a fixed --seed regardless of --jobs: each grid point derives its own
+seed from the global one and its coupling. The argument parser is built on
+the first ``main`` call and kept; each call dispatches to the module's
+``cmd_<name>`` as it is then.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .opformat import (
     OperatorFormatError,
     format_operator,
     parse_problem_text,
-    problem_jumps,
-    problem_sites,
+    problem_size,
 )
 from .variational import (
     FitError,
@@ -63,6 +64,9 @@ MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at onc
 MAX_T_MAX = 2000.0  # validation horizon; the propagator's work grows with it
 MAX_PROBLEM_SITES = 6  # dense 2^n x 2^n operators; --validate took 0.3 s at n = 6, 1.4 s at n = 7
 MAX_PROBLEM_JUMPS = 16  # at n = 6, 16 rate-1 jumps took 0.3 s (10.5 s with --validate), 2,000 3.7 s
+# t_max ||L|| bounded, times the jumps + 1 terms of each generator product; near the cap at
+# n = 6 on one core, one rate-49 jump at t_max = 50 took 3.2 s, 16 rate-1 jumps at 18 8-9 s
+MAX_VALIDATION_WORK = 10_000
 
 
 def format_sweep_csv(records) -> str:
@@ -123,6 +127,17 @@ def read_sweep_csv(text: str):
 def _over_cap(message: str) -> int:
     print(message, file=sys.stderr)
     return 3
+
+
+def _validation_work(problem, t_max: float) -> float:
+    """t_max (2 ||H||_2 + 2 sum_k ||c_k||_2^2) (jumps + 1): the propagator's work, bounded.
+
+    The bracket bounds ||L||_2 (||G||_2 <= ||H||_2 + sum_k ||c_k||_2^2 / 2), which sets
+    the number of products exp(t L) takes; each product costs one G term and one per jump.
+    """
+    h = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
+    bound = 2 * np.linalg.norm(h, 2) + 2 * sum(np.linalg.norm(c, 2) ** 2 for c in problem.jumps)
+    return t_max * bound * (len(problem.jumps) + 1)
 
 
 def _load_config(path):
@@ -235,15 +250,19 @@ def cmd_effective(args) -> int:
                          f"horizon cap ({MAX_T_MAX:g})")
     with open(args.problem) as fh:
         text = fh.read()
-    n_sites = problem_sites(text)
+    n_sites, n_jumps = problem_size(text)
     if n_sites > MAX_PROBLEM_SITES:
         return _over_cap(f"effective: n = {n_sites} exceeds the problem-size cap "
                          f"({MAX_PROBLEM_SITES} sites)")
-    n_jumps = problem_jumps(text)
     if n_jumps > MAX_PROBLEM_JUMPS:
         return _over_cap(f"effective: {n_jumps} [jump] sections exceed the jump cap "
                          f"({MAX_PROBLEM_JUMPS})")
     pf = parse_problem_text(text)
+    if args.validate:
+        work = _validation_work(pf.problem, args.t_max)
+        if not work <= MAX_VALIDATION_WORK:
+            return _over_cap(f"effective: validation work {work:.4g} exceeds the cap "
+                             f"({MAX_VALIDATION_WORK:,}); shorten --t-max or lower the rates")
     h_eff = effective_hamiltonian(pf.problem)
     c_eff = effective_jumps(pf.problem)
     chunks = ["[H_eff]"]

@@ -8,9 +8,11 @@ master equation on the slow manifold:
     c_eff,k = c_k Htilde^-1 V+
 
 with the non-Hermitian excited-manifold Hamiltonian
-Htilde = H_e - (i/2) sum_k c_k^dag c_k. The inverse is taken on the decaying
-manifold only (the excited projector's range); eliminating a manifold that
-does not decay is reported as an error rather than silently regularized.
+Htilde = H_e - (i/2) sum_k c_k^dag c_k, which is i G on the excited block for
+the generator G = -i H_e - (1/2) sum_k c_k^dag c_k that ``build_liouvillian``
+forms. The inverse is taken on the decaying manifold only (the excited
+projector's range); eliminating a manifold that does not decay is reported
+as an error rather than silently regularized.
 
 All operators act on the full (system x auxiliary) Hilbert space; callers
 describe the block structure through projectors. Jump rates are folded into
@@ -71,12 +73,9 @@ class EliminationProblem:
 
 
 def nonhermitian_hamiltonian(problem: EliminationProblem) -> np.ndarray:
-    """Htilde = H_e - (i/2) sum_k c_k^dag c_k, restricted to the excited block."""
-    acc = problem.h_excited.astype(complex).copy()
-    for c in problem.jumps:
-        acc = acc - 0.5j * (c.conj().T @ c)
+    """Htilde = H_e - (i/2) sum_k c_k^dag c_k = i G of H_e and the jumps, on the excited block."""
     p = problem.p_excited
-    return p @ acc @ p
+    return p @ (1j * build_liouvillian(problem.h_excited, problem.jumps).g) @ p
 
 
 def invert_on_decaying_manifold(htilde: np.ndarray, p_excited: np.ndarray) -> np.ndarray:
@@ -174,21 +173,11 @@ def strip_auxiliary(op: np.ndarray, aux_sites, n_sites: int, aux_state: np.ndarr
 
     The auxiliary factor of an eliminated operator is a projector onto the
     auxiliary rest state, so contracting it with that state (op_sys =
-    tr_aux[(1 (x) rho_aux) op]) leaves the pure system operator. Exact when
-    the operator factorizes; used to express eliminated operators on the
-    system space.
+    tr_aux[op (1 (x) rho_aux)], the slots of rho_aux on the auxiliary sites
+    in ascending order) leaves the pure system operator. Exact when the
+    operator factorizes; used to express eliminated operators on the system
+    space.
     """
     aux_sites = sorted(aux_sites)
     keep = [s for s in range(n_sites) if s not in aux_sites]
-    n_aux = len(aux_sites)
-    full = np.asarray(op, dtype=complex)
-    # weight the auxiliary slot with its state, then trace it out
-    dims = [2] * n_sites
-    t = full.reshape(dims + dims)
-    # move aux sites to the end on both row and column indices
-    perm = keep + aux_sites
-    t = np.transpose(t, list(perm) + [n_sites + p for p in perm])
-    d_sys = 2 ** len(keep)
-    d_aux = 2**n_aux
-    t = t.reshape(d_sys, d_aux, d_sys, d_aux)
-    return np.einsum("abcd,db->ac", t, np.asarray(aux_state, dtype=complex))
+    return partial_trace(op @ embed(aux_state, aux_sites, n_sites), keep, n_sites)

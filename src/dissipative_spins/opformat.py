@@ -149,7 +149,6 @@ def format_operator(op: np.ndarray, n_sites: int) -> str:
 class ProblemFile:
     n_sites: int
     aux_sites: tuple
-    rates: tuple
     problem: EliminationProblem
 
 
@@ -212,14 +211,10 @@ def _read_sites(text: str):
     return sections, jump_bodies, n_sites, aux_sites
 
 
-def problem_sites(text: str) -> int:
-    """Total site count n of a problem file, read before any 2^n x 2^n operator exists."""
-    return _read_sites(text)[2]
-
-
-def problem_jumps(text: str) -> int:
-    """Number of [jump] sections of a problem file, counted before any operator exists."""
-    return len(_read_sites(text)[1])
+def problem_size(text: str) -> tuple:
+    """(n_sites, n_jumps) of a problem file, read before any 2^n x 2^n operator exists."""
+    _, jump_bodies, n_sites, _ = _read_sites(text)
+    return n_sites, len(jump_bodies)
 
 
 def parse_problem_text(text: str) -> ProblemFile:
@@ -234,7 +229,6 @@ def parse_problem_text(text: str) -> ProblemFile:
         raise OperatorFormatError("missing [P_e] section")
 
     jumps = []
-    rates = []
     for body in jump_bodies:
         rate = 1.0
         op_lines = []
@@ -250,9 +244,7 @@ def parse_problem_text(text: str) -> ProblemFile:
                 op_lines.append((lineno, line))
         if not op_lines:
             raise OperatorFormatError("[jump] section has no operator lines")
-        mat = _parse_terms(op_lines, n_sites)
-        jumps.append(np.sqrt(rate) * mat)
-        rates.append(rate)
+        jumps.append(np.sqrt(rate) * _parse_terms(op_lines, n_sites))
 
     problem = EliminationProblem(
         h_ground=body_matrix("H_g"),
@@ -261,6 +253,4 @@ def parse_problem_text(text: str) -> ProblemFile:
         jumps=tuple(jumps),
         p_excited=body_matrix("P_e"),
     )
-    return ProblemFile(
-        n_sites=n_sites, aux_sites=aux_sites, rates=tuple(rates), problem=problem
-    )
+    return ProblemFile(n_sites=n_sites, aux_sites=aux_sites, problem=problem)

@@ -318,13 +318,11 @@ class CompiledBond:
 
 
 def _features(alpha_a, alpha_b) -> np.ndarray:
-    """Rows outer(a (x) b, [b; a]) for the extended Bloch vectors (1, alpha)."""
-    n = len(alpha_a)
-    ba = np.ones((n, 8))
+    """Rows a (x) b (x) [b; a] for the extended Bloch vectors a = (1, alpha_A), b = (1, alpha_B)."""
+    ba = np.ones((len(alpha_a), 8))
     ba[:, 1:4] = alpha_b
     ba[:, 5:8] = alpha_a
-    ab = ba[:, 4:, None] * ba[:, None, :4]
-    return (ab.reshape(n, 16, 1) * ba[:, None, :]).reshape(n, 128)
+    return _triple(ba[:, 4:], ba[:, :4], ba)
 
 
 def _product(features, wt) -> np.ndarray:
@@ -598,20 +596,20 @@ def _penalized_spectra(wts, owner, pmap):
 
 
 def _triple(x, y, z):
-    """Feature rows x (x) y (x) z in ``_features``' slot order, broadcast over leading axes."""
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], z.shape[:-1])
-    return (x[..., :, None, None] * y[..., None, :, None] * z[..., None, None, :]).reshape(
-        lead + (128,))
+    """Feature rows x (x) y (x) z, x slowest, broadcast over leading axes."""
+    t = x[..., :, None, None] * y[..., None, :, None] * z[..., None, None, :]
+    return t.reshape(t.shape[:-3] + (128,))
 
 
 def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
     """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n states.
 
-    The K rows are ``_features`` itself, so K here is bitwise the K of the
-    norm. a, b and c = [b; a] move along the constant directions ``dirs_a``
-    and ``dirs_b`` (d, 3) of the parameters, so the product rule gives every
-    derivative of the trilinear features exactly. Shape (n, 1 + d + p, 128)
-    with p = d (d + 1) / 2 pairs in ``np.triu_indices`` order.
+    The K rows are ``_triple(a, b, c)`` as in ``_features``, so K here is
+    bitwise the K of the norm. a, b and c = [b; a] move along the constant
+    directions ``dirs_a`` and ``dirs_b`` (d, 3) of the parameters, so the
+    product rule gives every derivative of the trilinear features exactly.
+    Shape (n, 1 + d + p, 128) with p = d (d + 1) / 2 pairs in
+    ``np.triu_indices`` order.
     """
     n, d = len(alpha_a), len(dirs_a)
     a = np.hstack([np.ones((n, 1)), alpha_a])[:, None]
@@ -625,7 +623,7 @@ def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
     hess = (_triple(da[k], db[l], c) + _triple(da[l], db[k], c)
             + _triple(da[k], b, dc[l]) + _triple(da[l], b, dc[k])
             + _triple(a, db[k], dc[l]) + _triple(a, db[l], dc[k]))
-    return np.concatenate([_features(alpha_a, alpha_b)[:, None], grad, hess], axis=1)
+    return np.concatenate([_triple(a, b, c), grad, hess], axis=1)
 
 
 def _bond_derivatives(wts, owner, features) -> np.ndarray:

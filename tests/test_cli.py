@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.effective import EliminationValidation
 from dissipative_spins.liouville import (
     Liouvillian,
+    build_liouvillian,
     conjugate_pair_defect,
     ring_liouvillian,
     steady_states,
 )
 from dissipative_spins.models import DissipativeModel, LatticeSpec, dissipative_heisenberg
 from dissipative_spins.operators import pauli
-from dissipative_spins.opformat import OperatorFormatError
+from dissipative_spins.opformat import OperatorFormatError, parse_problem_text
 
 BELL_PROBLEM = """
 [sites]
@@ -324,6 +326,34 @@ def test_effective_rk4_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "validate_elimination", record)
     assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "2000"]) == 0
     assert horizons == [2000.0]
+
+
+def test_effective_validation_work_cap(tmp_path, capsys, monkeypatch):
+    # a decay rate of 1e6 puts t_max ||L|| near 1e8: refused once parsed,
+    # before any elimination or propagation, with nothing written
+    monkeypatch.setattr(cli, "validate_elimination", refuse)
+    monkeypatch.setattr(cli, "effective_hamiltonian", refuse)
+    prob, out = tmp_path / "p.prob", tmp_path / "eff.txt"
+    prob.write_text(BELL_PROBLEM.replace("rate = 1.0", "rate = 1e6"))
+    assert run(["effective", "--problem", str(prob), "--validate", "--out", str(out)]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert not out.exists()
+    # the elimination alone is not capped
+    monkeypatch.undo()
+    assert run(["effective", "--problem", str(prob), "--out", str(out)]) == 0
+    assert "[c_eff 0]" in out.read_text()
+
+
+def test_validation_work_bounds_the_generator_norm():
+    # the work is t_max times a bound on ||L||_2, times jumps + 1
+    rng = np.random.default_rng(3)
+    problem = parse_problem_text(BELL_PROBLEM + "[jump]\nrate = 0.3\n1 0 0:z\n").problem
+    h = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
+    for _ in range(3):
+        jumps = tuple(c * (rng.normal() + 1j * rng.normal()) for c in problem.jumps)
+        norm = np.linalg.norm(build_liouvillian(h, jumps).matrix, 2)
+        work = cli._validation_work(replace(problem, jumps=jumps), 2.5)
+        assert 2.5 * norm * (len(jumps) + 1) <= work * (1 + 1e-12)
 
 
 def driven_auxiliary_problem(n):

@@ -51,6 +51,28 @@ def test_nonhermitian_hamiltonian():
     np.testing.assert_allclose(ht, expected, atol=1e-14)
 
 
+def test_nonhermitian_hamiltonian_several_jumps_detuned():
+    # site 0 the system, sites 1 and 2 detuned auxiliaries exchanging an
+    # excitation; three jumps, one complex, act on the block of P_e
+    n_up = np.diag([1.0, 0.0])
+    h_e = (0.3 * embed(n_up, [1], 3) - 0.7 * embed(n_up, [2], 3)
+           + 0.2 * embed(kron(pauli("+"), pauli("-")), [1, 2], 3)
+           + 0.2 * embed(kron(pauli("-"), pauli("+")), [1, 2], 3))
+    jumps = (np.sqrt(1.5) * embed(pauli("-"), [1], 3),
+             np.sqrt(0.4) * embed(pauli("-"), [2], 3),
+             (0.3 + 0.2j) * embed(kron(pauli("z"), pauli("-")), [0, 2], 3))
+    p_e = np.eye(8) - embed(np.diag([0.0, 0.0, 0.0, 1.0]), [1, 2], 3)  # any auxiliary up
+    prob = EliminationProblem(
+        h_ground=np.zeros((8, 8), dtype=complex),
+        h_excited=h_e,
+        v_plus=0.05 * embed(kron(pauli("x"), pauli("+")), [0, 1], 3),
+        jumps=jumps,
+        p_excited=p_e.astype(complex),
+    )
+    expected = p_e @ (h_e - 0.5j * sum(c.conj().T @ c for c in jumps)) @ p_e
+    np.testing.assert_allclose(nonhermitian_hamiltonian(prob), expected, atol=1e-15)
+
+
 def test_resolvent_is_inverse_on_manifold():
     prob = single_flip_problem(gamma=1.3, delta=-0.2)
     ht = nonhermitian_hamiltonian(prob)
@@ -164,6 +186,23 @@ def test_strip_auxiliary_middle_site():
     np.testing.assert_allclose(
         strip_auxiliary(full, [1], 3, aux_state), sys_op, atol=1e-14
     )
+
+
+def test_strip_auxiliary_entangled_state_on_split_sites():
+    # auxiliary sites 0 and 2 of 4 in a non-product state, system sites 1 and 3:
+    # slot 0 of the auxiliary state is site 0, slot 1 site 2
+    rng = np.random.default_rng(5)
+    op = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert np.linalg.matrix_rank(psi.reshape(2, 2)) == 2  # entangled
+    aux_state = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    # op rows (a, s, c, u) and columns (b, t, d, v) over sites 0..3;
+    # op_sys[(s, u), (t, v)] = sum op[(a, s, c, u), (b, t, d, v)] rho[(b, d), (a, c)]
+    expected = np.einsum("ascubtdv,bdac->sutv", op.reshape((2,) * 8),
+                         aux_state.reshape(2, 2, 2, 2)).reshape(4, 4)
+    for aux_sites in ([0, 2], [2, 0]):
+        np.testing.assert_allclose(
+            strip_auxiliary(op, aux_sites, 4, aux_state), expected, atol=1e-13)
 
 
 def test_validation_error_is_perturbatively_small():

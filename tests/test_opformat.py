@@ -9,8 +9,7 @@ from dissipative_spins.opformat import (
     format_operator,
     parse_operator_text,
     parse_problem_text,
-    problem_jumps,
-    problem_sites,
+    problem_size,
 )
 from dissipative_spins.operators import embed, kron, pauli
 
@@ -125,7 +124,6 @@ def test_parse_problem_roundtrip():
     pf = parse_problem_text(PROBLEM)
     assert pf.n_sites == 2
     assert pf.aux_sites == (1,)
-    assert pf.rates == (4.0,)
     # sqrt(rate) folded into the jump matrix
     np.testing.assert_allclose(
         pf.problem.jumps[0], 2.0 * embed(pauli("-"), [1], 2)
@@ -167,11 +165,11 @@ def test_problem_jump_without_body():
 
 
 def test_problem_sites_reads_only_the_sites_section():
-    assert problem_sites(PROBLEM) == parse_problem_text(PROBLEM).n_sites == 2
+    assert problem_size(PROBLEM)[0] == parse_problem_text(PROBLEM).n_sites == 2
     # operator bodies are left unparsed: a bad token does not stop it
-    assert problem_sites(PROBLEM.replace("1:+", "1:??").replace("n = 2", "n = 30")) == 30
+    assert problem_size(PROBLEM.replace("1:+", "1:??").replace("n = 2", "n = 30")) == (30, 1)
     with pytest.raises(OperatorFormatError):
-        problem_sites(PROBLEM.replace("aux = 1", "aux = 7"))
+        problem_size(PROBLEM.replace("aux = 1", "aux = 7"))
 
 
 def _line_of(text, start):
@@ -211,12 +209,12 @@ def test_problem_refuses_non_finite_numbers(old, new):
 )
 def test_sites_values_are_refused_at_their_line(old, new):
     bad = PROBLEM.replace(old, new)
-    for parse in (problem_sites, parse_problem_text):
+    for parse in (problem_size, parse_problem_text):
         with pytest.raises(OperatorFormatError) as err:
             parse(bad)
         assert err.value.line == _line_of(bad, new)
 
 
 def test_problem_jumps_counts_sections_unparsed():
-    assert problem_jumps(PROBLEM) == 1
-    assert problem_jumps(PROBLEM + "[jump]\n1 0 1:??\n" * 3) == 4
+    assert problem_size(PROBLEM) == (2, 1)
+    assert problem_size(PROBLEM + "[jump]\n1 0 1:??\n" * 3) == (2, 4)
