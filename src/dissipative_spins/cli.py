@@ -64,8 +64,8 @@ MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at onc
 MAX_T_MAX = 2000.0  # validation horizon; the propagator's work grows with it
 MAX_PROBLEM_SITES = 6  # dense 2^n x 2^n operators; --validate took 0.3 s at n = 6, 1.4 s at n = 7
 MAX_PROBLEM_JUMPS = 16  # at n = 6, 16 rate-1 jumps took 0.3 s (10.5 s with --validate), 2,000 3.7 s
-# t_max ||L|| bounded, times the jumps + 1 terms of each generator product; near the cap at
-# n = 6 on one core, one rate-49 jump at t_max = 50 took 3.2 s, 16 rate-1 jumps at 18 8-9 s
+# a bound on t_max ||L|| times the jumps + 1 terms of a generator product; near the cap at
+# n = 6 on one core, one rate-49 jump to t_max = 50 took 3.2 s and 16 rate-1 jumps to 18, 8-9 s
 MAX_VALIDATION_WORK = 10_000
 
 
