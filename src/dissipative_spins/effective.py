@@ -16,9 +16,9 @@ as an error rather than silently regularized.
 
 All operators act on the full (system x auxiliary) Hilbert space; callers
 describe the block structure through projectors. Jump rates are folded into
-the matrices as sqrt(gamma) prefactors. ``validate_elimination`` propagates
-the full and the effective dynamics with ``Liouvillian.evolve``, which
-forms no d^2 x d^2 generator.
+the matrices as sqrt(gamma) prefactors. ``validate_elimination`` checks
+given effective operators: it propagates the full and the effective dynamics
+with ``Liouvillian.evolve``, which forms no d^2 x d^2 generator.
 """
 
 from __future__ import annotations
@@ -58,9 +58,7 @@ class EliminationProblem:
 
     def __post_init__(self):
         dim = self.h_ground.shape[0]
-        mats = [self.h_ground, self.h_excited, self.v_plus, self.p_excited]
-        mats += list(self.jumps)
-        for m in mats:
+        for m in (self.h_ground, self.h_excited, self.v_plus, self.p_excited, *self.jumps):
             if m.shape != (dim, dim):
                 raise ValueError("all operators must share one square dimension")
         p = self.p_excited
@@ -70,6 +68,19 @@ class EliminationProblem:
     @property
     def v_minus(self) -> np.ndarray:
         return self.v_plus.conj().T
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """The full Hamiltonian H_g + H_e + V+ + V-."""
+        return self.h_ground + self.h_excited + self.v_plus + self.v_minus
+
+    @property
+    def n_sites(self) -> int:
+        """Spin-1/2 sites of the operators' 2^n-dimensional space; ValueError otherwise."""
+        dim = self.h_ground.shape[0]
+        if dim & (dim - 1):
+            raise ValueError(f"dimension {dim} is not a power of two")
+        return dim.bit_length() - 1
 
 
 def nonhermitian_hamiltonian(problem: EliminationProblem) -> np.ndarray:
@@ -102,23 +113,20 @@ def invert_on_decaying_manifold(htilde: np.ndarray, p_excited: np.ndarray) -> np
 
 
 def effective_hamiltonian(problem: EliminationProblem) -> np.ndarray:
-    htilde = nonhermitian_hamiltonian(problem)
-    inv = invert_on_decaying_manifold(htilde, problem.p_excited)
+    inv = invert_on_decaying_manifold(nonhermitian_hamiltonian(problem), problem.p_excited)
     shift = problem.v_minus @ (inv + inv.conj().T) @ problem.v_plus
     return problem.h_ground - 0.5 * shift
 
 
 def effective_jumps(problem: EliminationProblem) -> list:
-    htilde = nonhermitian_hamiltonian(problem)
-    inv = invert_on_decaying_manifold(htilde, problem.p_excited)
+    inv = invert_on_decaying_manifold(nonhermitian_hamiltonian(problem), problem.p_excited)
     return [c @ inv @ problem.v_plus for c in problem.jumps]
 
 
-def check_horizon(t_max: float) -> float:
-    """t_max itself if it is finite and positive, else ValueError."""
+def check_horizon(t_max: float) -> None:
+    """ValueError unless t_max is finite and positive."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
-    return t_max
 
 
 @dataclass(frozen=True)
@@ -131,33 +139,34 @@ class EliminationValidation:
 
 def validate_elimination(
     problem: EliminationProblem,
+    h_eff: np.ndarray,
+    c_eff,
     rho0_system: np.ndarray,
     rho0_aux: np.ndarray,
     aux_sites,
-    n_sites: int,
     t_max: float = 50.0,
 ) -> EliminationValidation:
-    """Compare full dynamics against the eliminated effective dynamics.
+    """Compare the full dynamics against that of the effective operators given.
 
-    Both are propagated exactly, exp(t_max L) applied to the product of
-    rho0_system and rho0_aux; the auxiliary is traced out of the full
-    result and the trace distance (half the trace norm of the difference)
-    at t_max is reported. The error should scale with the square of the
-    perturbation, i.e. drop by ~4 when the drive weakens by 2 at fixed
-    decay rate. ValueError unless t_max is finite and positive.
+    h_eff and c_eff act on the full space, as ``effective_hamiltonian`` and
+    ``effective_jumps`` return them; ``strip_auxiliary`` contracts them with
+    rho0_aux. Both master equations are propagated exactly, the full one from
+    rho0_system (x) rho0_aux (the auxiliary then traced out), the effective
+    one from rho0_system, and their trace distance at t_max is reported. The
+    error should scale with the square of the perturbation, ~4x smaller at
+    half the drive and fixed decay rate. ValueError unless t_max is finite
+    and positive.
     """
     check_horizon(t_max)
+    n_sites = problem.n_sites
     aux_sites = sorted(aux_sites)
     keep = [s for s in range(n_sites) if s not in aux_sites]
     # the product's slots are the system sites, then the auxiliary ones
     rho0 = embed(np.kron(rho0_system, rho0_aux), keep + aux_sites, n_sites)
 
-    h_full = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
-    rho_full = build_liouvillian(h_full, list(problem.jumps)).evolve(rho0, t_max)
+    rho_full = build_liouvillian(problem.hamiltonian, list(problem.jumps)).evolve(rho0, t_max)
     rho_full_sys = partial_trace(rho_full, keep, n_sites)
 
-    h_eff = effective_hamiltonian(problem)
-    c_eff = effective_jumps(problem)
     h_eff_sys = strip_auxiliary(h_eff, aux_sites, n_sites, rho0_aux)
     c_eff_sys = [strip_auxiliary(c, aux_sites, n_sites, rho0_aux) for c in c_eff]
     rho_eff = build_liouvillian(h_eff_sys, c_eff_sys).evolve(rho0_system, t_max)

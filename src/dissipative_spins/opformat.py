@@ -147,7 +147,6 @@ def format_operator(op: np.ndarray, n_sites: int) -> str:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    n_sites: int
     aux_sites: tuple
     problem: EliminationProblem
 
@@ -253,4 +252,4 @@ def parse_problem_text(text: str) -> ProblemFile:
         jumps=tuple(jumps),
         p_excited=body_matrix("P_e"),
     )
-    return ProblemFile(n_sites=n_sites, aux_sites=aux_sites, problem=problem)
+    return ProblemFile(aux_sites=aux_sites, problem=problem)

@@ -1080,9 +1080,12 @@ def sweep(
     simplices, so the records do not depend on ``jobs``. With ``refine``,
     every onset of m or m_s above ``threshold`` gets a grid ten times finer
     within 5 steps of the bracket's midpoint, clipped to the scan range.
-    ValueError unless ``threshold`` is finite and positive.
+    ValueError unless ``threshold`` is finite and positive and ``restarts``
+    and ``jobs`` are at least 1.
     """
     _check_threshold(threshold)
+    if restarts < 1 or jobs < 1:
+        raise ValueError(f"restarts = {restarts} and jobs = {jobs} must be at least 1")
 
     def run(points):
         if not points:

@@ -13,7 +13,11 @@ from conftest import record
 
 from dissipative_spins.cli import main as cli_main
 from dissipative_spins.cli import read_sweep_csv
-from dissipative_spins.effective import effective_jumps, validate_elimination
+from dissipative_spins.effective import (
+    effective_hamiltonian,
+    effective_jumps,
+    validate_elimination,
+)
 from dissipative_spins.liouville import exact_norm, ring_liouvillian, steady_states
 from dissipative_spins.models import (
     DissipativeModel,
@@ -216,8 +220,10 @@ def test_a7_engineered_jump_operators():
     rho_aux = np.outer(down, down).astype(complex)
     errs = []
     for e0, t_max in ((0.10, 12.5), (0.05, 50.0)):
+        problem = _flip_problem(e0, 1.0).problem
         val = validate_elimination(
-            _flip_problem(e0, 1.0).problem, rho_sys, rho_aux, [1], 2, t_max=t_max
+            problem, effective_hamiltonian(problem), effective_jumps(problem),
+            rho_sys, rho_aux, [1], t_max=t_max,
         )
         errs.append(val.error)
     ratio = errs[0] / errs[1]

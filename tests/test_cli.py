@@ -7,9 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dissipative_spins import cli, variational
+from dissipative_spins import cli, effective, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
-from dissipative_spins.effective import EliminationValidation
 from dissipative_spins.liouville import (
     Liouvillian,
     build_liouvillian,
@@ -111,6 +110,12 @@ def test_sweep_restarts_cap(capsys, monkeypatch):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--restarts=0", "--jobs=0", "--jobs=-3"])
+def test_sweep_refuses_fewer_than_one_restart_or_job(capsys, option):
+    assert run(["sweep", "--lambda-min", "0.4", "--lambda-max", "0.42", option]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_sweep_clamps_workers(tmp_path, monkeypatch):
     seen = []
 
@@ -159,6 +164,19 @@ def test_sweep_bad_config(tmp_path):
     cfg.write_text("coupling = 2\n")
     assert run(["sweep", "--config", str(cfg), "--lambda-min", "0",
                 "--lambda-max", "0"]) == 1
+
+
+def test_explicit_non_bipartite_lattice_is_kept(tmp_path, capsys):
+    # a bipartite ansatz or staggered direction does not turn a lattice the
+    # config declares non-bipartite into a bipartite one
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("bipartite = false\n")
+    assert run(["sweep", "--config", str(cfg), "--ansatz", "bipartite",
+                "--lambda-min", "1.5", "--lambda-max", "1.5", "--no-refine"]) == 1
+    assert "non-bipartite lattice" in capsys.readouterr().err
+    assert run(["landau", "--config", str(cfg), "--lambda", "1.5",
+                "--direction", "staggered-z"]) == 1
+    assert "needs a bipartite lattice" in capsys.readouterr().err
 
 
 def test_fit_roundtrip(tmp_path):
@@ -306,26 +324,43 @@ def test_effective_rejects_bad_t_max(tmp_path, t_max):
                 f"--t-max={t_max}"]) == 1
 
 
-def test_effective_rk4_cap(tmp_path, capsys, monkeypatch):
-    # the horizon cap of the old 100,000 fixed RK4 steps of 0.02
-    assert cli.MAX_T_MAX == 2000.0
-    monkeypatch.setattr(cli, "validate_elimination", refuse)
-    prob = tmp_path / "p.prob"
+def test_effective_long_horizon_meets_only_the_work_cap(tmp_path, capsys, monkeypatch):
+    # the validation work is the one cap on --t-max: an astronomical horizon is
+    # refused with nothing written, a horizon past 2000 with work under the cap runs
+    prob, out = tmp_path / "p.prob", tmp_path / "eff.txt"
     prob.write_text(BELL_PROBLEM)
-    for horizon in (2000.02, 1e300):
-        assert run(["effective", "--problem", str(prob), "--validate",
-                    "--t-max", repr(horizon)]) == 3
-        assert "cap" in capsys.readouterr().err
-    # the cap itself still runs
-    horizons = []
+    problem = parse_problem_text(BELL_PROBLEM).problem
+    monkeypatch.setattr(cli, "validate_elimination", refuse)
+    assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "1e300",
+                "--out", str(out)]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.undo()
+    horizon = 2100.0
+    assert cli._validation_work(problem, horizon) <= cli.MAX_VALIDATION_WORK
+    assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "2100",
+                "--out", str(out)]) == 0
+    assert f"# trace distance at t = {horizon:g}" in out.read_text()
 
-    def record(problem, rho_sys, rho_aux, aux_sites, n_sites, t_max):
-        horizons.append(t_max)
-        return EliminationValidation(error=0.0, t_max=t_max, rho_full=rho_sys, rho_eff=rho_sys)
 
-    monkeypatch.setattr(cli, "validate_elimination", record)
-    assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "2000"]) == 0
-    assert horizons == [2000.0]
+def test_effective_validate_eliminates_once(tmp_path, monkeypatch):
+    # --validate checks the printed H_eff and c_eff: one inverse of Htilde each,
+    # the same two as a run without it
+    calls = []
+    invert = effective.invert_on_decaying_manifold
+
+    def counted(*args):
+        calls.append(1)
+        return invert(*args)
+
+    monkeypatch.setattr(effective, "invert_on_decaying_manifold", counted)
+    prob, plain, checked = tmp_path / "p.prob", tmp_path / "plain.txt", tmp_path / "checked.txt"
+    prob.write_text(BELL_PROBLEM)
+    assert run(["effective", "--problem", str(prob), "--out", str(plain)]) == 0
+    assert len(calls) == 2
+    assert run(["effective", "--problem", str(prob), "--validate", "--out", str(checked)]) == 0
+    assert len(calls) == 4
+    assert checked.read_text().startswith(plain.read_text().rstrip("\n") + "\n[validation]\n")
 
 
 def test_effective_validation_work_cap(tmp_path, capsys, monkeypatch):

@@ -44,6 +44,22 @@ def single_flip_problem(e0=0.05, gamma=1.0, delta=0.0):
     )
 
 
+def validate(prob, rho_sys, rho_aux, t_max):
+    """validate_elimination of prob's own effective operators, the auxiliary on site 1."""
+    return validate_elimination(prob, effective_hamiltonian(prob), effective_jumps(prob),
+                                rho_sys, rho_aux, [1], t_max=t_max)
+
+
+def test_problem_hamiltonian_and_sites():
+    prob = single_flip_problem(e0=0.1, delta=0.7)
+    h = prob.h_ground + prob.h_excited + prob.v_plus + prob.v_plus.conj().T
+    np.testing.assert_array_equal(prob.hamiltonian, h)
+    assert prob.n_sites == 2
+    three = EliminationProblem(*(np.eye(3, dtype=complex),) * 3, (), np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="power of two"):
+        three.n_sites
+
+
 def test_nonhermitian_hamiltonian():
     prob = single_flip_problem(gamma=2.0, delta=0.3)
     ht = nonhermitian_hamiltonian(prob)
@@ -209,13 +225,26 @@ def test_validation_error_is_perturbatively_small():
     prob = single_flip_problem(e0=0.05, gamma=1.0)
     rho_sys = bloch_to_density(np.array([0.3, 0.2, -0.4]))
     rho_aux = np.outer(DOWN, DOWN).astype(complex)
-    val = validate_elimination(prob, rho_sys, rho_aux, [1], 2, t_max=50.0)
+    val = validate(prob, rho_sys, rho_aux, t_max=50.0)
     # full dynamics moves the state by O(1); elimination should track it to
     # a couple of percent at E0^2/gamma = 2.5e-3
     assert val.error < 2e-2
     # both evolutions stay physical
     assert abs(np.trace(val.rho_full) - 1) < 1e-9
     assert abs(np.trace(val.rho_eff) - 1) < 1e-9
+
+
+def test_validation_checks_the_operators_it_is_given():
+    # the full dynamics does not depend on them; the effective one and the error do
+    prob = single_flip_problem(e0=0.1)
+    rho_aux = np.outer(DOWN, DOWN).astype(complex)
+    h_eff, c_eff = effective_hamiltonian(prob), effective_jumps(prob)
+    base = validate_elimination(prob, h_eff, c_eff, np.eye(2) / 2, rho_aux, [1], t_max=12.5)
+    assert base.error == validate(prob, np.eye(2) / 2, rho_aux, t_max=12.5).error
+    scaled = validate_elimination(prob, h_eff, [2 * c for c in c_eff], np.eye(2) / 2, rho_aux,
+                                  [1], t_max=12.5)
+    np.testing.assert_array_equal(scaled.rho_full, base.rho_full)
+    assert scaled.error > 10 * base.error
 
 
 def test_validation_leaves_global_random_stream_alone():
@@ -225,7 +254,7 @@ def test_validation_leaves_global_random_stream_alone():
     np.random.seed(0)
     expected = np.random.rand()
     np.random.seed(0)
-    validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
+    validate(prob, np.eye(2) / 2, rho_aux, t_max=12.5)
     assert np.random.rand() == expected == pytest.approx(0.5488135)
 
 
@@ -234,13 +263,13 @@ def test_validation_forms_no_superoperator(monkeypatch):
     # 4096^2 entries: validation propagates matrix-free
     prob = single_flip_problem(e0=0.1)
     rho_aux = np.outer(DOWN, DOWN).astype(complex)
-    expected = validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
+    expected = validate(prob, np.eye(2) / 2, rho_aux, t_max=12.5)
 
     def refuse(self):
         raise AssertionError("validation formed the d^2 x d^2 generator")
 
     monkeypatch.setattr(Liouvillian, "matrix", property(refuse))
-    val = validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=12.5)
+    val = validate(prob, np.eye(2) / 2, rho_aux, t_max=12.5)
     assert val.error == expected.error
     np.testing.assert_array_equal(val.rho_eff, expected.rho_eff)
 
@@ -252,7 +281,7 @@ def test_validation_matches_dense_propagator(delta):
     rho_sys = bloch_to_density(np.array([0.3, 0.2, -0.4]))
     rho_aux = np.outer(DOWN, DOWN).astype(complex)
     t = 7.5
-    val = validate_elimination(prob, rho_sys, rho_aux, [1], 2, t_max=t)
+    val = validate(prob, rho_sys, rho_aux, t_max=t)
 
     def dense(h, jumps, rho0):
         return (expm(t * build_liouvillian(h, jumps).matrix) @ rho0.ravel()).reshape(rho0.shape)
@@ -270,4 +299,4 @@ def test_validation_rejects_bad_horizon(t_max):
     prob = single_flip_problem()
     rho_aux = np.outer(DOWN, DOWN).astype(complex)
     with pytest.raises(ValueError):
-        validate_elimination(prob, np.eye(2) / 2, rho_aux, [1], 2, t_max=t_max)
+        validate(prob, np.eye(2) / 2, rho_aux, t_max=t_max)

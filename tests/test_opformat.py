@@ -122,7 +122,7 @@ rate = 4.0
 
 def test_parse_problem_roundtrip():
     pf = parse_problem_text(PROBLEM)
-    assert pf.n_sites == 2
+    assert pf.problem.n_sites == 2
     assert pf.aux_sites == (1,)
     # sqrt(rate) folded into the jump matrix
     np.testing.assert_allclose(
@@ -165,7 +165,7 @@ def test_problem_jump_without_body():
 
 
 def test_problem_sites_reads_only_the_sites_section():
-    assert problem_size(PROBLEM)[0] == parse_problem_text(PROBLEM).n_sites == 2
+    assert problem_size(PROBLEM)[0] == parse_problem_text(PROBLEM).problem.n_sites == 2
     # operator bodies are left unparsed: a bad token does not stop it
     assert problem_size(PROBLEM.replace("1:+", "1:??").replace("n = 2", "n = 30")) == (30, 1)
     with pytest.raises(OperatorFormatError):

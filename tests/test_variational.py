@@ -769,6 +769,15 @@ def test_onset_threshold_must_be_finite_and_positive():
             sweep(0.4, 0.6, 0.01, Z6, "uniform", threshold=threshold)
 
 
+@pytest.mark.parametrize("restarts,jobs", [(0, 1), (-2, 1), (8, 0), (8, -3)])
+def test_sweep_refuses_fewer_than_one_restart_or_job(restarts, jobs):
+    # refused before the chunk arithmetic divides by restarts, also on an empty grid
+    with mock.patch.object(variational, "_sweep_chunk", side_effect=AssertionError):
+        for lo, hi in ((0.4, 0.42), (0.6, 0.5)):
+            with pytest.raises(ValueError, match="at least 1"):
+                sweep(lo, hi, 0.01, Z6, "uniform", restarts=restarts, jobs=jobs)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(1e-3, 1.0))
 def test_sweep_grid_matches_loop_rule(lmin, lmax, step):
