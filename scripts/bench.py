@@ -14,8 +14,12 @@ start-up included, not benchmark workloads. The last CSV of each is fitted
 with ``dspin fit`` as the acceptance tests fit it, and its ``lambda_c`` and
 ``beta`` go beside the times, with the CSV's sha256 (``csv_sha256``), so
 that two BENCH files show whether a change left the A2 and A3 outputs
-byte-identical. Then it times the start-up every ``dspin``
-call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
+byte-identical. One more run of each sweep, in a child process on the
+checkout's ``src/``, counts the calls of ``variational._spectra`` (the one
+stacked ``eigvalsh`` every norm evaluation of a batch ends in) and the rows
+they carry (``spectra_calls``, ``spectra_rows``): the number of links a
+change to the per-call cost works on. Then it times the start-up every
+``dspin`` call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
 on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
 start-up included), and one more under ``python -X importtime`` whose
 cumulative microseconds of ``numpy``, ``scipy`` (0 when start-up does not
@@ -62,6 +66,23 @@ SWEEPS = {
 }
 
 
+# runs ``dspin`` (its arguments follow the script) counting the calls and rows of _spectra
+COUNT_SPECTRA = """\
+import sys
+from dissipative_spins import cli, variational
+counts = [0, 0]
+spectra = variational._spectra
+def counted(products):
+    counts[0] += 1
+    counts[1] += len(products)
+    return spectra(products)
+variational._spectra = counted
+code = cli.main(sys.argv[1:])
+print(*counts)
+sys.exit(code)
+"""
+
+
 def git(root: Path, *args) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
 
@@ -102,6 +123,13 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
                 sys.exit(f"bench: {name} exited with {proc.returncode}:\n{proc.stderr}")
         points = len(out.read_text().strip().splitlines()) - 1
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        counted = Path(tmp) / "counted.csv"
+        proc = subprocess.run([sys.executable, "-c", COUNT_SPECTRA, *argv[3:],
+                               "--out", str(counted)], env=env, capture_output=True, text=True)
+        if proc.returncode != 0 or counted.read_bytes() != out.read_bytes():
+            sys.exit(f"bench: {name} counting run exited with {proc.returncode} or wrote "
+                     f"another CSV:\n{proc.stderr}")
+        calls, rows = map(int, proc.stdout.split())
         fit_argv = argv[:3] + ["fit", "--in", str(out), *fit_args]
         proc = subprocess.run(fit_argv, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -110,7 +138,8 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
     return {"name": name, "argv": ["dspin"] + argv[3:], "cpu": cpu, "points": points,
             "wall_s": times, "wall_s_median": statistics.median(times),
             "fit_argv": ["dspin", "fit", *fit_args],
-            "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest}
+            "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest,
+            "spectra_calls": calls, "spectra_rows": rows}
 
 
 def time_startup(root: Path) -> dict:

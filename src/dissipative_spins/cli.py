@@ -160,15 +160,12 @@ def _write_out(args, text: str):
 
 def _model_settings(args, cfg):
     z = args.z if args.z is not None else cfg.get("z", 6)
-    kind = args.ansatz if args.ansatz is not None else cfg.get("ansatz", "uniform")
-    if kind not in ("uniform", "bipartite"):
-        raise OperatorFormatError(f"unknown ansatz {kind!r}")
     if args.renormalize is None:
         renorm = cfg.get("renormalize", True)
     else:
         renorm = args.renormalize == "on"
     bipartite = bool(cfg.get("bipartite", True))
-    return z, kind, renorm, bipartite
+    return z, renorm, bipartite
 
 
 def cmd_sweep(args) -> int:
@@ -176,7 +173,8 @@ def cmd_sweep(args) -> int:
         return _over_cap(f"sweep: {args.restarts} restarts exceed the restart cap "
                          f"({MAX_RESTARTS} per point)")
     cfg = _load_config(args.config)
-    z, kind, renorm, bipartite = _model_settings(args, cfg)
+    z, renorm, bipartite = _model_settings(args, cfg)
+    kind = args.ansatz if args.ansatz is not None else cfg.get("ansatz", "uniform")
     points = grid_size(args.lambda_min, args.lambda_max, args.step)
     if points > MAX_SWEEP_POINTS:
         return _over_cap(f"sweep: {points} grid points exceed the sweep cap "
@@ -222,7 +220,7 @@ def cmd_landau(args) -> int:
         return _over_cap(f"landau: {args.samples} samples exceed the sample cap "
                          f"({MAX_LANDAU_SAMPLES})")
     cfg = _load_config(args.config)
-    z, _, renorm, bipartite = _model_settings(args, cfg)
+    z, renorm, bipartite = _model_settings(args, cfg)
     lam = args.lam if args.lam is not None else cfg.get("lambda", 1.0)
     lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm)
     model = dissipative_heisenberg(lam, lattice)
@@ -283,7 +281,7 @@ def cmd_oracle(args) -> int:
         return _over_cap(f"oracle: n = {args.n} exceeds the exact-diagonalization cap "
                          f"({MAX_ORACLE_SITES} sites)")
     cfg = _load_config(args.config)
-    z, _, renorm, bipartite = _model_settings(args, cfg)
+    z, renorm, bipartite = _model_settings(args, cfg)
     lam = args.lam if args.lam is not None else cfg.get("lambda", 1.0)
     lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm)
     model = dissipative_heisenberg(lam, lattice)
@@ -322,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_flags(p):
         p.add_argument("--config", help="key = value model config file")
         p.add_argument("--z", type=int, help="lattice coordination number")
-        p.add_argument("--ansatz", choices=["uniform", "bipartite"])
         p.add_argument("--renormalize", choices=["on", "off"])
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("sweep", help="scan the anisotropy and minimize the norm")
     add_model_flags(p)
+    p.add_argument("--ansatz", choices=["uniform", "bipartite"])
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--step", type=float, default=0.01)

@@ -21,12 +21,13 @@ rows with W, and a state's K does not depend on its batch.
 
 The minimizer runs in two stages, each on many problems at once. An array
 Nelder-Mead engine that steps like scipy's advances every restart of every
-coupling in a sweep chunk together, each batch of trial points evaluated
-with one product per coupling and one stacked eigvalsh; its only budget is
-an iteration cap. It stops at basin resolution, since it only ranks the
-restarts. Each coupling's best restart is then polished by a kink-aware
-Newton method on closed-form first and second derivatives of the bond
-matrix: the minima of the ordered phases sit where one eigenvalue of it
+coupling of a sweep together (one batch per worker process, capped at 2048
+restart simplices), each batch of trial points evaluated with one product
+per coupling and one stacked eigvalsh; its only budget is an iteration
+cap. It stops at basin resolution, since it only ranks the restarts.
+Each coupling's best restart is then polished by a kink-aware Newton
+method on closed-form first and second derivatives of the bond matrix:
+the minima of the ordered phases sit where one eigenvalue of it
 vanishes, a kink of the norm, and the polish reports the first-order
 residual and the kink's multiplier as a certificate. Where every
 eigenvalue vanishes, at a dark state, a Gauss-Newton step onto K = 0 from
@@ -322,7 +323,8 @@ def _features(alpha_a, alpha_b) -> np.ndarray:
     ba = np.ones((len(alpha_a), 8))
     ba[:, 1:4] = alpha_b
     ba[:, 5:8] = alpha_a
-    return _triple(ba[:, 4:], ba[:, :4], ba)
+    t = ba[:, 4:, None, None] * ba[:, None, :4, None] * ba[:, None, None, :]
+    return t.reshape(-1, 128)
 
 
 def _product(features, wt) -> np.ndarray:
@@ -345,6 +347,8 @@ def _grouped_products(wts, owner, features) -> np.ndarray:
     Rows of one bond are contiguous: one (n, 128) @ (128, 32) real product
     per bond present. A row's value does not depend on the other rows.
     """
+    if owner[0] == owner[-1]:
+        return _product(features, wts[owner[0]])
     y = np.empty((len(features), 32))
     cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [len(features)]):
@@ -352,14 +356,9 @@ def _grouped_products(wts, owner, features) -> np.ndarray:
     return y
 
 
-def _grouped_spectra(wts, owner, alpha_a, alpha_b) -> np.ndarray:
-    """Eigenvalues of K at row k under the bond ``wts[owner[k]]``: one stacked ``eigvalsh``."""
-    return _spectra(_grouped_products(wts, owner, _features(alpha_a, alpha_b)))
-
-
 def _grouped_norms(wts, owner, alpha_a, alpha_b) -> np.ndarray:
-    """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``."""
-    return np.abs(_grouped_spectra(wts, owner, alpha_a, alpha_b)).sum(axis=1)
+    """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``: one stacked ``eigvalsh``."""
+    return np.abs(_spectra(_grouped_products(wts, owner, _features(alpha_a, alpha_b)))).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +429,10 @@ def _sweep_map(kind, gauge_fix) -> _AffineMap:
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # the second trial point of an iteration is C1 xbar - C2 worst, indexed by
-# case: inside contraction, outside contraction, expansion
-_C1 = np.array([1 - _PSI, 1 + _PSI * _RHO, 1 + _RHO * _CHI])
-_C2 = np.array([-_PSI, _PSI * _RHO, _RHO * _CHI])
+# the reflection's class: inside contraction, outside contraction, (accepted
+# reflection, no second point), expansion
+_C1 = np.array([1 - _PSI, 1 + _PSI * _RHO, np.nan, 1 + _RHO * _CHI])
+_C2 = np.array([-_PSI, _PSI * _RHO, np.nan, _RHO * _CHI])
 # stage 1 of the minimizers only ranks the restart basins and the Newton
 # polish gives the digits, so it stops at basin resolution
 _RANK_OPTIONS = dict(xatol=1e-4, fatol=1e-7, maxiter=2000)
@@ -449,7 +449,7 @@ class _SimplexResult:
 
 def _sorted(sim, fsim):
     """Each simplex's vertices in ascending order of value (scipy's argsort)."""
-    ind = np.argsort(fsim, axis=1)
+    ind = fsim.argsort(axis=1)
     rows = np.arange(len(fsim))[:, None]
     return sim[rows, ind], fsim[rows, ind]
 
@@ -464,9 +464,10 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
     ``x0[s]``: same initial simplex, coefficients, convergence test, sort
     and cap, so with an objective whose rows do not depend on each other
     every result is the one scipy gives. Per iteration the
-    reflections of all live simplices are one batch; the expansions and
-    contractions they call for are a second, picked by masks; shrinks are
-    a third. A simplex leaves the live set once it converges or reaches
+    reflections of all live simplices are one batch, written into their
+    worst vertices at once; the expansions and contractions they call for
+    are a second, formed only for those simplices; the shrinks of failed
+    contractions are a third. A simplex leaves the live set once it converges or reaches
     ``maxiter``, after at most (d + 1) + maxiter (d + 2) evaluations. Its
     best value never rises, so ``fun`` is at most the objective at its
     start.
@@ -483,16 +484,21 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
     nit = 1  # every live simplex has made the same number of iterations
 
     live = np.arange(count)  # problem index of each row of the live arrays
+    ranks = np.array([0, dim - 1, dim])  # best, second worst and worst vertex
     x_out, f_out = np.empty((count, dim)), np.empty(count)
     nfev_out, nit_out = np.empty(count, dtype=int), np.empty(count, dtype=int)
     ok_out = np.empty(count, dtype=bool)
     while live.size:
+        # scipy's test: max |f0 - fk| <= fatol and max |x0 - xk| <= xatol. The
+        # values are sorted and rounding is monotone, so the first is f-1 - f0;
+        # the second runs only on the rows that pass it
+        conv = (fsim[:, -1] - fsim[:, 0] <= fatol).nonzero()[0]
+        if conv.size:
+            conv = conv[np.abs(sim[conv, 1:] - sim[conv, :1]).max(axis=(1, 2)) <= xatol]
         capped = nit >= maxiter
-        done = capped | (
-            (np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(live), -1).max(axis=1) <= xatol)
-            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
-        )
-        if done.any():
+        if capped or conv.size:
+            done = np.full(len(live), capped)
+            done[conv] = True
             ids = live[done]
             x_out[ids], f_out[ids] = sim[done, 0], fsim[done].min(axis=1)
             nfev_out[ids], nit_out[ids], ok_out[ids] = nfev[done], nit, not capped
@@ -502,34 +508,36 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
                 break
 
         xbar = sim[:, :-1].sum(axis=1) / dim
-        worst = sim[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
-        fxr = fun(live, xr)
+        worst = sim[:, -1].copy()
+        sim[:, -1] = (1 + _RHO) * xbar - _RHO * worst
+        fxr = fun(live, sim[:, -1])
         nfev += 1
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept & (fxr < fsim[:, -1])
-        case = 2 * expand + outside  # 0 inside contraction, 1 outside, 2 expansion
-        second = ~accept
-        x2 = _C1[case][:, None] * xbar - _C2[case][:, None] * worst
-        f2 = np.full(len(live), np.nan)
-        if second.any():
-            f2[second] = fun(live[second], x2[second])
-            nfev += second
-        # accepted if below fsim[-1] (inside), at most fxr (outside), below fxr (expansion)
-        bound = np.where(case == 0, fsim[:, -1], fxr)
-        take2 = second & ((f2 < bound) | (outside & (f2 == bound)))
-        replace = accept | expand | take2
-        sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
-        fsim[replace, -1] = np.where(take2, f2, fxr)[replace]
-
-        shrink = np.flatnonzero(~replace)
-        if shrink.size:
-            best = sim[shrink, :1]
-            sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = fun(np.repeat(live[shrink], dim),
-                                   sim[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
-            nfev[shrink] += dim
+        # the class of the reflection is 3 minus the first of f0, f-2, f-1 it
+        # lies below: 3 expansion, 2 accepted, 1 outside contraction, 0 inside
+        # contraction (below none). On sorted values it is the count of those
+        # it lies below; a NaN, sorted last, breaks that order, not this
+        fcmp = fsim[:, ranks]
+        cls = np.logical_or.accumulate(fxr[:, None] < fcmp, axis=1).sum(axis=1)
+        fsim[:, -1] = fxr
+        second = (cls != 2).nonzero()[0]
+        if second.size:
+            c = cls[second]
+            x2 = _C1[c][:, None] * xbar[second] - _C2[c][:, None] * worst[second]
+            f2 = fun(live[second], x2)
+            nfev[second] += 1
+            # taken if below fsim[-1] (inside), at most fxr (outside), below fxr (expansion)
+            bound = np.where(c == 0, fcmp[second, 2], fxr[second])
+            take = np.where(c == 1, f2 <= bound, f2 < bound)
+            sim[second[take], -1], fsim[second[take], -1] = x2[take], f2[take]
+            # a failed contraction shrinks the simplex towards its best vertex
+            shrink = second[~take & (c < 2)]
+            if shrink.size:
+                sim[shrink, -1] = worst[shrink]
+                best = sim[shrink, :1]
+                sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
+                fsim[shrink, 1:] = fun(np.repeat(live[shrink], dim),
+                                       sim[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
+                nfev[shrink] += dim
         nit += 1
         sim, fsim = _sorted(sim, fsim)
 
@@ -588,10 +596,16 @@ def _penalized_spectra(wts, owner, pmap):
     """
     def fun(rows, x):
         a, b = pmap(rows, x)
-        a, pen_a = _project_rows(a)
-        b, pen_b = _project_rows(b)
-        lam = _grouped_spectra(wts, owner[rows], a, b)
-        return np.abs(lam).sum(axis=1) + (pen_a + pen_b), lam
+        # a call whose rows all lie in the ball skips the projection, which
+        # would divide them by 1.0 and add 0.0, both exact; a uniform map's
+        # one vector is projected once
+        inside = (a * a).sum(axis=1).max() <= 1.0 and (b is a or (b * b).sum(axis=1).max() <= 1.0)
+        if not inside:
+            a, pen_a = _project_rows(a)
+            b, pen_b = (a, pen_a) if b is a else _project_rows(b)
+        lam = _spectra(_grouped_products(wts, owner[rows], _features(a, b)))
+        norms = np.abs(lam).sum(axis=1)
+        return (norms if inside else norms + (pen_a + pen_b)), lam
     return fun
 
 
@@ -604,10 +618,11 @@ def _triple(x, y, z):
 def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
     """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n states.
 
-    The K rows are ``_triple(a, b, c)`` as in ``_features``, so K here is
-    bitwise the K of the norm. a, b and c = [b; a] move along the constant
-    directions ``dirs_a`` and ``dirs_b`` (d, 3) of the parameters, so the
-    product rule gives every derivative of the trilinear features exactly.
+    The K rows are ``_triple(a, b, c)``, the products of ``_features`` in
+    the same order, so K here is bitwise the K of the norm. a, b and
+    c = [b; a] move along the constant directions ``dirs_a`` and ``dirs_b``
+    (d, 3) of the parameters, so the product rule gives every derivative of
+    the trilinear features exactly.
     Shape (n, 1 + d + p, 128) with p = d (d + 1) / 2 pairs in
     ``np.triu_indices`` order.
     """
@@ -940,6 +955,14 @@ def _descend(wts, owner, pmap, starts, restarts):
     return polish, used, rank.nfev.reshape(count, restarts).sum(axis=1) + polish.nfev
 
 
+def _check_ansatz(kind, bipartite):
+    """ValueError for an unknown ansatz kind, or a bipartite one on a non-bipartite lattice."""
+    if kind not in ("uniform", "bipartite"):
+        raise ValueError(f"unknown ansatz kind {kind!r}")
+    if kind == "bipartite" and not bipartite:
+        raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
+
+
 def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     """``minimize_norm`` of every model, with its own seed, in one ``_descend``.
 
@@ -947,10 +970,7 @@ def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if kind not in ("uniform", "bipartite"):
-        raise ValueError(f"unknown ansatz kind {kind!r}")
-    if kind == "bipartite" and not all(m.lattice.bipartite for m in models):
-        raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
+    _check_ansatz(kind, all(m.lattice.bipartite for m in models))
     wts = [CompiledBond(m)._wt for m in models]  # the batched path needs no more
     count = len(models)
     starts = np.vstack([_start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))
@@ -1055,7 +1075,9 @@ def _sweep_chunk(task) -> list:
     return records
 
 
-_CHUNK_SIMPLICES = 192  # restart simplices per descent: keeps each batch under 1 MB
+# restart simplices per descent at most: a sweep is one batch per worker up to
+# this, and MAX_SWEEP_POINTS x MAX_RESTARTS of the CLI cannot allocate unbounded
+_BATCH_SIMPLICES = 2048
 
 
 def sweep(
@@ -1074,15 +1096,18 @@ def sweep(
 
     Each point derives its own seed from ``seed`` and its coupling, and
     its record is exactly ``minimize_norm`` with that seed. The grid is cut
-    into contiguous chunks of at most 192 restart simplices, at least one
-    per worker process (``jobs``, at most one per point and CPU); each
-    chunk is one batched descent. A point's result depends only on its own
-    simplices, so the records do not depend on ``jobs``. With ``refine``,
-    every onset of m or m_s above ``threshold`` gets a grid ten times finer
-    within 5 steps of the bracket's midpoint, clipped to the scan range.
-    ValueError unless ``threshold`` is finite and positive and ``restarts``
-    and ``jobs`` are at least 1.
+    into one contiguous batch per worker process (``jobs``, at most one per
+    point and CPU), or into more where a batch would hold over 2048 restart
+    simplices; each batch is one batched descent. A point's result depends
+    only on its own simplices, so the records do not depend on ``jobs`` or
+    on the batches. With ``refine``, every onset of m or m_s above
+    ``threshold`` gets a grid ten times finer within 5 steps of the
+    bracket's midpoint, clipped to the scan range. ValueError, before any
+    grid is built, for an unknown ``kind``, a bipartite one on a
+    non-bipartite ``lattice``, a ``threshold`` that is not finite and
+    positive, or ``restarts`` or ``jobs`` below 1.
     """
+    _check_ansatz(kind, lattice.bipartite)
     _check_threshold(threshold)
     if restarts < 1 or jobs < 1:
         raise ValueError(f"restarts = {restarts} and jobs = {jobs} must be at least 1")
@@ -1091,17 +1116,17 @@ def sweep(
         if not points:
             return []
         workers = min(jobs, len(points), os.cpu_count() or 1)
-        parts = max(workers, -(-len(points) // max(1, _CHUNK_SIMPLICES // restarts)))
+        parts = max(workers, -(-len(points) // max(1, _BATCH_SIMPLICES // restarts)))
         cuts = [len(points) * i // parts for i in range(parts + 1)]
         tasks = [(points[lo:hi], lattice, kind, restarts, seed) for lo, hi in zip(cuts, cuts[1:])]
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_sweep_chunk, tasks))
+                batches = list(pool.map(_sweep_chunk, tasks))
         else:
-            chunks = [_sweep_chunk(t) for t in tasks]
-        return [r for chunk in chunks for r in chunk]
+            batches = [_sweep_chunk(t) for t in tasks]
+        return [r for batch in batches for r in batch]
 
     records = {r.lam: r for r in run(sweep_grid(lambda_min, lambda_max, step))}
 
@@ -1139,19 +1164,20 @@ def _landau_profile(model, direction, phis) -> _PolishResult:
     stationary point of the z mirror, so stage 1 runs first. A sample's
     result depends only on its own phi.
     """
-    count = len(phis)
-    off_a = np.zeros((count, 3))
+    pmap, dim = _landau_map(direction, phis)
+    return _descend([CompiledBond(model)._wt], np.zeros(len(phis), dtype=int), pmap,
+                    np.zeros((len(phis), dim)), 1)[0]
+
+
+def _landau_map(direction, phis):
+    """The ``_AffineMap`` of a Landau profile's samples and its parameter count."""
+    off_a = np.zeros((len(phis), 3))
     if direction == "in-plane":
-        dim = 1
         off_a[:, 0] = phis
-        pmap = _AffineMap(np.array([1, 1, 0]), off_a=off_a)
-    else:
-        dim = 3
-        off_b = np.zeros((count, 3))
-        off_a[:, 2], off_b[:, 2] = phis, -phis
-        pmap = _AffineMap(np.array([0, 3, 2]), np.array([1, 3, 2]), off_a, off_b)
-    return _descend([CompiledBond(model)._wt], np.zeros(count, dtype=int), pmap,
-                    np.zeros((count, dim)), 1)[0]
+        return _AffineMap(np.array([1, 1, 0]), off_a=off_a), 1
+    off_b = np.zeros((len(phis), 3))
+    off_a[:, 2], off_b[:, 2] = phis, -phis
+    return _AffineMap(np.array([0, 3, 2]), np.array([1, 3, 2]), off_a, off_b), 3
 
 
 def landau_expansion(

@@ -174,6 +174,10 @@ def test_explicit_non_bipartite_lattice_is_kept(tmp_path, capsys):
     assert run(["sweep", "--config", str(cfg), "--ansatz", "bipartite",
                 "--lambda-min", "1.5", "--lambda-max", "1.5", "--no-refine"]) == 1
     assert "non-bipartite lattice" in capsys.readouterr().err
+    # refused before the grid is built, so an empty grid is refused too
+    assert run(["sweep", "--config", str(cfg), "--ansatz", "bipartite",
+                "--lambda-min", "0.6", "--lambda-max", "0.5"]) == 1
+    assert "non-bipartite lattice" in capsys.readouterr().err
     assert run(["landau", "--config", str(cfg), "--lambda", "1.5",
                 "--direction", "staggered-z"]) == 1
     assert "needs a bipartite lattice" in capsys.readouterr().err
@@ -263,6 +267,15 @@ def test_landau_json(capsys):
     assert set(out) >= {"lambda", "u0", "u2", "u4", "residual", "converged", "stationarity"}
     assert out["converged"] is True
     assert 0.0 <= out["stationarity"] <= 1e-7
+
+
+@pytest.mark.parametrize("argv", [["landau", "--lambda", "1.0"], ["oracle", "--n", "2"]])
+def test_only_sweep_takes_an_ansatz(capsys, argv):
+    # landau and oracle fix their own families; an --ansatz there is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--ansatz", "bipartite"])
+    assert exc.value.code == 2
+    assert "--ansatz" in capsys.readouterr().err
 
 
 def test_landau_bad_samples():

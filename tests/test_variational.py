@@ -400,6 +400,24 @@ def test_nelder_mead_matches_scipy(dim, options):
         assert not got.success.any()
 
 
+def test_nelder_mead_matches_scipy_where_the_objective_is_nan():
+    # NaN values sort last and break the order the reflection's class is
+    # read from; every branch must still be scipy's
+    def rows_nan(x):
+        return np.where(x[:, 0] > 0.52, np.nan, _rosenbrock_rows(x))
+
+    options = dict(xatol=1e-6, fatol=1e-9, maxiter=400)
+    for dim in (2, 3, 4):
+        starts = np.random.default_rng(dim).uniform(0.3, 0.52, (30, dim))
+        got = variational._nelder_mead(lambda rows, x: rows_nan(x), starts, **options)
+        for s, x0 in enumerate(starts):
+            ref = scipy_minimize(lambda x: rows_nan(x[None])[0], x0, method="Nelder-Mead",
+                                 options=options)
+            assert np.array_equal(got.x[s], ref.x, equal_nan=True)
+            assert np.array_equal(got.fun[s], ref.fun, equal_nan=True)
+            assert (got.nfev[s], got.nit[s], got.success[s]) == (ref.nfev, ref.nit, ref.success)
+
+
 def test_batched_norms_do_not_depend_on_the_batch():
     bond = CompiledBond(heis(1.52))
     rng = np.random.default_rng(4)
@@ -416,6 +434,40 @@ def test_batched_norms_do_not_depend_on_the_batch():
         assert np.array_equal(norms(0, n), single[:n])
     # the single-state norm is one such row, bit for bit
     assert np.array_equal(np.array([bond.norm(a[k], b[k]) for k in range(64)]), single)
+
+
+@pytest.mark.parametrize("which", ["uniform", "bipartite", "in-plane", "staggered-z"])
+def test_stage_one_objective_is_the_projected_norm_bitwise(which):
+    # the objective skips the projection when every row of a call lies in
+    # the ball and forms one product when all rows share a bond; a row's
+    # value is still _grouped_norms of its projected vectors plus
+    # 100 (r - 1)^2 per vector outside, bit for bit, however it is batched
+    rng = np.random.default_rng(11)
+    if which in ("uniform", "bipartite"):
+        pmap, dim = variational._sweep_map(which, True), 2 if which == "uniform" else 4
+    else:
+        pmap, dim = variational._landau_map(which, rng.uniform(0.0, 0.4, 12))
+    wts = [CompiledBond(heis(lam))._wt for lam in (0.46, 1.0, 1.52)]
+    owner = np.repeat(np.arange(3), 4)  # problem p sits on bond owner[p]
+    rows = np.repeat(np.arange(12), 2)  # two points per problem, rows ascending
+    x = rng.uniform(-0.45, 0.45, (24, dim))
+    x[::5] *= 4.0  # some vectors outside the ball
+    a, b = pmap(rows, x)
+    (pa, pen_a), (pb, pen_b) = variational._project_rows(a), variational._project_rows(b)
+    expected = variational._grouped_norms(wts, owner[rows], pa, pb) + (pen_a + pen_b)
+    radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
+    inside = np.flatnonzero(radius <= 1.0)
+    assert 0 < len(inside) < len(rows)
+    fun = variational._penalized_spectra(wts, owner, pmap)
+    # the batch spans several bonds and holds rows outside the ball
+    assert np.array_equal(fun(rows, x)[0], expected)
+    # every row alone, and the rows inside the ball without the others
+    assert np.array_equal([fun(rows[k:k + 1], x[k:k + 1])[0][0] for k in range(24)], expected)
+    assert np.array_equal(fun(rows[inside], x[inside])[0], expected[inside])
+    # the rows of one bond, inside the ball and not
+    for bond in range(3):
+        mine = np.flatnonzero(owner[rows] == bond)
+        assert np.array_equal(fun(rows[mine], x[mine])[0], expected[mine])
 
 
 @pytest.mark.parametrize("kind, gauge_fix, dim", [
@@ -776,6 +828,33 @@ def test_sweep_refuses_fewer_than_one_restart_or_job(restarts, jobs):
         for lo, hi in ((0.4, 0.42), (0.6, 0.5)):
             with pytest.raises(ValueError, match="at least 1"):
                 sweep(lo, hi, 0.01, Z6, "uniform", restarts=restarts, jobs=jobs)
+
+
+def test_sweep_refuses_a_bipartite_ansatz_on_a_non_bipartite_lattice_before_the_grid():
+    # also on an empty grid, where no point reaches the minimizer
+    flat = LatticeSpec(z=6, bipartite=False)
+    with mock.patch.object(variational, "_sweep_chunk", side_effect=AssertionError):
+        for lo, hi in ((1.5, 1.52), (0.6, 0.5)):
+            with pytest.raises(ValueError, match="non-bipartite lattice"):
+                sweep(lo, hi, 0.01, flat, "bipartite")
+            with pytest.raises(ValueError, match="unknown ansatz kind"):
+                sweep(lo, hi, 0.01, Z6, "diagonal")
+        assert sweep(0.6, 0.5, 0.01, flat, "uniform") == []
+
+
+def test_sweep_records_do_not_depend_on_the_batch_cap(monkeypatch):
+    batches = []
+    chunk = variational._sweep_chunk
+    monkeypatch.setattr(variational, "_sweep_chunk",
+                        lambda task: batches.append(len(task[0])) or chunk(task))
+    one = sweep(1.44, 1.52, 0.02, Z6, "bipartite", seed=3, refine=False)
+    monkeypatch.setattr(variational, "_BATCH_SIMPLICES", 16)  # two points of 8 restarts
+    capped = sweep(1.44, 1.52, 0.02, Z6, "bipartite", seed=3, refine=False)
+    assert batches == [5, 1, 2, 2]  # one batch per sweep, until the cap cuts it
+    for rec, ref in zip(capped, one, strict=True):
+        assert np.array_equal(rec.alpha_A, ref.alpha_A) and np.array_equal(rec.alpha_B, ref.alpha_B)
+        assert (rec.lam, rec.norm, rec.converged, rec.restarts_used) == (
+            ref.lam, ref.norm, ref.converged, ref.restarts_used)
 
 
 @settings(deadline=None, max_examples=300)
