@@ -16,9 +16,10 @@ with ``dspin fit`` as the acceptance tests fit it, and its ``lambda_c`` and
 that two BENCH files show whether a change left the A2 and A3 outputs
 byte-identical. One more run of each sweep, in a child process on the
 checkout's ``src/``, counts the calls of ``variational._spectra`` (the one
-stacked ``eigvalsh`` every norm evaluation of a batch ends in) and the rows
-they carry (``spectra_calls``, ``spectra_rows``): the number of links a
-change to the per-call cost works on. Then it times the start-up every
+stacked ``eigvalsh`` every norm evaluation of a batch ends in), the rows
+they carry and the seconds spent inside them (``spectra_calls``,
+``spectra_rows``, ``spectra_s``): the number of links a change to the
+per-call cost works on, and what those links cost in that run. Then it times the start-up every
 ``dspin`` call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
 on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
 start-up included), and one more under ``python -X importtime`` whose
@@ -66,16 +67,19 @@ SWEEPS = {
 }
 
 
-# runs ``dspin`` (its arguments follow the script) counting the calls and rows of _spectra
+# runs ``dspin`` (its arguments follow the script) counting the calls, rows and seconds of _spectra
 COUNT_SPECTRA = """\
-import sys
+import sys, time
 from dissipative_spins import cli, variational
-counts = [0, 0]
+counts = [0, 0, 0.0]
 spectra = variational._spectra
 def counted(products):
     counts[0] += 1
     counts[1] += len(products)
-    return spectra(products)
+    t0 = time.perf_counter()
+    lam = spectra(products)
+    counts[2] += time.perf_counter() - t0
+    return lam
 variational._spectra = counted
 code = cli.main(sys.argv[1:])
 print(*counts)
@@ -129,7 +133,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
         if proc.returncode != 0 or counted.read_bytes() != out.read_bytes():
             sys.exit(f"bench: {name} counting run exited with {proc.returncode} or wrote "
                      f"another CSV:\n{proc.stderr}")
-        calls, rows = map(int, proc.stdout.split())
+        calls, rows, seconds = proc.stdout.split()
         fit_argv = argv[:3] + ["fit", "--in", str(out), *fit_args]
         proc = subprocess.run(fit_argv, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -139,7 +143,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
             "wall_s": times, "wall_s_median": statistics.median(times),
             "fit_argv": ["dspin", "fit", *fit_args],
             "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest,
-            "spectra_calls": calls, "spectra_rows": rows}
+            "spectra_calls": int(calls), "spectra_rows": int(rows), "spectra_s": float(seconds)}
 
 
 def time_startup(root: Path) -> dict:

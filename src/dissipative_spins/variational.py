@@ -15,9 +15,15 @@ and for a homogeneous ansatz it collapses to a single bond norm, which is
 what gets minimized. Order parameters, the Landau phi^4 expansion of the
 norm, and critical-point fits are extracted from the minimizer.
 
-``CompiledBond`` compiles a model once into a tensor W; every bond matrix
-K, the norm's and the polish's alike, is one batched product of feature
-rows with W, and a state's K does not depend on its batch.
+``CompiledBond`` compiles a model once into a complex tensor W, the
+reference at any state. The minimizer only visits states with ay = by = 0,
+where K is real: ``CompiledBond.tensor`` folds W onto the monomials those
+states reach (27 for the bipartite ansatz; 10 for the uniform one, whose K
+it turns into a singlet block and a triplet block) and refuses a model for
+which that drops more than rounding. Every bond matrix K of the minimizer,
+the norm's and the polish's alike, is one batched real product of feature
+rows with that tensor, its spectrum one stacked real eigvalsh, and a
+state's K does not depend on its batch.
 
 The minimizer runs in two stages, each on many problems at once. An array
 Nelder-Mead engine that steps like scipy's advances every restart of every
@@ -264,7 +270,74 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # leading 1 of b absorbs the bilinear part into the a(x)b(x)b tensor, so the
 # whole derivative is one 16x128 tensor W contracted with
 # outer(a(x)b, [b; a]). Verified against reduced_derivative in the tests.
+#
+# Every state the minimizer visits has ay = by = 0: a rotation about z is a
+# symmetry of the models it takes, so the sweeps fix that gauge, and both
+# Landau maps lie in the x-z plane. There a and b keep (1, x, z), only 54
+# of the 128 feature columns are nonzero, and those hold 27 distinct
+# monomials, 10 where a = b. The engine works on these planar vectors
+# (x, z) only: its tensor is W folded onto one representative column per
+# monomial, and it is real, K being real on that slice. Where a = b the
+# bond matrix commutes with the swap of its sites, and in the basis
+# (singlet, triplet) it is block diagonal, 1 + 3.
 # ---------------------------------------------------------------------------
+
+# the 54 columns of a (x) b (x) [b; a] left by ay = by = 0, in the order of
+# _triple on a = (1, ax, az), b = (1, bx, bz)
+_PLANAR_COLUMNS = np.array([32 * mu + 8 * nu + s for mu in (0, 1, 3) for nu in (0, 1, 3)
+                            for s in (0, 1, 3, 4, 5, 7)])
+
+
+def _monomials(uniform):
+    """(columns, fold): the distinct monomials of the 54 planar feature columns.
+
+    ``columns`` (M,) is the first column that carries each monomial and
+    ``fold`` (M, 54) is 1 where a column carries monomial m. A column's
+    monomial is its exponents of (ax, az, bx, bz), summed to (x, z) where
+    alpha_B = alpha_A.
+    """
+    a = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])  # exponents of 1, ax, az
+    b = a[:, [2, 3, 0, 1]]
+    exps = (a[:, None, None] + b[None, :, None] + np.vstack([b, a])[None, None, :]).reshape(54, 4)
+    if uniform:
+        exps = exps[:, :2] + exps[:, 2:]
+    first = {}  # monomial -> its index, in order of first appearance
+    monomial = np.array([first.setdefault(e, len(first)) for e in map(tuple, exps.tolist())])
+    columns = np.unique(monomial, return_index=True)[1]
+    return columns, (monomial == np.arange(len(columns))[:, None]).astype(float)
+
+
+# per layout: 27 monomials for the bipartite ansatz, 10 for the uniform one
+_MONOMIALS = {"uniform": _monomials(True), "bipartite": _monomials(False)}
+# the entries of [b; a] = (1, bx, bz, 1, ax, az) whose product is each
+# representative column: its factor from a, from b and from [b; a]
+_FACTORS = {kind: np.array(np.unravel_index(columns, (3, 3, 6))) + [[3], [0], [0]]
+            for kind, (columns, _) in _MONOMIALS.items()}
+# singlet, then the triplet |uu>, (|ud> + |du>)/sqrt 2, |dd>, as columns
+_SINGLET_TRIPLET = np.array([[0.0, 1, 0, 0], [1, 0, 1, 0], [-1, 0, 1, 0], [0, 0, 0, 1]])
+_SINGLET_TRIPLET[1:3] *= np.sqrt(0.5)
+_SYMMETRY_RTOL = 1e-12  # a symmetry check fails beyond this times max |W|
+
+
+def _z_generator():
+    """(source, sign) (3, 128): W G for G the generator of rotations about z on the features.
+
+    G turns (x, y) -> (-y, x) in each Bloch-vector slot of a (x) b (x) [b; a];
+    per slot, column k of W G is sign[k] times column source[k] of W.
+    """
+    comp = np.indices((4, 4, 2, 4)).reshape(4, 128)  # (mu, nu, [b; a], s) of each column
+    source, sign = [], []
+    for slot in (0, 1, 3):
+        turned = comp.copy()
+        turned[slot] = np.array([0, 2, 1, 3])[comp[slot]]
+        source.append(np.ravel_multi_index(turned, (4, 4, 2, 4)))
+        sign.append(np.array([0.0, 1.0, -1.0, 0.0])[comp[slot]])
+    return np.array(source), np.array(sign)
+
+
+_Z_SOURCE, _Z_SIGN = _z_generator()
+# U = exp(-i t (sz (x) 1 + 1 (x) sz) / 2) turns K[i, j] by -i t (m_i - m_j) K[i, j]
+_Z_PAIR = -1j * np.subtract.outer([1.0, 0, 0, -1], [1.0, 0, 0, -1]).reshape(16, 1)
 
 
 class CompiledBond:
@@ -273,8 +346,9 @@ class CompiledBond:
     Two-site jumps and Hamiltonians enter both the bond's own generator and
     the mean-field terms; single-site ones act on each slot of the bond and
     enter the bilinear part only. The compile folds everything into one
-    Hermitian 16x128 tensor W, held as ``_wt`` for the batched products of
-    ``_grouped_products``; K at a state is W times its ``_features`` row.
+    Hermitian 16x128 tensor W. ``norm`` evaluates it at any state, the
+    reference the tests check the engine against; ``tensor`` gives the
+    engine's real tensor on the gauge-fixed slice.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -306,25 +380,61 @@ class CompiledBond:
         # slot j feels rho_A (x) t2[b, a]: weights a_mu b_nu a_s
         w_ab_a = half_zc * np.einsum("mik,jlns->ijklmns", sig, t2)
         w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(4, 4, 128)
-        # Hermitian part folded in: x is real, so W x comes out Hermitian
-        w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
-        # W^T as a real (128, 32) matrix, real and imaginary parts interleaved
-        # so that feature rows @ _wt read as complex 4x4 matrices in place
-        self._wt = w.T.copy().view(float)
+        # Hermitian part folded in: x is real, so W x comes out Hermitian;
+        # row 4 i + j of W gives K[i, j]
+        self._w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
 
     def norm(self, alpha_a, alpha_b) -> float:
-        """The bond norm at one state: its ``_grouped_norms`` row, bit for bit."""
-        a, b = np.reshape(alpha_a, (1, 3)), np.reshape(alpha_b, (1, 3))
-        return float(_grouped_norms([self._wt], np.zeros(1, dtype=int), a, b)[0])
+        """The bond norm at any state, from the complex W."""
+        a, b = np.append(1.0, alpha_a), np.append(1.0, alpha_b)
+        k = (self._w @ _triple(a, b, np.concatenate([b, a]))).reshape(4, 4)
+        return float(np.abs(np.linalg.eigvalsh(k)).sum())
+
+    def tensor(self, kind) -> np.ndarray:
+        """The engine's real (M, 16) tensor: K = ``_features(a, b, kind)`` @ it, row-major.
+
+        W folded onto the 27 monomials of the bipartite layout, or the 10
+        of the uniform one, where it is also turned into the basis
+        (singlet, triplet) with the coupling between the blocks set to
+        exactly 0. ValueError where that drops more than rounding: W breaks
+        the rotation about z (the gauge the minimizer fixes), K is not real
+        at ay = by = 0, or, uniform, the bond's sites are not swap-symmetric.
+        """
+        w = self._w
+        tol = _SYMMETRY_RTOL * np.abs(w).max()
+        # K(R a, R b) = U K U^+ for a rotation R about z, at first order
+        if np.abs((w[:, _Z_SOURCE] * _Z_SIGN).sum(axis=1) - _Z_PAIR * w).max() > tol:
+            raise ValueError("the model is not symmetric under rotations about z")
+        columns, fold = _MONOMIALS[kind]
+        w = fold @ w[:, _PLANAR_COLUMNS].T
+        if np.abs(w.imag).max() > tol:
+            raise ValueError("the bond matrix is not real at ay = 0")
+        w = w.real
+        if kind == "uniform":
+            w = _SINGLET_TRIPLET.T @ w.reshape(-1, 4, 4) @ _SINGLET_TRIPLET
+            if np.abs(w[:, 0, 1:]).max() > tol:
+                raise ValueError("the bond's sites are not swap-symmetric")
+            w[:, 0, 1:] = w[:, 1:, 0] = 0.0
+        return w.reshape(-1, 16)
 
 
-def _features(alpha_a, alpha_b) -> np.ndarray:
-    """Rows a (x) b (x) [b; a] for the extended Bloch vectors a = (1, alpha_A), b = (1, alpha_B)."""
-    ba = np.ones((len(alpha_a), 8))
-    ba[:, 1:4] = alpha_b
-    ba[:, 5:8] = alpha_a
-    t = ba[:, 4:, None, None] * ba[:, None, :4, None] * ba[:, None, None, :]
-    return t.reshape(-1, 128)
+def _triple(x, y, z):
+    """Feature rows x (x) y (x) z, x slowest, broadcast over leading axes."""
+    t = x[..., :, None, None] * y[..., None, :, None] * z[..., None, None, :]
+    return t.reshape(t.shape[:-3] + (-1,))
+
+
+def _features(alpha_a, alpha_b, kind) -> np.ndarray:
+    """The monomial columns of ``kind`` of a (x) b (x) [b; a], a = (1, alpha_A), at planar vectors (x, z).
+
+    Each is the product of its three factors in the order ``_triple``
+    multiplies them, so it holds the same bits as its column there.
+    """
+    ba = np.ones((len(alpha_a), 6))
+    ba[:, 1:3] = alpha_b
+    ba[:, 4:] = alpha_a
+    i, j, k = _FACTORS[kind]
+    return ba[:, i] * ba[:, j] * ba[:, k]
 
 
 def _product(features, wt) -> np.ndarray:
@@ -337,28 +447,38 @@ def _product(features, wt) -> np.ndarray:
 
 
 def _spectra(products) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian 4x4 matrices held row-wise as (re, im) pairs."""
-    return np.linalg.eigvalsh(products.view(complex).reshape(-1, 4, 4))
+    """Ascending eigenvalues of the real symmetric 4x4 matrices held row-wise, row-major.
+
+    A uniform bond's matrix is singlet (+) triplet, with exact zeros between
+    the blocks, which the solver's reduction skips: it costs less than on
+    the product basis, and no more than the singlet entry plus a 3x3
+    eigvalsh merged in order.
+    """
+    return np.linalg.eigvalsh(products.reshape(-1, 4, 4))
 
 
 def _grouped_products(wts, owner, features) -> np.ndarray:
-    """Feature rows times the ``_wt`` of their bond, ``wts[owner[k]]`` for row k.
+    """Feature rows times the ``tensor`` of their bond, ``wts[owner[k]]`` for row k.
 
-    Rows of one bond are contiguous: one (n, 128) @ (128, 32) real product
-    per bond present. A row's value does not depend on the other rows.
+    Rows of one bond are contiguous: one (n, M) @ (M, 16) product per bond
+    present. A row's value does not depend on the other rows: the output
+    width 16 is one at which OpenBLAS's gemm rounds every row alike (with
+    27 monomials, widths 9, 10 and 12 give the first row other bits at
+    most call sizes).
     """
     if owner[0] == owner[-1]:
         return _product(features, wts[owner[0]])
-    y = np.empty((len(features), 32))
+    y = np.empty((len(features), 16))
     cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [len(features)]):
         y[lo:hi] = _product(features[lo:hi], wts[owner[lo]])
     return y
 
 
-def _grouped_norms(wts, owner, alpha_a, alpha_b) -> np.ndarray:
-    """Norm of row k under the bond whose ``_wt`` is ``wts[owner[k]]``: one stacked ``eigvalsh``."""
-    return np.abs(_spectra(_grouped_products(wts, owner, _features(alpha_a, alpha_b)))).sum(axis=1)
+def _grouped_norms(wts, owner, alpha_a, alpha_b, kind) -> np.ndarray:
+    """Norm of row k under the bond whose ``tensor(kind)`` is ``wts[owner[k]]``."""
+    products = _grouped_products(wts, owner, _features(alpha_a, alpha_b, kind))
+    return np.abs(_spectra(products)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +494,24 @@ def _project_rows(alpha):
 
 @dataclass(frozen=True)
 class _AffineMap:
-    """Bloch vector rows (x D_A + o_A[s], x D_B + o_B[s]) of parameter rows x of problems s.
+    """Planar Bloch vector rows (x D_A + o_A[s], x D_B + o_B[s]) of parameter rows x of problems s.
 
-    D is a 0/1 selection, held as the column of [x, 0] that each Bloch
-    component takes (index d takes the 0), so the components are copied
-    from x exactly; ``take_b`` None means alpha_B = alpha_A (the uniform
-    ansatz). The offsets o (S, 3) belong to each problem, None for none.
-    ``rotation``: x holds whole Bloch vectors, so the rotation about z is
-    an exact zero mode of the norm.
+    A planar vector is (x, z): the y component is 0 on every map. D is a
+    0/1 selection, held as the column of [x, 0] that each component takes
+    (index d takes the 0), so the components are copied from x exactly;
+    ``take_b`` None means alpha_B = alpha_A (the uniform ansatz and
+    layout). The offsets o (S, 2) belong to each problem, None for none.
     """
 
     take_a: np.ndarray
     take_b: np.ndarray | None = None
     off_a: np.ndarray | None = None
     off_b: np.ndarray | None = None
-    rotation: bool = False
+
+    @property
+    def kind(self) -> str:
+        """The layout of ``CompiledBond.tensor`` its problems take."""
+        return "uniform" if self.take_b is None else "bipartite"
 
     def __call__(self, rows, x):
         ext = np.zeros((len(x), x.shape[1] + 1))
@@ -404,24 +527,23 @@ class _AffineMap:
         return a, b
 
     def directions(self, dim):
-        """D_A and D_B (dim, 3), the derivatives of the Bloch vectors by x."""
+        """D_A and D_B (dim, 2), the derivatives of the planar vectors by x."""
         eye = np.eye(dim + 1)[:dim]
         dirs_a = eye.take(self.take_a, axis=1)
         return dirs_a, (dirs_a if self.take_b is None else eye.take(self.take_b, axis=1))
 
 
-def _sweep_map(kind, gauge_fix) -> _AffineMap:
-    """The minimizer's parameters: whole Bloch vectors, or (ax, az) per sublattice with ay = 0.
+def _sweep_map(kind) -> _AffineMap:
+    """The minimizer's parameters: (ax, az) per sublattice, with ay = 0.
 
-    ``gauge_fix`` sets ay = 0: a rotation about z is a symmetry of the
-    norm, and for the bipartite ansatz it also fixes the sublattices'
-    relative in-plane angle.
+    A rotation about z is a symmetry of the norm (``CompiledBond.tensor``
+    refuses a model without it), so ay = 0 on one sublattice loses
+    nothing; for the bipartite ansatz it also fixes the sublattices'
+    relative in-plane angle to 0 or pi.
     """
     if kind == "uniform":
-        return _AffineMap(np.array([0, 2, 1] if gauge_fix else [0, 1, 2]), rotation=not gauge_fix)
-    if gauge_fix:
-        return _AffineMap(np.array([0, 4, 1]), np.array([2, 4, 3]))
-    return _AffineMap(np.array([0, 1, 2]), np.array([3, 4, 5]), rotation=True)
+        return _AffineMap(np.array([0, 1]))
+    return _AffineMap(np.array([0, 1]), np.array([2, 3]))
 
 
 # scipy's Nelder-Mead coefficients (reflection, expansion, contraction,
@@ -591,8 +713,9 @@ class _NewtonStep:
 def _penalized_spectra(wts, owner, pmap):
     """fun(rows, x): penalized norms and eigenvalues at parameter rows x of problems ``rows``.
 
-    ``pmap`` is the problems' ``_AffineMap``; a Bloch vector outside the
-    unit ball at radius r is pulled onto it and adds 100 (r - 1)^2.
+    ``pmap`` is the problems' ``_AffineMap``, ``wts`` their bonds'
+    ``tensor(pmap.kind)``; a Bloch vector outside the unit ball at radius
+    r is pulled onto it and adds 100 (r - 1)^2.
     """
     def fun(rows, x):
         a, b = pmap(rows, x)
@@ -603,28 +726,23 @@ def _penalized_spectra(wts, owner, pmap):
         if not inside:
             a, pen_a = _project_rows(a)
             b, pen_b = (a, pen_a) if b is a else _project_rows(b)
-        lam = _spectra(_grouped_products(wts, owner[rows], _features(a, b)))
+        lam = _spectra(_grouped_products(wts, owner[rows], _features(a, b, pmap.kind)))
         norms = np.abs(lam).sum(axis=1)
         return (norms if inside else norms + (pen_a + pen_b)), lam
     return fun
 
 
-def _triple(x, y, z):
-    """Feature rows x (x) y (x) z, x slowest, broadcast over leading axes."""
-    t = x[..., :, None, None] * y[..., None, :, None] * z[..., None, None, :]
-    return t.reshape(t.shape[:-3] + (128,))
-
-
-def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
-    """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n states.
+def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b, kind) -> np.ndarray:
+    """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n planar states.
 
     The K rows are ``_triple(a, b, c)``, the products of ``_features`` in
     the same order, so K here is bitwise the K of the norm. a, b and
     c = [b; a] move along the constant directions ``dirs_a`` and ``dirs_b``
-    (d, 3) of the parameters, so the product rule gives every derivative of
-    the trilinear features exactly.
-    Shape (n, 1 + d + p, 128) with p = d (d + 1) / 2 pairs in
-    ``np.triu_indices`` order.
+    (d, 2) of the parameters, so the product rule gives every derivative of
+    the trilinear features exactly, and the representative column of a
+    monomial holds its derivatives too.
+    Shape (n, 1 + d + p, M) with p = d (d + 1) / 2 pairs in
+    ``np.triu_indices`` order and M the monomials of ``kind``.
     """
     n, d = len(alpha_a), len(dirs_a)
     a = np.hstack([np.ones((n, 1)), alpha_a])[:, None]
@@ -638,40 +756,25 @@ def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b) -> np.ndarray:
     hess = (_triple(da[k], db[l], c) + _triple(da[l], db[k], c)
             + _triple(da[k], b, dc[l]) + _triple(da[l], b, dc[k])
             + _triple(a, db[k], dc[l]) + _triple(a, db[l], dc[k]))
-    return np.concatenate([_triple(a, b, c), grad, hess], axis=1)
+    return np.concatenate([_triple(a, b, c), grad, hess], axis=1)[..., _MONOMIALS[kind][0]]
 
 
 def _bond_derivatives(wts, owner, features) -> np.ndarray:
-    """The complex 4x4 matrices of feature stacks (n, m, 128), one product per bond."""
-    n, m, _ = features.shape
-    y = _grouped_products(wts, np.repeat(owner, m), features.reshape(n * m, 128))
-    return y.view(complex).reshape(n, m, 4, 4)
+    """The real symmetric 4x4 matrices of feature stacks (n, m, M), one product per bond."""
+    n, m, width = features.shape
+    y = _grouped_products(wts, np.repeat(owner, m), features.reshape(n * m, width))
+    return y.reshape(n, m, 4, 4)
 
 
-def _rotation_modes(x):
-    """Unit rotation about z of each row of whole Bloch vectors: an exact zero mode of the norm.
-
-    A row with no in-plane component has no mode and gets zeros.
-    """
-    v = np.zeros_like(x)
-    v[:, 0::3], v[:, 1::3] = -x[:, 1::3], x[:, 0::3]  # (ax, ay, az) -> (-ay, ax, 0) per vector
-    r = np.sqrt((v * v).sum(axis=1, keepdims=True))
-    return np.divide(v, r, out=np.zeros_like(v), where=r > 0)
-
-
-def _newton_step(mats, dim, modes=None) -> _NewtonStep:
-    """Kink-aware Newton step from K, dK and d2K (``_bond_derivatives`` rows).
-
-    ``modes`` (n, d) are unit zero modes of the norm (``_rotation_modes``);
-    the step is solved in their orthogonal complement.
-    """
+def _newton_step(mats, dim) -> _NewtonStep:
+    """Kink-aware Newton step from K, dK and d2K (``_bond_derivatives`` rows)."""
     kmat, dk, ddk = mats[:, 0], mats[:, 1:dim + 1], mats[:, dim + 1:]
     n = len(mats)
     rows = np.arange(n)
     lam, u = np.linalg.eigh(kmat)
-    m = u.conj().swapaxes(-1, -2)[:, None] @ dk @ u[:, None]   # M_k = U^+ dK_k U
-    grads = np.diagonal(m, axis1=-2, axis2=-1).real            # (n, d, 4) d lambda_i / dx_k
-    curv = np.einsum("npi,nmpq,nqi->nmi", u.conj(), ddk, u).real  # diag(U^+ d2K U)
+    m = u.swapaxes(-1, -2)[:, None] @ dk @ u[:, None]   # M_k = U^T dK_k U
+    grads = np.diagonal(m, axis1=-2, axis2=-1)           # (n, d, 4) d lambda_i / dx_k
+    curv = np.einsum("npi,nmpq,nqi->nmi", u, ddk, u)     # diag(U^T d2K U)
 
     i0 = np.abs(lam).argmin(axis=1)
     weights = np.where(lam < 0, -1.0, 1.0)
@@ -688,21 +791,15 @@ def _newton_step(mats, dim, modes=None) -> _NewtonStep:
     weights[rows, i0] = np.where(active, t, s0)
     grad = g_f + weights[rows, i0][:, None] * gc  # the Lagrangian's gradient, or the plain one
 
-    # Hessian of sum_i w_i lambda_i: sum_i w_i diag(U^+ d2K U)_i
-    # + sum_{i != j} (w_i - w_j) / (lambda_i - lambda_j) Re (M_k)_ij (M_l)_ji
+    # Hessian of sum_i w_i lambda_i: sum_i w_i diag(U^T d2K U)_i
+    # + sum_{i != j} (w_i - w_j) / (lambda_i - lambda_j) (M_k)_ij (M_l)_ji
     dw = weights[:, :, None] - weights[:, None, :]
     dl = lam[:, :, None] - lam[:, None, :]
     coupling = np.divide(dw, dl, out=np.zeros_like(dw), where=(dw != 0) & (dl != 0))
     k, l = np.triu_indices(dim)
     hess = np.empty((n, dim, dim))
     hess[:, k, l] = hess[:, l, k] = np.einsum("npi,ni->np", curv, weights)
-    hess += np.einsum("nij,nkij,nlji->nkl", coupling, m, m).real
-    if modes is not None:
-        # the Hessian along a symmetry orbit is -J^T g, not 0, away from a
-        # stationary point: project the mode out so it is exactly null
-        proj = np.eye(dim) - modes[:, :, None] * modes[:, None, :]
-        hess = proj @ hess @ proj
-        g_f, gc, grad = [(proj @ g[:, :, None])[:, :, 0] for g in (g_f, gc, grad)]
+    hess += np.einsum("nij,nkij,nlji->nkl", coupling, m, m)
 
     # active rows: [[H, gc], [gc^T, 0]] (dx, t') = (-g_F, -lambda_0); the
     # others carry a zero border and solve H dx = -g
@@ -717,8 +814,7 @@ def _newton_step(mats, dim, modes=None) -> _NewtonStep:
     # a positive-definite shift where the plain Hessian is not
     shift = ~active & (mu[:, 0] < -_SOLVE_RCOND * scale)
     mu = mu - np.where(shift, 2.0 * mu[:, 0], 0.0)[:, None]
-    # least squares: directions with |mu| below the cut (with gauge_fix
-    # off, the rotation about z) get no step
+    # least squares: directions with |mu| below the cut get no step
     keep = np.abs(mu) > _SOLVE_RCOND * np.abs(mu).max(axis=1)[:, None]
     inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=keep)
     coef = (q.swapaxes(1, 2) @ rhs[:, :, None])[:, :, 0] * inv
@@ -741,12 +837,11 @@ def _gauss_newton_step(mats, dim):
     NaN where K is exactly 0.
     """
     n = len(mats)
-    kvec = np.concatenate([mats[:, 0].real, mats[:, 0].imag], axis=1).reshape(n, 32)
-    jac = np.concatenate([mats[:, 1:dim + 1].real, mats[:, 1:dim + 1].imag], axis=2)
-    jac = jac.reshape(n, dim, 32).swapaxes(1, 2)
+    kvec = mats[:, 0].reshape(n, 16)
+    jac = mats[:, 1:dim + 1].reshape(n, dim, 16).swapaxes(1, 2)
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     # directions with a singular value below the cut (along the dark
-    # manifold, or the rotation about z) get no step
+    # manifold) get no step
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > _SOLVE_RCOND * s[:, :1])
     coef = (u.swapaxes(1, 2) @ kvec[:, :, None]) * inv[:, :, None]
     step = -(vt.swapaxes(1, 2) @ coef)[:, :, 0]
@@ -760,8 +855,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     """Kink-aware Newton descent of S problems at once from x0 with penalized norms f0.
 
     Problem s is the bond ``wts[owner[s]]`` (owner ascending) under the
-    parameterization ``pmap`` (an ``_AffineMap``); with its rotation flag
-    set the rotation about z is projected out of every step. Each
+    parameterization ``pmap`` (an ``_AffineMap``). Each
     iteration is one derivative pass for every live row; the step is
     backtracked (1, 1/2, ...) on the true penalized norm and taken at the
     first trial that lowers it; on an active kink each trial also tries
@@ -790,9 +884,9 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     live = np.arange(count)
     while live.size:
         a, b = pmap(live, x[live])
-        features = _derivative_features(a, b, dirs_a, dirs_b)
+        features = _derivative_features(a, b, dirs_a, dirs_b, pmap.kind)
         mats = _bond_derivatives(wts, owner[live], features)
-        newton = _newton_step(mats, dim, _rotation_modes(x[live]) if pmap.rotation else None)
+        newton = _newton_step(mats, dim)
         nfev[live] += 1
         passes += 1
         stationarity[live], multiplier[live] = newton.stationarity, newton.multiplier
@@ -883,12 +977,14 @@ _FIXED_STARTS = {
 _GAUGE_COLUMNS = {"uniform": [0, 2], "bipartite": [0, 2, 3, 5]}  # (ax, az) per vector
 
 
-def _start_points(kind, gauge_fix, restarts, rng) -> np.ndarray:
-    """(restarts, d) starts: the fixed directions padded with seeded random interior points."""
+def _start_points(kind, restarts, rng) -> np.ndarray:
+    """(restarts, d) starts: the fixed directions padded with seeded random interior points.
+
+    Both are drawn as whole Bloch vectors and keep their (ax, az) columns.
+    """
     fixed = _FIXED_STARTS[kind]
     extra = rng.uniform(-0.7, 0.7, (max(restarts - len(fixed), 0), fixed.shape[1]))
-    pts = np.vstack([fixed, extra])[:restarts]
-    return pts[:, _GAUGE_COLUMNS[kind]] if gauge_fix else pts
+    return np.vstack([fixed, extra])[:restarts, _GAUGE_COLUMNS[kind]]
 
 
 def minimize_norm(
@@ -896,7 +992,6 @@ def minimize_norm(
     kind: str = "uniform",
     restarts: int = 8,
     seed: int = 0,
-    gauge_fix: bool = True,
 ) -> MinimizeResult:
     """Minimize the bond norm over product ansaetze of the given kind.
 
@@ -920,9 +1015,10 @@ def minimize_norm(
     and Gauss-Newton trial of the polish, and the final norm. Deterministic
     for a fixed seed. Non-convergence is flagged on the result, never
     raised. A sweep point is exactly this minimization, run in a batch with
-    its neighbors.
+    its neighbors. The minimization fixes ay = 0; ValueError for a model
+    where that could change the minimum (``CompiledBond.tensor``).
     """
-    return _minimize_batch([model], kind, restarts, [seed], gauge_fix)[0]
+    return _minimize_batch([model], kind, restarts, [seed])[0]
 
 
 def _descend(wts, owner, pmap, starts, restarts):
@@ -941,8 +1037,9 @@ def _descend(wts, owner, pmap, starts, restarts):
     rank = _nelder_mead(lambda rows, x: spectra(problem[rows], x)[0], starts, **_RANK_OPTIONS)
     # stage 1 only ranks the basins: over full 0-2 sweeps and the A2 and A3
     # windows at 1e-3 steps, the best restart that polishes into another
-    # basin ended stage 1 at least 1.0e3 times the winner's stage-1 error
-    # above the winner (8.0e3 at 1e-5 / 1e-8, 0.24 at 1e-3 / 1e-6)
+    # basin ended stage 1 at least 9.3e2 times the winner's stage-1 error
+    # above the winner (with the complex evaluator: 1.0e3 here, 8.0e3 at
+    # 1e-5 / 1e-8, 0.24 at 1e-3 / 1e-6)
     fun = rank.fun.reshape(count, restarts)
     # a numerically dark minimum cannot be improved: the ranking stops at the
     # first one and later restarts do not count (they ran alongside, so
@@ -963,24 +1060,26 @@ def _check_ansatz(kind, bipartite):
         raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
 
 
-def _minimize_batch(models, kind, restarts, seeds, gauge_fix) -> list:
+def _minimize_batch(models, kind, restarts, seeds) -> list:
     """``minimize_norm`` of every model, with its own seed, in one ``_descend``.
 
-    A model's result depends only on its own rows.
+    A model's result depends only on its own rows. ValueError for a model
+    whose ``CompiledBond.tensor`` refuses the gauge fixing.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     _check_ansatz(kind, all(m.lattice.bipartite for m in models))
-    wts = [CompiledBond(m)._wt for m in models]  # the batched path needs no more
+    wts = [CompiledBond(m).tensor(kind) for m in models]
     count = len(models)
-    starts = np.vstack([_start_points(kind, gauge_fix, restarts, np.random.default_rng(seed))
+    starts = np.vstack([_start_points(kind, restarts, np.random.default_rng(seed))
                         for seed in seeds])
-    pmap = _sweep_map(kind, gauge_fix)
+    pmap = _sweep_map(kind)
     polish, used, evaluations = _descend(wts, np.arange(count), pmap, starts, restarts)
     a, b = pmap(None, polish.x)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
-    norms = _grouped_norms(wts, np.arange(count), a, b)
+    norms = _grouped_norms(wts, np.arange(count), a, b, kind)
+    a, b = np.insert(a, 1, 0.0, axis=1), np.insert(b, 1, 0.0, axis=1)  # ay = 0
     return [
         MinimizeResult(
             ansatz=(ProductAnsatz.uniform(a[p]) if kind == "uniform"
@@ -1057,7 +1156,7 @@ def _sweep_chunk(task) -> list:
     lams, lattice, kind, restarts, seed = task
     results = _minimize_batch(
         [dissipative_heisenberg(lam, lattice) for lam in lams],
-        kind, restarts, [_point_seed(seed, lam) for lam in lams], True,
+        kind, restarts, [_point_seed(seed, lam) for lam in lams],
     )
     records = []
     for lam, res in zip(lams, results):
@@ -1165,19 +1264,19 @@ def _landau_profile(model, direction, phis) -> _PolishResult:
     result depends only on its own phi.
     """
     pmap, dim = _landau_map(direction, phis)
-    return _descend([CompiledBond(model)._wt], np.zeros(len(phis), dtype=int), pmap,
+    return _descend([CompiledBond(model).tensor(pmap.kind)], np.zeros(len(phis), dtype=int), pmap,
                     np.zeros((len(phis), dim)), 1)[0]
 
 
 def _landau_map(direction, phis):
     """The ``_AffineMap`` of a Landau profile's samples and its parameter count."""
-    off_a = np.zeros((len(phis), 3))
+    off_a = np.zeros((len(phis), 2))
     if direction == "in-plane":
         off_a[:, 0] = phis
-        return _AffineMap(np.array([1, 1, 0]), off_a=off_a), 1
-    off_b = np.zeros((len(phis), 3))
-    off_a[:, 2], off_b[:, 2] = phis, -phis
-    return _AffineMap(np.array([0, 3, 2]), np.array([1, 3, 2]), off_a, off_b), 3
+        return _AffineMap(np.array([1, 0]), off_a=off_a), 1
+    off_b = np.zeros((len(phis), 2))
+    off_a[:, 1], off_b[:, 1] = phis, -phis
+    return _AffineMap(np.array([0, 2]), np.array([1, 2]), off_a, off_b), 3
 
 
 def landau_expansion(

@@ -105,9 +105,21 @@ def test_dark_states_at_lambda_zero():
 
 
 def compiled_k(bond, a, b):
-    """K at one state from the batched product the norm and the polish share."""
-    features = variational._features(np.reshape(a, (1, 3)), np.reshape(b, (1, 3)))[:, None]
-    return variational._bond_derivatives([bond._wt], np.zeros(1, dtype=int), features)[0, 0]
+    """K at one state from the complex W behind ``CompiledBond.norm``."""
+    a, b = np.append(1.0, a), np.append(1.0, b)
+    return (bond._w @ variational._triple(a, b, np.concatenate([b, a]))).reshape(4, 4)
+
+
+def engine_k(tensor, kind, a, b):
+    """The engine's real K at planar rows (x, z), in its layout's basis."""
+    features = variational._features(a, b, kind)
+    products = variational._grouped_products([tensor], np.zeros(len(a), dtype=int), features)
+    return products.reshape(-1, 4, 4)
+
+
+def _bloch(planar):
+    """Whole Bloch vectors (x, 0, z) of planar rows (x, z)."""
+    return np.insert(planar, 1, 0.0, axis=-1)
 
 
 @settings(deadline=None, max_examples=30)
@@ -169,6 +181,68 @@ def test_compiled_matches_explicit_without_two_site_jumps():
         np.testing.assert_allclose(
             compiled_k(cb, ansatz.alpha_A, ansatz.alpha_B), ref.total, atol=1e-12
         )
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
+def test_engine_tensors_match_explicit(seed, lam):
+    # the real K of both layouts, the uniform one turned back from
+    # (singlet, triplet), is the explicit derivative at ay = by = 0
+    rng = np.random.default_rng(seed)
+    model = heis(lam)
+    bond = CompiledBond(model)
+    a = rng.uniform(-0.7, 0.7, (4, 2))
+    b = rng.uniform(-0.7, 0.7, (4, 2))
+    for kind, bs in (("uniform", a), ("bipartite", b)):
+        tensor = bond.tensor(kind)
+        k = engine_k(tensor, kind, a, bs)
+        if kind == "uniform":
+            q = variational._SINGLET_TRIPLET
+            k = q @ k @ q.T
+        norms = variational._grouped_norms([tensor], np.zeros(4, dtype=int), a, bs, kind)
+        for row in range(4):
+            ref = reduced_derivative(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
+            np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
+            assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
+
+
+def _with_field(model, axis):
+    model.hamiltonian_terms.append((1, 0.3 * pauli(axis)))
+    return model
+
+
+def test_engine_refuses_a_model_the_gauge_fixing_would_change():
+    # a sigma_y field breaks the rotation about z: the gauge-fixed minimum
+    # was 0.215451, reported converged, against 0.212626 with ay free
+    with pytest.raises(ValueError, match="rotations about z"):
+        minimize_norm(_with_field(heis(0.4), "y"))
+    for direction in ("in-plane", "staggered-z"):
+        with pytest.raises(ValueError, match="rotations about z"):
+            landau_expansion(_with_field(heis(0.4), "y"), direction, 0.03, 11)
+    with pytest.raises(ValueError, match="rotations about z"):
+        CompiledBond(_with_field(heis(0.4), "x")).tensor("bipartite")
+    # a sigma_z field keeps the symmetry, but K is complex at ay = 0
+    with pytest.raises(ValueError, match="not real"):
+        minimize_norm(_with_field(heis(0.4), "z"), kind="bipartite")
+    # a two-site jump that is not closed under the slot swap: the uniform
+    # bond is no longer singlet (+) triplet, the bipartite layout is fine
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]])
+    model = heis(0.4)
+    model.jump_terms.append(JumpTerm(2, 0.5 * kron(sm, pauli("z")), "one-sided"))
+    with pytest.raises(ValueError, match="swap-symmetric"):
+        CompiledBond(model).tensor("uniform")
+    assert CompiledBond(model).tensor("bipartite").shape == (27, 16)
+
+
+@pytest.mark.parametrize("bipartite", [True, False])
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_every_cli_model_takes_the_real_tensors(bipartite, renormalize):
+    kinds = ("uniform", "bipartite") if bipartite else ("uniform",)
+    for z in (2, 4, 6):
+        lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renormalize)
+        for lam in np.linspace(0.0, 2.5, 11):
+            bond = CompiledBond(dissipative_heisenberg(lam, lattice))
+            assert [bond.tensor(kind).shape for kind in kinds] == [(10, 16), (27, 16)][:len(kinds)]
 
 
 def test_compiled_rejects_three_site_hamiltonian():
@@ -312,37 +386,38 @@ def test_minimize_staggered_phase():
     assert res.ansatz.alpha_A[2] * res.ansatz.alpha_B[2] < 0
 
 
-def test_minimize_gauge_off_agrees():
-    on = minimize_norm(heis(0.35), kind="uniform", seed=1, gauge_fix=True)
-    off = minimize_norm(heis(0.35), kind="uniform", seed=1, gauge_fix=False)
-    assert on.norm == pytest.approx(off.norm, abs=1e-8)
-    m_on, _ = order_parameters(on.ansatz)
-    m_off, _ = order_parameters(off.ansatz)
-    assert m_on == pytest.approx(m_off, abs=1e-6)
+def _full_ball_descent(bond, x0):
+    """scipy Nelder-Mead of the reference norm over both whole Bloch vectors, penalized as the engine is."""
+    def penalized(x):
+        (a, pen_a), (b, pen_b) = (variational._project_rows(v[None]) for v in (x[:3], x[3:]))
+        return bond.norm(a[0], b[0]) + pen_a[0] + pen_b[0]
+
+    return scipy_minimize(penalized, x0, method="Nelder-Mead",
+                          options=dict(xatol=1e-8, fatol=1e-12, maxiter=3000)).fun
 
 
-@settings(deadline=None, max_examples=4)
-@given(st.floats(0.3, 2.0))
-@example(0.41)  # where the simplex polish once stalled 6.5e-9 above gauge-off
-def test_minimize_bipartite_gauge_off_agrees(lam):
+@pytest.mark.parametrize("lam", [0.41, 0.9, 1.6])
+def test_gauge_fixed_bipartite_minimum_holds_on_the_full_ball(lam):
     """ay = 0 on both sublattices also fixes their relative in-plane angle.
 
-    Each phase has a soft direction: m_s in the in-plane phase, m in the
-    staggered one. Only the other order parameter is compared. Over 170
-    couplings in [0.3, 2.0] the gauge-fixed norm exceeded the gauge-off one
-    by at most 3.3e-16 and the stiff order parameters differed by at most
-    3.4e-16, both polishes converged.
+    The claim is that this loses nothing: the gauge-fixed minimum is the
+    minimum over the full 6-D ball. Descents of the complex reference norm
+    over both whole Bloch vectors, from seeded interior starts and from the
+    gauge-fixed minimum with alpha_B turned about z by a seeded angle, end
+    no lower. At lambda = 0.41 the simplex polish once stalled 6.5e-9 above
+    the gauge-free minimum.
     """
-    on = minimize_norm(heis(lam), kind="bipartite", seed=2)
-    off = minimize_norm(heis(lam), kind="bipartite", seed=2, restarts=16, gauge_fix=False)
-    assert on.converged and off.converged
-    assert on.norm <= off.norm + 1e-13
-    m_on, ms_on = order_parameters(on.ansatz)
-    m_off, ms_off = order_parameters(off.ansatz)
-    if lam < 0.5:
-        assert m_on == pytest.approx(m_off, abs=1e-8)
-    else:
-        assert ms_on == pytest.approx(ms_off, abs=1e-8)
+    model = heis(lam)
+    res = minimize_norm(model, kind="bipartite", seed=2)
+    assert res.converged
+    bond = CompiledBond(model)
+    rng = np.random.default_rng(int(lam * 100))
+    a, b = res.ansatz.alpha_A, res.ansatz.alpha_B
+    starts = [np.concatenate([a, [np.cos(t) * b[0], np.sin(t) * b[0], b[2]]])
+              for t in rng.uniform(0.3, 2.8, 2)]
+    starts += list(rng.uniform(-0.5, 0.5, (2, 6)))
+    for x0 in starts:
+        assert _full_ball_descent(bond, x0) >= res.norm - 1e-13
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -421,19 +496,44 @@ def test_nelder_mead_matches_scipy_where_the_objective_is_nan():
 def test_batched_norms_do_not_depend_on_the_batch():
     bond = CompiledBond(heis(1.52))
     rng = np.random.default_rng(4)
-    a = rng.uniform(-1, 1, (64, 3)) / np.sqrt(3)
-    b = rng.uniform(-1, 1, (64, 3)) / np.sqrt(3)
+    for kind in ("uniform", "bipartite"):
+        tensor = bond.tensor(kind)
+        a = rng.uniform(-0.7, 0.7, (64, 2))
+        b = a if kind == "uniform" else rng.uniform(-0.7, 0.7, (64, 2))
 
-    def norms(lo, hi):
-        # one owner: the batched evaluation the Nelder-Mead engine calls
-        return variational._grouped_norms([bond._wt], np.zeros(hi - lo, dtype=int),
-                                          a[lo:hi], b[lo:hi])
+        def norms(lo, hi):
+            # one owner: the batched evaluation the Nelder-Mead engine calls
+            return variational._grouped_norms([tensor], np.zeros(hi - lo, dtype=int),
+                                              a[lo:hi], b[lo:hi], kind)
 
-    single = np.array([norms(k, k + 1)[0] for k in range(64)])
-    for n in (2, 7, 64):
-        assert np.array_equal(norms(0, n), single[:n])
-    # the single-state norm is one such row, bit for bit
-    assert np.array_equal(np.array([bond.norm(a[k], b[k]) for k in range(64)]), single)
+        single = np.array([norms(k, k + 1)[0] for k in range(64)])
+        for n in (2, 7, 64):
+            assert np.array_equal(norms(0, n), single[:n])
+        # and each row is the reference norm of its whole Bloch vectors
+        reference = [bond.norm(_bloch(a[k]), _bloch(b[k])) for k in range(64)]
+        np.testing.assert_allclose(single, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "bipartite"])
+def test_spectra_rows_do_not_depend_on_the_call(kind):
+    # OpenBLAS rounds the first row of an (n, 27) @ (27, w) product apart
+    # from the others at w = 9, 10 and 12 for most n; at the width 16 of
+    # both layouts a row's eigenvalues are the same bits at every call size
+    # 1-300 and every position in the call
+    tensor = CompiledBond(heis(1.52)).tensor(kind)
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-0.7, 0.7, (300, 2))
+    b = a if kind == "uniform" else rng.uniform(-0.7, 0.7, (300, 2))
+    features = variational._features(a, b, kind)
+
+    def spectra(rows):
+        return variational._spectra(variational._product(features[rows], tensor))
+
+    single = np.array([spectra([k])[0] for k in range(300)])
+    for n in range(1, 301):
+        rows = (np.arange(n) + 7 * n) % 300  # row k lands at another position for each n
+        assert np.array_equal(spectra(rows), single[rows]), n
+    assert (np.diff(single, axis=1) >= 0).all()  # ascending
 
 
 @pytest.mark.parametrize("which", ["uniform", "bipartite", "in-plane", "staggered-z"])
@@ -443,18 +543,15 @@ def test_stage_one_objective_is_the_projected_norm_bitwise(which):
     # value is still _grouped_norms of its projected vectors plus
     # 100 (r - 1)^2 per vector outside, bit for bit, however it is batched
     rng = np.random.default_rng(11)
-    if which in ("uniform", "bipartite"):
-        pmap, dim = variational._sweep_map(which, True), 2 if which == "uniform" else 4
-    else:
-        pmap, dim = variational._landau_map(which, rng.uniform(0.0, 0.4, 12))
-    wts = [CompiledBond(heis(lam))._wt for lam in (0.46, 1.0, 1.52)]
+    pmap, dim = _problem_map(which, rng.uniform(0.0, 0.4, 12))
+    wts = [CompiledBond(heis(lam)).tensor(pmap.kind) for lam in (0.46, 1.0, 1.52)]
     owner = np.repeat(np.arange(3), 4)  # problem p sits on bond owner[p]
     rows = np.repeat(np.arange(12), 2)  # two points per problem, rows ascending
     x = rng.uniform(-0.45, 0.45, (24, dim))
     x[::5] *= 4.0  # some vectors outside the ball
     a, b = pmap(rows, x)
     (pa, pen_a), (pb, pen_b) = variational._project_rows(a), variational._project_rows(b)
-    expected = variational._grouped_norms(wts, owner[rows], pa, pb) + (pen_a + pen_b)
+    expected = variational._grouped_norms(wts, owner[rows], pa, pb, pmap.kind) + (pen_a + pen_b)
     radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
     inside = np.flatnonzero(radius <= 1.0)
     assert 0 < len(inside) < len(rows)
@@ -470,27 +567,33 @@ def test_stage_one_objective_is_the_projected_norm_bitwise(which):
         assert np.array_equal(fun(rows[mine], x[mine])[0], expected[mine])
 
 
-@pytest.mark.parametrize("kind, gauge_fix, dim", [
-    ("uniform", True, 2), ("uniform", False, 3), ("bipartite", True, 4), ("bipartite", False, 6),
-])
-def test_closed_form_derivatives_match_central_differences(kind, gauge_fix, dim):
+def _problem_map(which, phis):
+    """The ``_AffineMap`` of a sweep's ansatz or of a Landau direction at ``phis``, and its dimension."""
+    if which in ("uniform", "bipartite"):
+        return variational._sweep_map(which), 2 if which == "uniform" else 4
+    return variational._landau_map(which, phis)
+
+
+_MAPS = ["uniform", "bipartite", "in-plane", "staggered-z"]
+
+
+@pytest.mark.parametrize("which", _MAPS)
+def test_closed_form_derivatives_match_central_differences(which):
     # K is cubic in x: the 4-point central stencil of dK and the 3-point
     # one of d2K have no truncation error, so at h = 1e-2 only rounding
     # is left, ~eps |K| / h and ~eps |K| / h^2 (|K| <= 1 here): 1e-12 and 1e-10
     h = 1e-2
-    bond = CompiledBond(heis(1.37))
+    pmap, dim = _problem_map(which, np.array([0.2]))
+    tensor = CompiledBond(heis(1.37)).tensor(pmap.kind)
     x = np.random.default_rng(dim).uniform(-0.4, 0.4, dim)
-    pmap = variational._sweep_map(kind, gauge_fix)
-    dirs_a, dirs_b = pmap.directions(dim)
+    rows = np.zeros(1, dtype=int)
 
     def k_at(y):
-        a, b = pmap(None, y[None])
-        return compiled_k(bond, a[0], b[0])
+        return engine_k(tensor, pmap.kind, *pmap(rows, y[None]))[0]
 
-    a, b = pmap(None, x[None])
     mats = variational._bond_derivatives(
-        [bond._wt], np.zeros(1, dtype=int),
-        variational._derivative_features(a, b, dirs_a, dirs_b))[0]
+        [tensor], rows,
+        variational._derivative_features(*pmap(rows, x[None]), *pmap.directions(dim), pmap.kind))[0]
     assert np.abs(k_at(x)).max() <= 1
     np.testing.assert_allclose(mats[0], k_at(x), rtol=0, atol=1e-14)
     e = np.eye(dim) * h
@@ -503,20 +606,19 @@ def test_closed_form_derivatives_match_central_differences(kind, gauge_fix, dim)
         np.testing.assert_allclose(mats[1 + dim + p], fd, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("kind, gauge_fix, dim", [
-    ("uniform", True, 2), ("uniform", False, 3), ("bipartite", True, 4), ("bipartite", False, 6),
-])
-def test_derivative_pass_k_is_the_norms_k_bitwise(kind, gauge_fix, dim):
+@pytest.mark.parametrize("which", _MAPS)
+def test_derivative_pass_k_is_the_norms_k_bitwise(which):
     # the polish's stop adds the norm's lambda_0 at x (kink_at) to the
     # decrease the derivative pass predicts from x: both must read one K
-    pmap = variational._sweep_map(kind, gauge_fix)
-    a, b = pmap(None, np.random.default_rng(dim).uniform(-0.5, 0.5, (50, dim)))
+    rng = np.random.default_rng(5)
+    pmap, dim = _problem_map(which, rng.uniform(0.0, 0.4, 50))
+    a, b = pmap(np.arange(50), rng.uniform(-0.5, 0.5, (50, dim)))
     owner = np.repeat(np.arange(3), [20, 15, 15])
-    wts = [CompiledBond(heis(lam))._wt for lam in (0.46, 1.0, 1.52)]
-    norm_k = variational._grouped_products(wts, owner, variational._features(a, b))
-    pass_k = variational._bond_derivatives(
-        wts, owner, variational._derivative_features(a, b, *pmap.directions(dim)))[:, 0]
-    assert np.array_equal(norm_k.view(complex).reshape(-1, 4, 4), pass_k)
+    wts = [CompiledBond(heis(lam)).tensor(pmap.kind) for lam in (0.46, 1.0, 1.52)]
+    norm_k = variational._grouped_products(wts, owner, variational._features(a, b, pmap.kind))
+    pass_k = variational._bond_derivatives(wts, owner, variational._derivative_features(
+        a, b, *pmap.directions(dim), pmap.kind))[:, 0]
+    assert np.array_equal(norm_k.reshape(-1, 4, 4), pass_k)
 
 
 @pytest.mark.parametrize("kind, lams", [
@@ -526,7 +628,7 @@ def test_derivative_pass_k_is_the_norms_k_bitwise(kind, gauge_fix, dim):
 def test_polish_certifies_every_minimum(monkeypatch, kind, lams):
     # first-order optimality (Clarke stationarity on a kink) at every point
     results = variational._minimize_batch(
-        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams], True)
+        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams])
     for res in results:
         assert res.converged
         assert res.stationarity <= 1e-7
@@ -536,7 +638,7 @@ def test_polish_certifies_every_minimum(monkeypatch, kind, lams):
     # at most 2 eps more
     monkeypatch.setattr(variational, "_NEWTON_FTOL", 0.0)
     exhaustive = variational._minimize_batch(
-        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams], True)
+        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams])
     for res, ref in zip(results, exhaustive):
         assert res.norm <= ref.norm + 4.4e-16
 
@@ -550,11 +652,11 @@ def test_stage_one_ranks_the_basins(kind, lams):
     # polish every restart instead, and none may end below the result
     restarts, seeds = 8, [variational._point_seed(0, lam) for lam in lams]
     models = [heis(lam) for lam in lams]
-    results = variational._minimize_batch(models, kind, restarts, seeds, True)
-    wts = [CompiledBond(m)._wt for m in models]
+    results = variational._minimize_batch(models, kind, restarts, seeds)
+    wts = [CompiledBond(m).tensor(kind) for m in models]
     owner = np.repeat(np.arange(len(lams)), restarts)
-    pmap = variational._sweep_map(kind, True)
-    starts = np.vstack([variational._start_points(kind, True, restarts, np.random.default_rng(seed))
+    pmap = variational._sweep_map(kind)
+    starts = np.vstack([variational._start_points(kind, restarts, np.random.default_rng(seed))
                         for seed in seeds])
     spectra = variational._penalized_spectra(wts, owner, pmap)
     rank = variational._nelder_mead(lambda rows, x: spectra(rows, x)[0], starts,
@@ -610,8 +712,7 @@ def test_descent_ranks_restarts_as_the_loop_did(table):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "bipartite"])
-@pytest.mark.parametrize("gauge_fix", [True, False])
-def test_start_points_are_the_per_draw_construction(kind, gauge_fix):
+def test_start_points_are_the_per_draw_construction(kind):
     fixed = {"uniform": [(0.9, 0, 0), (-0.9, 0, 0), (0, 0, 0.9), (0, 0, -0.9), (0.5, 0, 0.5), (0, 0, 0)],
              "bipartite": [(0.9, 0, 0, 0.9, 0, 0), (-0.9, 0, 0, -0.9, 0, 0), (0, 0, 0.9, 0, 0, -0.9),
                            (0, 0, -0.9, 0, 0, 0.9), (0.5, 0, 0.3, 0.5, 0, -0.3), (0,) * 6]}[kind]
@@ -620,10 +721,8 @@ def test_start_points_are_the_per_draw_construction(kind, gauge_fix):
         pts = [np.array(p, dtype=float) for p in fixed]
         while len(pts) < restarts:  # one draw per point
             pts.append(rng.uniform(-0.7, 0.7, size=len(fixed[0])))
-        pts = pts[:restarts]
-        if gauge_fix:
-            pts = [p[[0, 2]] if kind == "uniform" else p[[0, 2, 3, 5]] for p in pts]
-        got = variational._start_points(kind, gauge_fix, restarts, np.random.default_rng(restarts))
+        pts = [p[[0, 2]] if kind == "uniform" else p[[0, 2, 3, 5]] for p in pts[:restarts]]
+        got = variational._start_points(kind, restarts, np.random.default_rng(restarts))
         assert isinstance(got, np.ndarray)
         assert np.array_equal(got, np.array(pts))
 
@@ -634,9 +733,9 @@ def test_start_points_are_the_per_draw_construction(kind, gauge_fix):
     ("uniform", 0.0, [1.0, 0.0]),            # a dark point: every eigenvalue vanishes
 ])
 def test_newton_from_a_vanishing_kink_gradient(kind, lam, x0):
-    wts, owner = [CompiledBond(heis(lam))._wt], np.zeros(1, dtype=int)
+    wts, owner = [CompiledBond(heis(lam)).tensor(kind)], np.zeros(1, dtype=int)
     x0 = np.array([x0])
-    pmap = variational._sweep_map(kind, True)
+    pmap = variational._sweep_map(kind)
     f0 = variational._penalized_spectra(wts, owner, pmap)(owner, x0)[0]
     res = variational._newton_polish(wts, owner, pmap, x0, f0)
     for field in (res.x, res.fun, res.stationarity, res.multiplier):
@@ -648,7 +747,7 @@ def test_newton_from_a_vanishing_kink_gradient(kind, lam, x0):
 def test_newton_step_guards_an_exactly_zero_kink_gradient():
     # lambda_0 = 0 with gc = 0 exactly: the least-squares multiplier would
     # be 0/0, so the kink is not active and the plain gradient is used
-    mats = np.zeros((1, 6, 4, 4), dtype=complex)
+    mats = np.zeros((1, 6, 4, 4))
     mats[0, 0] = np.diag([0.0, 0.5, -0.5, 1.0])
     mats[0, 1] = np.diag([0.0, 1.0, 0.0, 0.0])
     mats[0, 2] = np.diag([0.0, 0.0, 1.0, 0.0])
