@@ -403,7 +403,7 @@ def test_gauge_fixed_bipartite_minimum_holds_on_the_full_ball(lam):
     The claim is that this loses nothing: the gauge-fixed minimum is the
     minimum over the full 6-D ball. Descents of the complex reference norm
     over both whole Bloch vectors, from seeded interior starts and from the
-    gauge-fixed minimum with alpha_B turned about z by a seeded angle, end
+    gauge-fixed minimum with alpha_B turned about z by seeded angles, end
     no lower. At lambda = 0.41 the simplex polish once stalled 6.5e-9 above
     the gauge-free minimum.
     """
@@ -536,7 +536,17 @@ def test_spectra_rows_do_not_depend_on_the_call(kind):
     assert (np.diff(single, axis=1) >= 0).all()  # ascending
 
 
-@pytest.mark.parametrize("which", ["uniform", "bipartite", "in-plane", "staggered-z"])
+def _problem_map(which, phis):
+    """The ``_AffineMap`` of a sweep's ansatz or of a Landau direction at ``phis``, and its dimension."""
+    if which in ("uniform", "bipartite"):
+        return variational._sweep_map(which), 2 if which == "uniform" else 4
+    return variational._landau_map(which, phis)
+
+
+_MAPS = ["uniform", "bipartite", "in-plane", "staggered-z"]
+
+
+@pytest.mark.parametrize("which", _MAPS)
 def test_stage_one_objective_is_the_projected_norm_bitwise(which):
     # the objective skips the projection when every row of a call lies in
     # the ball and forms one product when all rows share a bond; a row's
@@ -565,16 +575,6 @@ def test_stage_one_objective_is_the_projected_norm_bitwise(which):
     for bond in range(3):
         mine = np.flatnonzero(owner[rows] == bond)
         assert np.array_equal(fun(rows[mine], x[mine])[0], expected[mine])
-
-
-def _problem_map(which, phis):
-    """The ``_AffineMap`` of a sweep's ansatz or of a Landau direction at ``phis``, and its dimension."""
-    if which in ("uniform", "bipartite"):
-        return variational._sweep_map(which), 2 if which == "uniform" else 4
-    return variational._landau_map(which, phis)
-
-
-_MAPS = ["uniform", "bipartite", "in-plane", "staggered-z"]
 
 
 @pytest.mark.parametrize("which", _MAPS)
