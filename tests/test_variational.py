@@ -387,37 +387,68 @@ def test_minimize_staggered_phase():
 
 
 def _full_ball_descent(bond, x0):
-    """scipy Nelder-Mead of the reference norm over both whole Bloch vectors, penalized as the engine is."""
+    """scipy Nelder-Mead of the reference norm over whole Bloch vectors, penalized as the engine is.
+
+    ``x0`` holds one vector shared by both sites (3 entries, the uniform
+    ansatz) or one per sublattice (6 entries).
+    """
     def penalized(x):
-        (a, pen_a), (b, pen_b) = (variational._project_rows(v[None]) for v in (x[:3], x[3:]))
-        return bond.norm(a[0], b[0]) + pen_a[0] + pen_b[0]
+        (a, b), pen = variational._project_rows(np.vstack([x[:3], x[-3:]]))
+        return bond.norm(a, b) + pen.sum()
 
     return scipy_minimize(penalized, x0, method="Nelder-Mead",
-                          options=dict(xatol=1e-8, fatol=1e-12, maxiter=3000)).fun
+                          options=dict(xatol=1e-8, fatol=1e-12, maxiter=3000))
 
 
-@pytest.mark.parametrize("lam", [0.41, 0.9, 1.6])
-def test_gauge_fixed_bipartite_minimum_holds_on_the_full_ball(lam):
+def _turned_about_z(alpha, angle):
+    """``alpha`` turned about z by ``angle``."""
+    return np.array([np.cos(angle) * alpha[0], np.sin(angle) * alpha[0], alpha[2]])
+
+
+def test_minimize_gauge_off_agrees():
+    """ay = 0 loses nothing on the uniform ansatz.
+
+    Descents of the complex reference norm over the whole Bloch vector,
+    from the gauge-fixed minimum turned about z by seeded angles and from
+    seeded interior starts, end no lower, and the best of them is the
+    gauge-fixed minimum: same norm, same in-plane magnetization.
+    """
+    model = heis(0.35)
+    on = minimize_norm(model, kind="uniform", seed=1)
+    assert on.converged
+    bond = CompiledBond(model)
+    rng = np.random.default_rng(1)
+    starts = [_turned_about_z(on.ansatz.alpha_A, t) for t in rng.uniform(0.3, 2.8, 2)]
+    starts += list(rng.uniform(-0.5, 0.5, (2, 3)))
+    offs = [_full_ball_descent(bond, x0) for x0 in starts]
+    assert min(off.fun for off in offs) >= on.norm - 1e-13
+    best = min(offs, key=lambda off: off.fun)
+    assert best.fun == pytest.approx(on.norm, abs=1e-8)
+    m_on, _ = order_parameters(on.ansatz)
+    assert np.hypot(best.x[0], best.x[1]) == pytest.approx(m_on, abs=1e-6)
+
+
+def test_minimize_bipartite_gauge_off_agrees():
     """ay = 0 on both sublattices also fixes their relative in-plane angle.
 
     The claim is that this loses nothing: the gauge-fixed minimum is the
-    minimum over the full 6-D ball. Descents of the complex reference norm
-    over both whole Bloch vectors, from seeded interior starts and from the
-    gauge-fixed minimum with alpha_B turned about z by seeded angles, end
-    no lower. At lambda = 0.41 the simplex polish once stalled 6.5e-9 above
-    the gauge-free minimum.
+    minimum over the full 6-D ball. At lambda = 0.41, 0.9 and 1.6,
+    descents of the complex reference norm over both whole Bloch vectors,
+    from seeded interior starts and from the gauge-fixed minimum with
+    alpha_B turned about z by seeded angles, end no lower. At lambda = 0.41
+    the simplex polish once stalled 6.5e-9 above the gauge-free minimum.
     """
-    model = heis(lam)
-    res = minimize_norm(model, kind="bipartite", seed=2)
-    assert res.converged
-    bond = CompiledBond(model)
-    rng = np.random.default_rng(int(lam * 100))
-    a, b = res.ansatz.alpha_A, res.ansatz.alpha_B
-    starts = [np.concatenate([a, [np.cos(t) * b[0], np.sin(t) * b[0], b[2]]])
-              for t in rng.uniform(0.3, 2.8, 2)]
-    starts += list(rng.uniform(-0.5, 0.5, (2, 6)))
-    for x0 in starts:
-        assert _full_ball_descent(bond, x0) >= res.norm - 1e-13
+    for lam in (0.41, 0.9, 1.6):
+        model = heis(lam)
+        res = minimize_norm(model, kind="bipartite", seed=2)
+        assert res.converged
+        bond = CompiledBond(model)
+        rng = np.random.default_rng(int(lam * 100))
+        a, b = res.ansatz.alpha_A, res.ansatz.alpha_B
+        starts = [np.concatenate([a, _turned_about_z(b, t)]) for t in rng.uniform(0.3, 2.8, 2)]
+        starts += list(rng.uniform(-0.5, 0.5, (2, 6)))
+        for x0 in starts:
+            assert _full_ball_descent(bond, x0).fun >= res.norm - 1e-13, lam
 
 
 @pytest.mark.parametrize("kind, lam", [
@@ -544,6 +575,8 @@ def _problem_map(which, phis):
 
 
 _MAPS = ["uniform", "bipartite", "in-plane", "staggered-z"]
+# each map with whether a sweep takes it (else a Landau profile) and its dimension
+_MAPS_SWEEP_DIM = [("uniform", True, 2), ("bipartite", True, 4), ("in-plane", False, 1), ("staggered-z", False, 3)]
 
 
 @pytest.mark.parametrize("which", _MAPS)
@@ -577,13 +610,14 @@ def test_stage_one_objective_is_the_projected_norm_bitwise(which):
         assert np.array_equal(fun(rows[mine], x[mine])[0], expected[mine])
 
 
-@pytest.mark.parametrize("which", _MAPS)
-def test_closed_form_derivatives_match_central_differences(which):
+@pytest.mark.parametrize("which, sweep, dim", _MAPS_SWEEP_DIM)
+def test_closed_form_derivatives_match_central_differences(which, sweep, dim):
     # K is cubic in x: the 4-point central stencil of dK and the 3-point
     # one of d2K have no truncation error, so at h = 1e-2 only rounding
     # is left, ~eps |K| / h and ~eps |K| / h^2 (|K| <= 1 here): 1e-12 and 1e-10
     h = 1e-2
-    pmap, dim = _problem_map(which, np.array([0.2]))
+    pmap, mapped_dim = _problem_map(which, np.array([0.2]))
+    assert (which in ("uniform", "bipartite"), mapped_dim) == (sweep, dim)
     tensor = CompiledBond(heis(1.37)).tensor(pmap.kind)
     x = np.random.default_rng(dim).uniform(-0.4, 0.4, dim)
     rows = np.zeros(1, dtype=int)
@@ -606,12 +640,13 @@ def test_closed_form_derivatives_match_central_differences(which):
         np.testing.assert_allclose(mats[1 + dim + p], fd, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("which", _MAPS)
-def test_derivative_pass_k_is_the_norms_k_bitwise(which):
+@pytest.mark.parametrize("which, sweep, dim", _MAPS_SWEEP_DIM)
+def test_derivative_pass_k_is_the_norms_k_bitwise(which, sweep, dim):
     # the polish's stop adds the norm's lambda_0 at x (kink_at) to the
     # decrease the derivative pass predicts from x: both must read one K
     rng = np.random.default_rng(5)
-    pmap, dim = _problem_map(which, rng.uniform(0.0, 0.4, 50))
+    pmap, mapped_dim = _problem_map(which, rng.uniform(0.0, 0.4, 50))
+    assert (which in ("uniform", "bipartite"), mapped_dim) == (sweep, dim)
     a, b = pmap(np.arange(50), rng.uniform(-0.5, 0.5, (50, dim)))
     owner = np.repeat(np.arange(3), [20, 15, 15])
     wts = [CompiledBond(heis(lam)).tensor(pmap.kind) for lam in (0.46, 1.0, 1.52)]
