@@ -19,7 +19,9 @@ checkout's ``src/``, counts the calls of ``variational._spectra`` (the one
 stacked ``eigvalsh`` every norm evaluation of a batch ends in), the rows
 they carry and the seconds spent inside them (``spectra_calls``,
 ``spectra_rows``, ``spectra_s``): the number of links a change to the
-per-call cost works on, and what those links cost in that run. Then it times the start-up every
+per-call cost works on, and what those links cost in that run; it also
+counts the ``CompiledBond`` constructions of the sweep (``compiles``: one
+per batch, so two for a refined sweep on one worker). Then it times the start-up every
 ``dspin`` call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
 on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
 start-up included), and one more under ``python -X importtime`` whose
@@ -67,11 +69,12 @@ SWEEPS = {
 }
 
 
-# runs ``dspin`` (its arguments follow the script) counting the calls, rows and seconds of _spectra
+# runs ``dspin`` (its arguments follow the script) counting the calls, rows and seconds of
+# _spectra and the CompiledBond constructions
 COUNT_SPECTRA = """\
 import sys, time
 from dissipative_spins import cli, variational
-counts = [0, 0, 0.0]
+counts = [0, 0, 0.0, 0]
 spectra = variational._spectra
 def counted(products):
     counts[0] += 1
@@ -81,6 +84,11 @@ def counted(products):
     counts[2] += time.perf_counter() - t0
     return lam
 variational._spectra = counted
+compile_ = variational.CompiledBond.__init__
+def counted_compile(self, model):
+    counts[3] += 1
+    compile_(self, model)
+variational.CompiledBond.__init__ = counted_compile
 code = cli.main(sys.argv[1:])
 print(*counts)
 sys.exit(code)
@@ -133,7 +141,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
         if proc.returncode != 0 or counted.read_bytes() != out.read_bytes():
             sys.exit(f"bench: {name} counting run exited with {proc.returncode} or wrote "
                      f"another CSV:\n{proc.stderr}")
-        calls, rows, seconds = proc.stdout.split()
+        calls, rows, seconds, compiles = proc.stdout.split()
         fit_argv = argv[:3] + ["fit", "--in", str(out), *fit_args]
         proc = subprocess.run(fit_argv, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -143,7 +151,8 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
             "wall_s": times, "wall_s_median": statistics.median(times),
             "fit_argv": ["dspin", "fit", *fit_args],
             "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest,
-            "spectra_calls": int(calls), "spectra_rows": int(rows), "spectra_s": float(seconds)}
+            "spectra_calls": int(calls), "spectra_rows": int(rows), "spectra_s": float(seconds),
+            "compiles": int(compiles)}
 
 
 def time_startup(root: Path) -> dict:

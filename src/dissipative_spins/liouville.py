@@ -116,9 +116,10 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
 
     Every two-site term is placed on each nearest-neighbor bond (i, i+1);
     for n_sites = 2 the two bonds of the formal ring coincide, so the pair
-    is counted once. Matrices are used exactly as stored on the model, so
-    any renormalization convention carries over unchanged (it rescales the
-    generator without moving its null space).
+    is counted once. The jumps are the model's ``folded_jump_terms()``,
+    used exactly as they come, so any renormalization convention carries
+    over unchanged (it rescales the generator without moving its null
+    space).
     """
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
@@ -127,7 +128,7 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     places = {1: [[s] for s in range(n_sites)]}
     h = sum((embed(term, at, n_sites) for arity, term in model.hamiltonian_terms
              for at in places.get(arity, bonds)), np.zeros((2**n_sites,) * 2, dtype=complex))
-    jumps = [embed(jt.matrix, at, n_sites) for jt in model.jump_terms
+    jumps = [embed(jt.matrix, at, n_sites) for jt in model.folded_jump_terms()
              for at in places.get(jt.arity, bonds)]
     # every bond carries every term, so the site translation is exact; the
     # single bond of n = 2 is not symmetric under the swap in general

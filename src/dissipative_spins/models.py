@@ -6,9 +6,13 @@ here build the purely dissipative Heisenberg (XXZ) family: a ferromagnetic
 pump set that makes every uniform product state dark, and an anisotropy set
 (rate lambda) whose dark states are the two Neel bond states.
 
-Two-site jump matrices are written in the basis {uu, ud, du, dd}; the rate is
-folded into the matrix (a term with rate g carries a sqrt(g) prefactor), so
-downstream code never tracks rates separately.
+Two-site jump matrices are written in the basis {uu, ud, du, dd}. A model
+holds its jumps in two sets: ``jump_terms`` with the rate folded into the
+matrix (a term with rate g carries a sqrt(g) prefactor), and
+``rate_jump_terms`` at unit rate beside the one rate they share. The bond
+derivative is linear in each jump's rate, so the variational evaluator
+compiles the two sets apart and forms K = P + rate A; every other consumer
+takes ``folded_jump_terms()``, the one list with that rate folded in.
 """
 
 from __future__ import annotations
@@ -60,11 +64,34 @@ class JumpTerm:
             )
 
 
+def check_rate(rate: float):
+    """ValueError unless a jump rate is finite and >= 0."""
+    if not 0 <= rate < np.inf:
+        raise ValueError(f"rate lambda={rate} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class DissipativeModel:
+    """A lattice, its Hamiltonian terms and its jumps, in two sets.
+
+    ``jump_terms`` carry their rates folded into their matrices;
+    ``rate_jump_terms`` are written at unit rate and all run at ``rate``.
+    A model without a rate set leaves that list empty.
+    """
+
     lattice: LatticeSpec
     hamiltonian_terms: list = field(default_factory=list)  # (arity, matrix)
     jump_terms: list = field(default_factory=list)
+    rate_jump_terms: list = field(default_factory=list)  # unit rate, scaled by ``rate``
+    rate: float = 0.0
+
+    def __post_init__(self):
+        check_rate(self.rate)
+
+    def folded_jump_terms(self) -> list:
+        """Every jump with its rate in its matrix: ``jump_terms``, then sqrt(rate) times each of the rate set."""
+        s = np.sqrt(self.rate)
+        return self.jump_terms + [JumpTerm(t.arity, s * t.matrix, t.label) for t in self.rate_jump_terms]
 
 
 def ferro_pump_jumps():
@@ -89,8 +116,7 @@ def anisotropy_jumps(lam: float):
     sqrt(lambda) {|ud><uu|, |du><uu|, |ud><dd|, |du><dd|}: they lift the
     SU(2) symmetry and leave |ud> and |du> (the Neel bond states) dark.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"anisotropy rate lambda={lam} must be finite and >= 0")
+    check_rate(lam)
     s = np.sqrt(lam)
     return [
         JumpTerm(2, s * ketbra(_UD, _UU), "ud<uu"),
@@ -103,16 +129,21 @@ def anisotropy_jumps(lam: float):
 def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel:
     """Purely dissipative Heisenberg model: ferro pumps plus anisotropy set.
 
-    With ``lattice.renormalize`` every two-particle rate is divided by
-    (z-1); for this all-two-particle model that is an exact overall rescale
-    of the dynamics, so the phase boundaries are convention independent
-    (only the norm scale and the z-scaling of the interaction part change).
+    The pumps are the unit-rate ``jump_terms``; the four anisotropy jumps
+    are the rate set, written at unit rate, and ``rate`` is lambda. With
+    ``lattice.renormalize`` every two-particle rate is divided by (z-1)
+    (both sets' matrices by sqrt(z-1)); for this all-two-particle model that
+    is an exact overall rescale of the dynamics, so the phase boundaries are
+    convention independent (only the norm scale and the z-scaling of the
+    interaction part change).
     """
-    terms = ferro_pump_jumps() + anisotropy_jumps(lam)
+    pumps, anisotropy = ferro_pump_jumps(), anisotropy_jumps(1.0)
     if lattice.renormalize:
         scale = 1.0 / np.sqrt(lattice.z - 1)
-        terms = [JumpTerm(t.arity, scale * t.matrix, t.label) for t in terms]
-    return DissipativeModel(lattice=lattice, hamiltonian_terms=[], jump_terms=terms)
+        pumps, anisotropy = ([JumpTerm(t.arity, scale * t.matrix, t.label) for t in terms]
+                             for terms in (pumps, anisotropy))
+    return DissipativeModel(lattice=lattice, hamiltonian_terms=[], jump_terms=pumps,
+                            rate_jump_terms=anisotropy, rate=lam)
 
 
 _TRUE = {"1", "true", "yes", "on"}

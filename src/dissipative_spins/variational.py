@@ -15,23 +15,27 @@ and for a homogeneous ansatz it collapses to a single bond norm, which is
 what gets minimized. Order parameters, the Landau phi^4 expansion of the
 norm, and critical-point fits are extracted from the minimizer.
 
-``CompiledBond`` compiles a model once into a complex tensor W, the
-reference at any state. The minimizer only visits states with ay = by = 0,
-where K is real: ``CompiledBond.tensor`` folds W onto the monomials those
-states reach (27 for the bipartite ansatz; 10 for the uniform one, whose K
-it turns into a singlet block and a triplet block) and refuses a model for
-which that drops more than rounding. Every bond matrix K of the minimizer,
-the norm's and the polish's alike, is one batched real product of feature
-rows with that tensor, its spectrum one stacked real eigvalsh, and a
-state's K does not depend on its batch.
+``CompiledBond`` compiles a model once into complex tensors, the reference
+at any state: W = P + rate A, P from the Hamiltonians and the jumps at
+their own rates, A from the model's rate set at unit rate (the anisotropy
+jumps of the Heisenberg model, whose rate is lambda). The minimizer only
+visits states with ay = by = 0, where K is real: ``CompiledBond.tensor``
+folds P and A onto the monomials those states reach (27 for the bipartite
+ansatz; 10 for the uniform one, whose K it turns into a singlet block and
+a triplet block) and refuses a model for which that drops more than
+rounding. Every bond matrix K of the minimizer, the norm's and the
+polish's alike, is one batched real product of feature rows with [P | A]
+followed by P + rate A row by row, each row at its problem's rate; its
+spectrum is one stacked real eigvalsh, and a state's K does not depend on
+its batch. So one compile serves a whole sweep batch, and a sweep point,
+``minimize_norm`` and a Landau profile all form K the same way.
 
 The minimizer runs in two stages, each on many problems at once. An array
 Nelder-Mead engine that steps like scipy's advances every restart of every
 coupling of a sweep together (one batch per worker process, capped at 2048
 restart simplices), each batch of trial points evaluated with one product
-per coupling and one stacked eigvalsh; its only budget is an iteration
-cap. It stops at basin resolution, since it only ranks the restarts.
-Each coupling's best restart is then polished by a kink-aware Newton
+and one stacked eigvalsh; its only budget is an iteration cap. It stops
+at basin resolution, since it only ranks the restarts. Each coupling's best restart is then polished by a kink-aware Newton
 method on closed-form first and second derivatives of the bond matrix:
 the minima of the ordered phases sit where one eigenvalue of it
 vanishes, a kink of the norm, and the polish reports the first-order
@@ -52,6 +56,7 @@ orientation never matters for the totals.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import build_liouvillian
-from .models import DissipativeModel, LatticeSpec, dissipative_heisenberg
+from .models import DissipativeModel, LatticeSpec, check_rate, dissipative_heisenberg
 from .operators import (
     BALL_TOL,
     bloch_to_density,
@@ -247,7 +252,7 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
                 hmf = mean_field_hamiltonian_term(h, slot, nb)
                 d_mf += -1j * zc * (hmf @ pair - pair @ hmf)
 
-    for term in model.jump_terms:
+    for term in model.folded_jump_terms():
         if term.arity == 1:
             d_loc += dissipator(kron(term.matrix, eye), pair)
             d_loc += dissipator(kron(eye, term.matrix), pair)
@@ -271,6 +276,13 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # whole derivative is one 16x128 tensor W contracted with
 # outer(a(x)b, [b; a]). Verified against reduced_derivative in the tests.
 #
+# W is linear in the generator, and the generator in each jump's rate, so
+# a model's rate set compiles apart from the rest: W = P + rate A, P from
+# the Hamiltonians and the jumps at their own rates, A from the rate set
+# at unit rate. Both are compiled in one stacked pass, and every K of the
+# engine is formed from one product onto [P | A] as P + rate A, so a model
+# compiled once serves a whole sweep batch at each point's rate.
+#
 # Every state the minimizer visits has ay = by = 0: a rotation about z is a
 # symmetry of the models it takes, so the sweeps fix that gauge, and both
 # Landau maps lie in the x-z plane. There a and b keep (1, x, z), only 54
@@ -282,14 +294,11 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # (singlet, triplet) it is block diagonal, 1 + 3.
 # ---------------------------------------------------------------------------
 
-# the 54 columns of a (x) b (x) [b; a] left by ay = by = 0, in the order of
-# _triple on a = (1, ax, az), b = (1, bx, bz)
-_PLANAR_COLUMNS = np.array([32 * mu + 8 * nu + s for mu in (0, 1, 3) for nu in (0, 1, 3)
-                            for s in (0, 1, 3, 4, 5, 7)])
-
-
 def _monomials(uniform):
     """(columns, fold): the distinct monomials of the 54 planar feature columns.
+
+    The planar columns are those of a (x) b (x) [b; a] left by ay = by = 0,
+    in the order of ``_triple`` on a = (1, ax, az), b = (1, bx, bz).
 
     ``columns`` (M,) is the first column that carries each monomial and
     ``fold`` (M, 54) is 1 where a column carries monomial m. A column's
@@ -310,45 +319,66 @@ def _monomials(uniform):
 # per layout: 27 monomials for the bipartite ansatz, 10 for the uniform one
 _MONOMIALS = {"uniform": _monomials(True), "bipartite": _monomials(False)}
 # the entries of [b; a] = (1, bx, bz, 1, ax, az) whose product is each
-# representative column: its factor from a, from b and from [b; a]
-_FACTORS = {kind: np.array(np.unravel_index(columns, (3, 3, 6))) + [[3], [0], [0]]
+# representative column: its factors from a, then from b, then from [b; a]
+_FACTORS = {kind: (np.array(np.unravel_index(columns, (3, 3, 6))) + [[3], [0], [0]]).ravel()
             for kind, (columns, _) in _MONOMIALS.items()}
 # singlet, then the triplet |uu>, (|ud> + |du>)/sqrt 2, |dd>, as columns
 _SINGLET_TRIPLET = np.array([[0.0, 1, 0, 0], [1, 0, 1, 0], [-1, 0, 1, 0], [0, 0, 0, 1]])
 _SINGLET_TRIPLET[1:3] *= np.sqrt(0.5)
-_SYMMETRY_RTOL = 1e-12  # a symmetry check fails beyond this times max |W|
+_SYMMETRY_RTOL = 1e-12  # a symmetry check fails beyond this times the largest entry checked
 
 
-def _z_generator():
-    """(source, sign) (3, 128): W G for G the generator of rotations about z on the features.
+def _pair_basis(names):
+    """The Paulis ``names`` and the pair basis sigma_mu (x) sigma_nu / 4 over them, a (row, col) x (mu, nu) matrix."""
+    sig = np.array([pauli(name) for name in names])
+    return sig, 0.25 * np.einsum("mpr,nqs->pqrsmn", sig, sig).reshape(16, -1)
 
-    G turns (x, y) -> (-y, x) in each Bloch-vector slot of a (x) b (x) [b; a];
-    per slot, column k of W G is sign[k] times column source[k] of W.
+
+_ALL_PAULIS = _pair_basis(["identity", "x", "y", "z"])
+_PLANAR_PAULIS = _pair_basis(["identity", "x", "z"])  # all that a state with ay = 0 reaches
+# U = exp(-i t (sz (x) 1 + 1 (x) sz) / 2) turns entry (i, j) of a bond
+# operator by -i t (m_i - m_j); a generator commutes with that rotation iff
+# it has no entry between rows (i, j), (k, l) of different m_i - m_j
+_Z_CHARGE = np.subtract.outer([1.0, 0, 0, -1], [1.0, 0, 0, -1]).ravel()
+_Z_MOVES = np.subtract.outer(_Z_CHARGE, _Z_CHARGE) != 0
+
+
+def _bond_tensor(gens, half_zc, paulis, basis):
+    """W of each part over ``paulis`` (c of them, the identity first): complex (part, 16, 2 c^3).
+
+    ``gens`` (part, bond | local, 16, 16) are each part's generators of the
+    bond's own terms and of its single-site terms, ``basis`` the pair basis
+    over ``paulis`` (``_pair_basis``). Columns in the order of ``_triple``
+    over those components.
     """
-    comp = np.indices((4, 4, 2, 4)).reshape(4, 128)  # (mu, nu, [b; a], s) of each column
-    source, sign = [], []
-    for slot in (0, 1, 3):
-        turned = comp.copy()
-        turned[slot] = np.array([0, 2, 1, 3])[comp[slot]]
-        source.append(np.ravel_multi_index(turned, (4, 4, 2, 4)))
-        sign.append(np.array([0.0, 1.0, -1.0, 0.0])[comp[slot]])
-    return np.array(source), np.array(sign)
-
-
-_Z_SOURCE, _Z_SIGN = _z_generator()
-# U = exp(-i t (sz (x) 1 + 1 (x) sz) / 2) turns K[i, j] by -i t (m_i - m_j) K[i, j]
-_Z_PAIR = -1j * np.subtract.outer([1.0, 0, 0, -1], [1.0, 0, 0, -1]).reshape(16, 1)
+    c = len(paulis)
+    pair = (gens @ basis).reshape(2, 2, 2, 2, 2, 2, c, c)  # (part, bond | local, i, j, k, l, mu, nu)
+    w_int = pair[:, 0] + pair[:, 1]
+    t2 = np.einsum("pijkjmn->pikmn", pair[:, 0])  # bond image traced over slot 2
+    # slot i feels t2[a, b] (x) rho_B: weights a_mu b_nu b_s
+    w_ab_b = half_zc * np.einsum("pikmn,sjl->pijklmns", t2, paulis)
+    w_ab_b[..., 0] += w_int
+    # slot j feels rho_A (x) t2[b, a]: weights a_mu b_nu a_s
+    w_ab_a = half_zc * np.einsum("mik,pjlns->pijklmns", paulis, t2)
+    w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(2, 4, 4, -1)
+    # Hermitian part folded in: x is real, so W x comes out Hermitian;
+    # row 4 i + j of W gives K[i, j]
+    return (0.5 * (w + w.transpose(0, 2, 1, 3).conj())).reshape(2, 16, -1)
 
 
 class CompiledBond:
-    """The bond derivative K(alpha_A, alpha_B) of any model, compiled once.
+    """The bond derivative K(alpha_A, alpha_B) = P + rate A of any model, compiled once.
 
     Two-site jumps and Hamiltonians enter both the bond's own generator and
     the mean-field terms; single-site ones act on each slot of the bond and
-    enter the bilinear part only. The compile folds everything into one
-    Hermitian 16x128 tensor W. ``norm`` evaluates it at any state, the
-    reference the tests check the engine against; ``tensor`` gives the
-    engine's real tensor on the gauge-fixed slice.
+    enter the bilinear part only. The compile folds the Hamiltonians and
+    the ``jump_terms`` into one Hermitian 16x128 tensor P and the unit-rate
+    ``rate_jump_terms`` into A (0 for a model without a rate set), both in
+    one stacked pass. ``norm`` evaluates P + rate A at any state, with the
+    model's rate, the reference the tests check the engine against;
+    ``tensor`` gives the engine's real [P | A] on the gauge-fixed slice.
+    The compile forms only the 54 columns that slice reaches; the whole
+    of P and A is formed on the first ``norm``.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -357,65 +387,66 @@ class CompiledBond:
             if arity not in hams:
                 raise ValueError("model arity > 2 not supported")
             hams[arity].append(np.asarray(h, dtype=complex))
-        jumps = {1: [], 2: []}
-        for t in model.jump_terms:
-            jumps[t.arity].append(t.matrix)
-        eye = np.eye(2)
-        # single-site terms on both slots of the bond
-        local_jumps = [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]
-        local_hams = [kron(h, eye) + kron(eye, h) for h in hams[1]]
-        bond = build_liouvillian(sum(hams[2], np.zeros((4, 4))), jumps[2]).matrix
-        local = build_liouvillian(sum(local_hams, np.zeros((4, 4))), local_jumps).matrix
+        eye, zero = np.eye(2), np.zeros((4, 4))
+        # (part, bond | local, 16, 16): part 0 (P) holds the Hamiltonians and
+        # the jumps at their own rates, part 1 (A) the rate set
+        gens = np.zeros((2, 2, 16, 16), dtype=complex)
+        for part, (part_hams, terms) in enumerate(((hams, model.jump_terms),
+                                                   ({1: [], 2: []}, model.rate_jump_terms))):
+            jumps = {1: [], 2: []}
+            for t in terms:
+                jumps[t.arity].append(t.matrix)
+            if part_hams[2] or jumps[2]:
+                gens[part, 0] = build_liouvillian(sum(part_hams[2], zero), jumps[2]).matrix
+            # single-site terms on both slots of the bond
+            if part_hams[1] or jumps[1]:
+                gens[part, 1] = build_liouvillian(
+                    sum((kron(h, eye) + kron(eye, h) for h in part_hams[1]), zero),
+                    [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]).matrix
+        # the rotation about z, checked on the generators W is linear in
+        size = np.abs(gens)
+        self._z_symmetric = bool(((size * _Z_MOVES).max(axis=(1, 2, 3))
+                                  <= _SYMMETRY_RTOL * size.max(axis=(1, 2, 3))).all())
+        self.rate = model.rate
+        self._gens, self._half_zc = gens, 0.5 * float(model.lattice.z - 1)
+        self._planar = _bond_tensor(gens, self._half_zc, *_PLANAR_PAULIS)  # (part, 16, 54)
 
-        sig = np.array([pauli("identity"), pauli("x"), pauli("y"), pauli("z")])
-        # pair basis sigma_mu (x) sigma_nu / 4 as a (row, col) x (mu, nu) matrix
-        basis = 0.25 * np.einsum("mpr,nqs->pqrsmn", sig, sig).reshape(16, 16)
-        w_bond = (bond @ basis).reshape(2, 2, 2, 2, 4, 4)  # (i, j, k, l, mu, nu)
-        w_int = ((bond + local) @ basis).reshape(2, 2, 2, 2, 4, 4)
-        t2 = np.einsum("ijkjmn->ikmn", w_bond)  # bond image traced over slot 2
-        half_zc = 0.5 * float(model.lattice.z - 1)
-        # slot i feels t2[a, b] (x) rho_B: weights a_mu b_nu b_s
-        w_ab_b = half_zc * np.einsum("ikmn,sjl->ijklmns", t2, sig)
-        w_ab_b[..., 0] += w_int
-        # slot j feels rho_A (x) t2[b, a]: weights a_mu b_nu a_s
-        w_ab_a = half_zc * np.einsum("mik,jlns->ijklmns", sig, t2)
-        w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(4, 4, 128)
-        # Hermitian part folded in: x is real, so W x comes out Hermitian;
-        # row 4 i + j of W gives K[i, j]
-        self._w = (0.5 * (w + w.transpose(1, 0, 2).conj())).reshape(16, 128)
+    @functools.cached_property
+    def _w(self) -> np.ndarray:
+        """P and A on all 128 feature columns, complex (part, 16, 128)."""
+        return _bond_tensor(self._gens, self._half_zc, *_ALL_PAULIS)
 
     def norm(self, alpha_a, alpha_b) -> float:
-        """The bond norm at any state, from the complex W."""
+        """The bond norm at any state, from the complex P + rate A."""
         a, b = np.append(1.0, alpha_a), np.append(1.0, alpha_b)
-        k = (self._w @ _triple(a, b, np.concatenate([b, a]))).reshape(4, 4)
-        return float(np.abs(np.linalg.eigvalsh(k)).sum())
+        p, q = self._w @ _triple(a, b, np.concatenate([b, a]))
+        return float(np.abs(np.linalg.eigvalsh((p + self.rate * q).reshape(4, 4))).sum())
 
     def tensor(self, kind) -> np.ndarray:
-        """The engine's real (M, 16) tensor: K = ``_features(a, b, kind)`` @ it, row-major.
+        """The engine's real (M, 32) tensor [P | A]: ``_features(a, b, kind)`` @ it, then K = P + rate A, row-major.
 
-        W folded onto the 27 monomials of the bipartite layout, or the 10
-        of the uniform one, where it is also turned into the basis
+        P and A folded onto the 27 monomials of the bipartite layout, or the
+        10 of the uniform one, where they are also turned into the basis
         (singlet, triplet) with the coupling between the blocks set to
-        exactly 0. ValueError where that drops more than rounding: W breaks
-        the rotation about z (the gauge the minimizer fixes), K is not real
-        at ay = by = 0, or, uniform, the bond's sites are not swap-symmetric.
+        exactly 0. ValueError where that drops more than rounding in either
+        part: the model breaks the rotation about z (the gauge the minimizer
+        fixes), K is not real at ay = by = 0, or, uniform, the bond's sites
+        are not swap-symmetric.
         """
-        w = self._w
-        tol = _SYMMETRY_RTOL * np.abs(w).max()
-        # K(R a, R b) = U K U^+ for a rotation R about z, at first order
-        if np.abs((w[:, _Z_SOURCE] * _Z_SIGN).sum(axis=1) - _Z_PAIR * w).max() > tol:
+        if not self._z_symmetric:
             raise ValueError("the model is not symmetric under rotations about z")
-        columns, fold = _MONOMIALS[kind]
-        w = fold @ w[:, _PLANAR_COLUMNS].T
-        if np.abs(w.imag).max() > tol:
+        w = self._planar
+        tol = _SYMMETRY_RTOL * np.abs(w).max(axis=(1, 2))[:, None, None]
+        w = _MONOMIALS[kind][1] @ w.transpose(0, 2, 1)  # (part, M, 16)
+        if (np.abs(w.imag) > tol).any():
             raise ValueError("the bond matrix is not real at ay = 0")
         w = w.real
         if kind == "uniform":
-            w = _SINGLET_TRIPLET.T @ w.reshape(-1, 4, 4) @ _SINGLET_TRIPLET
-            if np.abs(w[:, 0, 1:]).max() > tol:
+            w = _SINGLET_TRIPLET.T @ w.reshape(2, -1, 4, 4) @ _SINGLET_TRIPLET
+            if (np.abs(w[:, :, 0, 1:]) > tol).any():
                 raise ValueError("the bond's sites are not swap-symmetric")
-            w[:, 0, 1:] = w[:, 1:, 0] = 0.0
-        return w.reshape(-1, 16)
+            w[:, :, 0, 1:] = w[:, :, 1:, 0] = 0.0
+        return np.concatenate(w.reshape(2, -1, 16), axis=1)
 
 
 def _triple(x, y, z):
@@ -433,17 +464,18 @@ def _features(alpha_a, alpha_b, kind) -> np.ndarray:
     ba = np.ones((len(alpha_a), 6))
     ba[:, 1:3] = alpha_b
     ba[:, 4:] = alpha_a
-    i, j, k = _FACTORS[kind]
-    return ba[:, i] * ba[:, j] * ba[:, k]
+    f = ba[:, _FACTORS[kind]]  # one gather of all three factors
+    m = f.shape[1] // 3
+    return f[:, :m] * f[:, m:2 * m] * f[:, 2 * m:]
 
 
-def _product(features, wt) -> np.ndarray:
+def _product(features, tensor) -> np.ndarray:
     if len(features) == 1:
         # numpy sends a 1-row product through gemv, which rounds unlike the
         # gemm of every longer batch; pad so a row never depends on how many
         # others it is evaluated with
-        return (np.repeat(features, 2, axis=0) @ wt)[:1]
-    return features @ wt
+        return (np.repeat(features, 2, axis=0) @ tensor)[:1]
+    return features @ tensor
 
 
 def _spectra(products) -> np.ndarray:
@@ -457,27 +489,23 @@ def _spectra(products) -> np.ndarray:
     return np.linalg.eigvalsh(products.reshape(-1, 4, 4))
 
 
-def _grouped_products(wts, owner, features) -> np.ndarray:
-    """Feature rows times the ``tensor`` of their bond, ``wts[owner[k]]`` for row k.
+def _grouped_products(tensor, rates, features) -> np.ndarray:
+    """K = P + rate A of each feature row, row k at ``rates[k]``, row-major.
 
-    Rows of one bond are contiguous: one (n, M) @ (M, 16) product per bond
-    present. A row's value does not depend on the other rows: the output
-    width 16 is one at which OpenBLAS's gemm rounds every row alike (with
-    27 monomials, widths 9, 10 and 12 give the first row other bits at
-    most call sizes).
+    One (n, M) @ (M, 32) product onto the bond's ``tensor`` [P | A], then
+    P + rate A row by row, whatever the rows' rates. A row's value does not
+    depend on the other rows: the output width 32 is one at which
+    OpenBLAS's gemm rounds every row alike (with 27 monomials, widths 9, 10
+    and 12 give the first row other bits at most call sizes), and the sum
+    is elementwise.
     """
-    if owner[0] == owner[-1]:
-        return _product(features, wts[owner[0]])
-    y = np.empty((len(features), 16))
-    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(features)]):
-        y[lo:hi] = _product(features[lo:hi], wts[owner[lo]])
-    return y
+    y = _product(features, tensor)
+    return y[:, :16] + rates[:, None] * y[:, 16:]
 
 
-def _grouped_norms(wts, owner, alpha_a, alpha_b, kind) -> np.ndarray:
-    """Norm of row k under the bond whose ``tensor(kind)`` is ``wts[owner[k]]``."""
-    products = _grouped_products(wts, owner, _features(alpha_a, alpha_b, kind))
+def _grouped_norms(tensor, rates, alpha_a, alpha_b, kind) -> np.ndarray:
+    """Norm of row k at rate ``rates[k]`` under the bond whose ``tensor(kind)`` is ``tensor``."""
+    products = _grouped_products(tensor, rates, _features(alpha_a, alpha_b, kind))
     return np.abs(_spectra(products)).sum(axis=1)
 
 
@@ -676,8 +704,9 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter) -> _SimplexResult:
 # system of min sum_{i != 0} s_i lambda_i subject to lambda_0 = 0, whose
 # multiplier t certifies the minimum when |t| <= 1 (the eigenvalue-sum
 # optimality condition of Overton & Womersley, Math. Program. 62, 321
-# (1993)). K = W phi(x) with phi trilinear in (a, b, [b; a]), all affine in
-# the parameters x, so dK and d2K are exact products of the same W.
+# (1993)). K = (P + rate A) phi(x) with phi trilinear in (a, b, [b; a]), all
+# affine in the parameters x, so dK and d2K are exact products of the same
+# [P | A], combined at the same rate.
 # ---------------------------------------------------------------------------
 
 _NEWTON_MAXITER = 50  # derivative passes a row may take
@@ -710,12 +739,12 @@ class _NewtonStep:
     decrease: np.ndarray      # (n,) decrease of the norm the quadratic model predicts for the step
 
 
-def _penalized_spectra(wts, owner, pmap):
+def _penalized_spectra(tensor, rates, pmap):
     """fun(rows, x): penalized norms and eigenvalues at parameter rows x of problems ``rows``.
 
-    ``pmap`` is the problems' ``_AffineMap``, ``wts`` their bonds'
-    ``tensor(pmap.kind)``; a Bloch vector outside the unit ball at radius
-    r is pulled onto it and adds 100 (r - 1)^2.
+    ``pmap`` is the problems' ``_AffineMap``, ``tensor`` their bond's
+    ``tensor(pmap.kind)`` and ``rates`` their rates; a Bloch vector outside
+    the unit ball at radius r is pulled onto it and adds 100 (r - 1)^2.
     """
     def fun(rows, x):
         a, b = pmap(rows, x)
@@ -726,7 +755,7 @@ def _penalized_spectra(wts, owner, pmap):
         if not inside:
             a, pen_a = _project_rows(a)
             b, pen_b = (a, pen_a) if b is a else _project_rows(b)
-        lam = _spectra(_grouped_products(wts, owner[rows], _features(a, b, pmap.kind)))
+        lam = _spectra(_grouped_products(tensor, rates[rows], _features(a, b, pmap.kind)))
         norms = np.abs(lam).sum(axis=1)
         return (norms if inside else norms + (pen_a + pen_b)), lam
     return fun
@@ -759,10 +788,10 @@ def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b, kind) -> np.ndarray:
     return np.concatenate([_triple(a, b, c), grad, hess], axis=1)[..., _MONOMIALS[kind][0]]
 
 
-def _bond_derivatives(wts, owner, features) -> np.ndarray:
-    """The real symmetric 4x4 matrices of feature stacks (n, m, M), one product per bond."""
+def _bond_derivatives(tensor, rates, features) -> np.ndarray:
+    """The real symmetric 4x4 matrices of feature stacks (n, m, M), stack k at ``rates[k]``, one product."""
     n, m, width = features.shape
-    y = _grouped_products(wts, np.repeat(owner, m), features.reshape(n * m, width))
+    y = _grouped_products(tensor, np.repeat(rates, m), features.reshape(n * m, width))
     return y.reshape(n, m, 4, 4)
 
 
@@ -851,10 +880,10 @@ def _gauss_newton_step(mats, dim):
     return step, fit
 
 
-def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
+def _newton_polish(tensor, rates, pmap, x0, f0) -> _PolishResult:
     """Kink-aware Newton descent of S problems at once from x0 with penalized norms f0.
 
-    Problem s is the bond ``wts[owner[s]]`` (owner ascending) under the
+    Problem s is the bond ``tensor`` at ``rates[s]`` under the
     parameterization ``pmap`` (an ``_AffineMap``). Each
     iteration is one derivative pass for every live row; the step is
     backtracked (1, 1/2, ...) on the true penalized norm and taken at the
@@ -874,7 +903,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     in the model, so the stop test can pass there off any minimum.
     """
     count, dim = x0.shape
-    fun = _penalized_spectra(wts, owner, pmap)
+    fun = _penalized_spectra(tensor, rates, pmap)
     dirs_a, dirs_b = pmap.directions(dim)
     x, f = np.array(x0, dtype=float), np.array(f0, dtype=float)
     nfev, passes = np.zeros(count, dtype=int), 0  # every live row has made `passes` passes
@@ -885,7 +914,7 @@ def _newton_polish(wts, owner, pmap, x0, f0) -> _PolishResult:
     while live.size:
         a, b = pmap(live, x[live])
         features = _derivative_features(a, b, dirs_a, dirs_b, pmap.kind)
-        mats = _bond_derivatives(wts, owner[live], features)
+        mats = _bond_derivatives(tensor, rates[live], features)
         newton = _newton_step(mats, dim)
         nfev[live] += 1
         passes += 1
@@ -1018,22 +1047,23 @@ def minimize_norm(
     its neighbors. The minimization fixes ay = 0; ValueError for a model
     where that could change the minimum (``CompiledBond.tensor``).
     """
-    return _minimize_batch([model], kind, restarts, [seed])[0]
+    return _minimize_batch(model, [model.rate], kind, restarts, [seed])[0]
 
 
-def _descend(wts, owner, pmap, starts, restarts):
+def _descend(tensor, rates, pmap, starts, restarts):
     """Both stages of the minimizer on S problems at once: (polish, restarts used, evaluations).
 
-    Problem s owns rows s R ... s R + R - 1 of ``starts`` (R = ``restarts``),
-    the bond ``wts[owner[s]]`` and the offsets of s in ``pmap``. Stage 1
+    Every problem is the bond ``tensor``; problem s owns rows
+    s R ... s R + R - 1 of ``starts`` (R = ``restarts``), the rate
+    ``rates[s]`` and the offsets of s in ``pmap``. Stage 1
     runs every row through one ``_nelder_mead`` at basin resolution; each
     problem's first strictly best restart is polished by one batched
     ``_newton_polish``, which only takes steps that lower the norm, so it
     ends no higher. A problem's result depends only on its own rows.
     """
-    count = len(owner)
+    count = len(rates)
     problem = np.repeat(np.arange(count), restarts)
-    spectra = _penalized_spectra(wts, owner, pmap)
+    spectra = _penalized_spectra(tensor, rates, pmap)
     rank = _nelder_mead(lambda rows, x: spectra(problem[rows], x)[0], starts, **_RANK_OPTIONS)
     # stage 1 only ranks the basins: over full 0-2 sweeps and the A2 and A3
     # windows at 1e-3 steps, the best restart that polishes into another
@@ -1048,7 +1078,7 @@ def _descend(wts, owner, pmap, starts, restarts):
     used = np.where(dark.any(axis=1), dark.argmax(axis=1) + 1, restarts)
     best = np.where(np.arange(restarts) < used[:, None], fun, np.inf).argmin(axis=1)
     winners = np.arange(count) * restarts + best
-    polish = _newton_polish(wts, owner, pmap, rank.x[winners], rank.fun[winners])
+    polish = _newton_polish(tensor, rates, pmap, rank.x[winners], rank.fun[winners])
     return polish, used, rank.nfev.reshape(count, restarts).sum(axis=1) + polish.nfev
 
 
@@ -1060,25 +1090,29 @@ def _check_ansatz(kind, bipartite):
         raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
 
 
-def _minimize_batch(models, kind, restarts, seeds) -> list:
-    """``minimize_norm`` of every model, with its own seed, in one ``_descend``.
+def _minimize_batch(model, rates, kind, restarts, seeds) -> list:
+    """``minimize_norm`` of ``model`` with its rate set at each of ``rates``, each with its seed, in one ``_descend``.
 
-    A model's result depends only on its own rows. ValueError for a model
-    whose ``CompiledBond.tensor`` refuses the gauge fixing.
+    The model is compiled once; ``model.rate`` is not read. A rate's result
+    depends only on its own rows, so it is ``minimize_norm`` of the model at
+    that rate. ValueError for a rate that is negative or not finite, and
+    for a model whose ``CompiledBond.tensor`` refuses the gauge fixing.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    _check_ansatz(kind, all(m.lattice.bipartite for m in models))
-    wts = [CompiledBond(m).tensor(kind) for m in models]
-    count = len(models)
+    _check_ansatz(kind, model.lattice.bipartite)
+    for rate in rates:
+        check_rate(rate)
+    tensor = CompiledBond(model).tensor(kind)
+    rates = np.array(rates, dtype=float)
     starts = np.vstack([_start_points(kind, restarts, np.random.default_rng(seed))
                         for seed in seeds])
     pmap = _sweep_map(kind)
-    polish, used, evaluations = _descend(wts, np.arange(count), pmap, starts, restarts)
+    polish, used, evaluations = _descend(tensor, rates, pmap, starts, restarts)
     a, b = pmap(None, polish.x)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
-    norms = _grouped_norms(wts, np.arange(count), a, b, kind)
+    norms = _grouped_norms(tensor, rates, a, b, kind)
     a, b = np.insert(a, 1, 0.0, axis=1), np.insert(b, 1, 0.0, axis=1)  # ay = 0
     return [
         MinimizeResult(
@@ -1091,7 +1125,7 @@ def _minimize_batch(models, kind, restarts, seeds) -> list:
             stationarity=float(polish.stationarity[p]),
             multiplier=float(polish.multiplier[p]),
         )
-        for p in range(count)
+        for p in range(len(rates))
     ]
 
 
@@ -1154,8 +1188,9 @@ def _point_seed(seed: int, lam: float) -> int:
 
 def _sweep_chunk(task) -> list:
     lams, lattice, kind, restarts, seed = task
+    # one compile for the batch: its rate set runs at each point's lambda
     results = _minimize_batch(
-        [dissipative_heisenberg(lam, lattice) for lam in lams],
+        dissipative_heisenberg(0.0, lattice), lams,
         kind, restarts, [_point_seed(seed, lam) for lam in lams],
     )
     records = []
@@ -1264,8 +1299,8 @@ def _landau_profile(model, direction, phis) -> _PolishResult:
     result depends only on its own phi.
     """
     pmap, dim = _landau_map(direction, phis)
-    return _descend([CompiledBond(model).tensor(pmap.kind)], np.zeros(len(phis), dtype=int), pmap,
-                    np.zeros((len(phis), dim)), 1)[0]
+    return _descend(CompiledBond(model).tensor(pmap.kind), np.full(len(phis), float(model.rate)),
+                    pmap, np.zeros((len(phis), dim)), 1)[0]
 
 
 def _landau_map(direction, phis):

@@ -16,7 +16,7 @@ from dissipative_spins.liouville import (
     ring_liouvillian,
     steady_states,
 )
-from dissipative_spins.models import DissipativeModel, LatticeSpec, dissipative_heisenberg
+from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
 from dissipative_spins.operators import pauli
 from dissipative_spins.opformat import OperatorFormatError, parse_problem_text
 
@@ -525,9 +525,8 @@ def test_oracle_n6(capsys, lam, dim):
 def test_conjugate_pair_defect_pairs_opposite_orders():
     # a sigma_z field keeps the coherence-order blocks but makes them
     # complex: block q is the conjugate of block -q, not of itself
-    heis = dissipative_heisenberg(0.7, LatticeSpec(z=6))
-    model = DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, 0.4 * pauli("z"))],
-                             jump_terms=heis.jump_terms)
+    model = replace(dissipative_heisenberg(0.7, LatticeSpec(z=6)),
+                    hamiltonian_terms=[(1, 0.4 * pauli("z"))])
     blocks = steady_states(ring_liouvillian(model, 3)).blocks
     assert conjugate_pair_defect(blocks, 8) < 1e-12
     assert max(np.abs(b.eigenvalues.conj()[:, None] - b.eigenvalues).min(axis=1).max()

@@ -6,6 +6,8 @@ anisotropy set alone, 1 for the full model away from the isotropic point's
 neighbors) follow from counting the annihilated subspaces by hand.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,7 +106,7 @@ def test_ring_apply_matches_embedded_jumps(n):
     rho = _random_matrix(rng, 2**n)
     direct = sum(
         dissipator(embed(t.matrix, [i, (i + 1) % n], n), rho)
-        for t in model.jump_terms
+        for t in model.folded_jump_terms()
         for i in range(n)
     )
     np.testing.assert_allclose(ring_liouvillian(model, n).apply(rho), direct, atol=1e-12)
@@ -261,9 +263,8 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
 
 
 def field_model(lam, axis, strength):
-    heis = dissipative_heisenberg(lam, LatticeSpec(z=6))
-    return DissipativeModel(lattice=heis.lattice, hamiltonian_terms=[(1, strength * pauli(axis))],
-                            jump_terms=heis.jump_terms)
+    return replace(dissipative_heisenberg(lam, LatticeSpec(z=6)),
+                   hamiltonian_terms=[(1, strength * pauli(axis))])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -356,6 +357,24 @@ def test_dark_dimensions_match_dense_reference_n4(z, renormalize):
         assert space.eigenvalues.real.max() <= 1e-9
 
 
+@pytest.mark.parametrize("n, lams", [
+    (2, [0.0, 0.3, 1.0, 2.0]), (3, [0.0, 0.5, 1.5]), (4, [0.0, 0.7, 1.5]), (5, [0.0, 1.5]),
+])
+def test_oracle_sees_the_rate_set_as_the_folded_jumps(n, lams):
+    # the oracle of a model with its rate set apart is the oracle of the
+    # same model with lambda folded into every anisotropy matrix
+    lattice = LatticeSpec(z=6)
+    scale = 1 / np.sqrt(lattice.z - 1)
+    for lam in lams:
+        folded = DissipativeModel(lattice=lattice, jump_terms=[
+            replace(t, matrix=scale * t.matrix) for t in ferro_pump_jumps() + anisotropy_jumps(lam)])
+        got = ring_liouvillian(dissipative_heisenberg(lam, lattice), n)
+        ref = ring_liouvillian(folded, n)
+        np.testing.assert_allclose(got.jumps, ref.jumps, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.g, ref.g, rtol=0, atol=1e-15)
+        assert steady_states(got).dimension == steady_states(ref).dimension, lam
+
+
 def test_exact_norm_matches_manual():
     model = dissipative_heisenberg(0.6, LatticeSpec(z=6))
     liou = ring_liouvillian(model, 2)
@@ -363,7 +382,7 @@ def test_exact_norm_matches_manual():
         bloch_to_density(np.array([0.3, 0.0, 0.2])),
         bloch_to_density(np.array([-0.1, 0.2, 0.0])),
     )
-    manual = sum(dissipator(t.matrix, rho) for t in model.jump_terms)
+    manual = sum(dissipator(t.matrix, rho) for t in model.folded_jump_terms())
     assert exact_norm(liou, rho) == pytest.approx(
         trace_norm_hermitian(manual), abs=1e-12
     )

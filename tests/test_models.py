@@ -68,19 +68,46 @@ def test_heisenberg_renormalization():
     plain = dissipative_heisenberg(1.0, LatticeSpec(z=5, renormalize=False))
     renorm = dissipative_heisenberg(1.0, LatticeSpec(z=5, renormalize=True))
     scale = 1 / np.sqrt(5 - 1)
-    for a, b in zip(renorm.jump_terms, plain.jump_terms):
+    for a, b in zip(renorm.folded_jump_terms(), plain.folded_jump_terms(), strict=True):
         np.testing.assert_allclose(a.matrix, scale * b.matrix)
 
 
 def test_heisenberg_is_purely_dissipative():
     model = dissipative_heisenberg(0.8, LatticeSpec(z=6))
     assert model.hamiltonian_terms == []
-    assert len(model.jump_terms) == 7
+    # three unit-rate pumps, and the four anisotropy jumps as the rate set at lambda
+    assert (len(model.jump_terms), len(model.rate_jump_terms), model.rate) == (3, 4, 0.8)
+    assert len(model.folded_jump_terms()) == 7
     # lambda = 0 silences the anisotropy channels but keeps the slots
     silent = dissipative_heisenberg(0.0, LatticeSpec())
-    assert len(silent.jump_terms) == 7
-    for t in silent.jump_terms[3:]:
+    assert len(silent.folded_jump_terms()) == 7
+    for t in silent.folded_jump_terms()[3:]:
         assert np.abs(t.matrix).max() == 0.0
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("z", [2, 4, 6])
+def test_folded_jumps_are_the_rate_folded_matrices(z, renormalize):
+    # the folded list is the one the model held with lambda in its matrices:
+    # the pumps, then sqrt(lambda) times each anisotropy jump, all scaled
+    scale = 1 / np.sqrt(z - 1) if renormalize else 1.0
+    for lam in np.linspace(0.0, 2.5, 11):
+        model = dissipative_heisenberg(lam, LatticeSpec(z=z, renormalize=renormalize))
+        reference = ferro_pump_jumps() + anisotropy_jumps(lam)
+        for got, ref in zip(model.folded_jump_terms(), reference, strict=True):
+            assert (got.arity, got.label) == (ref.arity, ref.label)
+            np.testing.assert_allclose(got.matrix, scale * ref.matrix, rtol=0, atol=1e-15)
+
+
+def test_model_rate_must_be_finite_and_nonnegative():
+    for rate in (-0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            DissipativeModel(lattice=LatticeSpec(), rate=rate)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            dissipative_heisenberg(rate, LatticeSpec())
+    # a model without a rate set folds to its own jumps
+    model = DissipativeModel(lattice=LatticeSpec(), jump_terms=ferro_pump_jumps(), rate=0.7)
+    assert model.folded_jump_terms() == model.jump_terms
 
 
 def test_swap_closure():

@@ -105,15 +105,16 @@ def test_dark_states_at_lambda_zero():
 
 
 def compiled_k(bond, a, b):
-    """K at one state from the complex W behind ``CompiledBond.norm``."""
+    """K at one state from the complex P + rate A behind ``CompiledBond.norm``."""
     a, b = np.append(1.0, a), np.append(1.0, b)
-    return (bond._w @ variational._triple(a, b, np.concatenate([b, a]))).reshape(4, 4)
+    p, q = bond._w @ variational._triple(a, b, np.concatenate([b, a]))
+    return (p + bond.rate * q).reshape(4, 4)
 
 
-def engine_k(tensor, kind, a, b):
-    """The engine's real K at planar rows (x, z), in its layout's basis."""
+def engine_k(tensor, kind, a, b, rate):
+    """The engine's real K at planar rows (x, z) and ``rate``, in its layout's basis."""
     features = variational._features(a, b, kind)
-    products = variational._grouped_products([tensor], np.zeros(len(a), dtype=int), features)
+    products = variational._grouped_products(tensor, np.full(len(a), float(rate)), features)
     return products.reshape(-1, 4, 4)
 
 
@@ -195,15 +196,66 @@ def test_engine_tensors_match_explicit(seed, lam):
     b = rng.uniform(-0.7, 0.7, (4, 2))
     for kind, bs in (("uniform", a), ("bipartite", b)):
         tensor = bond.tensor(kind)
-        k = engine_k(tensor, kind, a, bs)
+        k = engine_k(tensor, kind, a, bs, lam)
         if kind == "uniform":
             q = variational._SINGLET_TRIPLET
             k = q @ k @ q.T
-        norms = variational._grouped_norms([tensor], np.zeros(4, dtype=int), a, bs, kind)
+        norms = variational._grouped_norms(tensor, np.full(4, lam), a, bs, kind)
         for row in range(4):
             ref = reduced_derivative(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
             np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
             assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4, 6]), st.booleans(), st.floats(0.0, 2.5))
+def test_rate_split_matches_the_folded_model(seed, z, renormalize, lam):
+    # P + lambda A of both layouts is the compiled reference norm and the
+    # explicit derivative of the same model with lambda folded into its jumps
+    lattice = LatticeSpec(z=z, bipartite=True, renormalize=renormalize)
+    model = dissipative_heisenberg(lam, lattice)
+    folded = DissipativeModel(lattice=lattice, jump_terms=model.folded_jump_terms())
+    bond = CompiledBond(model)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.7, 0.7, (3, 2))
+    b = rng.uniform(-0.7, 0.7, (3, 2))
+    for kind, bs in (("uniform", a), ("bipartite", b)):
+        tensor = bond.tensor(kind)
+        k = engine_k(tensor, kind, a, bs, lam)
+        if kind == "uniform":
+            q = variational._SINGLET_TRIPLET
+            k = q @ k @ q.T
+        norms = variational._grouped_norms(tensor, np.full(3, lam), a, bs, kind)
+        for row in range(3):
+            alpha_a, alpha_b = _bloch(a[row]), _bloch(bs[row])
+            ref = reduced_derivative(folded, ProductAnsatz.bipartite(alpha_a, alpha_b))
+            np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
+            assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
+            assert bond.norm(alpha_a, alpha_b) == pytest.approx(ref.total_norm, abs=1e-12)
+
+
+def test_the_compile_forms_the_planar_columns_of_the_whole_tensor():
+    # the compile forms P and A on the 54 columns that ay = by = 0 reaches,
+    # in _triple's order over (1, x, z); norm's whole tensor holds the same bits there
+    model = heis(0.9)
+    model.hamiltonian_terms.append((2, _random_hermitian(np.random.default_rng(2), 4)))
+    bond = CompiledBond(model)
+    planar = [32 * mu + 8 * nu + s for mu in (0, 1, 3) for nu in (0, 1, 3) for s in (0, 1, 3, 4, 5, 7)]
+    assert np.array_equal(bond._w[:, :, planar], bond._planar)
+
+
+def test_a_model_without_a_rate_set_has_k_equal_to_p():
+    # the rate set empty, A = 0 exactly: K = P + rate A is P bit for bit at any rate
+    model = DissipativeModel(lattice=Z6, jump_terms=heis(0.7).folded_jump_terms(), rate=0.7)
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-0.7, 0.7, (2, 40, 2))
+    for kind, bs in (("uniform", a), ("bipartite", b)):
+        tensor = CompiledBond(model).tensor(kind)
+        assert not tensor[:, 16:].any()
+        features = variational._features(a, bs, kind)
+        p = variational._product(features, tensor)[:, :16]
+        for rates in (np.full(40, 0.7), rng.uniform(0.0, 2.5, 40)):
+            assert np.array_equal(variational._grouped_products(tensor, rates, features), p)
 
 
 def _with_field(model, axis):
@@ -231,7 +283,7 @@ def test_engine_refuses_a_model_the_gauge_fixing_would_change():
     model.jump_terms.append(JumpTerm(2, 0.5 * kron(sm, pauli("z")), "one-sided"))
     with pytest.raises(ValueError, match="swap-symmetric"):
         CompiledBond(model).tensor("uniform")
-    assert CompiledBond(model).tensor("bipartite").shape == (27, 16)
+    assert CompiledBond(model).tensor("bipartite").shape == (27, 32)
 
 
 @pytest.mark.parametrize("bipartite", [True, False])
@@ -242,7 +294,7 @@ def test_every_cli_model_takes_the_real_tensors(bipartite, renormalize):
         lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renormalize)
         for lam in np.linspace(0.0, 2.5, 11):
             bond = CompiledBond(dissipative_heisenberg(lam, lattice))
-            assert [bond.tensor(kind).shape for kind in kinds] == [(10, 16), (27, 16)][:len(kinds)]
+            assert [bond.tensor(kind).shape for kind in kinds] == [(10, 32), (27, 32)][:len(kinds)]
 
 
 def test_compiled_rejects_three_site_hamiltonian():
@@ -464,9 +516,9 @@ def test_minimize_counts_evaluations(monkeypatch, kind, lam):
         rows.append(len(products))
         return spectra(products)
 
-    def counted_derivatives(wts, owner, features):
+    def counted_derivatives(tensor, rates, features):
         rows.append(len(features))
-        return derivatives(wts, owner, features)
+        return derivatives(tensor, rates, features)
 
     monkeypatch.setattr(variational, "_spectra", counted_spectra)
     monkeypatch.setattr(variational, "_bond_derivatives", counted_derivatives)
@@ -533,8 +585,8 @@ def test_batched_norms_do_not_depend_on_the_batch():
         b = a if kind == "uniform" else rng.uniform(-0.7, 0.7, (64, 2))
 
         def norms(lo, hi):
-            # one owner: the batched evaluation the Nelder-Mead engine calls
-            return variational._grouped_norms([tensor], np.zeros(hi - lo, dtype=int),
+            # one rate: the batched evaluation the Nelder-Mead engine calls
+            return variational._grouped_norms(tensor, np.full(hi - lo, 1.52),
                                               a[lo:hi], b[lo:hi], kind)
 
         single = np.array([norms(k, k + 1)[0] for k in range(64)])
@@ -548,23 +600,30 @@ def test_batched_norms_do_not_depend_on_the_batch():
 @pytest.mark.parametrize("kind", ["uniform", "bipartite"])
 def test_spectra_rows_do_not_depend_on_the_call(kind):
     # OpenBLAS rounds the first row of an (n, 27) @ (27, w) product apart
-    # from the others at w = 9, 10 and 12 for most n; at the width 16 of
-    # both layouts a row's eigenvalues are the same bits at every call size
-    # 1-300 and every position in the call
+    # from the others at w = 9, 10 and 12 for most n; at the width 32 of
+    # [P | A] in both layouts a row's K = P + rate A and its eigenvalues are
+    # the same bits at every call size 1-300, every position in the call and
+    # whatever rates the other rows of the call carry
     tensor = CompiledBond(heis(1.52)).tensor(kind)
+    assert tensor.shape[1] == 32
     rng = np.random.default_rng(8)
     a = rng.uniform(-0.7, 0.7, (300, 2))
     b = a if kind == "uniform" else rng.uniform(-0.7, 0.7, (300, 2))
     features = variational._features(a, b, kind)
+    rates = rng.uniform(0.0, 2.5, 300)
+    rates[::7] = 0.0
 
-    def spectra(rows):
-        return variational._spectra(variational._product(features[rows], tensor))
+    def products(rows):
+        return variational._grouped_products(tensor, rates[rows], features[rows])
 
-    single = np.array([spectra([k])[0] for k in range(300)])
+    single = np.array([products([k])[0] for k in range(300)])
+    single_spectra = np.array([variational._spectra(products([k]))[0] for k in range(300)])
     for n in range(1, 301):
         rows = (np.arange(n) + 7 * n) % 300  # row k lands at another position for each n
-        assert np.array_equal(spectra(rows), single[rows]), n
-    assert (np.diff(single, axis=1) >= 0).all()  # ascending
+        k = products(rows)
+        assert np.array_equal(k, single[rows]), n
+        assert np.array_equal(variational._spectra(k), single_spectra[rows]), n
+    assert (np.diff(single_spectra, axis=1) >= 0).all()  # ascending
 
 
 def _problem_map(which, phis):
@@ -587,26 +646,26 @@ def test_stage_one_objective_is_the_projected_norm_bitwise(which):
     # 100 (r - 1)^2 per vector outside, bit for bit, however it is batched
     rng = np.random.default_rng(11)
     pmap, dim = _problem_map(which, rng.uniform(0.0, 0.4, 12))
-    wts = [CompiledBond(heis(lam)).tensor(pmap.kind) for lam in (0.46, 1.0, 1.52)]
-    owner = np.repeat(np.arange(3), 4)  # problem p sits on bond owner[p]
+    tensor = CompiledBond(heis(1.0)).tensor(pmap.kind)
+    rates = np.repeat([0.46, 1.0, 1.52], 4)  # problem p runs at rates[p]
     rows = np.repeat(np.arange(12), 2)  # two points per problem, rows ascending
     x = rng.uniform(-0.45, 0.45, (24, dim))
     x[::5] *= 4.0  # some vectors outside the ball
     a, b = pmap(rows, x)
     (pa, pen_a), (pb, pen_b) = variational._project_rows(a), variational._project_rows(b)
-    expected = variational._grouped_norms(wts, owner[rows], pa, pb, pmap.kind) + (pen_a + pen_b)
+    expected = variational._grouped_norms(tensor, rates[rows], pa, pb, pmap.kind) + (pen_a + pen_b)
     radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
     inside = np.flatnonzero(radius <= 1.0)
     assert 0 < len(inside) < len(rows)
-    fun = variational._penalized_spectra(wts, owner, pmap)
-    # the batch spans several bonds and holds rows outside the ball
+    fun = variational._penalized_spectra(tensor, rates, pmap)
+    # the batch spans several rates and holds rows outside the ball
     assert np.array_equal(fun(rows, x)[0], expected)
     # every row alone, and the rows inside the ball without the others
     assert np.array_equal([fun(rows[k:k + 1], x[k:k + 1])[0][0] for k in range(24)], expected)
     assert np.array_equal(fun(rows[inside], x[inside])[0], expected[inside])
-    # the rows of one bond, inside the ball and not
-    for bond in range(3):
-        mine = np.flatnonzero(owner[rows] == bond)
+    # the rows of one rate, inside the ball and not
+    for rate in (0.46, 1.0, 1.52):
+        mine = np.flatnonzero(rates[rows] == rate)
         assert np.array_equal(fun(rows[mine], x[mine])[0], expected[mine])
 
 
@@ -623,10 +682,10 @@ def test_closed_form_derivatives_match_central_differences(which, sweep, dim):
     rows = np.zeros(1, dtype=int)
 
     def k_at(y):
-        return engine_k(tensor, pmap.kind, *pmap(rows, y[None]))[0]
+        return engine_k(tensor, pmap.kind, *pmap(rows, y[None]), 1.37)[0]
 
     mats = variational._bond_derivatives(
-        [tensor], rows,
+        tensor, np.full(1, 1.37),
         variational._derivative_features(*pmap(rows, x[None]), *pmap.directions(dim), pmap.kind))[0]
     assert np.abs(k_at(x)).max() <= 1
     np.testing.assert_allclose(mats[0], k_at(x), rtol=0, atol=1e-14)
@@ -648,10 +707,10 @@ def test_derivative_pass_k_is_the_norms_k_bitwise(which, sweep, dim):
     pmap, mapped_dim = _problem_map(which, rng.uniform(0.0, 0.4, 50))
     assert (which in ("uniform", "bipartite"), mapped_dim) == (sweep, dim)
     a, b = pmap(np.arange(50), rng.uniform(-0.5, 0.5, (50, dim)))
-    owner = np.repeat(np.arange(3), [20, 15, 15])
-    wts = [CompiledBond(heis(lam)).tensor(pmap.kind) for lam in (0.46, 1.0, 1.52)]
-    norm_k = variational._grouped_products(wts, owner, variational._features(a, b, pmap.kind))
-    pass_k = variational._bond_derivatives(wts, owner, variational._derivative_features(
+    rates = np.repeat([0.46, 1.0, 1.52], [20, 15, 15])
+    tensor = CompiledBond(heis(1.0)).tensor(pmap.kind)
+    norm_k = variational._grouped_products(tensor, rates, variational._features(a, b, pmap.kind))
+    pass_k = variational._bond_derivatives(tensor, rates, variational._derivative_features(
         a, b, *pmap.directions(dim), pmap.kind))[:, 0]
     assert np.array_equal(norm_k.reshape(-1, 4, 4), pass_k)
 
@@ -663,7 +722,7 @@ def test_derivative_pass_k_is_the_norms_k_bitwise(which, sweep, dim):
 def test_polish_certifies_every_minimum(monkeypatch, kind, lams):
     # first-order optimality (Clarke stationarity on a kink) at every point
     results = variational._minimize_batch(
-        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams])
+        heis(0.0), lams, kind, 8, [variational._point_seed(0, lam) for lam in lams])
     for res in results:
         assert res.converged
         assert res.stationarity <= 1e-7
@@ -673,7 +732,7 @@ def test_polish_certifies_every_minimum(monkeypatch, kind, lams):
     # at most 2 eps more
     monkeypatch.setattr(variational, "_NEWTON_FTOL", 0.0)
     exhaustive = variational._minimize_batch(
-        [heis(lam) for lam in lams], kind, 8, [variational._point_seed(0, lam) for lam in lams])
+        heis(0.0), lams, kind, 8, [variational._point_seed(0, lam) for lam in lams])
     for res, ref in zip(results, exhaustive):
         assert res.norm <= ref.norm + 4.4e-16
 
@@ -686,17 +745,16 @@ def test_stage_one_ranks_the_basins(kind, lams):
     # stage 1 stops at basin resolution and only its winner is polished:
     # polish every restart instead, and none may end below the result
     restarts, seeds = 8, [variational._point_seed(0, lam) for lam in lams]
-    models = [heis(lam) for lam in lams]
-    results = variational._minimize_batch(models, kind, restarts, seeds)
-    wts = [CompiledBond(m).tensor(kind) for m in models]
-    owner = np.repeat(np.arange(len(lams)), restarts)
+    results = variational._minimize_batch(heis(0.0), lams, kind, restarts, seeds)
+    tensor = CompiledBond(heis(0.0)).tensor(kind)
+    rates = np.repeat(lams, restarts)  # every restart is a problem of its own
     pmap = variational._sweep_map(kind)
     starts = np.vstack([variational._start_points(kind, restarts, np.random.default_rng(seed))
                         for seed in seeds])
-    spectra = variational._penalized_spectra(wts, owner, pmap)
+    spectra = variational._penalized_spectra(tensor, rates, pmap)
     rank = variational._nelder_mead(lambda rows, x: spectra(rows, x)[0], starts,
                                     **variational._RANK_OPTIONS)
-    every = variational._newton_polish(wts, owner, pmap, rank.x, rank.fun)
+    every = variational._newton_polish(tensor, rates, pmap, rank.x, rank.fun)
     best = every.fun.reshape(len(lams), restarts).min(axis=1)
     assert (best >= np.array([res.norm for res in results]) - 4.4e-16).all()
 
@@ -732,14 +790,14 @@ def test_descent_ranks_restarts_as_the_loop_did(table):
         return variational._SimplexResult(np.arange(count * restarts, dtype=float)[:, None],
                                           fun.ravel(), ones, ones, ones.astype(bool))
 
-    def polish(wts, owner, pmap, x0, f0):
+    def polish(tensor, rates, pmap, x0, f0):
         zeros = np.zeros(len(x0))
         return variational._PolishResult(x0, f0, zeros.astype(int), zeros.astype(bool), zeros, zeros)
 
     with mock.patch.object(variational, "_nelder_mead", stage_one), \
             mock.patch.object(variational, "_newton_polish", polish):
         result, used, evaluations = variational._descend(
-            [None], np.zeros(count, dtype=int), None, np.zeros((count * restarts, 1)), restarts)
+            None, np.zeros(count), None, np.zeros((count * restarts, 1)), restarts)
     for s in range(count):
         best, counted = _loop_ranking(fun[s])
         assert (result.x[s, 0], result.fun[s], used[s]) == (s * restarts + best, fun[s, best], counted)
@@ -768,11 +826,11 @@ def test_start_points_are_the_per_draw_construction(kind):
     ("uniform", 0.0, [1.0, 0.0]),            # a dark point: every eigenvalue vanishes
 ])
 def test_newton_from_a_vanishing_kink_gradient(kind, lam, x0):
-    wts, owner = [CompiledBond(heis(lam)).tensor(kind)], np.zeros(1, dtype=int)
+    tensor, rates = CompiledBond(heis(lam)).tensor(kind), np.full(1, lam)
     x0 = np.array([x0])
     pmap = variational._sweep_map(kind)
-    f0 = variational._penalized_spectra(wts, owner, pmap)(owner, x0)[0]
-    res = variational._newton_polish(wts, owner, pmap, x0, f0)
+    f0 = variational._penalized_spectra(tensor, rates, pmap)(np.zeros(1, dtype=int), x0)[0]
+    res = variational._newton_polish(tensor, rates, pmap, x0, f0)
     for field in (res.x, res.fun, res.stationarity, res.multiplier):
         assert np.isfinite(field).all()
     assert res.fun[0] <= f0[0]
@@ -794,14 +852,41 @@ def test_newton_step_guards_an_exactly_zero_kink_gradient():
 
 
 def test_sweep_record_is_minimize_norm():
-    records = variational.sweep(1.48, 1.54, 0.02, Z6, "bipartite", seed=5, refine=False)
-    for rec in records:
-        res = minimize_norm(heis(rec.lam), kind="bipartite",
-                            seed=variational._point_seed(5, rec.lam))
-        assert np.array_equal(rec.alpha_A, res.ansatz.alpha_A)
-        assert np.array_equal(rec.alpha_B, res.ansatz.alpha_B)
-        assert (rec.norm, rec.converged, rec.restarts_used) == (
-            res.norm, res.converged, res.restarts_used)
+    # a sweep batch compiles one model and runs its rate set at each point's
+    # lambda; minimize_norm compiles the model at that lambda: both form
+    # K = P + lambda A, so the records agree bit for bit, also for the fine
+    # points of a refinement, which run as a batch of their own
+    for kind, lo, hi, refine in (("bipartite", 1.48, 1.54, False), ("uniform", 0.46, 0.54, True)):
+        records = variational.sweep(lo, hi, 0.02, Z6, kind, seed=5, refine=refine)
+        fine = [r.lam for r in records if abs((r.lam - lo) / 0.02 - round((r.lam - lo) / 0.02)) > 1e-6]
+        assert bool(fine) == refine
+        for rec in records:
+            res = minimize_norm(heis(rec.lam), kind=kind, seed=variational._point_seed(5, rec.lam))
+            assert np.array_equal(rec.alpha_A, res.ansatz.alpha_A)
+            assert np.array_equal(rec.alpha_B, res.ansatz.alpha_B)
+            assert (rec.norm, rec.converged, rec.restarts_used) == (
+                res.norm, res.converged, res.restarts_used)
+
+
+def test_a_sweep_batch_a_minimization_and_a_landau_profile_each_compile_once(monkeypatch):
+    models = []
+    init = CompiledBond.__init__
+
+    def counted(self, model):
+        models.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(CompiledBond, "__init__", counted)
+    variational.sweep(1.44, 1.52, 0.02, Z6, "bipartite", seed=3, refine=False)
+    assert len(models) == 1  # five points, one batch
+    models.clear()
+    variational.sweep(0.46, 0.54, 0.02, Z6, "uniform", seed=5)
+    assert len(models) == 2  # the grid, then its refinement
+    for run in (lambda: minimize_norm(heis(0.4), kind="bipartite"),
+                lambda: landau_expansion(heis(1.52), "staggered-z", 0.03, 11)):
+        models.clear()
+        run()
+        assert len(models) == 1
 
 
 @pytest.mark.xfail(strict=True, reason="the bipartite restarts miss the uniform basin at "
