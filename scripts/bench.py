@@ -21,7 +21,9 @@ they carry and the seconds spent inside them (``spectra_calls``,
 ``spectra_rows``, ``spectra_s``): the number of links a change to the
 per-call cost works on, and what those links cost in that run; it also
 counts the ``CompiledBond`` constructions of the sweep (``compiles``: one
-per batch, so two for a refined sweep on one worker). Then it times the start-up every
+per batch, so two for a refined sweep on one worker) and the calls of
+``variational._derivative_features`` (one per Newton derivative pass) and
+the states they carry (``derivative_calls``, ``derivative_rows``). Then it times the start-up every
 ``dspin`` call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
 on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
 start-up included), and one more under ``python -X importtime`` whose
@@ -70,11 +72,11 @@ SWEEPS = {
 
 
 # runs ``dspin`` (its arguments follow the script) counting the calls, rows and seconds of
-# _spectra and the CompiledBond constructions
+# _spectra, the CompiledBond constructions, and the calls and states of _derivative_features
 COUNT_SPECTRA = """\
 import sys, time
 from dissipative_spins import cli, variational
-counts = [0, 0, 0.0, 0]
+counts = [0, 0, 0.0, 0, 0, 0]
 spectra = variational._spectra
 def counted(products):
     counts[0] += 1
@@ -89,6 +91,12 @@ def counted_compile(self, model):
     counts[3] += 1
     compile_(self, model)
 variational.CompiledBond.__init__ = counted_compile
+derivatives = variational._derivative_features
+def counted_derivatives(alpha_a, *args):
+    counts[4] += 1
+    counts[5] += len(alpha_a)
+    return derivatives(alpha_a, *args)
+variational._derivative_features = counted_derivatives
 code = cli.main(sys.argv[1:])
 print(*counts)
 sys.exit(code)
@@ -103,6 +111,18 @@ def child_env(root: Path) -> dict:
     """This environment with the checkout's ``src/`` on the path and one BLAS thread."""
     return dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def count_run(root: Path, argv: list) -> dict:
+    """``dspin`` with ``argv`` in the COUNT_SPECTRA child on the checkout's ``src/``: its counts."""
+    proc = subprocess.run([sys.executable, "-c", COUNT_SPECTRA, *argv], env=child_env(root),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench: counting run exited with {proc.returncode}:\n{proc.stderr}")
+    calls, rows, seconds, compiles, derivative_calls, derivative_rows = proc.stdout.split()
+    return {"spectra_calls": int(calls), "spectra_rows": int(rows), "spectra_s": float(seconds),
+            "compiles": int(compiles), "derivative_calls": int(derivative_calls),
+            "derivative_rows": int(derivative_rows)}
 
 
 def run_one(root: Path, command: list, workload: str, seconds: float, trace: int) -> dict:
@@ -136,12 +156,9 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
         points = len(out.read_text().strip().splitlines()) - 1
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         counted = Path(tmp) / "counted.csv"
-        proc = subprocess.run([sys.executable, "-c", COUNT_SPECTRA, *argv[3:],
-                               "--out", str(counted)], env=env, capture_output=True, text=True)
-        if proc.returncode != 0 or counted.read_bytes() != out.read_bytes():
-            sys.exit(f"bench: {name} counting run exited with {proc.returncode} or wrote "
-                     f"another CSV:\n{proc.stderr}")
-        calls, rows, seconds, compiles = proc.stdout.split()
+        counts = count_run(root, argv[3:] + ["--out", str(counted)])
+        if counted.read_bytes() != out.read_bytes():
+            sys.exit(f"bench: {name} counting run wrote another CSV")
         fit_argv = argv[:3] + ["fit", "--in", str(out), *fit_args]
         proc = subprocess.run(fit_argv, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -150,9 +167,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
     return {"name": name, "argv": ["dspin"] + argv[3:], "cpu": cpu, "points": points,
             "wall_s": times, "wall_s_median": statistics.median(times),
             "fit_argv": ["dspin", "fit", *fit_args],
-            "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest,
-            "spectra_calls": int(calls), "spectra_rows": int(rows), "spectra_s": float(seconds),
-            "compiles": int(compiles)}
+            "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest, **counts}
 
 
 def time_startup(root: Path) -> dict:

@@ -137,13 +137,15 @@ def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel
     convention independent (only the norm scale and the z-scaling of the
     interaction part change).
     """
-    pumps, anisotropy = ferro_pump_jumps(), anisotropy_jumps(1.0)
-    if lattice.renormalize:
-        scale = 1.0 / np.sqrt(lattice.z - 1)
-        pumps, anisotropy = ([JumpTerm(t.arity, scale * t.matrix, t.label) for t in terms]
-                             for terms in (pumps, anisotropy))
-    return DissipativeModel(lattice=lattice, hamiltonian_terms=[], jump_terms=pumps,
-                            rate_jump_terms=anisotropy, rate=lam)
+    scale = 1.0 / np.sqrt(lattice.z - 1)
+    jumps = [JumpTerm(2, scale * m if lattice.renormalize else m.copy(), label)
+             for label, m in _UNIT_JUMPS]
+    return DissipativeModel(lattice=lattice, hamiltonian_terms=[], jump_terms=jumps[:3],
+                            rate_jump_terms=jumps[3:], rate=lam)
+
+
+# (label, matrix) of the three pumps, then the four anisotropy jumps, at unit rate
+_UNIT_JUMPS = [(t.label, t.matrix) for t in ferro_pump_jumps() + anisotropy_jumps(1.0)]
 
 
 _TRUE = {"1", "true", "yes", "on"}

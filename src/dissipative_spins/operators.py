@@ -56,7 +56,7 @@ def bloch_to_density(alpha) -> np.ndarray:
     if alpha.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
     r = np.linalg.norm(alpha)
-    if r > 1 + BALL_TOL:
+    if not r <= 1 + BALL_TOL:  # NaN fails it too
         raise ValueError(f"Bloch vector length {r} > 1 violates positivity")
     ax, ay, az = alpha
     return 0.5 * np.array(

@@ -23,11 +23,12 @@ visits states with ay = by = 0, where K is real: ``CompiledBond.tensor``
 folds P and A onto the monomials those states reach (27 for the bipartite
 ansatz; 10 for the uniform one, whose K it turns into a singlet block and
 a triplet block) and refuses a model for which that drops more than
-rounding. Every bond matrix K of the minimizer, the norm's and the
-polish's alike, is one batched real product of feature rows with [P | A]
-followed by P + rate A row by row, each row at its problem's rate; its
-spectrum is one stacked real eigvalsh, and a state's K does not depend on
-its batch. So one compile serves a whole sweep batch, and a sweep point,
+rounding. The minimizer gathers each monomial's three factors at once and
+builds K's feature rows from them, and by the product rule those of dK
+and d2K; any batch of rows, the norm's or the polish's, becomes
+K = P + rate A by one real product with [P | A], each row at its
+problem's rate. Its spectrum is one stacked real eigvalsh, and a state's
+K does not depend on its batch. So one compile serves a whole sweep batch, and a sweep point,
 ``minimize_norm`` and a Landau profile all form K the same way.
 
 The minimizer runs in two stages, each on many problems at once. An array
@@ -95,7 +96,7 @@ class ProductAnsatz:
         for a in (self.alpha_A, self.alpha_B):
             if np.asarray(a).shape != (3,):
                 raise ValueError("Bloch vectors must have 3 components")
-            if np.linalg.norm(a) > 1 + BALL_TOL:
+            if not np.linalg.norm(a) <= 1 + BALL_TOL:  # NaN fails it too
                 raise ValueError("Bloch vector leaves the unit ball")
 
     @classmethod
@@ -292,6 +293,9 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # monomial, and it is real, K being real on that slice. Where a = b the
 # bond matrix commutes with the swap of its sites, and in the basis
 # (singlet, triplet) it is block diagonal, 1 + 3.
+# A representative column is the product of three entries of [b; a]
+# (``_FACTORS``), all gathered at once; the derivative rows apply the
+# product rule to that gather and to the same gather of the directions.
 # ---------------------------------------------------------------------------
 
 def _monomials(uniform):
@@ -318,9 +322,9 @@ def _monomials(uniform):
 
 # per layout: 27 monomials for the bipartite ansatz, 10 for the uniform one
 _MONOMIALS = {"uniform": _monomials(True), "bipartite": _monomials(False)}
-# the entries of [b; a] = (1, bx, bz, 1, ax, az) whose product is each
-# representative column: its factors from a, then from b, then from [b; a]
-_FACTORS = {kind: (np.array(np.unravel_index(columns, (3, 3, 6))) + [[3], [0], [0]]).ravel()
+# (3, M) per layout: the entries of [b; a] = (1, bx, bz, 1, ax, az) whose
+# product is each representative column, its factors from a, b and [b; a]
+_FACTORS = {kind: np.array(np.unravel_index(columns, (3, 3, 6))) + [[3], [0], [0]]
             for kind, (columns, _) in _MONOMIALS.items()}
 # singlet, then the triplet |uu>, (|ud> + |du>)/sqrt 2, |dd>, as columns
 _SINGLET_TRIPLET = np.array([[0.0, 1, 0, 0], [1, 0, 1, 0], [-1, 0, 1, 0], [0, 0, 0, 1]])
@@ -455,58 +459,56 @@ def _triple(x, y, z):
     return t.reshape(t.shape[:-3] + (-1,))
 
 
+def _factors(lead, vec_a, vec_b, kind):
+    """The factors from a, b and [b; a] of each monomial column of ``kind``: (n, 3, M).
+
+    a = (lead, vec_a) and b = (lead, vec_b) at n planar rows (x, z): lead 1
+    for states, 0 for the constant directions of their parameters. One
+    gather of the rows [b; a] through ``_FACTORS``.
+    """
+    ba = np.full((len(vec_a), 6), lead, dtype=float)
+    ba[:, 1:3] = vec_b
+    ba[:, 4:] = vec_a
+    return ba[:, _FACTORS[kind]]
+
+
 def _features(alpha_a, alpha_b, kind) -> np.ndarray:
     """The monomial columns of ``kind`` of a (x) b (x) [b; a], a = (1, alpha_A), at planar vectors (x, z).
 
     Each is the product of its three factors in the order ``_triple``
     multiplies them, so it holds the same bits as its column there.
     """
-    ba = np.ones((len(alpha_a), 6))
-    ba[:, 1:3] = alpha_b
-    ba[:, 4:] = alpha_a
-    f = ba[:, _FACTORS[kind]]  # one gather of all three factors
-    m = f.shape[1] // 3
-    return f[:, :m] * f[:, m:2 * m] * f[:, 2 * m:]
-
-
-def _product(features, tensor) -> np.ndarray:
-    if len(features) == 1:
-        # numpy sends a 1-row product through gemv, which rounds unlike the
-        # gemm of every longer batch; pad so a row never depends on how many
-        # others it is evaluated with
-        return (np.repeat(features, 2, axis=0) @ tensor)[:1]
-    return features @ tensor
+    f = _factors(1.0, alpha_a, alpha_b, kind)
+    return f[:, 0] * f[:, 1] * f[:, 2]
 
 
 def _spectra(products) -> np.ndarray:
-    """Ascending eigenvalues of the real symmetric 4x4 matrices held row-wise, row-major.
+    """Ascending eigenvalues of the real symmetric 4x4 matrices ``products`` (n, 4, 4).
 
     A uniform bond's matrix is singlet (+) triplet, with exact zeros between
     the blocks, which the solver's reduction skips: it costs less than on
     the product basis, and no more than the singlet entry plus a 3x3
     eigvalsh merged in order.
     """
-    return np.linalg.eigvalsh(products.reshape(-1, 4, 4))
+    return np.linalg.eigvalsh(products)
 
 
-def _grouped_products(tensor, rates, features) -> np.ndarray:
-    """K = P + rate A of each feature row, row k at ``rates[k]``, row-major.
+def _bond_matrices(tensor, rates, features) -> np.ndarray:
+    """K = P + rate A of feature rows (n, M) or stacks (n, m, M), row or stack k at ``rates[k]``: (n, [m,] 4, 4).
 
-    One (n, M) @ (M, 32) product onto the bond's ``tensor`` [P | A], then
-    P + rate A row by row, whatever the rows' rates. A row's value does not
-    depend on the other rows: the output width 32 is one at which
+    One (rows, M) @ (M, 32) product onto the bond's ``tensor`` [P | A],
+    then P + rate A elementwise, whatever the rows' rates. A row's value
+    does not depend on the other rows: numpy sends a one-row product
+    through gemv, which rounds unlike the gemm of every longer batch, so a
+    single row is padded to two; the output width 32 is one at which
     OpenBLAS's gemm rounds every row alike (with 27 monomials, widths 9, 10
-    and 12 give the first row other bits at most call sizes), and the sum
+    and 12 give the first row other bits at most call sizes); and the sum
     is elementwise.
     """
-    y = _product(features, tensor)
-    return y[:, :16] + rates[:, None] * y[:, 16:]
-
-
-def _grouped_norms(tensor, rates, alpha_a, alpha_b, kind) -> np.ndarray:
-    """Norm of row k at rate ``rates[k]`` under the bond whose ``tensor(kind)`` is ``tensor``."""
-    products = _grouped_products(tensor, rates, _features(alpha_a, alpha_b, kind))
-    return np.abs(_spectra(products)).sum(axis=1)
+    rows = features.reshape(-1, features.shape[-1])
+    y = (np.repeat(rows, 2, axis=0) @ tensor)[:1] if len(rows) == 1 else rows @ tensor
+    rates = rates if features.ndim == 2 else np.repeat(rates, features.shape[1])
+    return (y[:, :16] + rates[:, None] * y[:, 16:]).reshape(features.shape[:-1] + (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +757,7 @@ def _penalized_spectra(tensor, rates, pmap):
         if not inside:
             a, pen_a = _project_rows(a)
             b, pen_b = (a, pen_a) if b is a else _project_rows(b)
-        lam = _spectra(_grouped_products(tensor, rates[rows], _features(a, b, pmap.kind)))
+        lam = _spectra(_bond_matrices(tensor, rates[rows], _features(a, b, pmap.kind)))
         norms = np.abs(lam).sum(axis=1)
         return (norms if inside else norms + (pen_a + pen_b)), lam
     return fun
@@ -764,39 +766,24 @@ def _penalized_spectra(tensor, rates, pmap):
 def _derivative_features(alpha_a, alpha_b, dirs_a, dirs_b, kind) -> np.ndarray:
     """Feature rows of K, dK/dx_k and d2K/dx_k dx_l (k <= l) at n planar states.
 
-    The K rows are ``_triple(a, b, c)``, the products of ``_features`` in
-    the same order, so K here is bitwise the K of the norm. a, b and
-    c = [b; a] move along the constant directions ``dirs_a`` and ``dirs_b``
-    (d, 2) of the parameters, so the product rule gives every derivative of
-    the trilinear features exactly, and the representative column of a
-    monomial holds its derivatives too.
-    Shape (n, 1 + d + p, M) with p = d (d + 1) / 2 pairs in
-    ``np.triu_indices`` order and M the monomials of ``kind``.
+    The product rule on the factors of ``_features`` and on those of the
+    parameters' constant directions ``dirs_a`` and ``dirs_b`` (d, 2). Each
+    term multiplies in ``_triple``'s order, so the K rows are bitwise the
+    K of the norm. Shape (n, 1 + d + p, M), p = d (d + 1) / 2 pairs in
+    ``np.triu_indices`` order, M the monomials of ``kind``.
     """
-    n, d = len(alpha_a), len(dirs_a)
-    a = np.hstack([np.ones((n, 1)), alpha_a])[:, None]
-    b = np.hstack([np.ones((n, 1)), alpha_b])[:, None]
-    c = np.concatenate([b, a], axis=-1)
-    da = np.hstack([np.zeros((d, 1)), dirs_a])
-    db = np.hstack([np.zeros((d, 1)), dirs_b])
-    dc = np.hstack([db, da])
-    k, l = np.triu_indices(d)
-    grad = _triple(da, b, c) + _triple(a, db, c) + _triple(a, b, dc)
-    hess = (_triple(da[k], db[l], c) + _triple(da[l], db[k], c)
-            + _triple(da[k], b, dc[l]) + _triple(da[l], b, dc[k])
-            + _triple(a, db[k], dc[l]) + _triple(a, db[l], dc[k]))
-    return np.concatenate([_triple(a, b, c), grad, hess], axis=1)[..., _MONOMIALS[kind][0]]
-
-
-def _bond_derivatives(tensor, rates, features) -> np.ndarray:
-    """The real symmetric 4x4 matrices of feature stacks (n, m, M), stack k at ``rates[k]``, one product."""
-    n, m, width = features.shape
-    y = _grouped_products(tensor, np.repeat(rates, m), features.reshape(n * m, width))
-    return y.reshape(n, m, 4, 4)
+    a, b, c = _factors(1.0, alpha_a, alpha_b, kind)[:, :, None].swapaxes(0, 1)
+    da, db, dc = _factors(0.0, dirs_a, dirs_b, kind).swapaxes(0, 1)
+    k, l = np.triu_indices(len(da))
+    ab = a * b
+    grad = da * b * c + a * db * c + ab * dc
+    hess = (da[k] * db[l] * c + da[l] * db[k] * c + da[k] * b * dc[l] + da[l] * b * dc[k]
+            + a * db[k] * dc[l] + a * db[l] * dc[k])
+    return np.concatenate([ab * c, grad, hess], axis=1)
 
 
 def _newton_step(mats, dim) -> _NewtonStep:
-    """Kink-aware Newton step from K, dK and d2K (``_bond_derivatives`` rows)."""
+    """Kink-aware Newton step from K, dK and d2K (``_bond_matrices`` of ``_derivative_features``)."""
     kmat, dk, ddk = mats[:, 0], mats[:, 1:dim + 1], mats[:, dim + 1:]
     n = len(mats)
     rows = np.arange(n)
@@ -913,8 +900,7 @@ def _newton_polish(tensor, rates, pmap, x0, f0) -> _PolishResult:
     live = np.arange(count)
     while live.size:
         a, b = pmap(live, x[live])
-        features = _derivative_features(a, b, dirs_a, dirs_b, pmap.kind)
-        mats = _bond_derivatives(tensor, rates[live], features)
+        mats = _bond_matrices(tensor, rates[live], _derivative_features(a, b, dirs_a, dirs_b, pmap.kind))
         newton = _newton_step(mats, dim)
         nfev[live] += 1
         passes += 1
@@ -1112,7 +1098,7 @@ def _minimize_batch(model, rates, kind, restarts, seeds) -> list:
     a, b = pmap(None, polish.x)
     a, _ = _project_rows(a)
     b, _ = _project_rows(b)
-    norms = _grouped_norms(tensor, rates, a, b, kind)
+    norms = np.abs(_spectra(_bond_matrices(tensor, rates, _features(a, b, kind)))).sum(axis=1)
     a, b = np.insert(a, 1, 0.0, axis=1), np.insert(b, 1, 0.0, axis=1)  # ay = 0
     return [
         MinimizeResult(

@@ -99,6 +99,23 @@ def test_folded_jumps_are_the_rate_folded_matrices(z, renormalize):
             np.testing.assert_allclose(got.matrix, scale * ref.matrix, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("z", [2, 4, 6])
+def test_heisenberg_jumps_are_the_unit_matrices_at_their_scale_bitwise(z, renormalize):
+    # every matrix holds the bits of the public unit-rate sets at the
+    # lattice's scale, signed zeros included, and no two builds share one
+    unit = ferro_pump_jumps() + anisotropy_jumps(1.0)
+    scale = 1 / np.sqrt(z - 1)
+    first, second = (dissipative_heisenberg(0.3, LatticeSpec(z=z, renormalize=renormalize))
+                     for _ in range(2))
+    for got, again, ref in zip(first.jump_terms + first.rate_jump_terms,
+                               second.jump_terms + second.rate_jump_terms, unit, strict=True):
+        want = scale * ref.matrix if renormalize else ref.matrix
+        assert (got.arity, got.label) == (ref.arity, ref.label)
+        assert np.array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(got.matrix, again.matrix)
+
+
 def test_model_rate_must_be_finite_and_nonnegative():
     for rate in (-0.5, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and >= 0"):

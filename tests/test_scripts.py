@@ -68,3 +68,21 @@ def test_landau_scan_refuses_a_window_outside_the_ball(tmp_path, monkeypatch, ca
     assert stop.value.code == 1
     assert "phi_max" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()
+
+
+def test_bench_counting_child_counts_a_sweep(tmp_path):
+    # scripts/bench.py counts the engine's seams in a child process; a
+    # renamed seam must fail here, not first when the bench runs
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench.py"))
+    argv = ["sweep", "--ansatz", "uniform", "--lambda-min", "0.46", "--lambda-max", "0.5",
+            "--step", "0.02", "--no-refine", "--seed", "0"]
+    counted, plain = tmp_path / "counted.csv", tmp_path / "plain.csv"
+    counts = bench["count_run"](ROOT, argv + ["--out", str(counted)])  # SystemExit unless it exits 0
+    proc = subprocess.run([sys.executable, "-m", "dissipative_spins.cli", *argv, "--out", str(plain)],
+                          env=bench["child_env"](ROOT), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(plain.read_text().splitlines()) == 4  # the header and 3 points
+    assert counted.read_bytes() == plain.read_bytes()
+    assert sorted(counts) == ["compiles", "derivative_calls", "derivative_rows",
+                              "spectra_calls", "spectra_rows", "spectra_s"]
+    assert all(value > 0 for value in counts.values()), counts

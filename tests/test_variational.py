@@ -113,9 +113,13 @@ def compiled_k(bond, a, b):
 
 def engine_k(tensor, kind, a, b, rate):
     """The engine's real K at planar rows (x, z) and ``rate``, in its layout's basis."""
-    features = variational._features(a, b, kind)
-    products = variational._grouped_products(tensor, np.full(len(a), float(rate)), features)
-    return products.reshape(-1, 4, 4)
+    return variational._bond_matrices(tensor, np.full(len(a), float(rate)), variational._features(a, b, kind))
+
+
+def engine_norms(tensor, kind, a, b, rates):
+    """The engine's norm of planar row k at ``rates[k]``, as ``_minimize_batch`` reports it."""
+    k = variational._bond_matrices(tensor, rates, variational._features(a, b, kind))
+    return np.abs(variational._spectra(k)).sum(axis=1)
 
 
 def _bloch(planar):
@@ -200,7 +204,7 @@ def test_engine_tensors_match_explicit(seed, lam):
         if kind == "uniform":
             q = variational._SINGLET_TRIPLET
             k = q @ k @ q.T
-        norms = variational._grouped_norms(tensor, np.full(4, lam), a, bs, kind)
+        norms = engine_norms(tensor, kind, a, bs, np.full(4, lam))
         for row in range(4):
             ref = reduced_derivative(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
             np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
@@ -225,7 +229,7 @@ def test_rate_split_matches_the_folded_model(seed, z, renormalize, lam):
         if kind == "uniform":
             q = variational._SINGLET_TRIPLET
             k = q @ k @ q.T
-        norms = variational._grouped_norms(tensor, np.full(3, lam), a, bs, kind)
+        norms = engine_norms(tensor, kind, a, bs, np.full(3, lam))
         for row in range(3):
             alpha_a, alpha_b = _bloch(a[row]), _bloch(bs[row])
             ref = reduced_derivative(folded, ProductAnsatz.bipartite(alpha_a, alpha_b))
@@ -253,9 +257,9 @@ def test_a_model_without_a_rate_set_has_k_equal_to_p():
         tensor = CompiledBond(model).tensor(kind)
         assert not tensor[:, 16:].any()
         features = variational._features(a, bs, kind)
-        p = variational._product(features, tensor)[:, :16]
+        p = (features @ tensor)[:, :16].reshape(-1, 4, 4)
         for rates in (np.full(40, 0.7), rng.uniform(0.0, 2.5, 40)):
-            assert np.array_equal(variational._grouped_products(tensor, rates, features), p)
+            assert np.array_equal(variational._bond_matrices(tensor, rates, features), p)
 
 
 def _with_field(model, axis):
@@ -508,20 +512,20 @@ def test_minimize_bipartite_gauge_off_agrees():
 ])
 def test_minimize_counts_evaluations(monkeypatch, kind, lam):
     # every batched norm ends in one stacked eigvalsh and every Newton
-    # derivative pass in one stacked product: count the rows of both
+    # derivative pass starts from one derivative gather: count the rows of both
     rows = []
-    spectra, derivatives = variational._spectra, variational._bond_derivatives
+    spectra, derivatives = variational._spectra, variational._derivative_features
 
     def counted_spectra(products):
         rows.append(len(products))
         return spectra(products)
 
-    def counted_derivatives(tensor, rates, features):
-        rows.append(len(features))
-        return derivatives(tensor, rates, features)
+    def counted_derivatives(alpha_a, alpha_b, dirs_a, dirs_b, kind):
+        rows.append(len(alpha_a))
+        return derivatives(alpha_a, alpha_b, dirs_a, dirs_b, kind)
 
     monkeypatch.setattr(variational, "_spectra", counted_spectra)
-    monkeypatch.setattr(variational, "_bond_derivatives", counted_derivatives)
+    monkeypatch.setattr(variational, "_derivative_features", counted_derivatives)
     res = minimize_norm(heis(lam), kind=kind, restarts=3, seed=0)
     # all restarts count, also those past a dark early stop (lambda = 0),
     # and so do the polish's Gauss-Newton trials at the dark points
@@ -576,6 +580,18 @@ def test_nelder_mead_matches_scipy_where_the_objective_is_nan():
             assert (got.nfev[s], got.nit[s], got.success[s]) == (ref.nfev, ref.nit, ref.success)
 
 
+def _problem_map(which, phis):
+    """The ``_AffineMap`` of a sweep's ansatz or of a Landau direction at ``phis``, and its dimension."""
+    if which in ("uniform", "bipartite"):
+        return variational._sweep_map(which), 2 if which == "uniform" else 4
+    return variational._landau_map(which, phis)
+
+
+_MAPS = ["uniform", "bipartite", "in-plane", "staggered-z"]
+# each map with whether a sweep takes it (else a Landau profile) and its dimension
+_MAPS_SWEEP_DIM = [("uniform", True, 2), ("bipartite", True, 4), ("in-plane", False, 1), ("staggered-z", False, 3)]
+
+
 def test_batched_norms_do_not_depend_on_the_batch():
     bond = CompiledBond(heis(1.52))
     rng = np.random.default_rng(4)
@@ -586,8 +602,7 @@ def test_batched_norms_do_not_depend_on_the_batch():
 
         def norms(lo, hi):
             # one rate: the batched evaluation the Nelder-Mead engine calls
-            return variational._grouped_norms(tensor, np.full(hi - lo, 1.52),
-                                              a[lo:hi], b[lo:hi], kind)
+            return engine_norms(tensor, kind, a[lo:hi], b[lo:hi], np.full(hi - lo, 1.52))
 
         single = np.array([norms(k, k + 1)[0] for k in range(64)])
         for n in (2, 7, 64):
@@ -603,46 +618,39 @@ def test_spectra_rows_do_not_depend_on_the_call(kind):
     # from the others at w = 9, 10 and 12 for most n; at the width 32 of
     # [P | A] in both layouts a row's K = P + rate A and its eigenvalues are
     # the same bits at every call size 1-300, every position in the call and
-    # whatever rates the other rows of the call carry
+    # whatever rates the other rows of the call carry; and so are a
+    # derivative stack's matrices, whatever stacks share its call
     tensor = CompiledBond(heis(1.52)).tensor(kind)
     assert tensor.shape[1] == 32
     rng = np.random.default_rng(8)
     a = rng.uniform(-0.7, 0.7, (300, 2))
     b = a if kind == "uniform" else rng.uniform(-0.7, 0.7, (300, 2))
     features = variational._features(a, b, kind)
+    pmap, dim = _problem_map(kind, None)
+    stacks = variational._derivative_features(a, b, *pmap.directions(dim), kind)
     rates = rng.uniform(0.0, 2.5, 300)
     rates[::7] = 0.0
 
-    def products(rows):
-        return variational._grouped_products(tensor, rates[rows], features[rows])
+    def products(rows, rows_features=features):
+        return variational._bond_matrices(tensor, rates[rows], rows_features[rows])
 
     single = np.array([products([k])[0] for k in range(300)])
     single_spectra = np.array([variational._spectra(products([k]))[0] for k in range(300)])
+    single_stacks = np.array([products([k], stacks)[0] for k in range(300)])
     for n in range(1, 301):
         rows = (np.arange(n) + 7 * n) % 300  # row k lands at another position for each n
         k = products(rows)
         assert np.array_equal(k, single[rows]), n
         assert np.array_equal(variational._spectra(k), single_spectra[rows]), n
+        assert np.array_equal(products(rows, stacks), single_stacks[rows]), n
     assert (np.diff(single_spectra, axis=1) >= 0).all()  # ascending
-
-
-def _problem_map(which, phis):
-    """The ``_AffineMap`` of a sweep's ansatz or of a Landau direction at ``phis``, and its dimension."""
-    if which in ("uniform", "bipartite"):
-        return variational._sweep_map(which), 2 if which == "uniform" else 4
-    return variational._landau_map(which, phis)
-
-
-_MAPS = ["uniform", "bipartite", "in-plane", "staggered-z"]
-# each map with whether a sweep takes it (else a Landau profile) and its dimension
-_MAPS_SWEEP_DIM = [("uniform", True, 2), ("bipartite", True, 4), ("in-plane", False, 1), ("staggered-z", False, 3)]
 
 
 @pytest.mark.parametrize("which", _MAPS)
 def test_stage_one_objective_is_the_projected_norm_bitwise(which):
     # the objective skips the projection when every row of a call lies in
     # the ball and forms one product when all rows share a bond; a row's
-    # value is still _grouped_norms of its projected vectors plus
+    # value is still the engine's norm of its projected vectors plus
     # 100 (r - 1)^2 per vector outside, bit for bit, however it is batched
     rng = np.random.default_rng(11)
     pmap, dim = _problem_map(which, rng.uniform(0.0, 0.4, 12))
@@ -653,7 +661,7 @@ def test_stage_one_objective_is_the_projected_norm_bitwise(which):
     x[::5] *= 4.0  # some vectors outside the ball
     a, b = pmap(rows, x)
     (pa, pen_a), (pb, pen_b) = variational._project_rows(a), variational._project_rows(b)
-    expected = variational._grouped_norms(tensor, rates[rows], pa, pb, pmap.kind) + (pen_a + pen_b)
+    expected = engine_norms(tensor, pmap.kind, pa, pb, rates[rows]) + (pen_a + pen_b)
     radius = np.sqrt(np.maximum((a * a).sum(axis=1), (b * b).sum(axis=1)))
     inside = np.flatnonzero(radius <= 1.0)
     assert 0 < len(inside) < len(rows)
@@ -684,7 +692,7 @@ def test_closed_form_derivatives_match_central_differences(which, sweep, dim):
     def k_at(y):
         return engine_k(tensor, pmap.kind, *pmap(rows, y[None]), 1.37)[0]
 
-    mats = variational._bond_derivatives(
+    mats = variational._bond_matrices(
         tensor, np.full(1, 1.37),
         variational._derivative_features(*pmap(rows, x[None]), *pmap.directions(dim), pmap.kind))[0]
     assert np.abs(k_at(x)).max() <= 1
@@ -699,6 +707,40 @@ def test_closed_form_derivatives_match_central_differences(which, sweep, dim):
         np.testing.assert_allclose(mats[1 + dim + p], fd, rtol=0, atol=1e-10)
 
 
+def _triple_derivative_features(alpha_a, alpha_b, dirs_a, dirs_b, kind):
+    """The derivative rows as ten ``_triple`` products over all 54 planar columns, then the monomials of ``kind``."""
+    n, d = len(alpha_a), len(dirs_a)
+    a = np.hstack([np.ones((n, 1)), alpha_a])[:, None]
+    b = np.hstack([np.ones((n, 1)), alpha_b])[:, None]
+    c = np.concatenate([b, a], axis=-1)
+    da = np.hstack([np.zeros((d, 1)), dirs_a])
+    db = np.hstack([np.zeros((d, 1)), dirs_b])
+    dc = np.hstack([db, da])
+    k, l = np.triu_indices(d)
+    triple = variational._triple
+    grad = triple(da, b, c) + triple(a, db, c) + triple(a, b, dc)
+    hess = (triple(da[k], db[l], c) + triple(da[l], db[k], c)
+            + triple(da[k], b, dc[l]) + triple(da[l], b, dc[k])
+            + triple(a, db[k], dc[l]) + triple(a, db[l], dc[k]))
+    return np.concatenate([triple(a, b, c), grad, hess], axis=1)[..., variational._MONOMIALS[kind][0]]
+
+
+@pytest.mark.parametrize("which", _MAPS)
+def test_derivative_rows_are_the_triple_construction_bitwise(which):
+    # the one gather of the factors forms only the monomial columns, yet
+    # every product and sum runs in the order of the ten products over all
+    # 54 columns, so each row holds the same bits, signed zeros included
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 50):
+        pmap, dim = _problem_map(which, rng.uniform(0.0, 0.4, n))
+        a, b = pmap(np.arange(n), rng.uniform(-0.6, 0.6, (n, dim)))
+        args = (a, b, *pmap.directions(dim), pmap.kind)
+        got, ref = variational._derivative_features(*args), _triple_derivative_features(*args)
+        width = len(variational._MONOMIALS[pmap.kind][0])
+        assert got.shape == ref.shape == (n, 1 + dim + dim * (dim + 1) // 2, width)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), n
+
+
 @pytest.mark.parametrize("which, sweep, dim", _MAPS_SWEEP_DIM)
 def test_derivative_pass_k_is_the_norms_k_bitwise(which, sweep, dim):
     # the polish's stop adds the norm's lambda_0 at x (kink_at) to the
@@ -709,10 +751,10 @@ def test_derivative_pass_k_is_the_norms_k_bitwise(which, sweep, dim):
     a, b = pmap(np.arange(50), rng.uniform(-0.5, 0.5, (50, dim)))
     rates = np.repeat([0.46, 1.0, 1.52], [20, 15, 15])
     tensor = CompiledBond(heis(1.0)).tensor(pmap.kind)
-    norm_k = variational._grouped_products(tensor, rates, variational._features(a, b, pmap.kind))
-    pass_k = variational._bond_derivatives(tensor, rates, variational._derivative_features(
+    norm_k = variational._bond_matrices(tensor, rates, variational._features(a, b, pmap.kind))
+    pass_k = variational._bond_matrices(tensor, rates, variational._derivative_features(
         a, b, *pmap.directions(dim), pmap.kind))[:, 0]
-    assert np.array_equal(norm_k.reshape(-1, 4, 4), pass_k)
+    assert np.array_equal(norm_k, pass_k)
 
 
 @pytest.mark.parametrize("kind, lams", [
@@ -1179,3 +1221,15 @@ def test_ansatz_validation():
         ProductAnsatz.uniform(np.array([1.2, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ProductAnsatz("diagonal", np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("alpha", [[np.nan, 0.0, 0.0], [0.1, np.nan, 0.2], [0.0, 0.0, np.inf]])
+def test_a_nan_bloch_vector_is_refused_as_outside_the_ball(alpha):
+    # a NaN length fails every comparison: the checks must read "inside",
+    # not "outside", or the vector passes and LAPACK fails later
+    with pytest.raises(ValueError, match="leaves the unit ball"):
+        ProductAnsatz.uniform(alpha)
+    with pytest.raises(ValueError, match="leaves the unit ball"):
+        ProductAnsatz.bipartite(np.zeros(3), alpha)
+    with pytest.raises(ValueError, match="violates positivity"):
+        bloch_to_density(alpha)
