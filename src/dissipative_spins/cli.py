@@ -8,20 +8,26 @@ small-ring diagnostics: the generator is diagonalized sector by sector, one
 coherence order and ring momentum at a time). The oracle prints what
 ``liouville`` computes; nothing here handles the generator's layout.
 
-Exit codes: 0 success, 1 malformed input files or option values (such as a
---t-max that is not finite and positive, or --restarts or --jobs below 1), 2
-fit or elimination failure, 3 resource cap exceeded (oracle rings above
-MAX_ORACLE_SITES = 6 sites, sweep grids above MAX_SWEEP_POINTS = 10,000
-points, more than MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES =
-1,000 Landau samples, problem files of more than MAX_PROBLEM_SITES = 6 sites
-or MAX_PROBLEM_JUMPS = 16 [jump] sections, validations whose work t_max
-(2 ||H||_2 + 2 sum_k ||c_k||_2^2) (jumps + 1) is above MAX_VALIDATION_WORK =
+Every input is a flag. The model flags default to z = 6, renormalize on,
+lambda = 1 and (sweep only) the uniform ansatz; every model-taking command
+builds its lattice from them in ``_lattice``.
+
+Exit codes: 0 success, 1 usage errors (an unknown flag, or a value argparse
+cannot read), unreadable or malformed input files and bad option values
+(such as a sweep span that is NaN, a --t-max that is not finite
+and positive, or --restarts or --jobs below 1), 2 fit or elimination
+failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 6
+sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
+MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
+samples, problem files of more than MAX_PROBLEM_SITES = 6 sites or
+MAX_PROBLEM_JUMPS = 16 [jump] sections, validations whose work t_max (2
+||H||_2 + 2 sum_k ||c_k||_2^2) (jumps + 1) is above MAX_VALIDATION_WORK =
 10,000, the one cap on --t-max). --validate checks the H_eff and c_eff the
-run prints, so the elimination runs once. Sweeps are bit-stable
-for a fixed --seed regardless of --jobs: each grid point derives its own
-seed from the global one and its coupling. The argument parser is built on
-the first ``main`` call and kept; each call dispatches to the module's
-``cmd_<name>`` as it is then.
+run prints, so the elimination runs once. Sweeps are bit-stable for a fixed
+--seed regardless of --jobs: each grid point derives its own seed from the
+global one and its coupling. The argument parser is built on the first
+``main`` call and kept; each call dispatches to the module's ``cmd_<name>``
+as it is then.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .effective import (
     validate_elimination,
 )
 from .liouville import conjugate_pair_defect, ring_liouvillian, steady_states
-from .models import LatticeSpec, dissipative_heisenberg, parse_config
+from .models import LatticeSpec, dissipative_heisenberg
 from .opformat import (
     OperatorFormatError,
     format_operator,
@@ -141,13 +147,6 @@ def _validation_work(problem, t_max: float) -> float:
     return t_max * bound * (len(problem.jumps) + 1)
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
 def _write_out(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -158,32 +157,22 @@ def _write_out(args, text: str):
         print(text)
 
 
-def _model_settings(args, cfg):
-    z = args.z if args.z is not None else cfg.get("z", 6)
-    if args.renormalize is None:
-        renorm = cfg.get("renormalize", True)
-    else:
-        renorm = args.renormalize == "on"
-    bipartite = bool(cfg.get("bipartite", True))
-    return z, renorm, bipartite
+def _lattice(args) -> LatticeSpec:
+    """The lattice of a sweep, landau or oracle run: its --z and --renormalize."""
+    return LatticeSpec(z=args.z, renormalize=args.renormalize == "on")
 
 
 def cmd_sweep(args) -> int:
     if args.restarts > MAX_RESTARTS:
         return _over_cap(f"sweep: {args.restarts} restarts exceed the restart cap "
                          f"({MAX_RESTARTS} per point)")
-    cfg = _load_config(args.config)
-    z, renorm, bipartite = _model_settings(args, cfg)
-    kind = args.ansatz if args.ansatz is not None else cfg.get("ansatz", "uniform")
     points = grid_size(args.lambda_min, args.lambda_max, args.step)
     if points > MAX_SWEEP_POINTS:
         return _over_cap(f"sweep: {points} grid points exceed the sweep cap "
                          f"({MAX_SWEEP_POINTS} points)")
     records = sweep(
-        args.lambda_min, args.lambda_max, args.step,
-        LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm), kind,
-        restarts=args.restarts, seed=args.seed, jobs=args.jobs,
-        refine=args.refine, threshold=args.threshold,
+        args.lambda_min, args.lambda_max, args.step, _lattice(args), args.ansatz,
+        restarts=args.restarts, seed=args.seed, jobs=args.jobs, refine=args.refine,
     )
     _write_out(args, format_sweep_csv(records))
     return 0
@@ -196,13 +185,7 @@ def cmd_fit(args) -> int:
         with open(args.infile) as fh:
             text = fh.read()
     records = read_sweep_csv(text)
-    which = "m" if args.which == "m" else "m_s"
-    fit = fit_critical(
-        records,
-        which=which,
-        window=(args.window[0], args.window[1]),
-        threshold=args.threshold,
-    )
+    fit = fit_critical(records, which="m" if args.which == "m" else "m_s", window=args.window)
     out = {
         "which": args.which,
         "lambda_c": fit.lambda_c,
@@ -219,14 +202,10 @@ def cmd_landau(args) -> int:
     if args.samples > MAX_LANDAU_SAMPLES:
         return _over_cap(f"landau: {args.samples} samples exceed the sample cap "
                          f"({MAX_LANDAU_SAMPLES})")
-    cfg = _load_config(args.config)
-    z, renorm, bipartite = _model_settings(args, cfg)
-    lam = args.lam if args.lam is not None else cfg.get("lambda", 1.0)
-    lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm)
-    model = dissipative_heisenberg(lam, lattice)
+    model = dissipative_heisenberg(args.lam, _lattice(args))
     fit = landau_expansion(model, args.direction, args.phi_max, args.samples)
     out = {
-        "lambda": lam,
+        "lambda": args.lam,
         "direction": args.direction,
         "phi_max": args.phi_max,
         "u0": fit.u0,
@@ -280,16 +259,12 @@ def cmd_oracle(args) -> int:
     if args.n > MAX_ORACLE_SITES:
         return _over_cap(f"oracle: n = {args.n} exceeds the exact-diagonalization cap "
                          f"({MAX_ORACLE_SITES} sites)")
-    cfg = _load_config(args.config)
-    z, renorm, bipartite = _model_settings(args, cfg)
-    lam = args.lam if args.lam is not None else cfg.get("lambda", 1.0)
-    lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renorm)
-    model = dissipative_heisenberg(lam, lattice)
+    model = dissipative_heisenberg(args.lam, _lattice(args))
     liou = ring_liouvillian(model, args.n)
     space = steady_states(liou)
     out = {
         "n": args.n,
-        "lambda": lam,
+        "lambda": args.lam,
         "dark_dimension": space.dimension,
         "max_real_part": float(space.eigenvalues.real.max()),
         "trace_defect": space.trace_defect,
@@ -309,31 +284,36 @@ def _window(text: str):
     return (lo, hi)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every malformed input does; subparsers are built as this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built on first use, not at import, and kept
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dspin",
         description="steady-state phase diagrams of purely dissipative spin models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--config", help="key = value model config file")
-        p.add_argument("--z", type=int, help="lattice coordination number")
-        p.add_argument("--renormalize", choices=["on", "off"])
+        p.add_argument("--z", type=int, default=6, help="lattice coordination number")
+        p.add_argument("--renormalize", choices=["on", "off"], default="on")
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("sweep", help="scan the anisotropy and minimize the norm")
     add_model_flags(p)
-    p.add_argument("--ansatz", choices=["uniform", "bipartite"])
+    p.add_argument("--ansatz", choices=["uniform", "bipartite"], default="uniform")
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--restarts", type=int, default=8, help=f"capped at {MAX_RESTARTS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=1e-4,
-                   help="order-parameter onset used to place grid refinement")
     p.add_argument("--no-refine", dest="refine", action="store_false",
                    help="skip the automatic fine grid around the transition")
 
@@ -342,12 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["m", "ms"], default="m")
     p.add_argument("--window", type=_window, default=(0.01, 0.1),
                    help="|lambda - lambda_c| range for the exponent fit, 'lo,hi'")
-    p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--out")
 
     p = sub.add_parser("landau", help="quartic norm expansion at one coupling")
     add_model_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--direction", choices=["in-plane", "staggered-z"],
                    default="in-plane")
     p.add_argument("--phi-max", type=float, default=0.03,
@@ -366,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact diagnostics on a small ring")
     add_model_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--n", type=int, default=2, help=f"ring size (capped at {MAX_ORACLE_SITES})")
 
     return parser
@@ -376,14 +355,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (OperatorFormatError, FileNotFoundError) as exc:
+    except (OperatorFormatError, OSError) as exc:
         print(f"dspin {args.command}: {exc}", file=sys.stderr)
         return 1
     except (FitError, GaplessEliminationError) as exc:
         print(f"dspin {args.command}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # bad config values, malformed model parameters
+        # malformed model parameters and option values
         print(f"dspin {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -146,45 +146,3 @@ def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel
 
 # (label, matrix) of the three pumps, then the four anisotropy jumps, at unit rate
 _UNIT_JUMPS = [(t.label, t.matrix) for t in ferro_pump_jumps() + anisotropy_jumps(1.0)]
-
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def parse_config(text: str) -> dict:
-    """Parse the plain-text ``key = value`` model config format.
-
-    Recognized keys: lambda, z, bipartite, renormalize, ansatz. Lines
-    starting with '#' and blank lines are skipped. Unknown keys are an
-    error so typos fail loudly.
-    """
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if key == "lambda":
-            out["lambda"] = float(val)
-        elif key == "z":
-            out["z"] = int(val)
-        elif key in ("bipartite", "renormalize"):
-            low = val.lower()
-            if low in _TRUE:
-                out[key] = True
-            elif low in _FALSE:
-                out[key] = False
-            else:
-                raise ValueError(f"config line {lineno}: bad boolean {val!r}")
-        elif key == "ansatz":
-            if val not in ("uniform", "bipartite"):
-                raise ValueError(f"config line {lineno}: bad ansatz {val!r}")
-            out["ansatz"] = val
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return out

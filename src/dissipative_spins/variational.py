@@ -1128,6 +1128,7 @@ def order_parameters(ansatz: ProductAnsatz):
 # ---------------------------------------------------------------------------
 
 _GRID_SLACK = 1e-9  # lambda_max counts as reached within this slack
+ONSET = 1e-4  # an order parameter above this is ordered: the sweep's refinement and the fit's bracket
 
 
 def grid_size(lambda_min: float, lambda_max: float, step: float) -> int:
@@ -1135,13 +1136,17 @@ def grid_size(lambda_min: float, lambda_max: float, step: float) -> int:
 
     The grid holds every lambda_min + k * step <= lambda_max + 1e-9. The
     division can round across that bound at the last point, so the count
-    it gives is checked against the inequality itself.
+    it gives is checked against the inequality itself. ValueError for a
+    step that is not positive, or a NaN span (lambda_max - lambda_min) /
+    step: a NaN bound, both bounds the same infinity, or inf / inf.
     """
     if not step > 0:
         raise ValueError("step must be positive")
     top = lambda_max + _GRID_SLACK
     span = (top - lambda_min) / step
-    if not span >= 0:  # empty range or NaN bounds
+    if math.isnan(span):
+        raise ValueError(f"(lambda_max - lambda_min) / step = ({lambda_max} - {lambda_min}) / {step} is NaN")
+    if span < 0:  # empty range
         return 0
     n = math.floor(min(span, 2.0**62)) + 1  # an infinite span is over any cap
     if lambda_min + (n - 1) * step > top:
@@ -1155,16 +1160,6 @@ def sweep_grid(lambda_min: float, lambda_max: float, step: float) -> list:
     """lambda_min + k * step up to lambda_max, rounded to 9 digits."""
     n = grid_size(lambda_min, lambda_max, step)
     return [round(lambda_min + k * step, 9) for k in range(n)]
-
-
-def _check_threshold(threshold: float):
-    """ValueError unless the onset threshold is finite and positive.
-
-    Every comparison with a NaN is False, so a NaN threshold would find no
-    onset at all; one <= 0 would put the onset at rounding noise, or nowhere.
-    """
-    if not 0 < threshold < math.inf:
-        raise ValueError(f"threshold = {threshold} must be finite and positive")
 
 
 def _point_seed(seed: int, lam: float) -> int:
@@ -1210,7 +1205,6 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
     refine: bool = True,
-    threshold: float = 1e-4,
 ) -> list:
     """Minimize the Heisenberg bond norm on a lambda grid, sorted by lambda.
 
@@ -1221,14 +1215,14 @@ def sweep(
     simplices; each batch is one batched descent. A point's result depends
     only on its own simplices, so the records do not depend on ``jobs`` or
     on the batches. With ``refine``, every onset of m or m_s above
-    ``threshold`` gets a grid ten times finer within 5 steps of the
-    bracket's midpoint, clipped to the scan range. ValueError, before any
-    grid is built, for an unknown ``kind``, a bipartite one on a
-    non-bipartite ``lattice``, a ``threshold`` that is not finite and
-    positive, or ``restarts`` or ``jobs`` below 1.
+    ``ONSET`` gets a grid ten times finer within 5 steps of the bracket's
+    midpoint, clipped to the scan range, so ``fit_critical`` brackets the
+    same crossing on the fine grid. ValueError, before any grid is built,
+    for an unknown ``kind``, a bipartite one on a non-bipartite
+    ``lattice``, ``restarts`` or ``jobs`` below 1, or bounds ``grid_size``
+    refuses.
     """
     _check_ansatz(kind, lattice.bipartite)
-    _check_threshold(threshold)
     if restarts < 1 or jobs < 1:
         raise ValueError(f"restarts = {restarts} and jobs = {jobs} must be at least 1")
 
@@ -1256,7 +1250,7 @@ def sweep(
         srec = sorted(records.values(), key=lambda r: r.lam)
         extra = set()
         for key in ("m", "m_s"):
-            above = np.array([getattr(r, key) for r in srec]) > threshold
+            above = np.array([getattr(r, key) for r in srec]) > ONSET
             for i in np.nonzero(above[:-1] != above[1:])[0]:
                 center = 0.5 * (srec[i].lam + srec[i + 1].lam)
                 for off in offsets:
@@ -1356,25 +1350,22 @@ def fit_critical(
     records,
     which: str = "m",
     window=(0.01, 0.1),
-    threshold: float = 1e-4,
 ) -> CriticalFit:
     """Locate a transition and fit the critical exponent from sweep records.
 
-    lambda_c: the order parameter crosses ``threshold`` somewhere between
+    ``which`` is "m" or "m_s". lambda_c: the order parameter crosses
+    ``ONSET``, the onset ``sweep`` refines around, somewhere between
     two grid points; the squared order parameter (linear in lambda for a
     square-root onset) is extrapolated to zero through the two ordered-side
     records nearest the crossing, and the root is clamped into that
     bracket. beta: log-log regression of the order parameter over the
     ordered-side window |lambda - lambda_c| in [window[0], window[1]],
-    converged records only. ValueError unless ``threshold`` is finite and
-    positive.
+    converged records only.
     """
-    if which not in ("m", "m_s", "ms"):
+    if which not in ("m", "m_s"):
         raise ValueError("which must be 'm' or 'm_s'")
-    _check_threshold(threshold)
-    key = "m" if which == "m" else "m_s"
     pts = sorted(
-        ((r.lam, getattr(r, key)) for r in records if r.converged),
+        ((r.lam, getattr(r, which)) for r in records if r.converged),
         key=lambda t: t[0],
     )
     if len(pts) < 8:
@@ -1382,14 +1373,14 @@ def fit_critical(
     lams = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
 
-    above = vals > threshold
+    above = vals > ONSET
     crossings = np.nonzero(above[:-1] != above[1:])[0]
     if crossings.size == 0:
         raise FitError("no transition bracketed in scan range")
     i = int(crossings[0])
-    ordered_left = vals[i] > threshold  # ordered side sits below lambda_c
+    ordered_left = vals[i] > ONSET  # ordered side sits below lambda_c
     near, far = (i, i - 1) if ordered_left else (i + 1, i + 2)
-    if far < 0 or far >= len(vals) or vals[far] <= threshold:
+    if far < 0 or far >= len(vals) or vals[far] <= ONSET:
         raise FitError("need two ordered-side records next to the onset")
     q_near, q_far = vals[near] ** 2, vals[far] ** 2
     with np.errstate(divide="ignore"):
@@ -1400,7 +1391,7 @@ def fit_critical(
         dist = lambda_c - lams
     else:
         dist = lams - lambda_c
-    sel = (dist >= window[0]) & (dist <= window[1]) & (vals > threshold)
+    sel = (dist >= window[0]) & (dist <= window[1]) & (vals > ONSET)
     if sel.sum() < 2:
         raise FitError("too few ordered-side points inside the fit window")
     x = np.log(dist[sel])

@@ -145,42 +145,58 @@ def test_sweep_clamps_workers(tmp_path, monkeypatch):
     assert len(read_sweep_csv(out.read_text())) == 3
 
 
-def test_sweep_config_file(tmp_path):
-    cfg = tmp_path / "model.cfg"
-    cfg.write_text("z = 4\nansatz = uniform\nrenormalize = true\n")
+def test_sweep_z_flag_sets_the_lattice(tmp_path):
     out = tmp_path / "s.csv"
     code = run([
-        "sweep", "--config", str(cfg), "--lambda-min", "1.0",
-        "--lambda-max", "1.0", "--no-refine", "--out", str(out),
+        "sweep", "--z", "4", "--ansatz", "uniform", "--renormalize", "on",
+        "--lambda-min", "1.0", "--lambda-max", "1.0", "--no-refine", "--out", str(out),
     ])
     assert code == 0
     rec = read_sweep_csv(out.read_text())[0]
-    # disordered norm (lambda + 1/2)/(z-1) pins that z came from the config
+    # disordered norm (lambda + 1/2)/(z-1) pins that z came from the flag
     assert rec.norm == pytest.approx(1.5 / 3, abs=1e-8)
 
 
-def test_sweep_bad_config(tmp_path):
-    cfg = tmp_path / "model.cfg"
-    cfg.write_text("coupling = 2\n")
-    assert run(["sweep", "--config", str(cfg), "--lambda-min", "0",
-                "--lambda-max", "0"]) == 1
+@pytest.mark.parametrize("extra", [
+    ["--no-such-flag"],
+    ["--config", "x"],
+    ["--threshold", "1e-4"],
+    ["--step", "abc"],
+], ids=["unknown-flag", "config", "threshold", "bad-value"])
+def test_usage_errors_exit_1(capsys, monkeypatch, extra):
+    # every input is a flag: a removed or unknown one, or a value argparse
+    # cannot read, is a malformed input and exits 1, never 2 (a fit failure)
+    monkeypatch.setattr(cli, "sweep", refuse)
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--lambda-min", "0.4", "--lambda-max", "0.42", *extra])
+    assert exc.value.code == 1
+    assert "usage: dspin" in capsys.readouterr().err
 
 
-def test_explicit_non_bipartite_lattice_is_kept(tmp_path, capsys):
-    # a bipartite ansatz or staggered direction does not turn a lattice the
-    # config declares non-bipartite into a bipartite one
-    cfg = tmp_path / "model.cfg"
-    cfg.write_text("bipartite = false\n")
-    assert run(["sweep", "--config", str(cfg), "--ansatz", "bipartite",
-                "--lambda-min", "1.5", "--lambda-max", "1.5", "--no-refine"]) == 1
-    assert "non-bipartite lattice" in capsys.readouterr().err
-    # refused before the grid is built, so an empty grid is refused too
-    assert run(["sweep", "--config", str(cfg), "--ansatz", "bipartite",
-                "--lambda-min", "0.6", "--lambda-max", "0.5"]) == 1
-    assert "non-bipartite lattice" in capsys.readouterr().err
-    assert run(["landau", "--config", str(cfg), "--lambda", "1.5",
-                "--direction", "staggered-z"]) == 1
-    assert "needs a bipartite lattice" in capsys.readouterr().err
+@pytest.mark.parametrize("bounds", [["nan", "1"], ["0.4", "nan"], ["nan", "nan"], ["inf", "inf"]])
+def test_sweep_refuses_a_nan_span(capsys, monkeypatch, bounds):
+    # a NaN lambda_max - lambda_min counted 0 points and printed a header-only CSV with exit 0
+    monkeypatch.setattr(cli, "sweep", refuse)
+    assert run(["sweep", "--lambda-min", bounds[0], "--lambda-max", bounds[1]]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "NaN" in out.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["fit"], "--in"),
+    (["oracle", "--n", "2"], "--out"),
+    (["effective"], "--problem"),
+])
+def test_a_directory_path_is_an_input_error(tmp_path, command, flag):
+    # reading or writing a directory is an OSError like a missing file: exit 1, one line
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissipative_spins.cli", *command, flag, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"dspin {command[0]}: ")
 
 
 def test_fit_roundtrip(tmp_path):
@@ -246,19 +262,6 @@ def test_sweep_csv_reads_back_unchanged():
     assert cli.format_sweep_csv(again) == text
 
 
-def test_threshold_must_be_finite_and_positive(tmp_path, capsys):
-    header_only = tmp_path / "empty.csv"
-    header_only.write_text(CSV_HEADER + "\n")
-    for threshold in ("nan", "0", "-1e-4", "inf"):
-        assert run(["sweep", "--lambda-min", "0.4", "--lambda-max", "0.6",
-                    f"--threshold={threshold}"]) == 1
-        assert "threshold" in capsys.readouterr().err
-        assert run(["fit", "--in", str(header_only), f"--threshold={threshold}"]) == 1
-        assert "threshold" in capsys.readouterr().err
-    # a valid threshold reaches the fit, which has no records to fit
-    assert run(["fit", "--in", str(header_only)]) == 2
-
-
 def test_landau_json(capsys):
     assert run(["landau", "--lambda", "0.3", "--direction", "in-plane"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -274,7 +277,7 @@ def test_only_sweep_takes_an_ansatz(capsys, argv):
     # landau and oracle fix their own families; an --ansatz there is a usage error
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--ansatz", "bipartite"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "--ansatz" in capsys.readouterr().err
 
 
@@ -290,16 +293,12 @@ def test_landau_phi_max_outside_the_ball(capsys):
     assert run(["landau", "--lambda", "1.0", "--phi-max", "0"]) == 2
 
 
-def test_non_finite_lambda_is_refused(tmp_path, capsys):
+def test_non_finite_lambda_is_refused(capsys):
     for lam in ("nan", "inf"):
         assert run(["landau", "--lambda", lam]) == 1
         assert "lambda" in capsys.readouterr().err
         assert run(["oracle", "--n", "2", "--lambda", lam]) == 1
         assert "lambda" in capsys.readouterr().err
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text("lambda = nan\n")
-    assert run(["landau", "--config", str(cfg)]) == 1
-    assert "lambda" in capsys.readouterr().err
 
 
 def test_landau_samples_cap(capsys, monkeypatch):

@@ -8,7 +8,6 @@ from dissipative_spins.models import (
     anisotropy_jumps,
     dissipative_heisenberg,
     ferro_pump_jumps,
-    parse_config,
 )
 from dissipative_spins.operators import bell_state
 
@@ -145,33 +144,3 @@ def test_swap_closure():
                 abs(o - n) < 1e-12 and abs(o) > 1e-12
                 for o, n in zip(overlaps, norms)
             )
-
-
-def test_parse_config():
-    cfg = parse_config(
-        """
-        # comment line
-        lambda = 0.75
-        z = 4
-        bipartite = false   # trailing comment
-        renormalize = true
-        ansatz = bipartite
-        """
-    )
-    assert cfg == {
-        "lambda": 0.75,
-        "z": 4,
-        "bipartite": False,
-        "renormalize": True,
-        "ansatz": "bipartite",
-    }
-
-
-def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ValueError):
-        parse_config("coupling = 1.0")
-
-
-def test_parse_config_rejects_bad_bool():
-    with pytest.raises(ValueError):
-        parse_config("bipartite = maybe")

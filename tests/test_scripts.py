@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import runpy
 import subprocess
@@ -29,6 +30,19 @@ def test_landau_scan_finds_staggered_sign_change(tmp_path):
     assert sorted(u2) == [1.4, 1.5, 1.6]
     # the staggered transition lambda_c2 = 3/2 is where u2 turns negative
     assert u2[1.5] > 0 > u2[1.6]
+
+
+def test_phase_diagram_finds_both_transitions(tmp_path, monkeypatch):
+    # the paper's result end to end: XY order below 1/2, staggered above 3/2
+    out_dir = tmp_path / "pd"
+    monkeypatch.setattr(sys, "argv", ["phase_diagram.py", "--step", "0.02",
+                                      "--out-dir", str(out_dir)])
+    runpy.run_path(str(ROOT / "scripts" / "phase_diagram.py"), run_name="__main__")
+    summary = json.loads((out_dir / "phase_diagram.json").read_text())
+    assert abs(summary["lambda_c1"] - 0.5) < 0.01
+    assert abs(summary["lambda_c2"] - 1.5) < 0.01
+    for name in ("sweep_xy.csv", "sweep_afm.csv"):
+        assert cli.read_sweep_csv((out_dir / name).read_text())
 
 
 def _refuse(*args, **kwargs):

@@ -1070,16 +1070,35 @@ def test_landau_sample_outside_the_ball_is_not_converged():
     assert fit.stationarity < 1e-7
 
 
-def test_onset_threshold_must_be_finite_and_positive():
-    lams = np.round(np.arange(0.30, 0.701, 0.002), 9)
-    recs = _synthetic_records(lams)
-    for threshold in (np.nan, 0.0, -1e-4, np.inf):
-        with pytest.raises(ValueError, match="threshold") as err:
-            fit_critical(recs, which="m", threshold=threshold)
-        assert not isinstance(err.value, FitError)
-        # refused before any point is minimized
-        with pytest.raises(ValueError, match="threshold"):
-            sweep(0.4, 0.6, 0.01, Z6, "uniform", threshold=threshold)
+def test_sweep_and_fit_read_one_onset(monkeypatch):
+    # the sweep refines around the crossing the fit brackets: both read ONSET,
+    # so raising it moves the refinement band and lambda_c together
+    monkeypatch.setattr(variational, "_sweep_chunk", lambda task: _synthetic_records(task[0]))
+    fine_lams = np.round(np.arange(0.30, 0.701, 0.002), 9)
+    grid = set(variational.sweep_grid(0.3, 0.7, 0.02))
+    # m = 0.4 sqrt(0.5 - lambda) crosses 0.1 at 0.4375, between the grid's 0.42 and 0.44
+    for onset, center, lambda_c in ((1e-4, 0.49, 0.5), (0.1, 0.43, 0.4375)):
+        monkeypatch.setattr(variational, "ONSET", onset)
+        extra = [r.lam for r in sweep(0.3, 0.7, 0.02, Z6, "uniform") if r.lam not in grid]
+        assert 0.5 * (min(extra) + max(extra)) == pytest.approx(center)
+        fit = fit_critical(_synthetic_records(fine_lams), which="m")
+        assert fit.lambda_c == pytest.approx(lambda_c, abs=2e-3)
+
+
+def test_grid_size_refuses_a_nan_span():
+    # a NaN bound, or both bounds the same infinity, counted 0 points, so a
+    # sweep returned no records and no error
+    with mock.patch.object(variational, "_sweep_chunk", side_effect=AssertionError):
+        for lo, hi in ((np.nan, 1.0), (0.4, np.nan), (np.nan, np.nan), (np.inf, np.inf),
+                       (-np.inf, -np.inf)):
+            with pytest.raises(ValueError, match="NaN"):
+                grid_size(lo, hi, 0.01)
+            with pytest.raises(ValueError, match="NaN"):
+                sweep(lo, hi, 0.01, Z6, "uniform")
+    with pytest.raises(ValueError, match="NaN"):
+        grid_size(0.0, np.inf, np.inf)  # inf / inf
+    assert grid_size(0.6, 0.5, 0.01) == 0  # an empty range is still empty
+    assert grid_size(0.4, np.inf, 0.01) > 10_000  # and an infinite one over any cap
 
 
 @pytest.mark.parametrize("restarts,jobs", [(0, 1), (-2, 1), (8, 0), (8, -3)])
