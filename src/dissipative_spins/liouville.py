@@ -114,9 +114,10 @@ def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
 def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     """Exact generator of the model on a periodic chain of n_sites spins.
 
-    Every two-site term is placed on each nearest-neighbor bond (i, i+1);
-    for n_sites = 2 the two bonds of the formal ring coincide, so the pair
-    is counted once. The jumps are the model's ``folded_jump_terms()``,
+    Every two-site jump is placed on each nearest-neighbor bond (i, i+1)
+    and every single-site jump on each site; for n_sites = 2 the two bonds
+    of the formal ring coincide, so the pair is counted once. The model
+    has no Hamiltonian, so H = 0. The jumps are its ``folded_jump_terms()``,
     used exactly as they come, so any renormalization convention carries
     over unchanged (it rescales the generator without moving its null
     space).
@@ -124,15 +125,13 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
     bonds = [[i, (i + 1) % n_sites] for i in range(n_sites)] if n_sites > 2 else [[0, 1]]
-    # where a term goes: a single-site one on every site, any other on every bond
-    places = {1: [[s] for s in range(n_sites)]}
-    h = sum((embed(term, at, n_sites) for arity, term in model.hamiltonian_terms
-             for at in places.get(arity, bonds)), np.zeros((2**n_sites,) * 2, dtype=complex))
+    sites = [[s] for s in range(n_sites)]
     jumps = [embed(jt.matrix, at, n_sites) for jt in model.folded_jump_terms()
-             for at in places.get(jt.arity, bonds)]
+             for at in (sites if jt.arity == 1 else bonds)]
     # every bond carries every term, so the site translation is exact; the
     # single bond of n = 2 is not symmetric under the swap in general
-    return replace(build_liouvillian(h, jumps), ring=n_sites if n_sites > 2 else 0)
+    return replace(build_liouvillian(np.zeros((2**n_sites,) * 2), jumps),
+                   ring=n_sites if n_sites > 2 else 0)
 
 
 @dataclass(frozen=True)

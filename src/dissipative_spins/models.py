@@ -1,10 +1,11 @@
 """Declarative dissipative lattice models.
 
-A :class:`DissipativeModel` is a lattice description plus the Hamiltonian and
-jump terms of a translationally invariant master equation. The constructors
-here build the purely dissipative Heisenberg (XXZ) family: a ferromagnetic
-pump set that makes every uniform product state dark, and an anisotropy set
-(rate lambda) whose dark states are the two Neel bond states.
+A :class:`DissipativeModel` is a lattice description plus the jump terms of
+a translationally invariant, purely dissipative master equation: there is no
+Hamiltonian, and the jumps alone fix the dynamics. The constructors here
+build the dissipative Heisenberg (XXZ) family: a ferromagnetic pump set
+that makes every uniform product state dark, and an anisotropy set (rate
+lambda) whose dark states are the two Neel bond states.
 
 Two-site jump matrices are written in the basis {uu, ud, du, dd}. A model
 holds its jumps in two sets: ``jump_terms`` with the rate folded into the
@@ -72,7 +73,7 @@ def check_rate(rate: float):
 
 @dataclass(frozen=True)
 class DissipativeModel:
-    """A lattice, its Hamiltonian terms and its jumps, in two sets.
+    """A lattice and its one- and two-site jumps, in two sets.
 
     ``jump_terms`` carry their rates folded into their matrices;
     ``rate_jump_terms`` are written at unit rate and all run at ``rate``.
@@ -80,7 +81,6 @@ class DissipativeModel:
     """
 
     lattice: LatticeSpec
-    hamiltonian_terms: list = field(default_factory=list)  # (arity, matrix)
     jump_terms: list = field(default_factory=list)
     rate_jump_terms: list = field(default_factory=list)  # unit rate, scaled by ``rate``
     rate: float = 0.0
@@ -140,8 +140,8 @@ def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel
     scale = 1.0 / np.sqrt(lattice.z - 1)
     jumps = [JumpTerm(2, scale * m if lattice.renormalize else m.copy(), label)
              for label, m in _UNIT_JUMPS]
-    return DissipativeModel(lattice=lattice, hamiltonian_terms=[], jump_terms=jumps[:3],
-                            rate_jump_terms=jumps[3:], rate=lam)
+    return DissipativeModel(lattice=lattice, jump_terms=jumps[:3], rate_jump_terms=jumps[3:],
+                            rate=lam)
 
 
 # (label, matrix) of the three pumps, then the four anisotropy jumps, at unit rate

@@ -1,33 +1,31 @@
 """Variational trace-norm principle for dissipative lattice models.
 
-The steady state of a translationally invariant master equation is
-approximated by a product ansatz (one Bloch vector per sublattice). For each
-bond (i, j) the reduced time derivative splits into three Hermitian,
-traceless parts
+The steady state of a translationally invariant, purely dissipative master
+equation is approximated by a product ansatz (one Bloch vector per
+sublattice). For each bond (i, j) the reduced time derivative splits into
+three Hermitian, traceless parts
 
     d rho^(ij)/dt = d_loc + d_int + d_mf,
 
-where d_loc collects single-site terms, d_int the bond's own two-site terms,
-and d_mf the mean-field contribution of the 2(z-1) surrounding neighbors.
-Single-site and two-site Hamiltonian terms enter through -i[h, .] beside
-the jumps. The sum of bond trace norms upper-bounds the full-state norm,
+where d_loc collects the single-site jumps, d_int the bond's own two-site
+jumps, and d_mf the mean-field contribution of the 2(z-1) surrounding
+neighbors. The sum of bond trace norms upper-bounds the full-state norm,
 and for a homogeneous ansatz it collapses to a single bond norm, which is
 what gets minimized. Order parameters, the Landau phi^4 expansion of the
 norm, and critical-point fits are extracted from the minimizer.
 
 ``CompiledBond`` compiles a model once into complex tensors, the reference
-at any state: W = P + rate A, P from the Hamiltonians and the jumps at
-their own rates, A from the model's rate set at unit rate (the anisotropy
-jumps of the Heisenberg model, whose rate is lambda). The minimizer only
-visits states with ay = by = 0, where K is real: ``CompiledBond.tensor``
-folds P and A onto the monomials those states reach (27 for the bipartite
-ansatz; 10 for the uniform one, whose K it turns into a singlet block and
-a triplet block) and refuses a model for which that drops more than
-rounding. The minimizer gathers each monomial's three factors at once and
-builds K's feature rows from them, and by the product rule those of dK
-and d2K; any batch of rows, the norm's or the polish's, becomes
-K = P + rate A by one real product with [P | A], each row at its
-problem's rate. Its spectrum is one stacked real eigvalsh, and a state's
+at any state: W = P + rate A, P from the jumps at their own rates, A from
+the model's rate set at unit rate (the anisotropy jumps of the Heisenberg
+model, whose rate is lambda). The minimizer only visits states with
+ay = by = 0, where K is real: ``CompiledBond.tensor`` folds P and A onto
+the monomials those states reach (27 for the bipartite ansatz; 10 for the
+uniform one, whose K it turns into a singlet block and a triplet block) and
+refuses a model for which that drops more than rounding. The minimizer
+gathers each monomial's three factors at once and builds K's feature rows
+from them, and by the product rule those of dK and d2K; any batch of
+rows, the norm's or the polish's, becomes K = P + rate A by one real
+product with [P | A], each row at its problem's rate. Its spectrum is one stacked real eigvalsh, and a state's
 K does not depend on its batch. So one compile serves a whole sweep batch, and a sweep point,
 ``minimize_norm`` and a Landau profile all form K the same way.
 
@@ -173,33 +171,6 @@ def _as_density(state) -> np.ndarray:
     return state.astype(complex)
 
 
-def mean_field_hamiltonian_term(h_bond, target_slot, neighbor_state) -> np.ndarray:
-    """Mean-field single-slot Hamiltonian from a bond term.
-
-    ``h_bond`` is decomposed in the Pauli product basis as
-    sum_a A_a (x) B_a with the first slot on the bond site; each B_a is
-    replaced by its expectation in the neighbor state. The returned 4x4
-    operator (A embedded on ``target_slot``) generates -i[., rho^(ij)]
-    downstream.
-    """
-    if target_slot not in ("i", "j"):
-        raise ValueError("target_slot must be 'i' or 'j'")
-    h_bond = np.asarray(h_bond, dtype=complex)
-    rho_k = _as_density(neighbor_state)
-    sig = [pauli("identity"), pauli("x"), pauli("y"), pauli("z")]
-    acc = np.zeros((2, 2), dtype=complex)
-    for nu in range(4):
-        weight = np.trace(sig[nu] @ rho_k)
-        if abs(weight) < 1e-15:
-            continue
-        # A_nu = tr_2[(1 (x) sigma_nu) h] / 2, the slot-1 factor paired
-        # with sigma_nu on the neighbor slot
-        a_nu = partial_trace(kron(np.eye(2), sig[nu]) @ h_bond, [0], 2) / 2
-        acc += weight * a_nu
-    eye = np.eye(2)
-    return kron(acc, eye) if target_slot == "i" else kron(eye, acc)
-
-
 def mean_field_jump_term(c_bond, target_slot, neighbor_state, pair_state) -> np.ndarray:
     """Mean-field dissipator of a two-site jump with one leg on a neighbor.
 
@@ -229,9 +200,6 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
     """Assemble the two-site reduced derivative and its trace norm."""
     if ansatz.kind == "bipartite" and not model.lattice.bipartite:
         raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
-    for arity, _ in model.hamiltonian_terms:
-        if arity > 2:
-            raise ValueError("model arity > 2 not supported")
     rho_a = bloch_to_density(ansatz.alpha_A)
     rho_b = bloch_to_density(ansatz.alpha_B)
     pair = kron(rho_a, rho_b)
@@ -242,17 +210,6 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
     d_loc = np.zeros((4, 4), dtype=complex)
     d_int = np.zeros((4, 4), dtype=complex)
     d_mf = np.zeros((4, 4), dtype=complex)
-
-    for arity, h in model.hamiltonian_terms:
-        if arity == 1:
-            h2 = kron(h, eye) + kron(eye, h)
-            d_loc += -1j * (h2 @ pair - pair @ h2)
-        else:
-            d_int += -1j * (h @ pair - pair @ h)
-            for slot, nb in (("i", nb_i), ("j", nb_j)):
-                hmf = mean_field_hamiltonian_term(h, slot, nb)
-                d_mf += -1j * zc * (hmf @ pair - pair @ hmf)
-
     for term in model.folded_jump_terms():
         if term.arity == 1:
             d_loc += dissipator(kron(term.matrix, eye), pair)
@@ -279,10 +236,10 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 #
 # W is linear in the generator, and the generator in each jump's rate, so
 # a model's rate set compiles apart from the rest: W = P + rate A, P from
-# the Hamiltonians and the jumps at their own rates, A from the rate set
-# at unit rate. Both are compiled in one stacked pass, and every K of the
-# engine is formed from one product onto [P | A] as P + rate A, so a model
-# compiled once serves a whole sweep batch at each point's rate.
+# the jumps at their own rates, A from the rate set at unit rate. Both are
+# compiled in one stacked pass, and every K of the engine is formed from
+# one product onto [P | A] as P + rate A, so a model compiled once serves a
+# whole sweep batch at each point's rate.
 #
 # Every state the minimizer visits has ay = by = 0: a rotation about z is a
 # symmetry of the models it takes, so the sweeps fix that gauge, and both
@@ -373,40 +330,33 @@ def _bond_tensor(gens, half_zc, paulis, basis):
 class CompiledBond:
     """The bond derivative K(alpha_A, alpha_B) = P + rate A of any model, compiled once.
 
-    Two-site jumps and Hamiltonians enter both the bond's own generator and
-    the mean-field terms; single-site ones act on each slot of the bond and
-    enter the bilinear part only. The compile folds the Hamiltonians and
-    the ``jump_terms`` into one Hermitian 16x128 tensor P and the unit-rate
-    ``rate_jump_terms`` into A (0 for a model without a rate set), both in
-    one stacked pass. ``norm`` evaluates P + rate A at any state, with the
-    model's rate, the reference the tests check the engine against;
-    ``tensor`` gives the engine's real [P | A] on the gauge-fixed slice.
-    The compile forms only the 54 columns that slice reaches; the whole
-    of P and A is formed on the first ``norm``.
+    Two-site jumps enter both the bond's own generator and the mean-field
+    terms; single-site ones act on each slot of the bond and enter the
+    bilinear part only. The compile folds the ``jump_terms`` into one
+    Hermitian 16x128 tensor P and the unit-rate ``rate_jump_terms`` into A
+    (0 for a model without a rate set), both in one stacked pass. ``norm``
+    evaluates P + rate A at any state, with the model's rate, the reference
+    the tests check the engine against; ``tensor`` gives the engine's real
+    [P | A] on the gauge-fixed slice. The compile forms only the 54 columns
+    that slice reaches; the whole of P and A is formed on the first
+    ``norm``.
     """
 
     def __init__(self, model: DissipativeModel):
-        hams = {1: [], 2: []}
-        for arity, h in model.hamiltonian_terms:
-            if arity not in hams:
-                raise ValueError("model arity > 2 not supported")
-            hams[arity].append(np.asarray(h, dtype=complex))
         eye, zero = np.eye(2), np.zeros((4, 4))
-        # (part, bond | local, 16, 16): part 0 (P) holds the Hamiltonians and
-        # the jumps at their own rates, part 1 (A) the rate set
+        # (part, bond | local, 16, 16): part 0 (P) holds the jumps at their
+        # own rates, part 1 (A) the rate set
         gens = np.zeros((2, 2, 16, 16), dtype=complex)
-        for part, (part_hams, terms) in enumerate(((hams, model.jump_terms),
-                                                   ({1: [], 2: []}, model.rate_jump_terms))):
+        for part, terms in enumerate((model.jump_terms, model.rate_jump_terms)):
             jumps = {1: [], 2: []}
             for t in terms:
                 jumps[t.arity].append(t.matrix)
-            if part_hams[2] or jumps[2]:
-                gens[part, 0] = build_liouvillian(sum(part_hams[2], zero), jumps[2]).matrix
-            # single-site terms on both slots of the bond
-            if part_hams[1] or jumps[1]:
+            if jumps[2]:
+                gens[part, 0] = build_liouvillian(zero, jumps[2]).matrix
+            # single-site jumps on both slots of the bond
+            if jumps[1]:
                 gens[part, 1] = build_liouvillian(
-                    sum((kron(h, eye) + kron(eye, h) for h in part_hams[1]), zero),
-                    [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]).matrix
+                    zero, [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]).matrix
         # the rotation about z, checked on the generators W is linear in
         size = np.abs(gens)
         self._z_symmetric = bool(((size * _Z_MOVES).max(axis=(1, 2, 3))
@@ -433,7 +383,7 @@ class CompiledBond:
         10 of the uniform one, where they are also turned into the basis
         (singlet, triplet) with the coupling between the blocks set to
         exactly 0. ValueError where that drops more than rounding in either
-        part: the model breaks the rotation about z (the gauge the minimizer
+        part: a jump breaks the rotation about z (the gauge the minimizer
         fixes), K is not real at ay = by = 0, or, uniform, the bond's sites
         are not swap-symmetric.
         """
@@ -1054,8 +1004,7 @@ def _descend(tensor, rates, pmap, starts, restarts):
     # stage 1 only ranks the basins: over full 0-2 sweeps and the A2 and A3
     # windows at 1e-3 steps, the best restart that polishes into another
     # basin ended stage 1 at least 9.3e2 times the winner's stage-1 error
-    # above the winner (with the complex evaluator: 1.0e3 here, 8.0e3 at
-    # 1e-5 / 1e-8, 0.24 at 1e-3 / 1e-6)
+    # above the winner
     fun = rank.fun.reshape(count, restarts)
     # a numerically dark minimum cannot be improved: the ranking stops at the
     # first one and later restarts do not count (they ran alongside, so

@@ -310,11 +310,11 @@ def test_a8_mean_field_consistency_and_bound():
 
     # 3. exact two-site dark dimensions
     ferro = DissipativeModel(
-        lattice=LatticeSpec(z=6), hamiltonian_terms=[],
+        lattice=LatticeSpec(z=6),
         jump_terms=ferro_pump_jumps(),
     )
     aniso = DissipativeModel(
-        lattice=LatticeSpec(z=6), hamiltonian_terms=[],
+        lattice=LatticeSpec(z=6),
         jump_terms=anisotropy_jumps(1.0),
     )
     dim_ferro = steady_states(ring_liouvillian(ferro, 2)).dimension

@@ -16,8 +16,7 @@ from dissipative_spins.liouville import (
     ring_liouvillian,
     steady_states,
 )
-from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
-from dissipative_spins.operators import pauli
+from dissipative_spins.models import JumpTerm, LatticeSpec, dissipative_heisenberg
 from dissipative_spins.opformat import OperatorFormatError, parse_problem_text
 
 BELL_PROBLEM = """
@@ -522,10 +521,11 @@ def test_oracle_n6(capsys, lam, dim):
 
 
 def test_conjugate_pair_defect_pairs_opposite_orders():
-    # a sigma_z field keeps the coherence-order blocks but makes them
-    # complex: block q is the conjugate of block -q, not of itself
-    model = replace(dissipative_heisenberg(0.7, LatticeSpec(z=6)),
-                    hamiltonian_terms=[(1, 0.4 * pauli("z"))])
+    # a phase jump diag(1, i) keeps the coherence-order blocks but makes
+    # them complex: block q is the conjugate of block -q, not of itself
+    heisenberg = dissipative_heisenberg(0.7, LatticeSpec(z=6))
+    model = replace(heisenberg, jump_terms=heisenberg.jump_terms
+                    + [JumpTerm(1, 0.4 * np.diag([1, 1j]), "phase")])
     blocks = steady_states(ring_liouvillian(model, 3)).blocks
     assert conjugate_pair_defect(blocks, 8) < 1e-12
     assert max(np.abs(b.eigenvalues.conj()[:, None] - b.eigenvalues).min(axis=1).max()

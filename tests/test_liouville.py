@@ -26,6 +26,7 @@ from dissipative_spins.liouville import (
 )
 from dissipative_spins.models import (
     DissipativeModel,
+    JumpTerm,
     LatticeSpec,
     anisotropy_jumps,
     dissipative_heisenberg,
@@ -163,7 +164,6 @@ def test_cp_spot_check():
 def aniso_only_model(lam=1.0):
     return DissipativeModel(
         lattice=LatticeSpec(z=6),
-        hamiltonian_terms=[],
         jump_terms=anisotropy_jumps(lam),
     )
 
@@ -171,7 +171,6 @@ def aniso_only_model(lam=1.0):
 def ferro_only_model():
     return DissipativeModel(
         lattice=LatticeSpec(z=6),
-        hamiltonian_terms=[],
         jump_terms=ferro_pump_jumps(),
     )
 
@@ -262,9 +261,16 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
     assert_steady_basis(liou, space)
 
 
-def field_model(lam, axis, strength):
-    return replace(dissipative_heisenberg(lam, LatticeSpec(z=6)),
-                   hamiltonian_terms=[(1, strength * pauli(axis))])
+def local_jump_model(lam, c):
+    """The Heisenberg model plus the single-site jump c on every site."""
+    model = dissipative_heisenberg(lam, LatticeSpec(z=6))
+    local = JumpTerm(1, np.asarray(c, dtype=complex), "local")
+    return replace(model, jump_terms=model.jump_terms + [local])
+
+
+def quarter_turn(axis):
+    """0.4 exp(-i pi sigma_axis / 4): a unitary jump whose generator is complex."""
+    return 0.4 * (np.eye(2) - 1j * pauli(axis)) / np.sqrt(2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -283,10 +289,10 @@ def test_weak_components_match_scipy(n, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
-def test_transverse_field_is_one_block(lam):
-    # a sigma_x field mixes coherence orders: one block of orders, which
-    # only the ring's three momenta split
-    liou = ring_liouvillian(field_model(lam, "x", 0.3), 3)
+def test_transverse_jump_is_one_block(lam):
+    # a real sigma_x jump mixes coherence orders: one block of orders,
+    # which only the ring's three momenta split
+    liou = ring_liouvillian(local_jump_model(lam, 0.3 * pauli("x")), 3)
     evals = np.linalg.eig(liou.matrix)[0]
     space = steady_states(liou)
     assert sorted((b.q, b.k) for b in space.blocks) == [(0, 0), (0, 1), (0, 2)]
@@ -298,9 +304,11 @@ def test_transverse_field_is_one_block(lam):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("axis, orders", [("z", True), ("x", False)])
 def test_complex_generator_matches_dense_reference(n, axis, orders):
-    # a field makes G complex, so every momentum is diagonalized on its own;
-    # sigma_z keeps the coherence orders, sigma_x leaves the momenta alone
-    liou = ring_liouvillian(field_model(0.7, axis, 0.4), n)
+    # a quarter turn as a jump makes L complex, so every momentum is
+    # diagonalized on its own; about z it keeps the coherence orders,
+    # about x it mixes them and leaves the momenta alone
+    liou = ring_liouvillian(local_jump_model(0.7, quarter_turn(axis)), n)
+    assert liou.matrix.imag.any()
     evals = np.linalg.eig(liou.matrix)[0]
     space = steady_states(liou)
     assert {b.k for b in space.blocks} == set(range(n))
@@ -312,16 +320,15 @@ def test_complex_generator_matches_dense_reference(n, axis, orders):
 
 
 def test_null_vectors_at_complex_momenta():
-    # XY hopping alone: the magnons k = 1, 2 of the 3-ring are degenerate,
-    # so |1><2| is dark at momentum -1, whose orbit phases are complex
-    hop = np.kron(pauli("+"), pauli("-"))
-    model = DissipativeModel(lattice=LatticeSpec(z=6), hamiltonian_terms=[(2, hop + hop.T)],
-                             jump_terms=[])
+    # sigma_z dephasing alone: the 8 diagonal |i><i| are dark, and the orbit
+    # of |100><100| holds one at momentum 1, whose orbit phases are complex
+    model = DissipativeModel(lattice=LatticeSpec(z=6),
+                             jump_terms=[JumpTerm(1, pauli("z").astype(complex), "dephasing")])
     liou = ring_liouvillian(model, 3)
     evals = np.linalg.eig(liou.matrix)[0]
     space = steady_states(liou)
     assert any(b.k == 1 and np.abs(b.eigenvalues).min() < 1e-9 for b in space.blocks)
-    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9) == 8
     assert_same_spectrum(evals, space.eigenvalues)
     assert_steady_basis(liou, space)
 
@@ -334,7 +341,8 @@ def test_ring_generator_commutes_with_translation(n):
     for s in range(n - 1):
         shift = embed(swap, [s, s + 1], n) @ shift
     rng = np.random.default_rng(n)
-    for model in (dissipative_heisenberg(0.7, LatticeSpec(z=6)), field_model(0.7, "x", 0.4)):
+    for model in (dissipative_heisenberg(0.7, LatticeSpec(z=6)),
+                  local_jump_model(0.7, quarter_turn("x"))):
         liou = ring_liouvillian(model, n)
         assert liou.ring == n
         rho = _random_matrix(rng, 2**n)

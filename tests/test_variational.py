@@ -34,7 +34,6 @@ from dissipative_spins.variational import (
     fit_critical,
     grid_size,
     landau_expansion,
-    mean_field_hamiltonian_term,
     mean_field_jump_term,
     minimize_norm,
     order_parameters,
@@ -140,22 +139,24 @@ def test_compiled_matches_explicit(seed, lam):
     assert cb.norm(a, b) == pytest.approx(ref.total_norm, abs=1e-12)
 
 
-def _random_hermitian(rng, d):
-    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return h + h.conj().T
+def _random_complex(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _with_jump(model, arity, c, label="added"):
+    """``model`` with one more jump at its own rate."""
+    model.jump_terms.append(JumpTerm(arity, np.asarray(c, dtype=complex), label))
+    return model
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
-def test_compiled_matches_explicit_with_local_and_hamiltonian_terms(seed, lam):
-    # single-site terms enter the bond part only, two-site Hamiltonians
-    # also the mean field
+def test_compiled_matches_explicit_with_local_jumps(seed, lam):
+    # single-site jumps enter the bond part only, two-site jumps also the
+    # mean field; generic ones of both beside the Heisenberg sets
     rng = np.random.default_rng(seed)
-    model = heis(lam)
-    c1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    model.jump_terms.append(JumpTerm(1, 0.5 * c1, "local"))
-    model.hamiltonian_terms.append((1, _random_hermitian(rng, 2)))
-    model.hamiltonian_terms.append((2, _random_hermitian(rng, 4)))
+    model = _with_jump(heis(lam), 1, 0.5 * _random_complex(rng, 2), "local")
+    model = _with_jump(model, 2, 0.5 * _random_complex(rng, 4), "generic")
     cb = CompiledBond(model)
     a = rng.uniform(-0.57, 0.57, 3)
     b = rng.uniform(-0.57, 0.57, 3)
@@ -170,13 +171,12 @@ def test_compiled_matches_explicit_with_local_and_hamiltonian_terms(seed, lam):
 
 
 def test_compiled_matches_explicit_without_two_site_jumps():
-    # an empty two-site jump stack: only local jumps and Hamiltonians
+    # an empty two-site jump stack: only local jumps
     rng = np.random.default_rng(7)
-    c1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     model = DissipativeModel(
         lattice=LatticeSpec(z=4),
-        hamiltonian_terms=[(1, _random_hermitian(rng, 2)), (2, _random_hermitian(rng, 4))],
-        jump_terms=[JumpTerm(1, c1, "local")],
+        jump_terms=[JumpTerm(1, _random_complex(rng, 2), "local"),
+                    JumpTerm(1, _random_complex(rng, 2), "local 2")],
     )
     cb = CompiledBond(model)
     a = rng.uniform(-0.57, 0.57, 3)
@@ -192,23 +192,25 @@ def test_compiled_matches_explicit_without_two_site_jumps():
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
 def test_engine_tensors_match_explicit(seed, lam):
     # the real K of both layouts, the uniform one turned back from
-    # (singlet, triplet), is the explicit derivative at ay = by = 0
+    # (singlet, triplet), is the explicit derivative at ay = by = 0: of the
+    # Heisenberg model, and with a sigma^- jump on every site in the local
+    # generator slot beside it
     rng = np.random.default_rng(seed)
-    model = heis(lam)
-    bond = CompiledBond(model)
     a = rng.uniform(-0.7, 0.7, (4, 2))
     b = rng.uniform(-0.7, 0.7, (4, 2))
-    for kind, bs in (("uniform", a), ("bipartite", b)):
-        tensor = bond.tensor(kind)
-        k = engine_k(tensor, kind, a, bs, lam)
-        if kind == "uniform":
-            q = variational._SINGLET_TRIPLET
-            k = q @ k @ q.T
-        norms = engine_norms(tensor, kind, a, bs, np.full(4, lam))
-        for row in range(4):
-            ref = reduced_derivative(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
-            np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
-            assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
+    for model in (heis(lam), _with_jump(heis(lam), 1, 0.3 * pauli("-"), "decay")):
+        bond = CompiledBond(model)
+        for kind, bs in (("uniform", a), ("bipartite", b)):
+            tensor = bond.tensor(kind)
+            k = engine_k(tensor, kind, a, bs, lam)
+            if kind == "uniform":
+                q = variational._SINGLET_TRIPLET
+                k = q @ k @ q.T
+            norms = engine_norms(tensor, kind, a, bs, np.full(4, lam))
+            for row in range(4):
+                ref = reduced_derivative(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
+                np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
+                assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
@@ -241,8 +243,7 @@ def test_rate_split_matches_the_folded_model(seed, z, renormalize, lam):
 def test_the_compile_forms_the_planar_columns_of_the_whole_tensor():
     # the compile forms P and A on the 54 columns that ay = by = 0 reaches,
     # in _triple's order over (1, x, z); norm's whole tensor holds the same bits there
-    model = heis(0.9)
-    model.hamiltonian_terms.append((2, _random_hermitian(np.random.default_rng(2), 4)))
+    model = _with_jump(heis(0.9), 2, _random_complex(np.random.default_rng(2), 4))
     bond = CompiledBond(model)
     planar = [32 * mu + 8 * nu + s for mu in (0, 1, 3) for nu in (0, 1, 3) for s in (0, 1, 3, 4, 5, 7)]
     assert np.array_equal(bond._w[:, :, planar], bond._planar)
@@ -262,24 +263,19 @@ def test_a_model_without_a_rate_set_has_k_equal_to_p():
             assert np.array_equal(variational._bond_matrices(tensor, rates, features), p)
 
 
-def _with_field(model, axis):
-    model.hamiltonian_terms.append((1, 0.3 * pauli(axis)))
-    return model
-
-
 def test_engine_refuses_a_model_the_gauge_fixing_would_change():
-    # a sigma_y field breaks the rotation about z: the gauge-fixed minimum
-    # was 0.215451, reported converged, against 0.212626 with ay free
+    # single-site sigma_y and sigma_x jumps break the rotation about z
     with pytest.raises(ValueError, match="rotations about z"):
-        minimize_norm(_with_field(heis(0.4), "y"))
+        minimize_norm(_with_jump(heis(0.4), 1, 0.3 * pauli("y")))
     for direction in ("in-plane", "staggered-z"):
         with pytest.raises(ValueError, match="rotations about z"):
-            landau_expansion(_with_field(heis(0.4), "y"), direction, 0.03, 11)
+            landau_expansion(_with_jump(heis(0.4), 1, 0.3 * pauli("y")), direction, 0.03, 11)
     with pytest.raises(ValueError, match="rotations about z"):
-        CompiledBond(_with_field(heis(0.4), "x")).tensor("bipartite")
-    # a sigma_z field keeps the symmetry, but K is complex at ay = 0
-    with pytest.raises(ValueError, match="not real"):
-        minimize_norm(_with_field(heis(0.4), "z"), kind="bipartite")
+        CompiledBond(_with_jump(heis(0.4), 1, 0.3 * pauli("x"))).tensor("bipartite")
+    # a phase jump diag(1, i) keeps the symmetry, but K is complex at ay = 0
+    for kind in ("uniform", "bipartite"):
+        with pytest.raises(ValueError, match="not real"):
+            minimize_norm(_with_jump(heis(0.4), 1, 0.3 * np.diag([1, 1j])), kind=kind)
     # a two-site jump that is not closed under the slot swap: the uniform
     # bond is no longer singlet (+) triplet, the bipartite layout is fine
     sm = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -299,13 +295,6 @@ def test_every_cli_model_takes_the_real_tensors(bipartite, renormalize):
         for lam in np.linspace(0.0, 2.5, 11):
             bond = CompiledBond(dissipative_heisenberg(lam, lattice))
             assert [bond.tensor(kind).shape for kind in kinds] == [(10, 32), (27, 32)][:len(kinds)]
-
-
-def test_compiled_rejects_three_site_hamiltonian():
-    model = heis(1.0)
-    model.hamiltonian_terms.append((3, kron(pauli("z"), pauli("z"), pauli("z"))))
-    with pytest.raises(ValueError):
-        CompiledBond(model)
 
 
 def test_one_unit_ball_for_the_ansatz_and_the_reference():
@@ -344,17 +333,6 @@ def test_bond_swap_symmetry():
     a = np.array([0.1, 0.0, 0.4])
     b = np.array([-0.2, 0.0, -0.3])
     assert cb.norm(a, b) == pytest.approx(cb.norm(b, a), abs=1e-12)
-
-
-def test_mean_field_hamiltonian_decoupling():
-    h = kron(pauli("z"), pauli("x"))
-    out = mean_field_hamiltonian_term(h, "i", np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out, kron(pauli("z"), np.eye(2)), atol=1e-14)
-    out_j = mean_field_hamiltonian_term(h, "j", np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out_j, kron(np.eye(2), pauli("z")), atol=1e-14)
-    # orthogonal neighbor polarization kills the term
-    out0 = mean_field_hamiltonian_term(h, "i", np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(out0, 0 * out0, atol=1e-14)
 
 
 def test_mean_field_jump_brute_force():
@@ -440,6 +418,26 @@ def test_minimize_staggered_phase():
     assert ms == pytest.approx(0.04495, abs=2e-4)  # regression pin
     # z components antialign across sublattices
     assert res.ansatz.alpha_A[2] * res.ansatz.alpha_B[2] < 0
+
+
+def test_minimize_takes_a_single_site_jump():
+    """A sigma^- jump on every site keeps the rotation about z and a real K.
+
+    Both layouts converge to the same polarized minimum, the reported norm
+    is the explicit derivative's at the reported state, and with ay free a
+    descent of the complex reference norm from seeded starts ends no lower.
+    """
+    model = _with_jump(heis(0.4), 1, 0.3 * pauli("-"), "decay")
+    bond = CompiledBond(model)
+    rng = np.random.default_rng(4)
+    for kind in ("uniform", "bipartite"):
+        res = minimize_norm(model, kind=kind, seed=0)
+        assert res.converged
+        assert res.norm == pytest.approx(0.2116194660988, abs=1e-12)  # regression pin
+        assert res.norm == pytest.approx(reduced_derivative(model, res.ansatz).total_norm, abs=1e-12)
+        assert res.ansatz.alpha_A[2] < 0  # polarized along the decay
+        x0 = rng.uniform(-0.5, 0.5, 3 if kind == "uniform" else 6)
+        assert _full_ball_descent(bond, x0).fun >= res.norm - 1e-13
 
 
 def _full_ball_descent(bond, x0):
