@@ -49,6 +49,7 @@ from .effective import (
 )
 from .liouville import conjugate_pair_defect, ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg
+from .operators import BALL_TOL
 from .opformat import (
     OperatorFormatError,
     format_operator,
@@ -92,15 +93,15 @@ def format_sweep_csv(records) -> str:
 
 
 def read_sweep_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise OperatorFormatError("empty sweep CSV")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     expected = CSV_HEADER.split(",")
     if header != expected:
-        raise OperatorFormatError(f"unexpected CSV header {lines[0]!r}", line=1)
-    records = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+        raise OperatorFormatError(f"unexpected CSV header {lines[0][1]!r}", lines[0][0])
+    records, first = [], {}  # lambda -> the line that gave it
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(expected):
             raise OperatorFormatError(
@@ -116,6 +117,11 @@ def read_sweep_csv(text: str):
         if converged not in (0, 1) or restarts < 1:
             raise OperatorFormatError(
                 f"converged must be 0 or 1 and restarts a positive count in {ln!r}", lineno)
+        if vals[0] < 0 or not all(0 <= v <= 1 + BALL_TOL for v in vals[7:9]):
+            raise OperatorFormatError(f"lambda must be >= 0 and m, ms in [0, 1] in {ln!r}", lineno)
+        if vals[0] in first:
+            raise OperatorFormatError(f"lambda {vals[0]:.12g} repeats line {first[vals[0]]}", lineno)
+        first[vals[0]] = lineno
         records.append(
             SweepRecord(
                 lam=vals[0],
@@ -136,6 +142,7 @@ def _over_cap(message: str) -> int:
     return 3
 
 
+@np.errstate(over="ignore")  # work past the float range is past the cap
 def _validation_work(problem, t_max: float) -> float:
     """t_max (2 ||H||_2 + 2 sum_k ||c_k||_2^2) (jumps + 1): the propagator's work, bounded.
 
@@ -237,8 +244,11 @@ def cmd_effective(args) -> int:
         if not work <= MAX_VALIDATION_WORK:
             return _over_cap(f"effective: validation work {work:.4g} exceeds the cap "
                              f"({MAX_VALIDATION_WORK:,}); shorten --t-max or lower the rates")
-    h_eff = effective_hamiltonian(pf.problem)
-    c_eff = effective_jumps(pf.problem)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h_eff, c_eff = effective_hamiltonian(pf.problem), effective_jumps(pf.problem)
+    except FloatingPointError as exc:
+        raise ValueError(f"the elimination leaves the float range ({exc})") from None
     chunks = []  # an operator with no terms prints its header alone
     for name, op in [("H_eff", h_eff)] + [(f"c_eff {k}", c) for k, c in enumerate(c_eff)]:
         chunks += [f"[{name}]", format_operator(op, n_sites)]

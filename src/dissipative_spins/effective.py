@@ -62,8 +62,13 @@ class EliminationProblem:
             if m.shape != (dim, dim):
                 raise ValueError("all operators must share one square dimension")
         p = self.p_excited
-        if np.abs(p @ p - p).max() > 1e-10 or np.abs(p - p.conj().T).max() > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):  # finite operators can still overflow here
+            projector = np.abs(p @ p - p).max() <= 1e-10 and np.abs(p - p.conj().T).max() <= 1e-10
+            finite = np.isfinite(self.hamiltonian).all()
+        if not projector:
             raise ValueError("p_excited must be an orthogonal projector")
+        if not finite:
+            raise ValueError("the Hamiltonian H_g + H_e + V+ + V- overflows")
 
     @property
     def v_minus(self) -> np.ndarray:

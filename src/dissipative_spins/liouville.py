@@ -67,12 +67,17 @@ class Liouvillian:
                             matvec=lambda v: t * self.apply(v.reshape(d, d)).ravel(),
                             rmatvec=lambda v: t * self.adjoint(v.reshape(d, d)).ravel())
         # scipy's 1-norm estimate inside expm_multiply draws its probe vectors
-        # from numpy's global random stream; a caller's stream is left as it was
+        # from numpy's global random stream; a caller's stream is left as it was.
+        # Its sign step overflows on a subnormal entry, which only probes other
+        # columns; so warnings are silenced and the result checked instead
         state = np.random.get_state()
         try:
-            out = expm_multiply(op, np.asarray(rho0, dtype=complex).ravel(), traceA=t * trace)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = expm_multiply(op, np.asarray(rho0, dtype=complex).ravel(), traceA=t * trace)
         finally:
             np.random.set_state(state)
+        if not np.isfinite(out).all():
+            raise ValueError("the propagation leaves the float range")
         return out.reshape(d, d)
 
     @property
@@ -196,7 +201,8 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     is gathered from the rows r_a of L that ``_rows`` forms from G and the
     jumps; the d^2 x d^2 generator is never formed. A real generator has
     F_{n-k} = conj F_k, so only k <= n/2 is diagonalized and k = 0 (and
-    n/2) in real arithmetic.
+    n/2) in real arithmetic, decided from G and each jump times the
+    conjugate phase of its largest entry (so sigma_y or i c counts as real).
 
     L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
     matrices: the Hermitian parts of the sectors' null vectors, mapped back
@@ -207,6 +213,10 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     u the identity in that sector's basis (sqrt(p_a) on the diagonal orbits).
     """
     d, g, cs = liou.dim, liou.g, liou.jumps
+    if cs.imag.any():  # turn each jump by the conjugate phase of its largest entry
+        flat = cs.reshape(len(cs), d * d)
+        top = flat[np.arange(len(cs)), np.abs(flat).argmax(axis=1)]
+        cs = cs * np.divide(top.conj(), abs(top), out=np.ones_like(top), where=top != 0)[:, None, None]
     real = not (g.imag.any() or cs.imag.any())
     if real:  # real arithmetic in the gather and in the real sectors
         g, cs = g.real, cs.real

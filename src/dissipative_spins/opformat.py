@@ -21,7 +21,8 @@ Problem files describe one adiabatic elimination in INI-like sections:
                        repeat the section for several jumps
 
 Parse failures raise OperatorFormatError carrying the offending line
-number.
+number; an operator that leaves the float range is one (a jump that does
+so once sqrt(rate) is folded in, at its [jump] header).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def parse_operator_text(text: str, n_sites: int) -> np.ndarray:
     return _parse_terms(enumerate(text.splitlines(), start=1), n_sites)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at its line instead
 def _parse_terms(numbered_lines, n_sites: int) -> np.ndarray:
     """Sum of the term lines of (line number, text) pairs; an error carries its pair's number."""
     dim = 2**n_sites
@@ -100,6 +102,8 @@ def _parse_terms(numbered_lines, n_sites: int) -> np.ndarray:
             total += coeff * embed(term, sites, n_sites)
         else:
             total += coeff * np.eye(dim)
+        if not np.isfinite(total).all():
+            raise OperatorFormatError("the operator's sum overflows at this term", lineno)
     return total
 
 
@@ -157,7 +161,7 @@ _OP_SECTIONS = ("H_g", "H_e", "V+", "P_e")
 def _read_sites(text: str):
     """Section bodies of a problem file and its [sites] values; no operator is built."""
     sections = {}   # name -> list of (lineno, line) bodies
-    jump_bodies = []  # one list per [jump] section
+    jump_bodies = []  # (header line, body) per [jump] section
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,8 +170,8 @@ def _read_sites(text: str):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name == "jump":
-                jump_bodies.append([])
-                current = jump_bodies[-1]
+                jump_bodies.append((lineno, []))
+                current = jump_bodies[-1][1]
             elif name == "sites" or name in _OP_SECTIONS:
                 if name in sections:
                     raise OperatorFormatError(f"duplicate section [{name}]", lineno)
@@ -228,7 +232,7 @@ def parse_problem_text(text: str) -> ProblemFile:
         raise OperatorFormatError("missing [P_e] section")
 
     jumps = []
-    for body in jump_bodies:
+    for header, body in jump_bodies:
         rate = 1.0
         op_lines = []
         for lineno, line in body:
@@ -242,8 +246,12 @@ def parse_problem_text(text: str) -> ProblemFile:
             else:
                 op_lines.append((lineno, line))
         if not op_lines:
-            raise OperatorFormatError("[jump] section has no operator lines")
-        jumps.append(np.sqrt(rate) * _parse_terms(op_lines, n_sites))
+            raise OperatorFormatError("[jump] section has no operator lines", header)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jump = np.sqrt(rate) * _parse_terms(op_lines, n_sites)
+        if not np.isfinite(jump).all():
+            raise OperatorFormatError("the jump overflows once sqrt(rate) is folded in", header)
+        jumps.append(jump)
 
     problem = EliminationProblem(
         h_ground=body_matrix("H_g"),

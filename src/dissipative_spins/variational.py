@@ -55,7 +55,6 @@ orientation never matters for the totals.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -164,24 +163,18 @@ class MinimizeResult:
     multiplier: float  # kink multiplier t in [-1, 1], 0.0 where no eigenvalue is active
 
 
-def _as_density(state) -> np.ndarray:
-    state = np.asarray(state)
-    if state.shape == (3,):
-        return bloch_to_density(state)
-    return state.astype(complex)
-
-
 def mean_field_jump_term(c_bond, target_slot, neighbor_state, pair_state) -> np.ndarray:
     """Mean-field dissipator of a two-site jump with one leg on a neighbor.
 
     Built by the explicit 3-site route: embed the jump on (target, k),
     apply the dissipator to pair_state (x) rho_k on the 8-dimensional space,
-    trace out k. Works for arbitrary (non-product) pair states.
+    rho_k the state of the Bloch vector ``neighbor_state``, and trace out k.
+    Works for arbitrary (non-product) pair states.
     """
     if target_slot not in ("i", "j"):
         raise ValueError("target_slot must be 'i' or 'j'")
     c_bond = np.asarray(c_bond, dtype=complex)
-    rho_k = _as_density(neighbor_state)
+    rho_k = bloch_to_density(neighbor_state)
     three = kron(np.asarray(pair_state, dtype=complex), rho_k)  # sites (i, j, k)
     sites = [0, 2] if target_slot == "i" else [1, 2]
     c_full = embed(c_bond, sites, 3)
@@ -198,8 +191,7 @@ def _neighbor_states(ansatz: ProductAnsatz):
 
 def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBreakdown:
     """Assemble the two-site reduced derivative and its trace norm."""
-    if ansatz.kind == "bipartite" and not model.lattice.bipartite:
-        raise ValueError("bipartite ansatz requested on a non-bipartite lattice")
+    _check_ansatz(ansatz.kind, model.lattice.bipartite)
     rho_a = bloch_to_density(ansatz.alpha_A)
     rho_b = bloch_to_density(ansatz.alpha_B)
     pair = kron(rho_a, rho_b)
@@ -237,16 +229,18 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # W is linear in the generator, and the generator in each jump's rate, so
 # a model's rate set compiles apart from the rest: W = P + rate A, P from
 # the jumps at their own rates, A from the rate set at unit rate. Both are
-# compiled in one stacked pass, and every K of the engine is formed from
-# one product onto [P | A] as P + rate A, so a model compiled once serves a
-# whole sweep batch at each point's rate.
+# compiled in one stacked pass on all 128 columns, once per model, and
+# every K of the engine is formed from one product onto [P | A] as
+# P + rate A, so a model compiled once serves a whole sweep batch at each
+# point's rate.
 #
 # Every state the minimizer visits has ay = by = 0: a rotation about z is a
 # symmetry of the models it takes, so the sweeps fix that gauge, and both
 # Landau maps lie in the x-z plane. There a and b keep (1, x, z), only 54
 # of the 128 feature columns are nonzero, and those hold 27 distinct
 # monomials, 10 where a = b. The engine works on these planar vectors
-# (x, z) only: its tensor is W folded onto one representative column per
+# (x, z) only: its tensor is the slice of W on those columns
+# (``_PLANAR_COLUMNS``) folded onto one representative column per
 # monomial, and it is real, K being real on that slice. Where a = b the
 # bond matrix commutes with the swap of its sites, and in the basis
 # (singlet, triplet) it is block diagonal, 1 + 3.
@@ -289,14 +283,11 @@ _SINGLET_TRIPLET[1:3] *= np.sqrt(0.5)
 _SYMMETRY_RTOL = 1e-12  # a symmetry check fails beyond this times the largest entry checked
 
 
-def _pair_basis(names):
-    """The Paulis ``names`` and the pair basis sigma_mu (x) sigma_nu / 4 over them, a (row, col) x (mu, nu) matrix."""
-    sig = np.array([pauli(name) for name in names])
-    return sig, 0.25 * np.einsum("mpr,nqs->pqrsmn", sig, sig).reshape(16, -1)
-
-
-_ALL_PAULIS = _pair_basis(["identity", "x", "y", "z"])
-_PLANAR_PAULIS = _pair_basis(["identity", "x", "z"])  # all that a state with ay = 0 reaches
+_PAULIS = np.array([pauli(name) for name in ("identity", "x", "y", "z")])
+# the pair basis sigma_mu (x) sigma_nu / 4, a (row, col) x (mu, nu) matrix
+_PAIR_BASIS = 0.25 * np.einsum("mpr,nqs->pqrsmn", _PAULIS, _PAULIS).reshape(16, 16)
+# the 54 of W's 128 columns that ay = by = 0 reaches: a, b over (1, x, z), [b; a] over (1, bx, bz, 1, ax, az)
+_PLANAR_COLUMNS = np.arange(128).reshape(4, 4, 8)[np.ix_([0, 1, 3], [0, 1, 3], [0, 1, 3, 4, 5, 7])].ravel()
 # U = exp(-i t (sz (x) 1 + 1 (x) sz) / 2) turns entry (i, j) of a bond
 # operator by -i t (m_i - m_j); a generator commutes with that rotation iff
 # it has no entry between rows (i, j), (k, l) of different m_i - m_j
@@ -304,23 +295,20 @@ _Z_CHARGE = np.subtract.outer([1.0, 0, 0, -1], [1.0, 0, 0, -1]).ravel()
 _Z_MOVES = np.subtract.outer(_Z_CHARGE, _Z_CHARGE) != 0
 
 
-def _bond_tensor(gens, half_zc, paulis, basis):
-    """W of each part over ``paulis`` (c of them, the identity first): complex (part, 16, 2 c^3).
+def _bond_tensor(gens, half_zc):
+    """W of each part: complex (part, 16, 128), columns in the order of ``_triple``.
 
     ``gens`` (part, bond | local, 16, 16) are each part's generators of the
-    bond's own terms and of its single-site terms, ``basis`` the pair basis
-    over ``paulis`` (``_pair_basis``). Columns in the order of ``_triple``
-    over those components.
+    bond's own terms and of its single-site terms.
     """
-    c = len(paulis)
-    pair = (gens @ basis).reshape(2, 2, 2, 2, 2, 2, c, c)  # (part, bond | local, i, j, k, l, mu, nu)
+    pair = (gens @ _PAIR_BASIS).reshape(2, 2, 2, 2, 2, 2, 4, 4)  # (part, bond | local, i, j, k, l, mu, nu)
     w_int = pair[:, 0] + pair[:, 1]
     t2 = np.einsum("pijkjmn->pikmn", pair[:, 0])  # bond image traced over slot 2
     # slot i feels t2[a, b] (x) rho_B: weights a_mu b_nu b_s
-    w_ab_b = half_zc * np.einsum("pikmn,sjl->pijklmns", t2, paulis)
+    w_ab_b = half_zc * np.einsum("pikmn,sjl->pijklmns", t2, _PAULIS)
     w_ab_b[..., 0] += w_int
     # slot j feels rho_A (x) t2[b, a]: weights a_mu b_nu a_s
-    w_ab_a = half_zc * np.einsum("mik,pjlns->pijklmns", paulis, t2)
+    w_ab_a = half_zc * np.einsum("mik,pjlns->pijklmns", _PAULIS, t2)
     w = np.concatenate([w_ab_b, w_ab_a], axis=-1).reshape(2, 4, 4, -1)
     # Hermitian part folded in: x is real, so W x comes out Hermitian;
     # row 4 i + j of W gives K[i, j]
@@ -337,9 +325,8 @@ class CompiledBond:
     (0 for a model without a rate set), both in one stacked pass. ``norm``
     evaluates P + rate A at any state, with the model's rate, the reference
     the tests check the engine against; ``tensor`` gives the engine's real
-    [P | A] on the gauge-fixed slice. The compile forms only the 54 columns
-    that slice reaches; the whole of P and A is formed on the first
-    ``norm``.
+    [P | A] on the gauge-fixed slice, read from the 54 columns of the one
+    compile that slice reaches.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -362,13 +349,7 @@ class CompiledBond:
         self._z_symmetric = bool(((size * _Z_MOVES).max(axis=(1, 2, 3))
                                   <= _SYMMETRY_RTOL * size.max(axis=(1, 2, 3))).all())
         self.rate = model.rate
-        self._gens, self._half_zc = gens, 0.5 * float(model.lattice.z - 1)
-        self._planar = _bond_tensor(gens, self._half_zc, *_PLANAR_PAULIS)  # (part, 16, 54)
-
-    @functools.cached_property
-    def _w(self) -> np.ndarray:
-        """P and A on all 128 feature columns, complex (part, 16, 128)."""
-        return _bond_tensor(self._gens, self._half_zc, *_ALL_PAULIS)
+        self._w = _bond_tensor(gens, 0.5 * float(model.lattice.z - 1))  # (part, 16, 128)
 
     def norm(self, alpha_a, alpha_b) -> float:
         """The bond norm at any state, from the complex P + rate A."""
@@ -389,7 +370,7 @@ class CompiledBond:
         """
         if not self._z_symmetric:
             raise ValueError("the model is not symmetric under rotations about z")
-        w = self._planar
+        w = self._w.take(_PLANAR_COLUMNS, axis=2)
         tol = _SYMMETRY_RTOL * np.abs(w).max(axis=(1, 2))[:, None, None]
         w = _MONOMIALS[kind][1] @ w.transpose(0, 2, 1)  # (part, M, 16)
         if (np.abs(w.imag) > tol).any():
@@ -1332,7 +1313,7 @@ def fit_critical(
     if far < 0 or far >= len(vals) or vals[far] <= ONSET:
         raise FitError("need two ordered-side records next to the onset")
     q_near, q_far = vals[near] ** 2, vals[far] ** 2
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite root is clamped like any other
         root = lams[near] - q_near * (lams[near] - lams[far]) / (q_near - q_far)
     lambda_c = np.clip(root, lams[i], lams[i + 1])
 

@@ -239,6 +239,10 @@ _ROW = "0.5,0.1,0,0.2,0.1,0,0.2,0.1,0,0.25"
 @pytest.mark.parametrize("row", [
     *(f"{_ROW},{bad},8" for bad in ("inf", "nan", "1.5", "2", "-1", "1e0")),
     *(f"{_ROW},1,{bad}" for bad in ("inf", "-inf", "nan", "1.5", "0")),
+    # lambda is a rate, m and ms lengths inside the Bloch ball
+    "-0.5" + _ROW[3:] + ",1,8",
+    *(_ROW.replace(",0.1,0,0.25", f",{m},{ms},0.25") + ",1,8"
+      for m, ms in (("1e200", "0"), ("-0.1", "0"), ("0.1", "1.01"), ("0.1", "-1e-3"))),
     "nan" + _ROW[3:] + ",1,8",
     _ROW[:-4] + "inf,1,8",
 ])
@@ -251,6 +255,21 @@ def test_fit_refuses_a_bad_field_with_its_line(tmp_path, capsys, row):
     with pytest.raises(OperatorFormatError) as err:
         read_sweep_csv(bad.read_text())
     assert err.value.line == 3
+
+
+def test_fit_refuses_a_repeated_lambda_at_its_line(tmp_path, capsys):
+    # a sweep writes each lambda once; a second row at one would move the fit
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{CSV_HEADER}\n{_ROW},1,8\n0.6{_ROW[3:]},1,8\n{_ROW[:-4]}0.9,1,8\n")
+    assert run(["fit", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == "dspin fit: line 4: lambda 0.5 repeats line 2\n"
+
+
+def test_fit_counts_blank_lines_in_its_line_numbers(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"\n{CSV_HEADER}\n\n{_ROW},1,8\n\n{_ROW},2,8\n")
+    assert run(["fit", "--in", str(bad)]) == 1
+    assert "line 6" in capsys.readouterr().err
 
 
 def test_sweep_csv_reads_back_unchanged():
@@ -325,6 +344,63 @@ def test_effective_validate(tmp_path, capsys):
     text = capsys.readouterr().out
     line = [ln for ln in text.splitlines() if ln.startswith("error =")][0]
     assert float(line.partition("=")[2]) < 0.05
+
+
+@pytest.mark.parametrize("validate", [[], ["--validate", "--t-max", "1"]], ids=["plain", "validate"])
+@pytest.mark.parametrize("old, new, at", [
+    ("0.025 0 0:uu 1:+", "1e308 0 0:x 1:+\n1e308 0 0:x 1:+", "1e308"),
+    ("1 0 1:-", "1e308 0 1:-", "[jump]"),
+], ids=["sum", "folded-jump"])
+def test_effective_refuses_an_overflowing_operator_at_its_line(tmp_path, capsys, validate, old, new, at):
+    # the second 1e308 term sums to inf, and 1e308 under rate 4 folds to inf:
+    # each is refused as input, at its term or its [jump] header
+    text = BELL_PROBLEM.replace(old, new).replace("rate = 1.0", "rate = 4.0")
+    prob = tmp_path / "p.prob"
+    prob.write_text(text)
+    line = [k for k, ln in enumerate(text.splitlines(), 1) if ln.startswith(at)][-1]
+    assert run(["effective", "--problem", str(prob), *validate]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dspin effective: line {line}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new, message, validate", [
+    ("[P_e]", "[H_g]\n1e308 0 0:z\n[H_e]\n1e308 0 0:z\n[P_e]", "H_g + H_e + V+ + V- overflows", False),
+    ("[P_e]", "[H_g]\n1e308 0 0:z\n[H_e]\n1e308 0 0:z\n[P_e]", "H_g + H_e + V+ + V- overflows", True),
+    ("1 0 1:uu", "1e308 0 1:uu", "p_excited must be an orthogonal projector", False),
+    ("1 0 1:uu", "1e308 0 1:uu", "p_excited must be an orthogonal projector", True),
+    ("1 0 1:-", "1e154 0 1:-", "the elimination leaves the float range", False),
+], ids=["hamiltonian", "hamiltonian-validate", "projector", "projector-validate", "elimination"])
+def test_effective_refuses_finite_operators_that_overflow(tmp_path, capsys, old, new, message, validate):
+    # each operator is finite, but the Hamiltonian's sum, the projector test or
+    # c^dag c (4e308 at rate 4) is not: exit 1 with one line, and no warning
+    text = BELL_PROBLEM.replace(old, new).replace("rate = 1.0", "rate = 4.0")
+    prob = tmp_path / "p.prob"
+    prob.write_text(text)
+    assert run(["effective", "--problem", str(prob)] + ["--validate", "--t-max", "1"] * validate) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dspin effective: ") and message in err and err.count("\n") == 1
+
+
+def test_effective_validation_work_past_the_float_range_meets_the_cap(tmp_path, capsys):
+    # rate 1e308 leaves the jump finite (1e154) but its squared norm, and so the work, infinite
+    prob = tmp_path / "p.prob"
+    prob.write_text(BELL_PROBLEM.replace("rate = 1.0", "rate = 1e308"))
+    assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "1"]) == 3
+    assert "validation work inf exceeds the cap" in capsys.readouterr().err
+
+
+def test_effective_validates_a_subnormal_entry(tmp_path, capsys):
+    # the propagator's norm estimate overflows on a subnormal entry of L;
+    # the error it reports is that of the problem without it
+    errors = []
+    for p_e in ("1 0 1:uu", "1 1e-320 1:uu"):
+        prob = tmp_path / "p.prob"
+        prob.write_text(BELL_PROBLEM.replace("1 0 1:uu", p_e))
+        assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "1"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        errors.append([ln for ln in out.out.splitlines() if ln.startswith("error =")])
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("t_max", ["inf", "nan", "-5", "0"])

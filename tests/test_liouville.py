@@ -319,6 +319,26 @@ def test_complex_generator_matches_dense_reference(n, axis, orders):
     assert_steady_basis(liou, space)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("jump", ["y", "ix"])
+def test_a_jump_real_up_to_a_phase_keeps_the_real_path(n, jump, monkeypatch):
+    # sigma_y and i sigma_x have imaginary entries, but c (x) c* is real and
+    # so is L: only k <= n/2 is diagonalized, k = 0 (and n/2) in real arithmetic
+    c = 0.3 * pauli("y") if jump == "y" else 0.3j * pauli("x")
+    liou = ring_liouvillian(local_jump_model(0.7, c), n)
+    assert liou.jumps.imag.any() and not liou.matrix.imag.any()
+    evals = np.linalg.eig(liou.matrix)[0]
+    dtypes, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda f: dtypes.append(f.dtype) or eigvals(f))
+    space = steady_states(liou)
+    ks = [b.k for b in space.blocks]
+    assert len(dtypes) == sum(k <= n // 2 for k in ks) < len(ks)
+    assert dtypes.count(np.float64) == sum(2 * k % n == 0 for k in ks)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert_same_spectrum(evals, space.eigenvalues)
+    assert_steady_basis(liou, space)
+
+
 def test_null_vectors_at_complex_momenta():
     # sigma_z dephasing alone: the 8 diagonal |i><i| are dark, and the orbit
     # of |100><100| holds one at momentum 1, whose orbit phases are complex

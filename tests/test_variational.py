@@ -240,15 +240,6 @@ def test_rate_split_matches_the_folded_model(seed, z, renormalize, lam):
             assert bond.norm(alpha_a, alpha_b) == pytest.approx(ref.total_norm, abs=1e-12)
 
 
-def test_the_compile_forms_the_planar_columns_of_the_whole_tensor():
-    # the compile forms P and A on the 54 columns that ay = by = 0 reaches,
-    # in _triple's order over (1, x, z); norm's whole tensor holds the same bits there
-    model = _with_jump(heis(0.9), 2, _random_complex(np.random.default_rng(2), 4))
-    bond = CompiledBond(model)
-    planar = [32 * mu + 8 * nu + s for mu in (0, 1, 3) for nu in (0, 1, 3) for s in (0, 1, 3, 4, 5, 7)]
-    assert np.array_equal(bond._w[:, :, planar], bond._planar)
-
-
 def test_a_model_without_a_rate_set_has_k_equal_to_p():
     # the rate set empty, A = 0 exactly: K = P + rate A is P bit for bit at any rate
     model = DissipativeModel(lattice=Z6, jump_terms=heis(0.7).folded_jump_terms(), rate=0.7)
