@@ -23,9 +23,16 @@ per-call cost works on, and what those links cost in that run; it also
 counts the ``CompiledBond`` constructions of the sweep (``compiles``: one
 per batch, so two for a refined sweep on one worker) and the calls of
 ``variational._derivative_features`` (one per Newton derivative pass) and
-the states they carry (``derivative_calls``, ``derivative_rows``). Then it times the start-up every
-``dspin`` call pays: five fresh interpreters that only ``import dissipative_spins.cli``,
-on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
+the states they carry (``derivative_calls``, ``derivative_rows``). Under
+``oracle``, one child process on the checkout's ``src/``, on one BLAS thread
+and the lowest CPU, writes the ``dspin oracle`` JSON of rings of 4, 5 and 6
+sites at lambda 0 and 0.7 and records its sha256 (``json_sha256``, the
+oracle's counterpart of ``csv_sha256``), and the median of 5 timings of each
+of ``liouville.ring_liouvillian``, ``steady_states`` and
+``conjugate_pair_defect`` at each point, untraced: the traced ``liouville``
+layers of the workloads also form the dense generator. Then it times the
+start-up every ``dspin`` call pays: five fresh interpreters that only
+``import dissipative_spins.cli``, on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
 start-up included), and one more under ``python -X importtime`` whose
 cumulative microseconds of ``numpy``, ``scipy`` (0 when start-up does not
 load it) and each ``dissipative_spins`` module go beside them. Last it
@@ -103,6 +110,40 @@ sys.exit(code)
 """
 
 
+ORACLE_POINTS = [(n, lam) for n in (4, 5, 6) for lam in (0.0, 0.7)]
+ORACLE_REPEATS = 5
+# writes the ``dspin oracle`` JSON of each point into the directory argv[1] names, then
+# prints one JSON list: per point its sha256 and the median milliseconds of the three calls
+TIME_ORACLE = """\
+import hashlib, json, statistics, sys, time
+from pathlib import Path
+from dissipative_spins import cli
+from dissipative_spins.liouville import conjugate_pair_defect, ring_liouvillian, steady_states
+from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
+out, points, repeats = Path(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
+rows = []
+for n, lam in points:
+    path = out / f"oracle_{n}_{lam}.json"
+    if cli.main(["oracle", "--n", str(n), "--lambda", str(lam), "--out", str(path)]) != 0:
+        sys.exit(f"oracle n = {n}, lambda = {lam} failed")
+    model = dissipative_heisenberg(lam, LatticeSpec())
+    times = {"ring_liouvillian_ms": [], "steady_states_ms": [], "conjugate_pair_defect_ms": []}
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        liou = ring_liouvillian(model, n)
+        t1 = time.perf_counter()
+        space = steady_states(liou)
+        t2 = time.perf_counter()
+        conjugate_pair_defect(space.blocks, liou.dim)
+        t3 = time.perf_counter()
+        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+            times[key].append(1e3 * dt)
+    rows.append({"n": n, "lambda": lam, "json_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                 **{key: statistics.median(ts) for key, ts in times.items()}})
+print(json.dumps(rows))
+"""
+
+
 def git(root: Path, *args) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
 
@@ -168,6 +209,18 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
             "wall_s": times, "wall_s_median": statistics.median(times),
             "fit_argv": ["dspin", "fit", *fit_args],
             "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest, **counts}
+
+
+def time_oracle(root: Path, points=ORACLE_POINTS, repeats=ORACLE_REPEATS) -> dict:
+    """The TIME_ORACLE child on the checkout's ``src/``, on the lowest CPU: its points."""
+    cpu = min(os.sched_getaffinity(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-c", TIME_ORACLE, tmp, json.dumps(points), str(repeats)],
+                              env=child_env(root), capture_output=True, text=True,
+                              preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    if proc.returncode != 0:
+        sys.exit(f"bench: oracle timing exited with {proc.returncode}:\n{proc.stderr}")
+    return {"cpu": cpu, "repeats": repeats, "points": json.loads(proc.stdout)}
 
 
 def time_startup(root: Path) -> dict:
@@ -237,6 +290,8 @@ def main(argv=None) -> int:
     for name, (sweep_args, fit_args) in SWEEPS.items():
         sweeps.append(time_sweep(root, name, sweep_args, fit_args))
         print(f"bench: {name} done", file=sys.stderr)
+    oracle = time_oracle(root)
+    print("bench: oracle done", file=sys.stderr)
     startup = time_startup(root)
     print(f"bench: startup done ({startup['wall_s_median']:.3f} s)", file=sys.stderr)
     tier1 = time_tier1(root)
@@ -251,6 +306,7 @@ def main(argv=None) -> int:
         "seconds": spec["run_seconds"],
         "runs": runs,
         "sweeps": sweeps,
+        "oracle": oracle,
         "startup": startup,
         "tier1": tier1,
         "src_lines": count_src_lines(root),

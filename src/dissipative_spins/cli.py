@@ -4,13 +4,14 @@ Subcommands: sweep (phase-diagram scan over the anisotropy), fit (critical
 point and exponent from sweep CSV), landau (quartic expansion of the norm at
 one coupling), effective (adiabatic elimination of a problem file, with
 --validate comparing the exact full and effective evolutions), oracle (exact
-small-ring diagnostics: the generator is diagonalized sector by sector, one
-coherence order and ring momentum at a time). The oracle prints what
+small-ring diagnostics: the generator is diagonalized in sectors of one
+coherence order and ring momentum each). The oracle prints what
 ``liouville`` computes; nothing here handles the generator's layout.
 
 Every input is a flag. The model flags default to z = 6, renormalize on,
 lambda = 1 and (sweep only) the uniform ansatz; every model-taking command
-builds its lattice from them in ``_lattice``.
+builds its lattice from them in ``_lattice``. A z outside [2, models.MAX_Z]
+or a lambda (or sweep grid point) outside [0, models.MAX_RATE] exits 1.
 
 Exit codes: 0 success, 1 usage errors (an unknown flag, or a value argparse
 cannot read), unreadable or malformed input files and bad option values

@@ -14,9 +14,10 @@ real parts; the null space holds the steady states. ``steady_states``
 finds them sector by sector without ``matrix``: a conserved coherence
 order q (the weak U(1) symmetry of the ring models) and, on a ring, the
 momentum k of the site translation split the generator into (q, k)
-sectors, whose matrices are gathered from G and the jumps and
-diagonalized one at a time (at n = 6 the largest has 160 rows, against
-4,096 for the whole generator).
+sectors, whose matrices are gathered from G and the jumps and then
+diagonalized in stacks, one ``eigvals`` call per sector size and dtype
+(at n = 6 the largest sector has 160 rows, against 4,096 for the whole
+generator).
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     """Exact generator of the model on a periodic chain of n_sites spins.
 
     Every two-site jump is placed on each nearest-neighbor bond (i, i+1)
-    and every single-site jump on each site; for n_sites = 2 the two bonds
+    and every single-site jump on each site, one ``embed`` of the stack of
+    all terms of an arity per placement, and the jumps are stacked term by
+    term, each term's placements in order; for n_sites = 2 the two bonds
     of the formal ring coincide, so the pair is counted once. The model
     has no Hamiltonian, so H = 0. The jumps are its ``folded_jump_terms()``,
     used exactly as they come, so any renormalization convention carries
@@ -129,13 +132,19 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     """
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
+    d = 2**n_sites
     bonds = [[i, (i + 1) % n_sites] for i in range(n_sites)] if n_sites > 2 else [[0, 1]]
-    sites = [[s] for s in range(n_sites)]
-    jumps = [embed(jt.matrix, at, n_sites) for jt in model.folded_jump_terms()
-             for at in (sites if jt.arity == 1 else bonds)]
+    terms = model.folded_jump_terms()
+    placed = [None] * len(terms)  # per term, its jump on each placement: (placements, d, d)
+    for arity, places in ((1, [[s] for s in range(n_sites)]), (2, bonds)):
+        of_arity = [t for t, jt in enumerate(terms) if jt.arity == arity]
+        if of_arity:  # one embed of all the terms of this arity per placement
+            stack = np.stack([terms[t].matrix for t in of_arity])
+            for t, jumps in zip(of_arity, np.stack([embed(stack, at, n_sites) for at in places], axis=1)):
+                placed[t] = jumps
     # every bond carries every term, so the site translation is exact; the
     # single bond of n = 2 is not symmetric under the swap in general
-    return replace(build_liouvillian(np.zeros((2**n_sites,) * 2), jumps),
+    return replace(build_liouvillian(np.zeros((d, d)), np.concatenate(placed or [np.zeros((0, d, d))])),
                    ring=n_sites if n_sites > 2 else 0)
 
 
@@ -203,6 +212,11 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     F_{n-k} = conj F_k, so only k <= n/2 is diagonalized and k = 0 (and
     n/2) in real arithmetic, decided from G and each jump times the
     conjugate phase of its largest entry (so sigma_y or i c counts as real).
+    Every sector's matrix is gathered first; then one ``eigvals`` call
+    takes all sectors of one size and dtype as a stack (bitwise the
+    spectra of one call per sector, though a stack of real sectors comes
+    back complex for all when one has a complex eigenvalue), and last each
+    sector's null vectors and the trace defect are formed.
 
     L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
     matrices: the Hermitian parts of the sectors' null vectors, mapped back
@@ -228,7 +242,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     orders = _coherence_orders(liou)
     q_of = np.zeros(reps.size, dtype=int) if orders is None else orders[reps]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    blocks, nulls, trace_defect = [], [], 0.0
+    sectors, fs = [], []  # (q, k, orbit representatives, their periods) of each sector, and its F
     for q in np.unique(q_of):
         r, p = reps[q_of == q], period[q_of == q]
         i, j = divmod(r, d)
@@ -236,36 +250,44 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         # R_m[a, b] = L[r_a, T^m r_b] from the rows r_a of L: (n, A, A)
         gather = _rows(g, cs, i, j)[a, rot[:, i][:, None, :], rot[:, j][:, None, :]]
         ks = np.arange(n // 2 + 1 if real else n)
-        sectors = (phase[ks] @ gather.reshape(n, -1)).reshape(-1, r.size, r.size)
-        sectors *= np.sqrt(np.outer(p, p)) / n
-        for k, f in zip(ks, sectors):
+        f_k = (phase[ks] @ gather.reshape(n, -1)).reshape(-1, r.size, r.size)
+        f_k *= np.sqrt(np.outer(p, p)) / n
+        for k, f in zip(ks, f_k):
             keep = k * p % n == 0
-            if not keep.any():
-                continue
-            f = f[np.ix_(keep, keep)]
-            if real and 2 * k % n == 0:
-                f = f.real
-            if q == 0 and k == 0:
-                u = np.where(i == j, np.sqrt(p), 0.0)
-                trace_defect = float(np.abs(u @ f).max())
-            mirrored = real and 2 * k % n  # sector n - k is the complex conjugate
-            evals = np.linalg.eigvals(f)
-            blocks.append(SpectralBlock(q=int(q), k=k, eigenvalues=evals))
+            if keep.any():
+                f = f[np.ix_(keep, keep)]
+                sectors.append((int(q), k, r[keep], p[keep]))
+                fs.append(f.real if real and 2 * k % n == 0 else f)
+    groups = {}  # one eigvals call per stack of sectors of one size and dtype
+    for s, f in enumerate(fs):
+        groups.setdefault((len(f), f.dtype), []).append(s)
+    spectra = [None] * len(fs)
+    for members in groups.values():
+        for s, evals in zip(members, np.linalg.eigvals(np.stack([fs[s] for s in members]))):
+            spectra[s] = evals
+    blocks, nulls, trace_defect = [], [], 0.0
+    for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
+        if q == 0 and k == 0:
+            i, j = divmod(r, d)
+            u = np.where(i == j, np.sqrt(p), 0.0)
+            trace_defect = float(np.abs(u @ f).max())
+        mirrored = real and 2 * k % n  # sector n - k is the complex conjugate
+        blocks.append(SpectralBlock(q=q, k=k, eigenvalues=evals))
+        if mirrored:
+            blocks.append(SpectralBlock(q=q, k=n - k, eigenvalues=evals.conj()))
+        zero = np.count_nonzero(np.abs(evals) < _NULL_TOL)
+        if zero:
+            # null vectors from the SVD: for a repeated zero of an exactly
+            # structured sector eig can return dependent vectors, while a
+            # bounded semigroup has no Jordan block at zero, so the last
+            # singular vectors span it; then x_a v_a summed over the orbits
+            x = np.linalg.svd(f)[2][-zero:].conj().T * (np.sqrt(p) / n)[:, None]
+            null = np.zeros((d * d, zero), dtype=complex)
+            terms = (phase[k][:, None, None] * x).reshape(-1, zero)  # (m, a) rows
+            np.add.at(null, orbit[:, r].ravel(), terms)
+            nulls.append(null.T)
             if mirrored:
-                blocks.append(SpectralBlock(q=int(q), k=n - k, eigenvalues=evals.conj()))
-            zero = np.count_nonzero(np.abs(evals) < _NULL_TOL)
-            if zero:
-                # null vectors from the SVD: for a repeated zero of an exactly
-                # structured sector eig can return dependent vectors, while a
-                # bounded semigroup has no Jordan block at zero, so the last
-                # singular vectors span it; then x_a v_a summed over the orbits
-                x = np.linalg.svd(f)[2][-zero:].conj().T * (np.sqrt(p[keep]) / n)[:, None]
-                null = np.zeros((d * d, zero), dtype=complex)
-                terms = (phase[k][:, None, None] * x).reshape(-1, zero)  # (m, a) rows
-                np.add.at(null, orbit[:, r[keep]].ravel(), terms)
-                nulls.append(null.T)
-                if mirrored:
-                    nulls.append(null.T.conj())
+                nulls.append(null.T.conj())
     basis = _hermitian_basis(np.concatenate(nulls or [np.zeros((0, d * d))]).reshape(-1, d, d))
     return SteadySpace(dimension=len(basis), basis=basis, blocks=blocks, trace_defect=trace_defect)
 
@@ -298,19 +320,26 @@ def conjugate_pair_defect(blocks, d: int) -> float:
     cluster is accurate to ~eps. So each conjugated eigenvalue is compared
     through the means of the eigenvalues within a radius of it on both
     sides; clusters of different sizes count as at least the radius apart.
+    Blocks whose spectra, and their partners', have the same lengths and
+    dtypes are compared as one stack, entry by entry as one at a time.
     """
     radius = 1e-6  # far above the ~1e-8 split of a defective pair
     n = max(d.bit_length() - 1, 1)
     by_sector = {(b.q, b.k): b for b in blocks}
-    worst = 0.0
+    groups = {}  # blocks by the lengths and dtypes of theirs and their partner's spectra
     for block in blocks:
         w = block.eigenvalues.conj()
         v = by_sector[(-block.q, -block.k % n)].eigenvalues
-        gap_w, gap_v = np.abs(w[:, None] - w), np.abs(w[:, None] - v)
+        groups.setdefault((w.shape, v.shape, w.dtype, v.dtype), []).append((w, v))
+    worst = 0.0
+    for pairs in groups.values():
+        w, v = np.stack([w for w, _ in pairs]), np.stack([v for _, v in pairs])
+        gap_w, gap_v = np.abs(w[:, :, None] - w[:, None]), np.abs(w[:, :, None] - v[:, None])
         near_w, near_v = gap_w < radius, gap_v < radius
-        n_w, n_v = near_w.sum(axis=1), near_v.sum(axis=1)
-        mean_gap = np.abs(near_w @ w / n_w - near_v @ v / np.maximum(n_v, 1))
-        unpaired = np.maximum(gap_v.min(axis=1), radius)
+        n_w, n_v = near_w.sum(axis=2), near_v.sum(axis=2)
+        mean_gap = np.abs((near_w @ w[:, :, None])[:, :, 0] / n_w
+                          - (near_v @ v[:, :, None])[:, :, 0] / np.maximum(n_v, 1))
+        unpaired = np.maximum(gap_v.min(axis=2), radius)
         worst = max(worst, float(np.where(n_w == n_v, mean_gap, unpaired).max()))
     return worst
 

@@ -29,6 +29,13 @@ _UD = np.array([0, 1, 0, 0], dtype=complex)
 _DU = np.array([0, 0, 1, 0], dtype=complex)
 _DD = np.array([0, 0, 0, 1], dtype=complex)
 
+# numpy's int64 holds z - 1 for the renormalization's sqrt(z - 1)
+MAX_Z = 2**63 - 1
+# with z <= MAX_Z, (z - 1) lambda stays below 1e120, and its square, which the
+# bond fit forms, far inside the float range (at z = MAX_Z with renormalize
+# off, lambda = 1e150 overflowed it)
+MAX_RATE = 1e100
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -36,7 +43,7 @@ class LatticeSpec:
 
     ``renormalize`` applies lambda = lambda'/(z-1) to every two-particle
     coupling rate (matrices divided by sqrt(z-1)) so the mean-field term
-    stays finite as z grows.
+    stays finite as z grows. ``z`` is an integer in [2, MAX_Z].
     """
 
     z: int = 6
@@ -44,8 +51,8 @@ class LatticeSpec:
     renormalize: bool = True
 
     def __post_init__(self):
-        if self.z < 2:
-            raise ValueError(f"coordination number z={self.z} must be >= 2")
+        if not 2 <= self.z <= MAX_Z:
+            raise ValueError(f"coordination number z={self.z} must be >= 2 and at most {MAX_Z}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,9 @@ class JumpTerm:
 
 
 def check_rate(rate: float):
-    """ValueError unless a jump rate is finite and >= 0."""
-    if not 0 <= rate < np.inf:
-        raise ValueError(f"rate lambda={rate} must be finite and >= 0")
+    """ValueError unless a jump rate is finite, >= 0 and at most MAX_RATE."""
+    if not 0 <= rate <= MAX_RATE:
+        raise ValueError(f"rate lambda={rate} must be finite and >= 0, and at most {MAX_RATE:g}")
 
 
 @dataclass(frozen=True)

@@ -154,19 +154,30 @@ def embed(op, sites, n: int) -> np.ndarray:
 
     ``sites`` pairs tensor slots of ``op`` with lattice sites: slot 0 of
     ``op`` acts on ``sites[0]`` and so on. Order matters for non-symmetric
-    operators.
+    operators. ``op`` may be a stack (..., 2^k, 2^k), each operator of it
+    embedded on the same sites: (..., 2^n, 2^n). Each entry is the product
+    kron(op, 1) forms, op[a, b] times a complex 1 or 0, in one broadcast
+    multiply for the whole stack, so the result is bitwise that of one
+    operator at a time, signed zeros included; one transpose then moves the
+    slots to their sites.
     """
     sites = list(sites)
     k = len(sites)
     if len(set(sites)) != k or any(q < 0 or q >= n for q in sites):
         raise ValueError(f"bad site list {sites} for n={n}")
     op = np.asarray(op, dtype=complex)
-    if op.shape != (2**k, 2**k):
+    if op.shape[-2:] != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} sites")
-    rest = [q for q in range(n) if q not in sites]
-    full = kron(op, np.eye(2 ** (n - k))) if rest else op.copy()
-    order = sites + rest  # site owned by each current tensor axis
-    perm = np.argsort(order)
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(tuple(perm) + tuple(p + n for p in perm))
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+    lead, rest = op.shape[:-2], [q for q in range(n) if q not in sites]
+    if not rest:
+        full = op.copy()
+    elif 2**n > MAX_DIM:
+        raise ValueError(f"embedding exceeds max dimension {MAX_DIM}")
+    else:  # kron(op, 1) of each operator in the stack
+        eye = np.eye(2 ** (n - k), dtype=complex)
+        full = (op[..., :, None, :, None] * eye[:, None, :]).reshape(*lead, 2**n, 2**n)
+    perm = np.argsort(sites + rest)  # sites + rest: the site owned by each current tensor axis
+    t = full.reshape(*lead, *(2,) * (2 * n))
+    t = t.transpose(*range(len(lead)), *(len(lead) + p for p in perm),
+                    *(len(lead) + n + p for p in perm))
+    return np.ascontiguousarray(t.reshape(*lead, 2**n, 2**n))

@@ -1150,6 +1150,7 @@ def sweep(
     same crossing on the fine grid. ValueError, before any grid is built,
     for an unknown ``kind``, a bipartite one on a non-bipartite
     ``lattice``, ``restarts`` or ``jobs`` below 1, or bounds ``grid_size``
+    refuses; and before any minimization for a grid point ``check_rate``
     refuses.
     """
     _check_ansatz(kind, lattice.bipartite)
@@ -1172,7 +1173,10 @@ def sweep(
             batches = [_sweep_chunk(t) for t in tasks]
         return [r for batch in batches for r in batch]
 
-    records = {r.lam: r for r in run(sweep_grid(lambda_min, lambda_max, step))}
+    grid = sweep_grid(lambda_min, lambda_max, step)
+    for lam in grid[:1] + grid[-1:]:  # the ends of the grid bound every point, refined ones too
+        check_rate(lam)
+    records = {r.lam: r for r in run(grid)}
 
     if refine and records:
         fine = step / 10.0

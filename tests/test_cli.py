@@ -319,6 +319,36 @@ def test_non_finite_lambda_is_refused(capsys):
         assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda-min", "0.4", "--lambda-max", "0.4", "--z", "100000000000000000000"],
+    ["landau", "--z", "100000000000000000000"],
+    ["oracle", "--z", "100000000000000000000"],
+    ["sweep", "--lambda-min", "1e308", "--lambda-max", "1e308"],
+    ["sweep", "--lambda-min", "0.4", "--lambda-max", "1e101", "--step", "1e101"],
+    ["landau", "--lambda", "1e308"],
+    ["oracle", "--n", "3", "--lambda", "1e308"],
+    ["oracle", "--n", "3", "--lambda", "1e101"],
+])
+def test_model_flags_past_their_range_are_refused(capsys, monkeypatch, argv):
+    # z past numpy's int64 ended in a TypeError, lambda = 1e308 in an
+    # OverflowError (sweep), Infinity with exit 0 (landau) or a RuntimeWarning
+    # (oracle); lambda above MAX_RATE = 1e100 is refused before any minimization
+    monkeypatch.setattr(variational, "_sweep_chunk", refuse)
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"dspin {argv[0]}: ") and out.err.count("\n") == 1
+    assert ("z=" if "--z" in argv else "rate lambda=") in out.err
+
+
+def test_model_flags_at_their_bounds_run(capsys):
+    # the largest z and rate each run; together (z - 1) lambda = 9.2e118
+    for argv in (["oracle", "--n", "2", "--lambda", "1e100"],
+                 ["landau", "--lambda", "1e100", "--z", str(2**63 - 1), "--renormalize", "off"]):
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_landau_samples_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "landau_expansion", refuse)
     assert run(["landau", "--lambda", "1.0",

@@ -1,9 +1,12 @@
-"""Line-level mutations of a problem file and a sweep CSV, read through the CLI.
+"""Line-level mutations of a problem file and a sweep CSV, and drawn model flags, through the CLI.
 
 Every run must end in exit 0 with nothing on stderr, in exit 1 (bad input)
 or 2 (fit or elimination failure) with one ``dspin <cmd>:`` line, or in
 exit 3 with one line naming the cap it exceeds. An uncaught exception or a
-RuntimeWarning fails the run.
+RuntimeWarning fails the run. The model-flag runs of ``oracle``, ``landau``
+and ``sweep`` are kept small (rings of at most 4 sites, a few Landau samples,
+sweeps of at most 3 grid points and 2 restarts) or over a cap, which exits
+3 before any work.
 """
 
 import io
@@ -11,11 +14,11 @@ import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dissipative_spins import cli
-from dissipative_spins.variational import SweepRecord
+from dissipative_spins.variational import SweepRecord, grid_size
 
 from test_opformat import PROBLEM
 
@@ -107,3 +110,52 @@ def test_mutated_sweep_csvs(tmp_path, text):
     path = tmp_path / "sweep.csv"
     path.write_text(text)
     assert_documented_outcome("fit", *run_cli(["fit", "--in", str(path)]))
+
+
+# numbers argparse reads, around each bound of the model flags; each goes in as --flag=value,
+# so a negative one is not read as a flag
+Z_VALUES = ["2", "3", "6", "1000", "9223372036854775807", "9223372036854775808",
+            "100000000000000000000", "1", "0", "-6"]
+LAMBDAS = ["0", "-0.0", "0.3", "0.5", "1", "1.5", "2", "1e-320", "1e100", "1.0000000000000002e100",
+           "1e160", "1e308", "-0.5", "-1e-320", "nan", "inf", "-inf"]
+model_flags = st.tuples(st.sampled_from(Z_VALUES), st.sampled_from(["on", "off"])).map(
+    lambda f: [f"--z={f[0]}", f"--renormalize={f[1]}"])
+_FLAGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_FLAGS
+@given(n=st.sampled_from(["-1", "0", "1", "2", "3", "4", "7", "1000", "10000000000000000000000"]),
+       lam=st.sampled_from(LAMBDAS), flags=model_flags)
+def test_oracle_model_flags(n, lam, flags):
+    code, err = run_cli(["oracle", f"--n={n}", f"--lambda={lam}"] + flags)
+    assert_documented_outcome("oracle", code, err)
+    if n in ("7", "1000", "10000000000000000000000"):
+        assert code == 3  # the ring cap comes before the model is built
+
+
+@_FLAGS
+@given(samples=st.sampled_from(["-1", "0", "4", "5", "7", "1001"]),
+       phi_max=st.sampled_from(["0.03", "-0.03", "0", "1e-300", "0.5", "1", "-1", "1.0000000000000002",
+                                "-2", "1e308", "nan", "inf"]),
+       direction=st.sampled_from(["in-plane", "staggered-z"]),
+       lam=st.sampled_from(LAMBDAS), flags=model_flags)
+def test_landau_model_flags(samples, phi_max, direction, lam, flags):
+    argv = ["landau", f"--samples={samples}", f"--phi-max={phi_max}", f"--direction={direction}",
+            f"--lambda={lam}"] + flags
+    assert_documented_outcome("landau", *run_cli(argv))
+
+
+@_FLAGS
+@given(bounds=st.tuples(st.sampled_from(LAMBDAS), st.sampled_from(LAMBDAS)),
+       step=st.sampled_from(["0.5", "1", "2", "1e-300", "1e300", "0", "-1", "nan", "inf"]),
+       restarts=st.sampled_from(["-1", "0", "1", "2", "1001"]), ansatz=st.sampled_from(["uniform", "bipartite"]),
+       refine=st.booleans(), flags=model_flags)
+def test_sweep_model_flags(bounds, step, restarts, ansatz, refine, flags):
+    try:  # at most 3 grid points, or over the cap, which exits 3 before any work
+        points = grid_size(float(bounds[0]), float(bounds[1]), float(step))
+        assume(points <= 3 or points > cli.MAX_SWEEP_POINTS)
+    except ValueError:  # bounds grid_size refuses: exit 1 before any work
+        pass
+    argv = ["sweep", f"--lambda-min={bounds[0]}", f"--lambda-max={bounds[1]}", f"--step={step}",
+            f"--restarts={restarts}", f"--ansatz={ansatz}"] + flags + ([] if refine else ["--no-refine"])
+    assert_documented_outcome("sweep", *run_cli(argv))

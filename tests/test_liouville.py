@@ -18,8 +18,10 @@ from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
     Liouvillian,
+    SpectralBlock,
     _coherence_orders,
     build_liouvillian,
+    conjugate_pair_defect,
     exact_norm,
     ring_liouvillian,
     steady_states,
@@ -41,6 +43,8 @@ from dissipative_spins.operators import (
     pauli,
     trace_norm_hermitian,
 )
+
+from test_operators import kron_embed
 
 
 def test_amplitude_damping_spectrum():
@@ -368,6 +372,60 @@ def test_ring_generator_commutes_with_translation(n):
         rho = _random_matrix(rng, 2**n)
         np.testing.assert_allclose(liou.apply(shift @ rho @ shift.T),
                                    shift @ liou.apply(rho) @ shift.T, atol=1e-12)
+
+
+def mixed_arity_model(lam):
+    """Heisenberg pumps, a single-site jump, a two-site jump that is not swap symmetric, the rate set."""
+    model = dissipative_heisenberg(lam, LatticeSpec(z=6))
+    lopsided = np.array(kron(pauli("-"), 0.3 * pauli("z") + 0.2j * pauli("x")))
+    lopsided[0, 0] = complex(-0.0, -0.0)
+    terms = [model.jump_terms[0], JumpTerm(1, quarter_turn("x"), "turn"), JumpTerm(2, lopsided, "lopsided"),
+             *model.jump_terms[1:], JumpTerm(1, 0.5 * pauli("-"), "decay")]
+    return replace(model, jump_terms=terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ring_jumps_and_g_are_the_per_jump_kron_bitwise(n):
+    # one embed per arity and placement forms the jumps np.kron forms one at a
+    # time, in the same order: term-major, placement-minor
+    bonds = [[i, (i + 1) % n] for i in range(n)] if n > 2 else [[0, 1]]
+    for model in (dissipative_heisenberg(0.7, LatticeSpec(z=6)), mixed_arity_model(0.7)):
+        ref = build_liouvillian(np.zeros((2**n, 2**n)), [
+            kron_embed(t.matrix, at, n) for t in model.folded_jump_terms()
+            for at in ([[s] for s in range(n)] if t.arity == 1 else bonds)])
+        got = ring_liouvillian(model, n)
+        assert got.jumps.tobytes() == ref.jumps.tobytes() and got.jumps.shape == ref.jumps.shape
+        assert got.g.tobytes() == ref.g.tobytes()
+
+
+@pytest.mark.parametrize("n, lam", [(4, 0.7), (5, 0.0)])
+@pytest.mark.parametrize("jump", [None, "z"])
+def test_one_eigvals_call_per_sector_size_and_dtype(n, lam, jump, monkeypatch):
+    # the sectors are diagonalized as stacks, one call per (size, dtype); each
+    # stack holds every sector of that size and dtype, and nothing else
+    model = dissipative_heisenberg(lam, LatticeSpec(z=6)) if jump is None else local_jump_model(lam, quarter_turn(jump))
+    liou = ring_liouvillian(model, n)
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda f: calls.append((f.shape, f.dtype)) or eigvals(f))
+    space = steady_states(liou)
+    keys = [(shape[-1], dtype) for shape, dtype in calls]
+    assert len(set(keys)) == len(keys) < sum(shape[0] for shape, _ in calls)
+    real = not liou.matrix.imag.any()
+    diagonalized = [b for b in space.blocks if not real or b.k <= n // 2]
+    assert sum(shape[0] for shape, _ in calls) == len(diagonalized)
+    assert set(keys) == {(len(b.eigenvalues), np.dtype(float if real and 2 * b.k % n == 0 else complex))
+                         for b in diagonalized}
+
+
+def test_conjugate_pair_defect_of_partners_of_another_length():
+    # a spectrum whose partner is shorter reports its unpaired eigenvalue's
+    # distance to the partner, and a cluster the partner lacks the radius
+    blocks = [SpectralBlock(q=0, k=0, eigenvalues=np.array([0.0, -0.5])),
+              SpectralBlock(q=1, k=0, eigenvalues=np.array([-1.0, -2.0 + 0.25j])),
+              SpectralBlock(q=-1, k=0, eigenvalues=np.array([-1.0 + 0j]))]
+    assert conjugate_pair_defect(blocks, 8) == pytest.approx(abs(-2.0 - 0.25j + 1.0))
+    blocks[1] = SpectralBlock(q=1, k=0, eigenvalues=np.array([-1.0, -1.0 - 1e-9]))
+    assert conjugate_pair_defect(blocks, 8) == 1e-6
 
 
 @pytest.mark.parametrize("z, renormalize", [(6, True), (2, False)])

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from dissipative_spins.models import (
+    MAX_RATE,
+    MAX_Z,
     DissipativeModel,
     JumpTerm,
     LatticeSpec,
     anisotropy_jumps,
+    check_rate,
     dissipative_heisenberg,
     ferro_pump_jumps,
 )
@@ -127,6 +130,16 @@ def test_model_rate_must_be_finite_and_nonnegative():
     # a model without a rate set folds to its own jumps
     model = DissipativeModel(lattice=LatticeSpec(), jump_terms=ferro_pump_jumps(), rate=0.7)
     assert model.folded_jump_terms() == model.jump_terms
+
+
+def test_rate_and_z_have_upper_bounds():
+    # past them the bond fit's squares overflow, or numpy cannot take sqrt(z - 1)
+    assert LatticeSpec(z=MAX_Z).z == MAX_Z
+    check_rate(MAX_RATE)
+    with pytest.raises(ValueError, match="at most"):
+        LatticeSpec(z=MAX_Z + 1)
+    with pytest.raises(ValueError, match="at most"):
+        check_rate(np.nextafter(MAX_RATE, np.inf))
 
 
 def test_swap_closure():

@@ -153,3 +153,46 @@ def test_embed_site_order():
 def test_embed_single_site_matches_kron():
     z = pauli("z")
     np.testing.assert_allclose(embed(z, [1], 3), kron(np.eye(2), z, np.eye(2)))
+
+
+def kron_embed(op, sites, n):
+    """One operator embedded by np.kron with the identity on the other sites, then its axes permuted."""
+    rest = [q for q in range(n) if q not in sites]
+    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex)) if rest else op.copy()
+    perm = np.argsort(list(sites) + rest)
+    t = full.reshape((2,) * (2 * n)).transpose(tuple(perm) + tuple(p + n for p in perm))
+    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+
+
+def signed_zero_operators(rng, k, count):
+    """``count`` random non-symmetric k-site operators, a quarter of their parts -0.0 or +0.0."""
+    d = 2**k
+    parts = rng.normal(size=(2, count, d, d))
+    parts[rng.random(parts.shape) < 0.25] = -0.0
+    parts[rng.random(parts.shape) < 0.1] = 0.0
+    ops = np.empty((count, d, d), dtype=complex)
+    ops.real, ops.imag = parts  # a sum or product with 1j would lose the signs of zeros
+    return ops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_embed_is_the_per_operator_kron_bitwise(n):
+    # each entry is op[a, b] times a complex 1 or 0, as np.kron forms it, so
+    # the bits agree, signs of zeros included
+    rng = np.random.default_rng(n)
+    for k in range(1, min(n, 3) + 1):
+        ops = signed_zero_operators(rng, k, 6)
+        assert (np.signbit(ops.real) & (ops.real == 0)).any() and (np.signbit(ops.imag) & (ops.imag == 0)).any()
+        for sites in (list(range(k)), list(range(n - k, n))[::-1], list(rng.permutation(n)[:k])):
+            stacked = embed(ops.reshape(2, 3, 2**k, 2**k), sites, n)
+            assert stacked.shape == (2, 3, 2**n, 2**n)
+            for op, got in zip(ops, stacked.reshape(6, 2**n, 2**n)):
+                want = kron_embed(op, sites, n)
+                assert got.tobytes() == embed(op, sites, n).tobytes() == want.tobytes()
+
+
+def test_stacked_embed_checks_each_operator_shape():
+    with pytest.raises(ValueError):
+        embed(np.zeros((3, 2, 2)), [0, 1], 3)
+    with pytest.raises(ValueError):
+        embed(np.zeros((3, 4, 4)), [0, 0], 3)

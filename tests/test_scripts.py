@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import runpy
@@ -100,3 +101,20 @@ def test_bench_counting_child_counts_a_sweep(tmp_path):
     assert sorted(counts) == ["compiles", "derivative_calls", "derivative_rows",
                               "spectra_calls", "spectra_rows", "spectra_s"]
     assert all(value > 0 for value in counts.values()), counts
+
+
+def test_bench_oracle_child_hashes_the_oracle_json(tmp_path):
+    # the oracle key of scripts/bench.py hashes what dspin oracle writes and
+    # times the three liouville calls it makes
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench.py"))
+    timed = bench["time_oracle"](ROOT, [[3, 0.7]], 2)  # SystemExit unless the child exits 0
+    out = tmp_path / "oracle.json"
+    proc = subprocess.run([sys.executable, "-m", "dissipative_spins.cli", "oracle", "--n", "3",
+                           "--lambda", "0.7", "--out", str(out)],
+                          env=bench["child_env"](ROOT), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    [point] = timed["points"]
+    assert (point["n"], point["lambda"], timed["repeats"]) == (3, 0.7, 2)
+    assert point["json_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert all(point[f"{call}_ms"] > 0
+               for call in ("ring_liouvillian", "steady_states", "conjugate_pair_defect"))
