@@ -9,12 +9,18 @@ untraced and once with ``--trace 1``, one run at a time. Then times the
 A2 and A3 acceptance sweeps (``dspin sweep`` over 0.3-0.7 uniform and
 1.3-1.7 bipartite, step 0.01, refined, seed 0, ``--jobs 1``) from that
 checkout's ``src/``, three times each on one BLAS thread and the lowest
-CPU this process may use; these are raw wall-clock seconds, interpreter
-start-up included, not benchmark workloads. The last CSV of each is fitted
-with ``dspin fit`` as the acceptance tests fit it, and its ``lambda_c`` and
-``beta`` go beside the times, with the CSV's sha256 (``csv_sha256``), so
-that two BENCH files show whether a change left the A2 and A3 outputs
-byte-identical. One more run of each sweep, in a child process on the
+CPU this process may use, interpreter start-up included; these are not
+benchmark workloads. Each such child is timed by ``time_child``: the
+benchmark's reference kernel (``make_reference_kernel`` from this
+checkout's ``perfbench/run.py``) runs ``SETUP_REF_CALLS`` times just
+before and after it on the same CPU, this process pinned there while it
+times, and the raw seconds (``wall_s``) go beside the seconds divided by
+the harmonic mean of those kernel times (``wall_ref``, in the benchmark's
+ref units, so a slow spell of the host divides out of the quoted time).
+The last CSV of each is fitted with ``dspin fit`` as the acceptance tests
+fit it, and its ``lambda_c`` and ``beta`` go beside the times, with the
+CSV's sha256 (``csv_sha256``), so that two BENCH files show whether a
+change left the A2 and A3 outputs byte-identical. One more run of each sweep, in a child process on the
 checkout's ``src/``, counts the calls of ``variational._spectra`` (the one
 stacked ``eigvalsh`` every norm evaluation of a batch ends in), the rows
 they carry and the seconds spent inside them (``spectra_calls``,
@@ -32,19 +38,20 @@ of ``liouville.ring_liouvillian``, ``steady_states`` and
 ``conjugate_pair_defect`` at each point, untraced: the traced ``liouville``
 layers of the workloads also form the dense generator. Then it times the
 start-up every ``dspin`` call pays: five fresh interpreters that only
-``import dissipative_spins.cli``, on one BLAS thread and the lowest CPU (raw wall-clock seconds, interpreter
-start-up included), and one more under ``python -X importtime`` whose
-cumulative microseconds of ``numpy``, ``scipy`` (0 when start-up does not
-load it) and each ``dissipative_spins`` module go beside them. Last it
-times one full tier-1 test run (``python -m pytest -q
+``import dissipative_spins.cli``, on one BLAS thread and the lowest CPU,
+timed by ``time_child``, and one more under ``python -X importtime``
+whose cumulative microseconds of ``numpy``, ``scipy`` (0 when start-up
+does not load it) and each ``dissipative_spins`` module go beside them.
+Last it times one full tier-1 test run (``python -m pytest -q
 --continue-on-collection-errors`` in the checkout, its ``src/`` on the
 path, one BLAS thread, no CPU pinning, since some tests start worker
 processes). Writes ``BENCH_<label>.json`` next to
 this checkout's ``BENCHMARK.json``: the checkout's git sha and whether its
 ``src/`` differed from that commit, the git tree id of ``src/`` from the
 runs' records, per run its last-line JSON result and the path of its full
-record inside the checkout, per sweep its times, point count and fit, under
-``startup`` the import times and their median, and under ``tier1`` the
+record inside the checkout, per sweep its times (``wall_s`` and ``wall_ref``
+with their medians), point count and fit, under ``startup`` the import
+times in the same two units and their medians, and under ``tier1`` the
 test run's wall time, exit code and passed/failed/error counts, and under
 ``src_lines`` the non-blank lines of each ``src/dissipative_spins`` module
 and their total, so a change that shrinks the code quotes its size from
@@ -66,6 +73,9 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "perfbench"))
+from run import SETUP_REF_CALLS, harmonic_mean, kernel_times, make_reference_kernel  # noqa: E402
+
 SEED = 1
 SWEEP_REPEATS = 3
 STARTUP_REPEATS = 5
@@ -154,6 +164,29 @@ def child_env(root: Path) -> dict:
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
+def time_child(argv: list, env: dict, cpu: int) -> tuple:
+    """Run ``argv`` as a child on ``cpu``: (its CompletedProcess, wall seconds, them in refs).
+
+    The benchmark's reference kernel runs SETUP_REF_CALLS times just before
+    and just after the child, as perfbench times its set-up; the seconds in
+    refs are the wall seconds over the harmonic mean of those kernel times.
+    This process pins itself to ``cpu`` while it times, so the kernel and
+    the child, which inherits the pin, run on the same CPU.
+    """
+    kernel = make_reference_kernel()
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        before = kernel_times(kernel, SETUP_REF_CALLS)
+        t0 = time.perf_counter()
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        spent = time.perf_counter() - t0
+        ref = harmonic_mean(before + kernel_times(kernel, SETUP_REF_CALLS))
+    finally:
+        os.sched_setaffinity(0, usable)
+    return proc, spent, spent / ref
+
+
 def count_run(root: Path, argv: list) -> dict:
     """``dspin`` with ``argv`` in the COUNT_SPECTRA child on the checkout's ``src/``: its counts."""
     proc = subprocess.run([sys.executable, "-c", COUNT_SPECTRA, *argv], env=child_env(root),
@@ -184,14 +217,13 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
             "--step", "0.01", "--seed", "0", "--jobs", "1"]
     env = child_env(root)
     cpu = min(os.sched_getaffinity(0))
-    times = []
+    times, refs = [], []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
         for _ in range(SWEEP_REPEATS):
-            t0 = time.perf_counter()
-            proc = subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True,
-                                  text=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-            times.append(time.perf_counter() - t0)
+            proc, spent, in_ref = time_child(argv + ["--out", str(out)], env, cpu)
+            times.append(spent)
+            refs.append(in_ref)
             if proc.returncode != 0:
                 sys.exit(f"bench: {name} exited with {proc.returncode}:\n{proc.stderr}")
         points = len(out.read_text().strip().splitlines()) - 1
@@ -207,6 +239,7 @@ def time_sweep(root: Path, name: str, args: list, fit_args: list) -> dict:
         fit = json.loads(proc.stdout)
     return {"name": name, "argv": ["dspin"] + argv[3:], "cpu": cpu, "points": points,
             "wall_s": times, "wall_s_median": statistics.median(times),
+            "wall_ref": refs, "wall_ref_median": statistics.median(refs),
             "fit_argv": ["dspin", "fit", *fit_args],
             "lambda_c": fit["lambda_c"], "beta": fit["beta"], "csv_sha256": digest, **counts}
 
@@ -227,19 +260,14 @@ def time_startup(root: Path) -> dict:
     argv = [sys.executable, "-c", "import dissipative_spins.cli"]
     env = child_env(root)
     cpu = min(os.sched_getaffinity(0))
-
-    def pin():
-        os.sched_setaffinity(0, {cpu})
-
-    times = []
+    times, refs = [], []
     for _ in range(STARTUP_REPEATS):
-        t0 = time.perf_counter()
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=pin)
-        times.append(time.perf_counter() - t0)
+        proc, spent, in_ref = time_child(argv, env, cpu)
+        times.append(spent)
+        refs.append(in_ref)
         if proc.returncode != 0:
             sys.exit(f"bench: start-up import exited with {proc.returncode}:\n{proc.stderr}")
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv[1:]], env=env,
-                          capture_output=True, text=True, preexec_fn=pin)
+    proc = time_child([sys.executable, "-X", "importtime", *argv[1:]], env, cpu)[0]
     # "import time: self [us] | cumulative | name", one line per module loaded
     cumulative = {}
     for line in proc.stderr.splitlines():
@@ -250,7 +278,8 @@ def time_startup(root: Path) -> dict:
     modules.update((name, us) for name, us in cumulative.items()
                    if name.split(".")[0] == "dissipative_spins")
     return {"argv": ["python"] + argv[1:], "cpu": cpu, "wall_s": times,
-            "wall_s_median": statistics.median(times), "importtime_cumulative_us": modules}
+            "wall_s_median": statistics.median(times), "wall_ref": refs,
+            "wall_ref_median": statistics.median(refs), "importtime_cumulative_us": modules}
 
 
 def time_tier1(root: Path) -> dict:

@@ -29,7 +29,7 @@ import numpy as np
 from .models import DissipativeModel
 from .operators import embed, trace_norm_hermitian
 
-_NULL_TOL = 1e-9  # generator eigenvalues below this in magnitude span the steady space
+_NULL_TOL = 1e-9  # eigenvalues below this times min(1, spectral radius) span the steady space
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,13 @@ class SteadySpace:
         return np.concatenate([b.eigenvalues for b in self.blocks])
 
 
-def _coherence_orders(liou: Liouvillian):
+def coherence_orders(liou: Liouvillian):
     """popcount(i) - popcount(j) of each |i><j| (row-major) if L conserves it, else None.
 
     It is conserved when G keeps popcount and every jump shifts it by one
     fixed amount of its own: G rho, rho G^dag and c rho c^dag then keep the
-    order of each |i><j|.
+    order of each |i><j|. The package's one test of the rotation about z:
+    ``steady_states`` and the variational bond compile both ask it.
     """
     pc = np.array([bin(i).count("1") for i in range(liou.dim)])
     shift = pc[:, None] - pc  # popcount change made by the entry (i, k) of an operator
@@ -201,7 +202,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     """Null space of the generator, sector by sector, as Hermitian representatives.
 
     L commutes with the weak U(1) symmetry (coherence order q, when
-    ``_coherence_orders`` finds it conserved) and with the ring's
+    ``coherence_orders`` finds it conserved) and with the ring's
     translation T, so it is block diagonal in (q, k) sectors. A sector's
     basis holds one vector per T-orbit of entries |i><j| of order q: with
     representative r_a and period p_a, v_a = sqrt(p_a)/n sum_m
@@ -216,7 +217,8 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     takes all sectors of one size and dtype as a stack (bitwise the
     spectra of one call per sector, though a stack of real sectors comes
     back complex for all when one has a complex eigenvalue), and last each
-    sector's null vectors and the trace defect are formed.
+    sector's null vectors and the trace defect are formed; the kernel cut
+    is ``_NULL_TOL`` times min(1, largest |eigenvalue|), all dark at 0.
 
     L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
     matrices: the Hermitian parts of the sectors' null vectors, mapped back
@@ -239,7 +241,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     orbit = (rot[:, :, None] * d + rot[:, None, :]).reshape(n, d * d)  # T^m |i><j|
     reps = np.flatnonzero(orbit.min(axis=0) == np.arange(d * d))
     period = n // (orbit[:, reps] == reps).sum(axis=0)
-    orders = _coherence_orders(liou)
+    orders = coherence_orders(liou)
     q_of = np.zeros(reps.size, dtype=int) if orders is None else orders[reps]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     sectors, fs = [], []  # (q, k, orbit representatives, their periods) of each sector, and its F
@@ -261,10 +263,13 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     groups = {}  # one eigvals call per stack of sectors of one size and dtype
     for s, f in enumerate(fs):
         groups.setdefault((len(f), f.dtype), []).append(s)
-    spectra = [None] * len(fs)
+    spectra, radius = [None] * len(fs), 0.0  # and the largest |eigenvalue| of all of them
     for members in groups.values():
-        for s, evals in zip(members, np.linalg.eigvals(np.stack([fs[s] for s in members]))):
+        stack = np.linalg.eigvals(np.stack([fs[s] for s in members]))
+        radius = max(radius, np.abs(stack).max())
+        for s, evals in zip(members, stack):
             spectra[s] = evals
+    cut = _NULL_TOL * min(1.0, radius) if radius else np.inf  # with no jumps every eigenvalue is 0
     blocks, nulls, trace_defect = [], [], 0.0
     for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
         if q == 0 and k == 0:
@@ -275,7 +280,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         blocks.append(SpectralBlock(q=q, k=k, eigenvalues=evals))
         if mirrored:
             blocks.append(SpectralBlock(q=q, k=n - k, eigenvalues=evals.conj()))
-        zero = np.count_nonzero(np.abs(evals) < _NULL_TOL)
+        zero = np.count_nonzero(np.abs(evals) < cut)
         if zero:
             # null vectors from the SVD: for a repeated zero of an exactly
             # structured sector eig can return dependent vectors, while a

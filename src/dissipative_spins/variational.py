@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import build_liouvillian
+from .liouville import build_liouvillian, coherence_orders
 from .models import DissipativeModel, LatticeSpec, check_rate, dissipative_heisenberg
 from .operators import (
     BALL_TOL,
@@ -288,11 +288,6 @@ _PAULIS = np.array([pauli(name) for name in ("identity", "x", "y", "z")])
 _PAIR_BASIS = 0.25 * np.einsum("mpr,nqs->pqrsmn", _PAULIS, _PAULIS).reshape(16, 16)
 # the 54 of W's 128 columns that ay = by = 0 reaches: a, b over (1, x, z), [b; a] over (1, bx, bz, 1, ax, az)
 _PLANAR_COLUMNS = np.arange(128).reshape(4, 4, 8)[np.ix_([0, 1, 3], [0, 1, 3], [0, 1, 3, 4, 5, 7])].ravel()
-# U = exp(-i t (sz (x) 1 + 1 (x) sz) / 2) turns entry (i, j) of a bond
-# operator by -i t (m_i - m_j); a generator commutes with that rotation iff
-# it has no entry between rows (i, j), (k, l) of different m_i - m_j
-_Z_CHARGE = np.subtract.outer([1.0, 0, 0, -1], [1.0, 0, 0, -1]).ravel()
-_Z_MOVES = np.subtract.outer(_Z_CHARGE, _Z_CHARGE) != 0
 
 
 def _bond_tensor(gens, half_zc):
@@ -322,11 +317,11 @@ class CompiledBond:
     terms; single-site ones act on each slot of the bond and enter the
     bilinear part only. The compile folds the ``jump_terms`` into one
     Hermitian 16x128 tensor P and the unit-rate ``rate_jump_terms`` into A
-    (0 for a model without a rate set), both in one stacked pass. ``norm``
-    evaluates P + rate A at any state, with the model's rate, the reference
-    the tests check the engine against; ``tensor`` gives the engine's real
-    [P | A] on the gauge-fixed slice, read from the 54 columns of the one
-    compile that slice reaches.
+    (0 for a model without a rate set), both in one stacked pass, and asks
+    ``liouville.coherence_orders`` of each Liouvillian it builds whether it
+    keeps the rotation about z. ``norm`` evaluates P + rate A at any state,
+    with the model's rate, the reference the tests check the engine against;
+    ``tensor`` gives the engine's real [P | A] on the gauge-fixed slice.
     """
 
     def __init__(self, model: DissipativeModel):
@@ -334,20 +329,16 @@ class CompiledBond:
         # (part, bond | local, 16, 16): part 0 (P) holds the jumps at their
         # own rates, part 1 (A) the rate set
         gens = np.zeros((2, 2, 16, 16), dtype=complex)
+        self._z_symmetric = True  # until a generator W is linear in breaks the rotation about z
         for part, terms in enumerate((model.jump_terms, model.rate_jump_terms)):
-            jumps = {1: [], 2: []}
-            for t in terms:
-                jumps[t.arity].append(t.matrix)
-            if jumps[2]:
-                gens[part, 0] = build_liouvillian(zero, jumps[2]).matrix
-            # single-site jumps on both slots of the bond
-            if jumps[1]:
-                gens[part, 1] = build_liouvillian(
-                    zero, [kron(c, eye) for c in jumps[1]] + [kron(eye, c) for c in jumps[1]]).matrix
-        # the rotation about z, checked on the generators W is linear in
-        size = np.abs(gens)
-        self._z_symmetric = bool(((size * _Z_MOVES).max(axis=(1, 2, 3))
-                                  <= _SYMMETRY_RTOL * size.max(axis=(1, 2, 3))).all())
+            site = [t.matrix for t in terms if t.arity == 1]
+            # the bond's own jumps, then the single-site jumps on both slots of the bond
+            local = [kron(c, eye) for c in site] + [kron(eye, c) for c in site]
+            for slot, cs in enumerate(([t.matrix for t in terms if t.arity == 2], local)):
+                if cs:
+                    liou = build_liouvillian(zero, cs)
+                    gens[part, slot] = liou.matrix
+                    self._z_symmetric &= coherence_orders(liou) is not None
         self.rate = model.rate
         self._w = _bond_tensor(gens, 0.5 * float(model.lattice.z - 1))  # (part, 16, 128)
 
@@ -363,13 +354,15 @@ class CompiledBond:
         P and A folded onto the 27 monomials of the bipartite layout, or the
         10 of the uniform one, where they are also turned into the basis
         (singlet, triplet) with the coupling between the blocks set to
-        exactly 0. ValueError where that drops more than rounding in either
-        part: a jump breaks the rotation about z (the gauge the minimizer
-        fixes), K is not real at ay = by = 0, or, uniform, the bond's sites
-        are not swap-symmetric.
+        exactly 0. ValueError where a jump has no one magnetization shift,
+        breaking the rotation about z (the gauge the minimizer fixes; sigma_x
+        with sigma_y too, though sqrt(2) sigma^+ with sqrt(2) sigma^- pass),
+        or the fold drops more than rounding in either part: K is not real
+        at ay = by = 0, or, uniform, the bond's sites are not swap-symmetric.
         """
         if not self._z_symmetric:
-            raise ValueError("the model is not symmetric under rotations about z")
+            raise ValueError("the model is not symmetric under rotations about z: give each jump one "
+                             "magnetization shift (sigma_x, sigma_y as sqrt(2) sigma^+, sqrt(2) sigma^-)")
         w = self._w.take(_PLANAR_COLUMNS, axis=2)
         tol = _SYMMETRY_RTOL * np.abs(w).max(axis=(1, 2))[:, None, None]
         w = _MONOMIALS[kind][1] @ w.transpose(0, 2, 1)  # (part, M, 16)

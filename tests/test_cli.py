@@ -626,6 +626,14 @@ def test_oracle_n6(capsys, lam, dim):
     assert out["conjugate_pair_defect"] < 1e-9
 
 
+@pytest.mark.parametrize("z", [10_000_000_000, 2**62])
+def test_oracle_dark_count_at_large_z(capsys, z):
+    # renormalization scales every rate by 1/(z - 1), and the kernel cut
+    # scales with the spectrum: one dark state, as at z = 6
+    assert run(["oracle", "--n", "3", "--z", str(z)]) == 0
+    assert json.loads(capsys.readouterr().out)["dark_dimension"] == 1
+
+
 def test_conjugate_pair_defect_pairs_opposite_orders():
     # a phase jump diag(1, i) keeps the coherence-order blocks but makes
     # them complex: block q is the conjugate of block -q, not of itself

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from dissipative_spins.liouville import (
     Liouvillian,
     SpectralBlock,
-    _coherence_orders,
+    coherence_orders,
     build_liouvillian,
     conjugate_pair_defect,
     exact_norm,
@@ -265,11 +265,11 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
     assert_steady_basis(liou, space)
 
 
-def local_jump_model(lam, c):
-    """The Heisenberg model plus the single-site jump c on every site."""
+def local_jump_model(lam, *cs):
+    """The Heisenberg model plus the single-site jumps cs on every site."""
     model = dissipative_heisenberg(lam, LatticeSpec(z=6))
-    local = JumpTerm(1, np.asarray(c, dtype=complex), "local")
-    return replace(model, jump_terms=model.jump_terms + [local])
+    local = [JumpTerm(1, np.asarray(c, dtype=complex), "local") for c in cs]
+    return replace(model, jump_terms=model.jump_terms + local)
 
 
 def quarter_turn(axis):
@@ -284,12 +284,39 @@ def test_weak_components_match_scipy(n, lam):
     # pattern: each of scipy's weak components holds a single order, so no
     # element of L joins two q-groups
     liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n)
-    orders = _coherence_orders(liou)
+    orders = coherence_orders(liou)
     assert orders is not None
     count, labels = connected_components(csr_matrix(liou.matrix != 0), directed=True,
                                          connection="weak")
     assert np.unique(np.stack([labels, orders]), axis=1).shape[1] == count
     assert set(orders) == set(range(-n, n + 1))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 1.5])
+def test_only_the_charge_definite_spelling_is_split_by_q(lam):
+    # sigma_x and sigma_y on every site keep the rotation about z only as a
+    # set; sqrt(2) sigma^+ and sqrt(2) sigma^- give the same generator, and
+    # only they shift the popcount by one fixed amount each
+    s = 0.3 * np.sqrt(2)
+    original = ring_liouvillian(local_jump_model(lam, 0.3 * pauli("x"), 0.3 * pauli("y")), 3)
+    rewrite = ring_liouvillian(local_jump_model(lam, s * pauli("+"), s * pauli("-")), 3)
+    np.testing.assert_allclose(rewrite.matrix, original.matrix, rtol=0, atol=1e-12)
+    assert coherence_orders(original) is None
+    assert coherence_orders(rewrite) is not None
+    spelled, rewritten = steady_states(original), steady_states(rewrite)
+    assert spelled.dimension == rewritten.dimension
+    assert_same_spectrum(spelled.eigenvalues, rewritten.eigenvalues)
+    assert {b.q for b in spelled.blocks} == {0}
+    assert {b.q for b in rewritten.blocks} == set(range(-3, 4))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_generator_without_jumps_is_dark_everywhere(n):
+    # every eigenvalue is exactly 0, so the kernel cut, scaled by the
+    # largest |eigenvalue|, would count none: the whole space stays dark
+    space = steady_states(ring_liouvillian(DissipativeModel(lattice=LatticeSpec()), n))
+    assert not space.eigenvalues.any()
+    assert space.dimension == 4**n
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

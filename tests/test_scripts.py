@@ -15,8 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_landau_scan_finds_staggered_sign_change(tmp_path):
+    # a subprocess, so pytest's warning filter does not reach it: a numpy
+    # warning fails the script through PYTHONWARNINGS instead
     out = tmp_path / "scan.csv"
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -118,3 +120,17 @@ def test_bench_oracle_child_hashes_the_oracle_json(tmp_path):
     assert point["json_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
     assert all(point[f"{call}_ms"] > 0
                for call in ("ring_liouvillian", "steady_states", "conjugate_pair_defect"))
+
+
+def test_bench_times_a_child_in_reference_units():
+    # scripts/bench.py times its sweeps and start-ups with perfbench's
+    # reference kernel around a child pinned to one CPU, and unpins itself after
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench.py"))
+    usable = os.sched_getaffinity(0)
+    cpu = max(usable)
+    argv = [sys.executable, "-c", "import os, dissipative_spins.cli; print(*os.sched_getaffinity(0))"]
+    proc, seconds, in_ref = bench["time_child"](argv, bench["child_env"](ROOT), cpu)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(cpu)]
+    assert seconds > 0 and in_ref > 0
+    assert os.sched_getaffinity(0) == usable

@@ -277,6 +277,58 @@ def test_engine_refuses_a_model_the_gauge_fixing_would_change():
     assert CompiledBond(model).tensor("bipartite").shape == (27, 32)
 
 
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
+def test_a_jump_set_symmetric_only_as_a_set_is_refused(seed, lam):
+    # 0.3 sigma_x and 0.3 sigma_y on every site keep the rotation about z
+    # only as a set and are refused; 0.3 sqrt(2) sigma^+ and sigma^-, the
+    # same generator, pass in both layouts with the original's K
+    original = _with_jump(_with_jump(heis(lam), 1, 0.3 * pauli("x")), 1, 0.3 * pauli("y"))
+    s = 0.3 * np.sqrt(2)
+    rewrite = _with_jump(_with_jump(heis(lam), 1, s * pauli("+")), 1, s * pauli("-"))
+    bond = CompiledBond(rewrite)
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-0.7, 0.7, (2, 4, 2))
+    for kind, bs in (("uniform", a), ("bipartite", b)):
+        with pytest.raises(ValueError, match="rotations about z"):
+            CompiledBond(original).tensor(kind)
+        k = engine_k(bond.tensor(kind), kind, a, bs, lam)
+        if kind == "uniform":
+            q = variational._SINGLET_TRIPLET
+            k = q @ k @ q.T
+        for row in range(4):
+            ref = reduced_derivative(original, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
+            np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
+
+
+_POPCOUNT = np.array([0, 1, 1, 2])  # of the pair basis {uu, ud, du, dd}; its first two for a site
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from([(1, s) for s in (-1, 0, 1)] + [(2, s) for s in range(-2, 3)]),
+                          st.booleans()), min_size=1, max_size=4),
+       st.integers(0, 2**31 - 1), st.booleans())
+def test_the_rotation_check_reads_each_jumps_popcount_shift(jumps, seed, generic_in_rate_set):
+    # jumps that each shift the popcount by one fixed amount, with random
+    # complex entries, in either set: the rotation check never refuses
+    # them; one more generic jump always makes it refuse
+    rng = np.random.default_rng(seed)
+    model = DissipativeModel(lattice=Z6, rate=0.7)
+    for (arity, shift), in_rate_set in jumps:
+        pc = _POPCOUNT[:2**arity]
+        c = _random_complex(rng, 2**arity) * (pc[:, None] - pc == shift)
+        (model.rate_jump_terms if in_rate_set else model.jump_terms).append(JumpTerm(arity, c))
+    try:
+        CompiledBond(model).tensor("bipartite")
+    except ValueError as refusal:
+        assert "rotations about z" not in str(refusal)
+    arity = int(rng.integers(1, 3))
+    generic = JumpTerm(arity, _random_complex(rng, 2**arity))
+    (model.rate_jump_terms if generic_in_rate_set else model.jump_terms).append(generic)
+    with pytest.raises(ValueError, match="rotations about z"):
+        CompiledBond(model).tensor("bipartite")
+
+
 @pytest.mark.parametrize("bipartite", [True, False])
 @pytest.mark.parametrize("renormalize", [True, False])
 def test_every_cli_model_takes_the_real_tensors(bipartite, renormalize):
