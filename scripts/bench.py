@@ -268,6 +268,8 @@ def time_startup(root: Path) -> dict:
         if proc.returncode != 0:
             sys.exit(f"bench: start-up import exited with {proc.returncode}:\n{proc.stderr}")
     proc = time_child([sys.executable, "-X", "importtime", *argv[1:]], env, cpu)[0]
+    if proc.returncode != 0:
+        sys.exit(f"bench: -X importtime start-up exited with {proc.returncode}:\n{proc.stderr}")
     # "import time: self [us] | cumulative | name", one line per module loaded
     cumulative = {}
     for line in proc.stderr.splitlines():

@@ -1,107 +1,3 @@
 """Tailored jump operators and variational steady states for dissipative spin lattices."""
 
-from .effective import (
-    EliminationProblem,
-    GaplessEliminationError,
-    effective_hamiltonian,
-    effective_jumps,
-    invert_on_decaying_manifold,
-    nonhermitian_hamiltonian,
-    strip_auxiliary,
-    validate_elimination,
-)
-from .liouville import (
-    Liouvillian,
-    build_liouvillian,
-    exact_norm,
-    ring_liouvillian,
-    steady_states,
-)
-from .models import (
-    DissipativeModel,
-    JumpTerm,
-    LatticeSpec,
-    anisotropy_jumps,
-    dissipative_heisenberg,
-    ferro_pump_jumps,
-)
-from .operators import (
-    bell_state,
-    bloch_to_density,
-    dissipator,
-    embed,
-    ketbra,
-    kron,
-    partial_trace,
-    pauli,
-    trace_norm_hermitian,
-)
-from .opformat import (
-    OperatorFormatError,
-    format_operator,
-    parse_operator_text,
-    parse_problem_text,
-)
-from .variational import (
-    CriticalFit,
-    FitError,
-    LandauFit,
-    MinimizeResult,
-    ProductAnsatz,
-    SweepRecord,
-    fit_critical,
-    landau_expansion,
-    mean_field_jump_term,
-    minimize_norm,
-    order_parameters,
-    reduced_derivative,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EliminationProblem",
-    "GaplessEliminationError",
-    "effective_hamiltonian",
-    "effective_jumps",
-    "invert_on_decaying_manifold",
-    "nonhermitian_hamiltonian",
-    "strip_auxiliary",
-    "validate_elimination",
-    "Liouvillian",
-    "build_liouvillian",
-    "exact_norm",
-    "ring_liouvillian",
-    "steady_states",
-    "DissipativeModel",
-    "JumpTerm",
-    "LatticeSpec",
-    "anisotropy_jumps",
-    "dissipative_heisenberg",
-    "ferro_pump_jumps",
-    "bell_state",
-    "bloch_to_density",
-    "dissipator",
-    "embed",
-    "ketbra",
-    "kron",
-    "partial_trace",
-    "pauli",
-    "trace_norm_hermitian",
-    "OperatorFormatError",
-    "format_operator",
-    "parse_operator_text",
-    "parse_problem_text",
-    "CriticalFit",
-    "FitError",
-    "LandauFit",
-    "MinimizeResult",
-    "ProductAnsatz",
-    "SweepRecord",
-    "fit_critical",
-    "landau_expansion",
-    "mean_field_jump_term",
-    "minimize_norm",
-    "order_parameters",
-    "reduced_derivative",
-]

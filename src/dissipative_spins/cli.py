@@ -366,14 +366,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (OperatorFormatError, OSError) as exc:
-        print(f"dspin {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (FitError, GaplessEliminationError) as exc:
+    except (FitError, GaplessEliminationError) as exc:  # ValueErrors, so caught first
         print(f"dspin {args.command}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # malformed model parameters and option values
+    except (OSError, ValueError) as exc:
+        # unreadable files, malformed files, model parameters and option values
         print(f"dspin {args.command}: {exc}", file=sys.stderr)
         return 1
 

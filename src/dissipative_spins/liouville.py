@@ -29,7 +29,8 @@ import numpy as np
 from .models import DissipativeModel
 from .operators import embed, trace_norm_hermitian
 
-_NULL_TOL = 1e-9  # eigenvalues below this times min(1, spectral radius) span the steady space
+_NULL_TOL = 1e-9  # an |eigenvalue| up to this times min(1, spectral radius) is zero,
+_NULL_EPS = 64 * np.finfo(float).eps  # as is one up to this times the radius: eigvals' rounding on stiff rings
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,12 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     takes all sectors of one size and dtype as a stack (bitwise the
     spectra of one call per sector, though a stack of real sectors comes
     back complex for all when one has a complex eigenvalue), and last each
-    sector's null vectors and the trace defect are formed; the kernel cut
-    is ``_NULL_TOL`` times min(1, largest |eigenvalue|), all dark at 0.
+    sector's null vectors and the trace defect are formed. An eigenvalue
+    counts as zero when its magnitude is at most ``_NULL_TOL`` times
+    min(1, r) or ``_NULL_EPS`` times r, r the largest |eigenvalue|: the
+    first cut follows rates far below 1, the second the rounding of
+    ``eigvals`` on a stiff ring (rates far above 1, where a dark state
+    comes out near eps r), and with no jumps (r = 0) every exact zero counts.
 
     L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
     matrices: the Hermitian parts of the sectors' null vectors, mapped back
@@ -269,7 +274,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         radius = max(radius, np.abs(stack).max())
         for s, evals in zip(members, stack):
             spectra[s] = evals
-    cut = _NULL_TOL * min(1.0, radius) if radius else np.inf  # with no jumps every eigenvalue is 0
+    cut = max(_NULL_TOL * min(1.0, radius), _NULL_EPS * radius)
     blocks, nulls, trace_defect = [], [], 0.0
     for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
         if q == 0 and k == 0:
@@ -280,7 +285,7 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         blocks.append(SpectralBlock(q=q, k=k, eigenvalues=evals))
         if mirrored:
             blocks.append(SpectralBlock(q=q, k=n - k, eigenvalues=evals.conj()))
-        zero = np.count_nonzero(np.abs(evals) < cut)
+        zero = np.count_nonzero(np.abs(evals) <= cut)
         if zero:
             # null vectors from the SVD: for a repeated zero of an exactly
             # structured sector eig can return dependent vectors, while a

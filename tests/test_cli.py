@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import subprocess
 import sys
@@ -227,10 +228,37 @@ def test_fit_without_transition(tmp_path):
 
 def test_fit_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("lambda,m\n0.3,0.1\n")
-    assert run(["fit", "--in", str(bad)]) == 1
-    with pytest.raises(OperatorFormatError):
-        read_sweep_csv(bad.read_text())
+    for text in ("lambda,m\n0.3,0.1\n", "", "\n  \n"):  # a foreign header, no rows at all
+        bad.write_text(text)
+        assert run(["fit", "--in", str(bad)]) == 1
+        with pytest.raises(OperatorFormatError):
+            read_sweep_csv(bad.read_text())
+
+
+def test_fit_reads_stdin(tmp_path, capsys, monkeypatch):
+    # '--in -' reads the same CSV from stdin that a file gives
+    rows = [f"{lam:.3f},{m:.6f},0,0,{m:.6f},0,0,{m:.6f},0,0.1,1,8" for lam, m in (
+        (lam, 0.4 * max(0.0, 0.5 - lam) ** 0.5) for lam in np.arange(0.30, 0.701, 0.005))]
+    text = "\n".join([CSV_HEADER, *rows]) + "\n"
+    (tmp_path / "s.csv").write_text(text)
+    assert run(["fit", "--in", str(tmp_path / "s.csv")]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["fit", "--in", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert json.loads(from_file)["lambda_c"] == pytest.approx(0.5, abs=1e-3)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run(["fit"]) == 1  # stdin is the default input
+    assert capsys.readouterr().err == "dspin fit: empty sweep CSV\n"
+
+
+@pytest.mark.parametrize("window", ["0.05", "0.01,0.05,0.1", "0,0.1", "-0.01,0.1", "0.1,0.01", "0.1,0.1"])
+def test_fit_refuses_a_window_that_is_not_lo_hi(tmp_path, capsys, window):
+    # a usage error, exit 1, before any CSV is read
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--in", str(tmp_path / "missing.csv"), f"--window={window}"])
+    assert exc.value.code == 1
+    assert "window must" in capsys.readouterr().err
 
 
 _ROW = "0.5,0.1,0,0.2,0.1,0,0.2,0.1,0,0.25"

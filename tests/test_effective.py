@@ -58,6 +58,9 @@ def test_problem_hamiltonian_and_sites():
     three = EliminationProblem(*(np.eye(3, dtype=complex),) * 3, (), np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="power of two"):
         three.n_sites
+    with pytest.raises(ValueError, match="one square dimension"):
+        EliminationProblem(prob.h_ground, np.eye(2, dtype=complex), prob.v_plus, prob.jumps,
+                           prob.p_excited)
 
 
 def test_nonhermitian_hamiltonian():

@@ -312,11 +312,25 @@ def test_only_the_charge_definite_spelling_is_split_by_q(lam):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_generator_without_jumps_is_dark_everywhere(n):
-    # every eigenvalue is exactly 0, so the kernel cut, scaled by the
-    # largest |eigenvalue|, would count none: the whole space stays dark
+    # every eigenvalue is exactly 0, and so is the kernel cut, scaled by
+    # the largest |eigenvalue|: a zero at the cut counts, so the whole
+    # space stays dark
     space = steady_states(ring_liouvillian(DissipativeModel(lattice=LatticeSpec()), n))
     assert not space.eigenvalues.any()
     assert space.dimension == 4**n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.5])
+def test_dark_dimension_does_not_depend_on_the_time_scale(n, lam):
+    # scaling every jump by sqrt(s) scales L by s, which moves no eigenvalue
+    # off zero: on stiff rings eigvals leaves a dark state near eps times
+    # the largest |eigenvalue|, which the kernel cut must still count
+    liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n)
+    expected = steady_states(liou).dimension
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        scaled = replace(liou, g=s * liou.g, jumps=np.sqrt(s) * liou.jumps)
+        assert steady_states(scaled).dimension == expected, s
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

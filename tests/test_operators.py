@@ -49,6 +49,8 @@ def test_bloch_to_density_basics():
 def test_bloch_to_density_rejects_outside_ball():
     with pytest.raises(ValueError):
         bloch_to_density(np.array([1.0, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="3 components"):
+        bloch_to_density(np.array([0.1, 0.2]))
 
 
 @settings(deadline=None)
@@ -68,6 +70,8 @@ def test_kron_shapes_and_cap():
     n_over = int(np.log2(MAX_DIM)) + 1
     with pytest.raises(ValueError):
         kron(*([np.eye(2)] * n_over))
+    with pytest.raises(ValueError, match="max dimension"):
+        embed(pauli("x"), [0], n_over)
 
 
 def test_partial_trace_factorizes_products():
@@ -83,6 +87,16 @@ def test_partial_trace_preserves_trace():
     x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     for keep in ([0], [1], [2], [0, 2]):
         assert abs(np.trace(partial_trace(x, keep, 3)) - np.trace(x)) < 1e-12
+
+
+@pytest.mark.parametrize("keep, dim, match", [
+    ([3], 8, "out of range"),
+    ([-1], 8, "out of range"),
+    ([0], 4, "does not match"),
+])
+def test_partial_trace_refuses_bad_sites_and_shapes(keep, dim, match):
+    with pytest.raises(ValueError, match=match):
+        partial_trace(np.eye(dim), keep, 3)
 
 
 def test_dissipator_trace_free_and_hermiticity_preserving():
@@ -132,6 +146,8 @@ def test_bell_states():
     # ordering: |ud> component first, both share the 1/sqrt(2) weight
     np.testing.assert_allclose(plus, [0, 1, 1, 0] / np.sqrt(2))
     np.testing.assert_allclose(minus, [0, 1, -1, 0] / np.sqrt(2))
+    with pytest.raises(ValueError, match="sign"):
+        bell_state("x")
 
 
 def test_ketbra():

@@ -53,6 +53,7 @@ def test_parse_comments_and_blanks():
         ("1 0 0:x 0:z", 1),
         ("oops 0 0:x", 1),
         ("1 0 x", 1),
+        ("1 0 a:z", 1),
         ("1", 1),
         ("1 0 0:x\n1 0 -1:z", 2),
     ],

@@ -418,6 +418,8 @@ def test_mean_field_jump_brute_force():
             for k in range(2):
                 manual[a, b] += dot[2 * a + k, 2 * b + k]
     np.testing.assert_allclose(got, manual, atol=1e-12)
+    with pytest.raises(ValueError, match="target_slot"):
+        mean_field_jump_term(c, "k", nb_alpha, pair)
 
 
 def test_minimize_dark_at_zero():
@@ -1149,6 +1151,9 @@ def test_sweep_refuses_fewer_than_one_restart_or_job(restarts, jobs):
         for lo, hi in ((0.4, 0.42), (0.6, 0.5)):
             with pytest.raises(ValueError, match="at least 1"):
                 sweep(lo, hi, 0.01, Z6, "uniform", restarts=restarts, jobs=jobs)
+    if restarts < 1:  # and so does a single minimization
+        with pytest.raises(ValueError, match=">= 1"):
+            minimize_norm(heis(0.4), restarts=restarts)
 
 
 def test_sweep_refuses_a_bipartite_ansatz_on_a_non_bipartite_lattice_before_the_grid():
@@ -1180,6 +1185,7 @@ def test_sweep_records_do_not_depend_on_the_batch_cap(monkeypatch):
 
 @settings(deadline=None, max_examples=300)
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(1e-3, 1.0))
+@example(1.9, 7.199999999, 0.05)  # the division rounds up across the bound: 106 points
 def test_sweep_grid_matches_loop_rule(lmin, lmax, step):
     # reference: the step-by-step loop the closed-form count replaces
     lams, k = [], 0
@@ -1255,6 +1261,19 @@ def test_fit_critical_needs_enough_records():
         fit_critical(_synthetic_records([0.4, 0.6]), which="m")
 
 
+def test_fit_critical_refuses_an_unknown_order_parameter():
+    lams = np.round(np.arange(0.30, 0.701, 0.005), 9)
+    with pytest.raises(ValueError, match="which must be"):
+        fit_critical(_synthetic_records(lams), which="ms")
+
+
+def test_fit_critical_needs_two_points_inside_the_window():
+    # the onset at 0.5 is bracketed, but no grid point lies 0.011-0.014 below it
+    lams = np.round(np.arange(0.30, 0.701, 0.005), 9)
+    with pytest.raises(FitError, match="too few ordered-side points"):
+        fit_critical(_synthetic_records(lams), which="m", window=(0.011, 0.014))
+
+
 def test_fit_critical_needs_two_ordered_records():
     # only lambda = 0.498 lies on the ordered side of the onset at 0.5
     lams = np.round(np.arange(0.498, 0.52, 0.002), 9)
@@ -1281,6 +1300,10 @@ def test_ansatz_validation():
         ProductAnsatz.uniform(np.array([1.2, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ProductAnsatz("diagonal", np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="3 components"):
+        ProductAnsatz.uniform(np.zeros(2))
+    with pytest.raises(ValueError, match="3 components"):
+        ProductAnsatz.bipartite(np.zeros(3), np.zeros(2))
 
 
 @pytest.mark.parametrize("alpha", [[np.nan, 0.0, 0.0], [0.1, np.nan, 0.2], [0.0, 0.0, np.inf]])
