@@ -16,7 +16,8 @@ or a lambda (or sweep grid point) outside [0, models.MAX_RATE] exits 1.
 Exit codes: 0 success, 1 usage errors (an unknown flag, or a value argparse
 cannot read), unreadable or malformed input files and bad option values
 (such as a sweep span that is NaN, a --t-max that is not finite
-and positive, or --restarts or --jobs below 1), 2 fit or elimination
+and positive, --restarts or --jobs below 1, or an oracle ring too stiff
+to resolve), 2 fit or elimination
 failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 6
 sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
 MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
@@ -48,7 +49,7 @@ from .effective import (
     effective_jumps,
     validate_elimination,
 )
-from .liouville import conjugate_pair_defect, ring_liouvillian, steady_states
+from .liouville import ROUNDING_CAP, conjugate_pair_defect, ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg
 from .operators import BALL_TOL
 from .opformat import (
@@ -273,11 +274,15 @@ def cmd_oracle(args) -> int:
     model = dissipative_heisenberg(args.lam, _lattice(args))
     liou = ring_liouvillian(model, args.n)
     space = steady_states(liou)
+    top = float(space.eigenvalues.real.max())
+    if max(space.trace_defect, abs(top)) > ROUNDING_CAP:  # 0 is in the spectrum, which lies in Re <= 0
+        raise ValueError(f"the ring is too stiff to resolve: its trace defect {space.trace_defect:.3g} "
+                         f"or largest real part {top:.3g} passes {ROUNDING_CAP:g}")
     out = {
         "n": args.n,
         "lambda": args.lam,
         "dark_dimension": space.dimension,
-        "max_real_part": float(space.eigenvalues.real.max()),
+        "max_real_part": top,
         "trace_defect": space.trace_defect,
         "conjugate_pair_defect": conjugate_pair_defect(space.blocks, liou.dim),
     }

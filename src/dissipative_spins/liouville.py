@@ -30,7 +30,8 @@ from .models import DissipativeModel
 from .operators import embed, trace_norm_hermitian
 
 _NULL_TOL = 1e-9  # an |eigenvalue| up to this times min(1, spectral radius) is zero,
-_NULL_EPS = 64 * np.finfo(float).eps  # as is one up to this times the radius: eigvals' rounding on stiff rings
+_NULL_EPS = 64 * np.finfo(float).eps  # as is one up to this times the radius (eigvals' rounding)
+ROUNDING_CAP = 1e-2  # up to this, far below the rates of order 1 that a stiff ring keeps
 
 
 @dataclass(frozen=True)
@@ -219,11 +220,11 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     spectra of one call per sector, though a stack of real sectors comes
     back complex for all when one has a complex eigenvalue), and last each
     sector's null vectors and the trace defect are formed. An eigenvalue
-    counts as zero when its magnitude is at most ``_NULL_TOL`` times
-    min(1, r) or ``_NULL_EPS`` times r, r the largest |eigenvalue|: the
-    first cut follows rates far below 1, the second the rounding of
-    ``eigvals`` on a stiff ring (rates far above 1, where a dark state
-    comes out near eps r), and with no jumps (r = 0) every exact zero counts.
+    counts as zero up to max(``_NULL_TOL`` min(1, r), min(``_NULL_EPS`` r,
+    ``ROUNDING_CAP``)), r the largest |eigenvalue|: rates far below 1, the
+    rounding of ``eigvals`` (a zero near eps r) below the rates of order 1
+    a stiff ring keeps, every exact zero at r = 0; and sector (0, 0), which
+    the trace makes singular, counts its smallest |eigenvalue| in any case.
 
     L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
     matrices: the Hermitian parts of the sectors' null vectors, mapped back
@@ -274,18 +275,19 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         radius = max(radius, np.abs(stack).max())
         for s, evals in zip(members, stack):
             spectra[s] = evals
-    cut = max(_NULL_TOL * min(1.0, radius), _NULL_EPS * radius)
+    cut = max(_NULL_TOL * min(1.0, radius), min(_NULL_EPS * radius, ROUNDING_CAP))
     blocks, nulls, trace_defect = [], [], 0.0
     for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
+        zero = np.count_nonzero(np.abs(evals) <= cut)
         if q == 0 and k == 0:
             i, j = divmod(r, d)
             u = np.where(i == j, np.sqrt(p), 0.0)
             trace_defect = float(np.abs(u @ f).max())
+            zero = max(zero, 1)  # u F = 0: this sector is singular, however its zero is rounded
         mirrored = real and 2 * k % n  # sector n - k is the complex conjugate
         blocks.append(SpectralBlock(q=q, k=k, eigenvalues=evals))
         if mirrored:
             blocks.append(SpectralBlock(q=q, k=n - k, eigenvalues=evals.conj()))
-        zero = np.count_nonzero(np.abs(evals) <= cut)
         if zero:
             # null vectors from the SVD: for a repeated zero of an exactly
             # structured sector eig can return dependent vectors, while a

@@ -662,6 +662,27 @@ def test_oracle_dark_count_at_large_z(capsys, z):
     assert json.loads(capsys.readouterr().out)["dark_dimension"] == 1
 
 
+@pytest.mark.parametrize("n, lam", [(3, "1e9"), (2, "1e14"), (4, "1e13"), (5, "1e13")])
+def test_oracle_dark_count_on_stiff_rings(capsys, n, lam):
+    # the dark state comes out of eigvals near eps r, and the rates of order
+    # 1 that the couplings leave (0.3 at n = 2, 0.6 at n = 4) stay rates
+    assert run(["oracle", "--n", str(n), "--lambda", lam]) == 0
+    assert json.loads(capsys.readouterr().out)["dark_dimension"] == 1
+
+
+@pytest.mark.parametrize("argv", [["--n", "4", "--lambda", "1e30"], ["--n", "3", "--lambda", "1e100"],
+                                  ["--n", "2", "--lambda", "1e20"],
+                                  ["--n", "2", "--lambda", "1e20", "--z", "2", "--renormalize", "off"]])
+def test_oracle_refuses_a_ring_too_stiff_to_resolve(capsys, argv):
+    # there the rounding of the generator passes its rates of order 1: n = 4
+    # at 1e30 would read two dark states, n = 3 at 1e100 a real part of 2e84,
+    # and n = 2 (z 2, off) at 1e20 has no eigenvalue above -1
+    assert run(["oracle"] + argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("dspin oracle: the ring is too stiff to resolve")
+
+
 def test_conjugate_pair_defect_pairs_opposite_orders():
     # a phase jump diag(1, i) keeps the coherence-order blocks but makes
     # them complex: block q is the conjugate of block -q, not of itself

@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
+    ROUNDING_CAP,
     Liouvillian,
     SpectralBlock,
     coherence_orders,
@@ -331,6 +332,22 @@ def test_dark_dimension_does_not_depend_on_the_time_scale(n, lam):
     for s in 10.0 ** np.arange(-12, 13, 2):
         scaled = replace(liou, g=s * liou.g, jumps=np.sqrt(s) * liou.jumps)
         assert steady_states(scaled).dimension == expected, s
+
+
+@pytest.mark.parametrize("lattice", [LatticeSpec(z=6), LatticeSpec(z=2, renormalize=False)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_stiff_ring_keeps_one_dark_state(n, lattice):
+    # pumps far above the couplings leave rates of order 1 (0.6 and 1.4 at
+    # n = 4) beside a radius near the pump rate, and eigvals rounds the dark
+    # state up to about eps r: the cut must neither swallow those rates nor
+    # miss the dark state wherever the rounding of the generator (trace
+    # defect, size of the largest real part: both 0 exactly) stays below the
+    # cap, as it does up to 1e12
+    for lam in [1e9, 1e12, 1e13, 3e13, 1e14, 1e15, 1e20, 1e30, 1e100]:
+        space = steady_states(ring_liouvillian(dissipative_heisenberg(lam, lattice), n))
+        resolved = max(space.trace_defect, abs(space.eigenvalues.real.max())) <= ROUNDING_CAP
+        assert resolved or lam > 1e12, lam
+        assert space.dimension == 1 or not resolved, lam
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
