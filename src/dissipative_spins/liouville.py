@@ -11,13 +11,14 @@ references read.
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
 real parts; the null space holds the steady states. ``steady_states``
-finds them sector by sector without ``matrix``: a conserved coherence
+counts them sector by sector without ``matrix``: a conserved coherence
 order q (the weak U(1) symmetry of the ring models) and, on a ring, the
 momentum k of the site translation split the generator into (q, k)
 sectors, whose matrices are gathered from G and the jumps and then
 diagonalized in stacks, one ``eigvals`` call per sector size and dtype
 (at n = 6 the largest sector has 160 rows, against 4,096 for the whole
-generator).
+generator). The count is read off those spectra, and a ring whose
+rounding passes ``ROUNDING_CAP`` is refused rather than counted.
 """
 
 from __future__ import annotations
@@ -159,8 +160,7 @@ class SpectralBlock:
 
 @dataclass(frozen=True)
 class SteadySpace:
-    dimension: int
-    basis: list  # Hermitian representatives; trace 1 where trace is nonzero
+    dimension: int  # steady states: the zero eigenvalues over all sectors
     blocks: list  # SpectralBlock per (q, k) sector of the generator
     trace_defect: float  # max |u^dag F_0| on sector (0, 0), u the identity there
 
@@ -201,7 +201,7 @@ def _site_rotations(liou: Liouvillian) -> np.ndarray:
 
 
 def steady_states(liou: Liouvillian) -> SteadySpace:
-    """Null space of the generator, sector by sector, as Hermitian representatives.
+    """Dimension of the generator's null space, counted sector by sector.
 
     L commutes with the weak U(1) symmetry (coherence order q, when
     ``coherence_orders`` finds it conserved) and with the ring's
@@ -214,25 +214,27 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     jumps; the d^2 x d^2 generator is never formed. A real generator has
     F_{n-k} = conj F_k, so only k <= n/2 is diagonalized and k = 0 (and
     n/2) in real arithmetic, decided from G and each jump times the
-    conjugate phase of its largest entry (so sigma_y or i c counts as real).
-    Every sector's matrix is gathered first; then one ``eigvals`` call
-    takes all sectors of one size and dtype as a stack (bitwise the
-    spectra of one call per sector, though a stack of real sectors comes
-    back complex for all when one has a complex eigenvalue), and last each
-    sector's null vectors and the trace defect are formed. An eigenvalue
-    counts as zero up to max(``_NULL_TOL`` min(1, r), min(``_NULL_EPS`` r,
-    ``ROUNDING_CAP``)), r the largest |eigenvalue|: rates far below 1, the
-    rounding of ``eigvals`` (a zero near eps r) below the rates of order 1
-    a stiff ring keeps, every exact zero at r = 0; and sector (0, 0), which
-    the trace makes singular, counts its smallest |eigenvalue| in any case.
+    conjugate phase of its largest entry (so sigma_y or i c counts as
+    real); a sector of 0 < 2k < n stands for its mirror n - k as well and
+    its zeros count twice. Every sector's matrix is gathered first; then
+    one ``eigvals`` call takes all sectors of one size and dtype as a
+    stack (bitwise the spectra of one call per sector, though a stack of
+    real sectors comes back complex for all when one has a complex
+    eigenvalue). An eigenvalue counts as zero up to
+    max(``_NULL_TOL`` min(1, r), min(``_NULL_EPS`` r, ``ROUNDING_CAP``)),
+    r the largest |eigenvalue|: rates far below 1, the rounding of
+    ``eigvals`` (a zero near eps r) below the rates of order 1 a stiff
+    ring keeps, every exact zero at r = 0; and sector (0, 0), which the
+    trace makes singular, counts its smallest |eigenvalue| in any case.
+    The bounded semigroup has no Jordan block at zero, so the count of
+    zeros is the number of independent steady states.
 
-    L(rho^dag) = L(rho)^dag, so the null space is spanned by Hermitian
-    matrices: the Hermitian parts of the sectors' null vectors, mapped back
-    to d x d, are made orthonormal in the Hilbert-Schmidt inner product and
-    rescaled to trace 1 when their trace is nonzero (traceless directions
-    keep unit Hilbert-Schmidt norm). The sector spectra are kept on the
-    result, and ``trace_defect`` is max |u^dag F_0| on the sector (0, 0),
-    u the identity in that sector's basis (sqrt(p_a) on the diagonal orbits).
+    The sector spectra are kept on the result, and ``trace_defect`` is
+    max |u^dag F_0| on the sector (0, 0), u the identity in that sector's
+    basis (sqrt(p_a) on the diagonal orbits). Both it and the largest real
+    part are 0 in exact arithmetic; a ValueError refuses the ring when
+    either passes ``ROUNDING_CAP``, where rounding can have moved the rates
+    of order 1 onto the cut or a zero off it.
     """
     d, g, cs = liou.dim, liou.g, liou.jumps
     if cs.imag.any():  # turn each jump by the conjugate phase of its largest entry
@@ -276,48 +278,25 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
         for s, evals in zip(members, stack):
             spectra[s] = evals
     cut = max(_NULL_TOL * min(1.0, radius), min(_NULL_EPS * radius, ROUNDING_CAP))
-    blocks, nulls, trace_defect = [], [], 0.0
+    blocks, dimension, trace_defect = [], 0, 0.0
     for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
-        zero = np.count_nonzero(np.abs(evals) <= cut)
+        zero = int(np.count_nonzero(np.abs(evals) <= cut))
         if q == 0 and k == 0:
             i, j = divmod(r, d)
             u = np.where(i == j, np.sqrt(p), 0.0)
             trace_defect = float(np.abs(u @ f).max())
             zero = max(zero, 1)  # u F = 0: this sector is singular, however its zero is rounded
-        mirrored = real and 2 * k % n  # sector n - k is the complex conjugate
         blocks.append(SpectralBlock(q=q, k=k, eigenvalues=evals))
-        if mirrored:
+        dimension += zero
+        if real and 2 * k % n:  # sector n - k is the complex conjugate
             blocks.append(SpectralBlock(q=q, k=n - k, eigenvalues=evals.conj()))
-        if zero:
-            # null vectors from the SVD: for a repeated zero of an exactly
-            # structured sector eig can return dependent vectors, while a
-            # bounded semigroup has no Jordan block at zero, so the last
-            # singular vectors span it; then x_a v_a summed over the orbits
-            x = np.linalg.svd(f)[2][-zero:].conj().T * (np.sqrt(p) / n)[:, None]
-            null = np.zeros((d * d, zero), dtype=complex)
-            terms = (phase[k][:, None, None] * x).reshape(-1, zero)  # (m, a) rows
-            np.add.at(null, orbit[:, r].ravel(), terms)
-            nulls.append(null.T)
-            if mirrored:
-                nulls.append(null.T.conj())
-    basis = _hermitian_basis(np.concatenate(nulls or [np.zeros((0, d * d))]).reshape(-1, d, d))
-    return SteadySpace(dimension=len(basis), basis=basis, blocks=blocks, trace_defect=trace_defect)
-
-
-def _hermitian_basis(nulls: np.ndarray) -> list:
-    """Hermitian basis of the span of the (dim, d, d) null matrices.
-
-    The Hermitian parts x + x^dag and i (x - x^dag) span it over the reals:
-    the top dim eigenvectors of their real Gram matrix combine them into an
-    orthonormal basis, Hermitian by construction. Each element is rescaled
-    to trace 1 where its trace is nonzero.
-    """
-    dim, d = len(nulls), nulls.shape[-1]
-    xh = nulls.conj().transpose(0, 2, 1)
-    herm = np.concatenate([nulls + xh, 1j * (nulls - xh)]).reshape(2 * dim, d * d)
-    weight, comb = np.linalg.eigh((herm.conj() @ herm.T).real)
-    basis = (comb[:, -dim:].T @ herm / np.sqrt(weight[-dim:])[:, None]).reshape(-1, d, d)
-    return [b / tr if abs(tr := np.trace(b).real) > 1e-9 else b for b in basis]
+            dimension += zero
+    space = SteadySpace(dimension=dimension, blocks=blocks, trace_defect=trace_defect)
+    top = float(space.eigenvalues.real.max())
+    if max(trace_defect, abs(top)) > ROUNDING_CAP:  # 0 is in the spectrum, which lies in Re <= 0
+        raise ValueError(f"the ring is too stiff to resolve: its trace defect {trace_defect:.3g} "
+                         f"or largest real part {top:.3g} passes {ROUNDING_CAP:g}")
+    return space
 
 
 def conjugate_pair_defect(blocks, d: int) -> float:

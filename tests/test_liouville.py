@@ -17,7 +17,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from dissipative_spins.liouville import (
-    ROUNDING_CAP,
     Liouvillian,
     SpectralBlock,
     coherence_orders,
@@ -126,16 +125,26 @@ def test_trace_preservation():
     assert steady_states(liou).trace_defect < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_trace_defect_sees_a_leak(n):
-    # G + 0.1 loses trace at rate 0.2; at n = 2 (no translation) the sector
-    # value is max |1^dag matrix| over the flattened identity, on a ring each diagonal orbit
-    # carries sqrt(period) of it
+def leaky_ring(n, leak):
+    """The n-site Heisenberg ring with G + leak, which loses trace at rate 2 leak."""
     liou = ring_liouvillian(dissipative_heisenberg(0.9, LatticeSpec(z=6)), n)
-    leaky = Liouvillian(g=liou.g + 0.1 * np.eye(liou.dim), jumps=liou.jumps, ring=liou.ring)
-    dense = np.abs(np.eye(liou.dim).ravel() @ leaky.matrix).max()
-    assert dense == pytest.approx(0.2)
-    assert steady_states(leaky).trace_defect == pytest.approx(0.2 * np.sqrt(n if n > 2 else 1))
+    return Liouvillian(g=liou.g + leak * np.eye(liou.dim), jumps=liou.jumps, ring=liou.ring)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_defect_sees_a_small_leak(n):
+    # at n = 2 (no translation) the sector value is max |1^dag matrix| over
+    # the flattened identity, on a ring each diagonal orbit carries
+    # sqrt(period) of it; a leak of 1e-3 stays below the cap
+    leaky = leaky_ring(n, 1e-3)
+    assert np.abs(np.eye(leaky.dim).ravel() @ leaky.matrix).max() == pytest.approx(2e-3)
+    assert steady_states(leaky).trace_defect == pytest.approx(2e-3 * np.sqrt(n if n > 2 else 1))
+
+
+@pytest.mark.parametrize("n, defect", [(2, "0.2"), (3, "0.346")])
+def test_a_leak_past_the_cap_is_refused(n, defect):
+    with pytest.raises(ValueError, match=f"too stiff to resolve: its trace defect {defect} "):
+        steady_states(leaky_ring(n, 0.1))
 
 
 def test_spectrum_real_parts_nonpositive():
@@ -188,13 +197,10 @@ def test_two_site_dark_dimensions():
     space = steady_states(ring_liouvillian(aniso_only_model(), 2))
     assert space.dimension == 4
     # full model: unique steady state
-    space = steady_states(
-        ring_liouvillian(dissipative_heisenberg(1.0, LatticeSpec(z=6)), 2)
-    )
-    assert space.dimension == 1
-    rho = space.basis[0]
+    liou = ring_liouvillian(dissipative_heisenberg(1.0, LatticeSpec(z=6)), 2)
+    assert steady_states(liou).dimension == 1
     psi_plus = bell_state("+")
-    np.testing.assert_allclose(rho, np.outer(psi_plus, psi_plus.conj()), atol=1e-9)
+    assert np.abs(liou.apply(np.outer(psi_plus, psi_plus.conj()))).max() < 1e-12
 
 
 def test_neel_projectors_dark_for_anisotropy_set():
@@ -203,18 +209,6 @@ def test_neel_projectors_dark_for_anisotropy_set():
         proj = np.zeros((4, 4), dtype=complex)
         proj[idx, idx] = 1.0
         assert np.abs(liou.apply(proj)).max() < 1e-12
-
-
-def test_steady_representatives_are_hermitian_unit_trace():
-    space = steady_states(ring_liouvillian(ferro_only_model(), 2))
-    traced = 0
-    for b in space.basis:
-        np.testing.assert_allclose(b, b.conj().T, atol=1e-9)
-        tr = np.trace(b).real
-        if abs(tr) > 1e-6:
-            assert tr == pytest.approx(1.0)
-            traced += 1
-    assert traced >= 1
 
 
 def assert_same_spectrum(reference, blocked, tol=1e-9, radius=1e-6):
@@ -235,14 +229,6 @@ def assert_same_spectrum(reference, blocked, tol=1e-9, radius=1e-6):
         assert abs(ref.mean() - blk.mean()) < tol, (ref, blk)
 
 
-def assert_steady_basis(liou, space):
-    for b in space.basis:
-        np.testing.assert_allclose(b, b.conj().T, atol=1e-9)
-        assert np.abs(liou.apply(b)).max() < 1e-9
-        tr = np.trace(b).real
-        assert abs(tr) < 1e-9 or tr == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_blocked_kernel_matches_dense_reference(n, lam):
@@ -253,7 +239,6 @@ def test_blocked_kernel_matches_dense_reference(n, lam):
     assert space.dimension == ((n + 1) ** 2 if lam == 0 else 1)
     assert len(space.blocks) > 1
     assert_same_spectrum(evals, space.eigenvalues)
-    assert_steady_basis(liou, space)
 
 
 @pytest.mark.parametrize("lam, dim", [(0.0, 36), (1.5, 1)])
@@ -263,7 +248,6 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
     space = steady_states(liou)
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9) == dim
     assert_same_spectrum(evals, space.eigenvalues)
-    assert_steady_basis(liou, space)
 
 
 def local_jump_model(lam, *cs):
@@ -326,12 +310,16 @@ def test_a_generator_without_jumps_is_dark_everywhere(n):
 def test_dark_dimension_does_not_depend_on_the_time_scale(n, lam):
     # scaling every jump by sqrt(s) scales L by s, which moves no eigenvalue
     # off zero: on stiff rings eigvals leaves a dark state near eps times
-    # the largest |eigenvalue|, which the kernel cut must still count
+    # the largest |eigenvalue|, which the kernel cut must still count, up
+    # to the scale where the rounding passes the cap and the ring is refused
     liou = ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n)
     expected = steady_states(liou).dimension
-    for s in 10.0 ** np.arange(-12, 13, 2):
+    for s in 10.0 ** np.arange(-16, 17, 2):
         scaled = replace(liou, g=s * liou.g, jumps=np.sqrt(s) * liou.jumps)
-        assert steady_states(scaled).dimension == expected, s
+        try:
+            assert steady_states(scaled).dimension == expected, s
+        except ValueError:
+            assert s > 1e12, s
 
 
 @pytest.mark.parametrize("lattice", [LatticeSpec(z=6), LatticeSpec(z=2, renormalize=False)])
@@ -342,12 +330,20 @@ def test_a_stiff_ring_keeps_one_dark_state(n, lattice):
     # state up to about eps r: the cut must neither swallow those rates nor
     # miss the dark state wherever the rounding of the generator (trace
     # defect, size of the largest real part: both 0 exactly) stays below the
-    # cap, as it does up to 1e12
+    # cap, as it does up to 1e12; past the cap the ring is refused
     for lam in [1e9, 1e12, 1e13, 3e13, 1e14, 1e15, 1e20, 1e30, 1e100]:
-        space = steady_states(ring_liouvillian(dissipative_heisenberg(lam, lattice), n))
-        resolved = max(space.trace_defect, abs(space.eigenvalues.real.max())) <= ROUNDING_CAP
-        assert resolved or lam > 1e12, lam
-        assert space.dimension == 1 or not resolved, lam
+        try:
+            assert steady_states(ring_liouvillian(dissipative_heisenberg(lam, lattice), n)).dimension == 1, lam
+        except ValueError:
+            assert lam > 1e12, lam
+
+
+def test_a_ring_its_rounding_swamps_is_refused():
+    # at lambda = 1e30 the trace defect reads near 3e14, where a count of
+    # zeros means nothing
+    liou = ring_liouvillian(dissipative_heisenberg(1e30, LatticeSpec()), 4)
+    with pytest.raises(ValueError, match="too stiff to resolve"):
+        steady_states(liou)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -360,7 +356,6 @@ def test_transverse_jump_is_one_block(lam):
     assert sorted((b.q, b.k) for b in space.blocks) == [(0, 0), (0, 1), (0, 2)]
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
     assert_same_spectrum(evals, space.eigenvalues)
-    assert_steady_basis(liou, space)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -378,7 +373,6 @@ def test_complex_generator_matches_dense_reference(n, axis, orders):
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
     assert space.trace_defect < 1e-12
     assert_same_spectrum(evals, space.eigenvalues)
-    assert_steady_basis(liou, space)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -398,12 +392,12 @@ def test_a_jump_real_up_to_a_phase_keeps_the_real_path(n, jump, monkeypatch):
     assert dtypes.count(np.float64) == sum(2 * k % n == 0 for k in ks)
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
     assert_same_spectrum(evals, space.eigenvalues)
-    assert_steady_basis(liou, space)
 
 
-def test_null_vectors_at_complex_momenta():
-    # sigma_z dephasing alone: the 8 diagonal |i><i| are dark, and the orbit
-    # of |100><100| holds one at momentum 1, whose orbit phases are complex
+def test_a_zero_at_a_mirrored_momentum_counts_twice():
+    # sigma_z dephasing alone: the 8 diagonal |i><i| are dark, and the orbits
+    # of |100><100| and |110><110| hold one each at momentum 1, whose
+    # mirror, momentum 2, is not diagonalized but counts as well
     model = DissipativeModel(lattice=LatticeSpec(z=6),
                              jump_terms=[JumpTerm(1, pauli("z").astype(complex), "dephasing")])
     liou = ring_liouvillian(model, 3)
@@ -412,7 +406,6 @@ def test_null_vectors_at_complex_momenta():
     assert any(b.k == 1 and np.abs(b.eigenvalues).min() < 1e-9 for b in space.blocks)
     assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9) == 8
     assert_same_spectrum(evals, space.eigenvalues)
-    assert_steady_basis(liou, space)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
