@@ -23,6 +23,7 @@ rounding passes ``ROUNDING_CAP`` is refused rather than counted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,14 +179,20 @@ def coherence_orders(liou: Liouvillian):
     order of each |i><j|. The package's one test of the rotation about z:
     ``steady_states`` and the variational bond compile both ask it.
     """
-    pc = np.array([bin(i).count("1") for i in range(liou.dim)])
-    shift = pc[:, None] - pc  # popcount change made by the entry (i, k) of an operator
+    shift = _popcount_shifts(liou.dim)
     nonzero = liou.jumps != 0
     low = np.where(nonzero, shift, liou.dim).min(axis=(1, 2))
     high = np.where(nonzero, shift, -liou.dim).max(axis=(1, 2))
     if shift[liou.g != 0].any() or (low < high).any():
         return None
-    return shift.ravel()
+    return shift.flatten()  # a copy: no caller writes into the cached table
+
+
+@functools.cache
+def _popcount_shifts(d: int) -> np.ndarray:
+    """popcount(i) - popcount(k), the popcount change made by the entry (i, k) of a d x d operator."""
+    pc = np.array([bin(i).count("1") for i in range(d)])
+    return pc[:, None] - pc
 
 
 def _site_rotations(liou: Liouvillian) -> np.ndarray:

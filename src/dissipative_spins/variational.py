@@ -2,32 +2,29 @@
 
 The steady state of a translationally invariant, purely dissipative master
 equation is approximated by a product ansatz (one Bloch vector per
-sublattice). For each bond (i, j) the reduced time derivative splits into
-three Hermitian, traceless parts
+sublattice). For each bond (i, j) the reduced time derivative K, Hermitian
+and traceless, sums the single-site jumps, the bond's own two-site jumps
+and the mean-field contribution of the 2(z-1) surrounding neighbors. The
+sum of bond trace norms upper-bounds the full-state norm, and for a
+homogeneous ansatz it collapses to a single bond norm, which is what gets
+minimized. Order parameters, the Landau phi^4 expansion of the norm, and
+critical-point fits are extracted from the minimizer.
 
-    d rho^(ij)/dt = d_loc + d_int + d_mf,
-
-where d_loc collects the single-site jumps, d_int the bond's own two-site
-jumps, and d_mf the mean-field contribution of the 2(z-1) surrounding
-neighbors. The sum of bond trace norms upper-bounds the full-state norm,
-and for a homogeneous ansatz it collapses to a single bond norm, which is
-what gets minimized. Order parameters, the Landau phi^4 expansion of the
-norm, and critical-point fits are extracted from the minimizer.
-
-``CompiledBond`` compiles a model once into complex tensors, the reference
-at any state: W = P + rate A, P from the jumps at their own rates, A from
-the model's rate set at unit rate (the anisotropy jumps of the Heisenberg
-model, whose rate is lambda). The minimizer only visits states with
-ay = by = 0, where K is real: ``CompiledBond.tensor`` folds P and A onto
-the monomials those states reach (27 for the bipartite ansatz; 10 for the
-uniform one, whose K it turns into a singlet block and a triplet block) and
-refuses a model for which that drops more than rounding. The minimizer
-gathers each monomial's three factors at once and builds K's feature rows
-from them, and by the product rule those of dK and d2K; any batch of
-rows, the norm's or the polish's, becomes K = P + rate A by one real
-product with [P | A], each row at its problem's rate. Its spectrum is one stacked real eigvalsh, and a state's
-K does not depend on its batch. So one compile serves a whole sweep batch, and a sweep point,
-``minimize_norm`` and a Landau profile all form K the same way.
+``CompiledBond`` compiles a model once into complex tensors, the one bond
+evaluator: W = P + rate A, P from the jumps at their own rates, A from the
+model's rate set at unit rate (the Heisenberg model's anisotropy jumps, at
+rate lambda). ``reduced_derivative`` reads one compile at one state; the
+tests assemble K term by term as their reference. The minimizer only visits
+ay = by = 0, where K is real: ``CompiledBond.tensor`` folds P and A onto the
+monomials reached there (27 for the bipartite ansatz; 10 for the uniform
+one, whose K it turns into a singlet block and a triplet block) and refuses
+a model for which that drops more than rounding. The minimizer gathers each
+monomial's three factors at once and builds K's feature rows from them, and
+by the product rule those of dK and d2K; any batch of rows becomes
+K = P + rate A by one real product with [P | A], each row at its problem's
+rate. Its spectrum is one stacked real eigvalsh, and a state's K does not
+depend on its batch. One compile serves a whole sweep batch, and sweeps,
+``minimize_norm`` and Landau profiles all form K the same way.
 
 The minimizer runs in two stages, each on many problems at once. An array
 Nelder-Mead engine that steps like scipy's advances every restart of every
@@ -88,13 +85,14 @@ class ProductAnsatz:
     alpha_B: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "bipartite"):
-            raise ValueError(f"unknown ansatz kind {self.kind!r}")
+        _check_ansatz(self.kind, bipartite=True)  # the kind; the lattice is checked where it is known
         for a in (self.alpha_A, self.alpha_B):
             if np.asarray(a).shape != (3,):
                 raise ValueError("Bloch vectors must have 3 components")
             if not np.linalg.norm(a) <= 1 + BALL_TOL:  # NaN fails it too
                 raise ValueError("Bloch vector leaves the unit ball")
+        if self.kind == "uniform" and not np.array_equal(self.alpha_A, self.alpha_B):
+            raise ValueError("a uniform ansatz holds one Bloch vector: alpha_B must equal alpha_A")
 
     @classmethod
     def uniform(cls, alpha):
@@ -112,14 +110,8 @@ class ProductAnsatz:
 
 @dataclass(frozen=True)
 class NormBreakdown:
-    d_loc: np.ndarray
-    d_int: np.ndarray
-    d_mf: np.ndarray
+    total: np.ndarray  # the complex 4x4 bond derivative K
     total_norm: float
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.d_loc + self.d_int + self.d_mf
 
 
 @dataclass(frozen=True)
@@ -181,38 +173,11 @@ def mean_field_jump_term(c_bond, target_slot, neighbor_state, pair_state) -> np.
     return partial_trace(dissipator(c_full, three), [0, 1], 3)
 
 
-def _neighbor_states(ansatz: ProductAnsatz):
-    """Neighbor Bloch vectors seen from slot i and slot j."""
-    if ansatz.kind == "bipartite":
-        # i in sublattice A: its other neighbors live on B, and vice versa
-        return ansatz.alpha_B, ansatz.alpha_A
-    return ansatz.alpha_A, ansatz.alpha_B
-
-
 def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBreakdown:
-    """Assemble the two-site reduced derivative and its trace norm."""
+    """The two-site reduced derivative K at the ansatz and its trace norm, from one compile of the model."""
     _check_ansatz(ansatz.kind, model.lattice.bipartite)
-    rho_a = bloch_to_density(ansatz.alpha_A)
-    rho_b = bloch_to_density(ansatz.alpha_B)
-    pair = kron(rho_a, rho_b)
-    eye = np.eye(2)
-    zc = float(model.lattice.z - 1)
-    nb_i, nb_j = _neighbor_states(ansatz)
-
-    d_loc = np.zeros((4, 4), dtype=complex)
-    d_int = np.zeros((4, 4), dtype=complex)
-    d_mf = np.zeros((4, 4), dtype=complex)
-    for term in model.folded_jump_terms():
-        if term.arity == 1:
-            d_loc += dissipator(kron(term.matrix, eye), pair)
-            d_loc += dissipator(kron(eye, term.matrix), pair)
-        else:
-            d_int += dissipator(term.matrix, pair)
-            for slot, nb in (("i", nb_i), ("j", nb_j)):
-                d_mf += zc * mean_field_jump_term(term.matrix, slot, nb, pair)
-
-    total_norm = trace_norm_hermitian(d_loc + d_int + d_mf)
-    return NormBreakdown(d_loc=d_loc, d_int=d_int, d_mf=d_mf, total_norm=total_norm)
+    k = CompiledBond(model).matrix(ansatz.alpha_A, ansatz.alpha_B)
+    return NormBreakdown(total=k, total_norm=trace_norm_hermitian(k))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +189,7 @@ def reduced_derivative(model: DissipativeModel, ansatz: ProductAnsatz) -> NormBr
 # the neighbor of slot i, a_mu b_nu a_s for the neighbor of slot j). The
 # leading 1 of b absorbs the bilinear part into the a(x)b(x)b tensor, so the
 # whole derivative is one 16x128 tensor W contracted with
-# outer(a(x)b, [b; a]). Verified against reduced_derivative in the tests.
+# outer(a(x)b, [b; a]). The tests check it against a term-by-term assembly.
 #
 # W is linear in the generator, and the generator in each jump's rate, so
 # a model's rate set compiles apart from the rest: W = P + rate A, P from
@@ -319,8 +284,8 @@ class CompiledBond:
     Hermitian 16x128 tensor P and the unit-rate ``rate_jump_terms`` into A
     (0 for a model without a rate set), both in one stacked pass, and asks
     ``liouville.coherence_orders`` of each Liouvillian it builds whether it
-    keeps the rotation about z. ``norm`` evaluates P + rate A at any state,
-    with the model's rate, the reference the tests check the engine against;
+    keeps the rotation about z. ``matrix`` forms the complex P + rate A at
+    any state with the model's rate, read by ``norm`` and ``reduced_derivative``;
     ``tensor`` gives the engine's real [P | A] on the gauge-fixed slice.
     """
 
@@ -342,11 +307,15 @@ class CompiledBond:
         self.rate = model.rate
         self._w = _bond_tensor(gens, 0.5 * float(model.lattice.z - 1))  # (part, 16, 128)
 
-    def norm(self, alpha_a, alpha_b) -> float:
-        """The bond norm at any state, from the complex P + rate A."""
+    def matrix(self, alpha_a, alpha_b) -> np.ndarray:
+        """The complex 4x4 K = P + rate A at any state, with the model's rate."""
         a, b = np.append(1.0, alpha_a), np.append(1.0, alpha_b)
         p, q = self._w @ _triple(a, b, np.concatenate([b, a]))
-        return float(np.abs(np.linalg.eigvalsh((p + self.rate * q).reshape(4, 4))).sum())
+        return (p + self.rate * q).reshape(4, 4)
+
+    def norm(self, alpha_a, alpha_b) -> float:
+        """The bond norm at any state: the trace norm of ``matrix``."""
+        return trace_norm_hermitian(self.matrix(alpha_a, alpha_b))
 
     def tensor(self, kind) -> np.ndarray:
         """The engine's real (M, 32) tensor [P | A]: ``_features(a, b, kind)`` @ it, then K = P + rate A, row-major.

@@ -277,6 +277,19 @@ def test_weak_components_match_scipy(n, lam):
     assert set(orders) == set(range(-n, n + 1))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coherence_orders_are_popcount_differences_and_not_shared(n):
+    # the popcount table is cached per dimension: each call still returns
+    # popcount(i) - popcount(j) of |i><j|, bitwise, in an array of its own
+    liou = ring_liouvillian(dissipative_heisenberg(0.7, LatticeSpec(z=6)), n)
+    pc = np.array([bin(i).count("1") for i in range(liou.dim)])
+    first = coherence_orders(liou)
+    assert first.dtype == pc.dtype
+    assert np.array_equal(first, (pc[:, None] - pc).ravel())
+    first[:] = 99
+    assert np.array_equal(coherence_orders(liou), (pc[:, None] - pc).ravel())
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.7, 1.5])
 def test_only_the_charge_definite_spelling_is_split_by_q(lam):
     # sigma_x and sigma_y on every site keep the rotation about z only as a

@@ -15,6 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from bond_reference import term_by_term
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
@@ -87,13 +88,14 @@ def test_disordered_norm_closed_form():
 
 
 def test_breakdown_parts_hermitian_traceless():
-    nb = reduced_derivative(
-        heis(0.8), ProductAnsatz.bipartite([0.2, 0.1, -0.3], [0.0, 0.4, 0.2])
-    )
-    for part in (nb.d_loc, nb.d_int, nb.d_mf):
+    ansatz = ProductAnsatz.bipartite([0.2, 0.1, -0.3], [0.0, 0.4, 0.2])
+    ref = term_by_term(heis(0.8), ansatz)
+    got = reduced_derivative(heis(0.8), ansatz)
+    for part in (ref.d_loc, ref.d_int, ref.d_mf, got.total):
         np.testing.assert_allclose(part, part.conj().T, atol=1e-12)
         assert abs(np.trace(part)) < 1e-12
-    assert nb.total_norm >= 0
+    np.testing.assert_allclose(got.total, ref.total, atol=1e-12)
+    assert got.total_norm >= 0
 
 
 def test_dark_states_at_lambda_zero():
@@ -101,13 +103,6 @@ def test_dark_states_at_lambda_zero():
     for alpha in ([1, 0, 0], [0, 1, 0], [0.6, 0.0, 0.8], [0, 0, -1]):
         nb = reduced_derivative(model, ProductAnsatz.uniform(np.array(alpha, float)))
         assert nb.total_norm < 1e-12
-
-
-def compiled_k(bond, a, b):
-    """K at one state from the complex P + rate A behind ``CompiledBond.norm``."""
-    a, b = np.append(1.0, a), np.append(1.0, b)
-    p, q = bond._w @ variational._triple(a, b, np.concatenate([b, a]))
-    return (p + bond.rate * q).reshape(4, 4)
 
 
 def engine_k(tensor, kind, a, b, rate):
@@ -134,8 +129,8 @@ def test_compiled_matches_explicit(seed, lam):
     b = rng.uniform(-0.57, 0.57, 3)
     model = heis(lam)
     cb = CompiledBond(model)
-    ref = reduced_derivative(model, ProductAnsatz.bipartite(a, b))
-    np.testing.assert_allclose(compiled_k(cb, a, b), ref.total, atol=1e-12)
+    ref = term_by_term(model, ProductAnsatz.bipartite(a, b))
+    np.testing.assert_allclose(cb.matrix(a, b), ref.total, atol=1e-12)
     assert cb.norm(a, b) == pytest.approx(ref.total_norm, abs=1e-12)
 
 
@@ -161,8 +156,8 @@ def test_compiled_matches_explicit_with_local_jumps(seed, lam):
     a = rng.uniform(-0.57, 0.57, 3)
     b = rng.uniform(-0.57, 0.57, 3)
     for ansatz in (ProductAnsatz.uniform(a), ProductAnsatz.bipartite(a, b)):
-        ref = reduced_derivative(model, ansatz)
-        got = compiled_k(cb, ansatz.alpha_A, ansatz.alpha_B)
+        ref = term_by_term(model, ansatz)
+        got = cb.matrix(ansatz.alpha_A, ansatz.alpha_B)
         np.testing.assert_allclose(got, ref.total, atol=1e-12)
         np.testing.assert_array_equal(got, got.conj().T)
         assert cb.norm(ansatz.alpha_A, ansatz.alpha_B) == pytest.approx(
@@ -182,9 +177,9 @@ def test_compiled_matches_explicit_without_two_site_jumps():
     a = rng.uniform(-0.57, 0.57, 3)
     b = rng.uniform(-0.57, 0.57, 3)
     for ansatz in (ProductAnsatz.uniform(a), ProductAnsatz.bipartite(a, b)):
-        ref = reduced_derivative(model, ansatz)
+        ref = term_by_term(model, ansatz)
         np.testing.assert_allclose(
-            compiled_k(cb, ansatz.alpha_A, ansatz.alpha_B), ref.total, atol=1e-12
+            cb.matrix(ansatz.alpha_A, ansatz.alpha_B), ref.total, atol=1e-12
         )
 
 
@@ -192,7 +187,7 @@ def test_compiled_matches_explicit_without_two_site_jumps():
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
 def test_engine_tensors_match_explicit(seed, lam):
     # the real K of both layouts, the uniform one turned back from
-    # (singlet, triplet), is the explicit derivative at ay = by = 0: of the
+    # (singlet, triplet), is the term-by-term derivative at ay = by = 0: of the
     # Heisenberg model, and with a sigma^- jump on every site in the local
     # generator slot beside it
     rng = np.random.default_rng(seed)
@@ -208,7 +203,7 @@ def test_engine_tensors_match_explicit(seed, lam):
                 k = q @ k @ q.T
             norms = engine_norms(tensor, kind, a, bs, np.full(4, lam))
             for row in range(4):
-                ref = reduced_derivative(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
+                ref = term_by_term(model, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
                 np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
                 assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
 
@@ -217,7 +212,7 @@ def test_engine_tensors_match_explicit(seed, lam):
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4, 6]), st.booleans(), st.floats(0.0, 2.5))
 def test_rate_split_matches_the_folded_model(seed, z, renormalize, lam):
     # P + lambda A of both layouts is the compiled reference norm and the
-    # explicit derivative of the same model with lambda folded into its jumps
+    # term-by-term derivative of the same model with lambda folded into its jumps
     lattice = LatticeSpec(z=z, bipartite=True, renormalize=renormalize)
     model = dissipative_heisenberg(lam, lattice)
     folded = DissipativeModel(lattice=lattice, jump_terms=model.folded_jump_terms())
@@ -234,7 +229,7 @@ def test_rate_split_matches_the_folded_model(seed, z, renormalize, lam):
         norms = engine_norms(tensor, kind, a, bs, np.full(3, lam))
         for row in range(3):
             alpha_a, alpha_b = _bloch(a[row]), _bloch(bs[row])
-            ref = reduced_derivative(folded, ProductAnsatz.bipartite(alpha_a, alpha_b))
+            ref = term_by_term(folded, ProductAnsatz.bipartite(alpha_a, alpha_b))
             np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
             assert norms[row] == pytest.approx(ref.total_norm, abs=1e-12)
             assert bond.norm(alpha_a, alpha_b) == pytest.approx(ref.total_norm, abs=1e-12)
@@ -297,7 +292,7 @@ def test_a_jump_set_symmetric_only_as_a_set_is_refused(seed, lam):
             q = variational._SINGLET_TRIPLET
             k = q @ k @ q.T
         for row in range(4):
-            ref = reduced_derivative(original, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
+            ref = term_by_term(original, ProductAnsatz.bipartite(_bloch(a[row]), _bloch(bs[row])))
             np.testing.assert_allclose(k[row], ref.total, rtol=0, atol=1e-12)
 
 
@@ -342,17 +337,77 @@ def test_every_cli_model_takes_the_real_tensors(bipartite, renormalize):
 
 def test_one_unit_ball_for_the_ansatz_and_the_reference():
     # a vector grazing the sphere, as optimizer output may: the ansatz, the
-    # explicit reference and the compiled bond all take it, and one further
-    # out is refused by the ansatz and the density alike
+    # term-by-term reference, reduced_derivative and the compiled bond all
+    # take it, and one further out is refused by the ansatz and the density alike
     alpha = np.array([1 + 5e-10, 0.0, 0.0])
     model = heis(0.2)
-    reference = reduced_derivative(model, ProductAnsatz.uniform(alpha)).total_norm
+    reference = term_by_term(model, ProductAnsatz.uniform(alpha)).total_norm
     assert CompiledBond(model).norm(alpha, alpha) == pytest.approx(reference, abs=1e-12)
+    assert reduced_derivative(model, ProductAnsatz.uniform(alpha)).total_norm == pytest.approx(
+        reference, abs=1e-12)
     outside = np.array([1 + 2e-9, 0.0, 0.0])
     with pytest.raises(ValueError):
         ProductAnsatz.uniform(outside)
     with pytest.raises(ValueError):
         bloch_to_density(outside)
+
+
+def _assert_matches_the_reference(model, ansatz):
+    got, ref = reduced_derivative(model, ansatz), term_by_term(model, ansatz)
+    np.testing.assert_allclose(got.total, ref.total, rtol=0, atol=1e-12)
+    assert got.total_norm == pytest.approx(ref.total_norm, abs=1e-12)
+
+
+def _random_ansatzes(rng, lattice, count):
+    """``count`` random uniform ansatzes, and as many bipartite ones on a bipartite lattice."""
+    for _ in range(count):
+        a, b = (v * rng.uniform(0, 1) / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        yield ProductAnsatz.uniform(a)
+        if lattice.bipartite:
+            yield ProductAnsatz.bipartite(a, b)
+
+
+def test_reduced_derivative_takes_every_model_it_took():
+    # models the engine's real tensors refuse, and generic ones, are all
+    # still read by reduced_derivative: the complex compile takes any jumps
+    rng = np.random.default_rng(31)
+    one_sided = heis(0.4)
+    one_sided.jump_terms.append(JumpTerm(2, 0.5 * kron(pauli("-"), pauli("z")), "one-sided"))
+    random_rate_set = DissipativeModel(
+        lattice=LatticeSpec(z=4, bipartite=True),
+        jump_terms=[JumpTerm(1, 0.5 * _random_complex(rng, 2)), JumpTerm(2, 0.5 * _random_complex(rng, 4))],
+        rate_jump_terms=[JumpTerm(1, 0.5 * _random_complex(rng, 2)), JumpTerm(2, 0.5 * _random_complex(rng, 4))],
+        rate=0.9,
+    )
+    models = [
+        _with_jump(heis(0.4), 1, 0.3 * pauli("x")),  # breaks the rotation about z
+        _with_jump(heis(0.4), 1, 0.3 * np.diag([1, 1j])),  # K complex at ay = 0
+        one_sided,  # not swap-symmetric
+        random_rate_set,
+        dissipative_heisenberg(0.7, LatticeSpec(z=6, bipartite=False)),  # uniform only
+    ]
+    for model in models:
+        for ansatz in _random_ansatzes(rng, model.lattice, 5):
+            _assert_matches_the_reference(model, ansatz)
+
+
+@pytest.mark.parametrize("bipartite", [True, False])
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_reduced_derivative_matches_the_reference_on_every_cli_lattice(bipartite, renormalize):
+    rng = np.random.default_rng(17)
+    for z in (2, 4, 6):
+        lattice = LatticeSpec(z=z, bipartite=bipartite, renormalize=renormalize)
+        for lam in np.linspace(0.0, 2.5, 6):
+            model = dissipative_heisenberg(lam, lattice)
+            for ansatz in _random_ansatzes(rng, lattice, 2):
+                _assert_matches_the_reference(model, ansatz)
+
+
+def test_a_uniform_ansatz_holds_one_vector():
+    # the compiled bond reads the neighbors of slot i in alpha_B and of slot
+    # j in alpha_A: one uniform vector makes that the uniform lattice
+    with pytest.raises(ValueError, match="one Bloch vector"):
+        ProductAnsatz("uniform", np.zeros(3), np.array([0.0, 0.0, 0.1]))
 
 
 @settings(deadline=None, max_examples=20)
@@ -469,7 +524,7 @@ def test_minimize_takes_a_single_site_jump():
     """A sigma^- jump on every site keeps the rotation about z and a real K.
 
     Both layouts converge to the same polarized minimum, the reported norm
-    is the explicit derivative's at the reported state, and with ay free a
+    is the term-by-term derivative's at the reported state, and with ay free a
     descent of the complex reference norm from seeded starts ends no lower.
     """
     model = _with_jump(heis(0.4), 1, 0.3 * pauli("-"), "decay")
@@ -479,7 +534,7 @@ def test_minimize_takes_a_single_site_jump():
         res = minimize_norm(model, kind=kind, seed=0)
         assert res.converged
         assert res.norm == pytest.approx(0.2116194660988, abs=1e-12)  # regression pin
-        assert res.norm == pytest.approx(reduced_derivative(model, res.ansatz).total_norm, abs=1e-12)
+        assert res.norm == pytest.approx(term_by_term(model, res.ansatz).total_norm, abs=1e-12)
         assert res.ansatz.alpha_A[2] < 0  # polarized along the decay
         x0 = rng.uniform(-0.5, 0.5, 3 if kind == "uniform" else 6)
         assert _full_ball_descent(bond, x0).fun >= res.norm - 1e-13
