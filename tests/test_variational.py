@@ -14,8 +14,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
 from bond_reference import term_by_term
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
