@@ -34,9 +34,9 @@ the states they carry (``derivative_calls``, ``derivative_rows``). Under
 and the lowest CPU, writes the ``dspin oracle`` JSON of rings of 4, 5 and 6
 sites at lambda 0 and 0.7 and records its sha256 (``json_sha256``, the
 oracle's counterpart of ``csv_sha256``), and the median of 5 timings of each
-of ``liouville.ring_liouvillian``, ``steady_states`` and
-``conjugate_pair_defect`` at each point, untraced: the traced ``liouville``
-layers of the workloads also form the dense generator. Then it times the
+of ``liouville.ring_liouvillian`` and ``steady_states`` at each point,
+untraced: the traced ``liouville`` layers of the workloads also form the
+dense generator. Then it times the
 start-up every ``dspin`` call pays: five fresh interpreters that only
 ``import dissipative_spins.cli``, on one BLAS thread and the lowest CPU,
 timed by ``time_child``, and one more under ``python -X importtime``
@@ -123,12 +123,12 @@ sys.exit(code)
 ORACLE_POINTS = [(n, lam) for n in (4, 5, 6) for lam in (0.0, 0.7)]
 ORACLE_REPEATS = 5
 # writes the ``dspin oracle`` JSON of each point into the directory argv[1] names, then
-# prints one JSON list: per point its sha256 and the median milliseconds of the three calls
+# prints one JSON list: per point its sha256 and the median milliseconds of the two calls
 TIME_ORACLE = """\
 import hashlib, json, statistics, sys, time
 from pathlib import Path
 from dissipative_spins import cli
-from dissipative_spins.liouville import conjugate_pair_defect, ring_liouvillian, steady_states
+from dissipative_spins.liouville import ring_liouvillian, steady_states
 from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
 out, points, repeats = Path(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
 rows = []
@@ -137,16 +137,14 @@ for n, lam in points:
     if cli.main(["oracle", "--n", str(n), "--lambda", str(lam), "--out", str(path)]) != 0:
         sys.exit(f"oracle n = {n}, lambda = {lam} failed")
     model = dissipative_heisenberg(lam, LatticeSpec())
-    times = {"ring_liouvillian_ms": [], "steady_states_ms": [], "conjugate_pair_defect_ms": []}
+    times = {"ring_liouvillian_ms": [], "steady_states_ms": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
         liou = ring_liouvillian(model, n)
         t1 = time.perf_counter()
-        space = steady_states(liou)
+        steady_states(liou)
         t2 = time.perf_counter()
-        conjugate_pair_defect(space.blocks, liou.dim)
-        t3 = time.perf_counter()
-        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+        for key, dt in zip(times, (t1 - t0, t2 - t1)):
             times[key].append(1e3 * dt)
     rows.append({"n": n, "lambda": lam, "json_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                  **{key: statistics.median(ts) for key, ts in times.items()}})

@@ -6,7 +6,11 @@ one coupling), effective (adiabatic elimination of a problem file, with
 --validate comparing the exact full and effective evolutions), oracle (exact
 small-ring diagnostics: the generator is diagonalized in sectors of one
 coherence order and ring momentum each). The oracle prints what
-``liouville`` computes; nothing here handles the generator's layout.
+``liouville`` computes; nothing here handles the generator's layout. Its
+q < 0 sectors are copies, so conjugate_pair_defect reads 0.0; zero_cut,
+largest_zero and smallest_nonzero (null for none) are the kernel cut and
+the |eigenvalues| nearest it either side, and version, z and renormalize
+record the run.
 
 Every input is a flag. The model flags default to z = 6, renormalize on,
 lambda = 1 and (sweep only) the uniform ansatz; every model-taking command
@@ -49,7 +53,8 @@ from .effective import (
     effective_jumps,
     validate_elimination,
 )
-from .liouville import conjugate_pair_defect, ring_liouvillian, steady_states
+from . import __version__
+from .liouville import ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg
 from .operators import BALL_TOL
 from .opformat import (
@@ -272,15 +277,20 @@ def cmd_oracle(args) -> int:
         return _over_cap(f"oracle: n = {args.n} exceeds the exact-diagonalization cap "
                          f"({MAX_ORACLE_SITES} sites)")
     model = dissipative_heisenberg(args.lam, _lattice(args))
-    liou = ring_liouvillian(model, args.n)
-    space = steady_states(liou)
+    space = steady_states(ring_liouvillian(model, args.n))
     out = {
         "n": args.n,
         "lambda": args.lam,
         "dark_dimension": space.dimension,
         "max_real_part": float(space.eigenvalues.real.max()),
         "trace_defect": space.trace_defect,
-        "conjugate_pair_defect": conjugate_pair_defect(space.blocks, liou.dim),
+        "conjugate_pair_defect": 0.0,  # each q < 0 spectrum is its partner's, conjugated
+        "zero_cut": space.zero_cut,
+        "largest_zero": space.largest_zero,
+        "smallest_nonzero": space.smallest_nonzero,
+        "version": __version__,
+        "z": args.z,
+        "renormalize": args.renormalize,
     }
     _write_out(args, json.dumps(out))
     return 0

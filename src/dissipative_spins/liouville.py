@@ -17,8 +17,11 @@ momentum k of the site translation split the generator into (q, k)
 sectors, whose matrices are gathered from G and the jumps and then
 diagonalized in stacks, one ``eigvals`` call per sector size and dtype
 (at n = 6 the largest sector has 160 rows, against 4,096 for the whole
-generator). The count is read off those spectra, and a ring whose
-rounding passes ``ROUNDING_CAP`` is refused rather than counted.
+generator). Only q >= 0 is gathered: L(rho^dag) = L(rho)^dag makes each
+q < 0 spectrum a conjugated copy of its partner's. The count is read off
+those spectra, with the cut and the |eigenvalues| nearest it either side
+as a measure of how sure it is, and a ring whose rounding passes
+``ROUNDING_CAP`` is refused rather than counted.
 """
 
 from __future__ import annotations
@@ -164,6 +167,9 @@ class SteadySpace:
     dimension: int  # steady states: the zero eigenvalues over all sectors
     blocks: list  # SpectralBlock per (q, k) sector of the generator
     trace_defect: float  # max |u^dag F_0| on sector (0, 0), u the identity there
+    zero_cut: float  # an |eigenvalue| up to this counts as zero
+    largest_zero: float  # the largest |eigenvalue| counted as zero, the forced one of (0, 0) too
+    smallest_nonzero: float | None  # the smallest |eigenvalue| not counted as zero; None for none
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -218,16 +224,20 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     exp(-2 pi i k m/n) T^m r_a, kept when k p_a = 0 mod n. Its matrix,
     F_k[a, b] = sqrt(p_a p_b)/n sum_m exp(-2 pi i k m/n) L[r_a, T^m r_b],
     is gathered from the rows r_a of L that ``_rows`` forms from G and the
-    jumps; the d^2 x d^2 generator is never formed. A real generator has
-    F_{n-k} = conj F_k, so only k <= n/2 is diagonalized and k = 0 (and
-    n/2) in real arithmetic, decided from G and each jump times the
-    conjugate phase of its largest entry (so sigma_y or i c counts as
-    real); a sector of 0 < 2k < n stands for its mirror n - k as well and
-    its zeros count twice. Every sector's matrix is gathered first; then
-    one ``eigvals`` call takes all sectors of one size and dtype as a
-    stack (bitwise the spectra of one call per sector, though a stack of
-    real sectors comes back complex for all when one has a complex
-    eigenvalue). An eigenvalue counts as zero up to
+    jumps; the d^2 x d^2 generator is never formed. The adjoint |i><j| ->
+    |j><i| commutes with L and maps sector (q, k) onto (-q, -k), so the
+    spectrum of (-q, -k) is the conjugate of that of (q, k): only q >= 0 is
+    gathered and diagonalized, and of q = 0 only k <= n/2. A real generator
+    also has F_{n-k} = conj F_k, so there every q keeps only k <= n/2, k = 0
+    (and n/2) in real arithmetic, and (-q, k) has the spectrum of (q, k);
+    real is decided from G and each jump times the conjugate phase of its
+    largest entry (so sigma_y or i c counts as real). Each spectrum's block
+    is kept with its copies, the conjugated ones, and its zeros count once
+    for each block it stands for (up to four). Every sector's matrix is
+    gathered first; then one ``eigvals`` call takes all sectors of one size
+    and dtype as a stack (bitwise the spectra of one call per sector,
+    though a stack of real sectors comes back complex for all when one has
+    a complex eigenvalue). An eigenvalue counts as zero up to the cut
     max(``_NULL_TOL`` min(1, r), min(``_NULL_EPS`` r, ``ROUNDING_CAP``)),
     r the largest |eigenvalue|: rates far below 1, the rounding of
     ``eigvals`` (a zero near eps r) below the rates of order 1 a stiff
@@ -241,7 +251,8 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     basis (sqrt(p_a) on the diagonal orbits). Both it and the largest real
     part are 0 in exact arithmetic; a ValueError refuses the ring when
     either passes ``ROUNDING_CAP``, where rounding can have moved the rates
-    of order 1 onto the cut or a zero off it.
+    of order 1 onto the cut or a zero off it. A count clear of rounding has
+    ``largest_zero`` <= ``zero_cut`` < ``smallest_nonzero``, gaps wide.
     """
     d, g, cs = liou.dim, liou.g, liou.jumps
     if cs.imag.any():  # turn each jump by the conjugate phase of its largest entry
@@ -260,13 +271,13 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     q_of = np.zeros(reps.size, dtype=int) if orders is None else orders[reps]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     sectors, fs = [], []  # (q, k, orbit representatives, their periods) of each sector, and its F
-    for q in np.unique(q_of):
+    for q in np.unique(q_of[q_of >= 0]):  # sector (-q, -k) is the conjugate of (q, k)
         r, p = reps[q_of == q], period[q_of == q]
         i, j = divmod(r, d)
         a = np.arange(r.size)[:, None]
         # R_m[a, b] = L[r_a, T^m r_b] from the rows r_a of L: (n, A, A)
         gather = _rows(g, cs, i, j)[a, rot[:, i][:, None, :], rot[:, j][:, None, :]]
-        ks = np.arange(n // 2 + 1 if real else n)
+        ks = np.arange(n // 2 + 1 if real or q == 0 else n)
         f_k = (phase[ks] @ gather.reshape(n, -1)).reshape(-1, r.size, r.size)
         f_k *= np.sqrt(np.outer(p, p)) / n
         for k, f in zip(ks, f_k):
@@ -286,60 +297,33 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
             spectra[s] = evals
     cut = max(_NULL_TOL * min(1.0, radius), min(_NULL_EPS * radius, ROUNDING_CAP))
     blocks, dimension, trace_defect = [], 0, 0.0
+    zeros, others = [], []  # the |eigenvalues| counted as zero, and the rest
     for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
-        zero = int(np.count_nonzero(np.abs(evals) <= cut))
+        size = np.abs(evals)
+        zero = size <= cut
         if q == 0 and k == 0:
             i, j = divmod(r, d)
             u = np.where(i == j, np.sqrt(p), 0.0)
             trace_defect = float(np.abs(u @ f).max())
-            zero = max(zero, 1)  # u F = 0: this sector is singular, however its zero is rounded
-        blocks.append(SpectralBlock(q=q, k=k, eigenvalues=evals))
-        dimension += zero
-        if real and 2 * k % n:  # sector n - k is the complex conjugate
-            blocks.append(SpectralBlock(q=q, k=n - k, eigenvalues=evals.conj()))
-            dimension += zero
-    space = SteadySpace(dimension=dimension, blocks=blocks, trace_defect=trace_defect)
+            zero[size.argmin()] = True  # u F = 0: this sector is singular, however its zero is rounded
+        zeros.append(size[zero])
+        others.append(size[~zero])
+        copies = [(q, k, evals)]  # the sectors this spectrum stands for
+        if 2 * k % n and (real or q == 0):  # (q, -k) is the conjugate: L is real, or q = 0 is its own partner
+            copies.append((q, n - k, evals.conj()))
+        if q:  # the adjoint: (-q, -k) is the conjugate of (q, k)
+            copies += [(-q, -c % n, e.conj()) for _, c, e in copies]
+        blocks += [SpectralBlock(q=c_q, k=c_k, eigenvalues=e) for c_q, c_k, e in copies]
+        dimension += len(copies) * zeros[-1].size
+    zeros, others = np.concatenate(zeros), np.concatenate(others)
+    space = SteadySpace(dimension=dimension, blocks=blocks, trace_defect=trace_defect, zero_cut=float(cut),
+                        largest_zero=float(zeros.max()),
+                        smallest_nonzero=float(others.min()) if others.size else None)
     top = float(space.eigenvalues.real.max())
     if max(trace_defect, abs(top)) > ROUNDING_CAP:  # 0 is in the spectrum, which lies in Re <= 0
         raise ValueError(f"the ring is too stiff to resolve: its trace defect {trace_defect:.3g} "
                          f"or largest real part {top:.3g} passes {ROUNDING_CAP:g}")
     return space
-
-
-def conjugate_pair_defect(blocks, d: int) -> float:
-    """How far each sector's conjugated spectrum is from its partner sector's.
-
-    L(rho^dag) = L(rho)^dag and the adjoint maps |i><j| to |j><i| and the
-    phases of T's orbits to their conjugates, so the spectrum of sector
-    (q, k) is the conjugate of the spectrum of sector (-q, -k mod n), n the
-    sites of the ring (d = 2^n). A defective eigenvalue (a Jordan block, as
-    -1.5 at n = 4, lambda = 1) comes out of eig only to ~sqrt(eps), split
-    differently in a sector and in its partner, while the mean of its
-    cluster is accurate to ~eps. So each conjugated eigenvalue is compared
-    through the means of the eigenvalues within a radius of it on both
-    sides; clusters of different sizes count as at least the radius apart.
-    Blocks whose spectra, and their partners', have the same lengths and
-    dtypes are compared as one stack, entry by entry as one at a time.
-    """
-    radius = 1e-6  # far above the ~1e-8 split of a defective pair
-    n = max(d.bit_length() - 1, 1)
-    by_sector = {(b.q, b.k): b for b in blocks}
-    groups = {}  # blocks by the lengths and dtypes of theirs and their partner's spectra
-    for block in blocks:
-        w = block.eigenvalues.conj()
-        v = by_sector[(-block.q, -block.k % n)].eigenvalues
-        groups.setdefault((w.shape, v.shape, w.dtype, v.dtype), []).append((w, v))
-    worst = 0.0
-    for pairs in groups.values():
-        w, v = np.stack([w for w, _ in pairs]), np.stack([v for _, v in pairs])
-        gap_w, gap_v = np.abs(w[:, :, None] - w[:, None]), np.abs(w[:, :, None] - v[:, None])
-        near_w, near_v = gap_w < radius, gap_v < radius
-        n_w, n_v = near_w.sum(axis=2), near_v.sum(axis=2)
-        mean_gap = np.abs((near_w @ w[:, :, None])[:, :, 0] / n_w
-                          - (near_v @ v[:, :, None])[:, :, 0] / np.maximum(n_v, 1))
-        unpaired = np.maximum(gap_v.min(axis=2), radius)
-        worst = max(worst, float(np.where(n_w == n_v, mean_gap, unpaired).max()))
-    return worst
 
 
 def exact_norm(liou: Liouvillian, rho: np.ndarray) -> float:

@@ -8,16 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dissipative_spins
 from dissipative_spins import cli, effective, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.liouville import (
     Liouvillian,
     build_liouvillian,
-    conjugate_pair_defect,
     ring_liouvillian,
-    steady_states,
 )
-from dissipative_spins.models import JumpTerm, LatticeSpec, dissipative_heisenberg
+from dissipative_spins.models import LatticeSpec
 from dissipative_spins.opformat import OperatorFormatError, parse_problem_text
 
 BELL_PROBLEM = """
@@ -614,21 +613,44 @@ def test_effective_missing_file():
 def test_oracle_json(capsys):
     assert run(["oracle", "--n", "2", "--lambda", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["n", "lambda", "dark_dimension", "max_real_part", "trace_defect",
+                         "conjugate_pair_defect", "zero_cut", "largest_zero", "smallest_nonzero",
+                         "version", "z", "renormalize"]
     assert out["dark_dimension"] == 9
     assert out["max_real_part"] < 1e-10
     assert out["trace_defect"] < 1e-12
-    assert out["conjugate_pair_defect"] < 1e-9
+    assert out["conjugate_pair_defect"] == 0.0
+    assert out["largest_zero"] <= out["zero_cut"] < out["smallest_nonzero"]
+    assert (out["version"], out["z"], out["renormalize"]) == (dissipative_spins.__version__, 6, "on")
+
+
+def test_oracle_json_carries_its_settings(capsys):
+    assert run(["oracle", "--n", "3", "--lambda", "0.5", "--z", "4", "--renormalize", "off"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["n"], out["lambda"], out["z"], out["renormalize"]) == (3, 0.5, 4, "off")
 
 
 def test_oracle_conjugate_pairs_n5(capsys):
     # lambda = 1.5 holds a defective eigenvalue (-2.4, a 2x2 Jordan block)
-    # that eig resolves only to ~sqrt(eps) in each block
+    # that eig resolves only to ~sqrt(eps) in each block; the q < 0 sectors
+    # are their partners' spectra, so nothing is left to pair
     assert run(["oracle", "--n", "5", "--lambda", "1.5"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["dark_dimension"] == 1
-    assert out["conjugate_pair_defect"] < 1e-9
+    assert out["conjugate_pair_defect"] == 0.0
     assert out["max_real_part"] < 1e-9
     assert out["trace_defect"] < 1e-12
+    assert out["largest_zero"] <= out["zero_cut"] < out["smallest_nonzero"]
+
+
+@pytest.mark.parametrize("n, lam", [(4, "1e14"), (3, "3e13")])
+def test_oracle_stiff_ring_count_is_apart_from_the_cut(capsys, n, lam):
+    # pumps 1e13-1e14 times the couplings: the one dark state lies at or
+    # below the cut, and every other |eigenvalue| far above it
+    assert run(["oracle", "--n", str(n), "--lambda", lam, "--z", "2", "--renormalize", "off"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dark_dimension"] == 1
+    assert out["largest_zero"] <= out["zero_cut"] < out["smallest_nonzero"]
 
 
 @pytest.mark.parametrize("n, lam, dim", [(2, 0.0, 9), (3, 0.7, 1), (4, 0.0, 25), (5, 1.0, 1)])
@@ -651,7 +673,7 @@ def test_oracle_n6(capsys, lam, dim):
     assert out["dark_dimension"] == dim
     assert out["trace_defect"] <= 1e-12
     assert out["max_real_part"] <= 1e-9
-    assert out["conjugate_pair_defect"] < 1e-9
+    assert out["conjugate_pair_defect"] == 0.0
 
 
 @pytest.mark.parametrize("z", [10_000_000_000, 2**62])
@@ -681,18 +703,6 @@ def test_oracle_refuses_a_ring_too_stiff_to_resolve(capsys, argv):
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1
     assert out.err.startswith("dspin oracle: the ring is too stiff to resolve")
-
-
-def test_conjugate_pair_defect_pairs_opposite_orders():
-    # a phase jump diag(1, i) keeps the coherence-order blocks but makes
-    # them complex: block q is the conjugate of block -q, not of itself
-    heisenberg = dissipative_heisenberg(0.7, LatticeSpec(z=6))
-    model = replace(heisenberg, jump_terms=heisenberg.jump_terms
-                    + [JumpTerm(1, 0.4 * np.diag([1, 1j]), "phase")])
-    blocks = steady_states(ring_liouvillian(model, 3)).blocks
-    assert conjugate_pair_defect(blocks, 8) < 1e-12
-    assert max(np.abs(b.eigenvalues.conj()[:, None] - b.eigenvalues).min(axis=1).max()
-               for b in blocks) > 0.1
 
 
 def test_oracle_resource_cap(capsys, monkeypatch):

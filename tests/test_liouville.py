@@ -16,12 +16,11 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from dissipative_spins import liouville
 from dissipative_spins.liouville import (
     Liouvillian,
-    SpectralBlock,
     coherence_orders,
     build_liouvillian,
-    conjugate_pair_defect,
     exact_norm,
     ring_liouvillian,
     steady_states,
@@ -316,6 +315,7 @@ def test_a_generator_without_jumps_is_dark_everywhere(n):
     space = steady_states(ring_liouvillian(DissipativeModel(lattice=LatticeSpec()), n))
     assert not space.eigenvalues.any()
     assert space.dimension == 4**n
+    assert space.zero_cut == space.largest_zero == 0.0 and space.smallest_nonzero is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -470,30 +470,91 @@ def test_ring_jumps_and_g_are_the_per_jump_kron_bitwise(n):
 @pytest.mark.parametrize("jump", [None, "z"])
 def test_one_eigvals_call_per_sector_size_and_dtype(n, lam, jump, monkeypatch):
     # the sectors are diagonalized as stacks, one call per (size, dtype); each
-    # stack holds every sector of that size and dtype, and nothing else
+    # stack holds every diagonalized sector of that size and dtype, and
+    # nothing else; no row of order q < 0 is gathered and no such sector is
+    # diagonalized, since each is its partner's spectrum conjugated
     model = dissipative_heisenberg(lam, LatticeSpec(z=6)) if jump is None else local_jump_model(lam, quarter_turn(jump))
     liou = ring_liouvillian(model, n)
+    assert coherence_orders(liou) is not None
+    orders, rows = [], liouville._rows
+    monkeypatch.setattr(liouville, "_rows", lambda g, cs, i, j: orders.append(
+        np.array([bin(x).count("1") - bin(y).count("1") for x, y in zip(i, j)])) or rows(g, cs, i, j))
     calls, eigvals = [], np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda f: calls.append((f.shape, f.dtype)) or eigvals(f))
     space = steady_states(liou)
+    assert min(q.min() for q in orders) == 0
     keys = [(shape[-1], dtype) for shape, dtype in calls]
     assert len(set(keys)) == len(keys) < sum(shape[0] for shape, _ in calls)
     real = not liou.matrix.imag.any()
-    diagonalized = [b for b in space.blocks if not real or b.k <= n // 2]
+    diagonalized = [b for b in space.blocks if b.q >= 0 and (b.k <= n // 2 or b.q > 0 and not real)]
     assert sum(shape[0] for shape, _ in calls) == len(diagonalized)
     assert set(keys) == {(len(b.eigenvalues), np.dtype(float if real and 2 * b.k % n == 0 else complex))
                          for b in diagonalized}
+    sectors = {(b.q, b.k) for b in space.blocks}
+    assert len(sectors) == len(space.blocks) and sectors == {(-q, k) for q, k in sectors}
 
 
-def test_conjugate_pair_defect_of_partners_of_another_length():
-    # a spectrum whose partner is shorter reports its unpaired eigenvalue's
-    # distance to the partner, and a cluster the partner lacks the radius
-    blocks = [SpectralBlock(q=0, k=0, eigenvalues=np.array([0.0, -0.5])),
-              SpectralBlock(q=1, k=0, eigenvalues=np.array([-1.0, -2.0 + 0.25j])),
-              SpectralBlock(q=-1, k=0, eigenvalues=np.array([-1.0 + 0j]))]
-    assert conjugate_pair_defect(blocks, 8) == pytest.approx(abs(-2.0 - 0.25j + 1.0))
-    blocks[1] = SpectralBlock(q=1, k=0, eigenvalues=np.array([-1.0, -1.0 - 1e-9]))
-    assert conjugate_pair_defect(blocks, 8) == 1e-6
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_real_ring_without_the_spin_flip_matches_dense_reference(n):
+    # sigma^- on every site breaks the spin flip that maps q to -q, but a
+    # real L still has (-q, k) with the spectrum of (q, k), which the
+    # oracle takes over instead of diagonalizing it
+    liou = ring_liouvillian(local_jump_model(0.7, np.sqrt(0.3) * pauli("-")), n)
+    assert not liou.matrix.imag.any() and coherence_orders(liou) is not None
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert space.eigenvalues.size == evals.size
+    assert {b.q for b in space.blocks} == set(range(-n, n + 1))
+    assert_same_spectrum(evals, space.eigenvalues)
+
+
+def test_a_phase_jump_matches_dense_reference():
+    # a phase jump diag(1, i) keeps the coherence orders but makes the
+    # sectors complex: block -q is the conjugate of block q at momentum -k,
+    # not of itself
+    liou = ring_liouvillian(local_jump_model(0.7, 0.4 * np.diag([1, 1j])), 3)
+    assert liou.matrix.imag.any() and coherence_orders(liou) is not None
+    evals = np.linalg.eig(liou.matrix)[0]
+    space = steady_states(liou)
+    assert space.dimension == np.count_nonzero(np.abs(evals) < 1e-9)
+    assert space.eigenvalues.size == evals.size
+    assert max(np.abs(b.eigenvalues.conj()[:, None] - b.eigenvalues).min(axis=1).max()
+               for b in space.blocks) > 0.1
+    assert_same_spectrum(evals, space.eigenvalues)
+
+
+def test_a_copied_sector_is_the_conjugate_generators_sector():
+    # a complex two-site jump that is not swap symmetric breaks the
+    # reflection k -> -k, so (q, k) and (q, -k) differ at n = 4; the
+    # entrywise conjugate L* maps sector (q, k) onto (q, -k), so its sector
+    # (q, k), diagonalized for q > 0, is L's copied sector (-q, k)
+    heisenberg = dissipative_heisenberg(0.7, LatticeSpec(z=6))
+    lopsided = JumpTerm(2, np.array(kron(pauli("-"), 0.5 * np.diag([1, 1j]))), "lopsided")
+    liou = ring_liouvillian(replace(heisenberg, jump_terms=heisenberg.jump_terms + [lopsided]), 4)
+    assert liou.matrix.imag.any() and coherence_orders(liou) is not None
+    space = steady_states(liou)
+    assert_same_spectrum(np.linalg.eig(liou.matrix)[0], space.eigenvalues)
+    blocks = {(b.q, b.k): b.eigenvalues for b in space.blocks}
+    assert np.abs(np.sort_complex(blocks[(1, 1)]) - np.sort_complex(blocks[(1, 3)])).max() > 0.01
+    mirror = steady_states(replace(liou, g=liou.g.conj(), jumps=liou.jumps.conj()))
+    direct = {(b.q, b.k): b.eigenvalues for b in mirror.blocks}
+    for (q, k), evals in blocks.items():
+        if q < 0:
+            assert_same_spectrum(direct[(-q, k)], evals)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("lam", [0.3, 0.7, 1.5])
+def test_the_count_is_apart_from_the_cut(n, lam):
+    # the trust measure: every |eigenvalue| counted as zero lies at or below
+    # the cut, and every other one above it
+    space = steady_states(ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=6)), n))
+    assert space.dimension == 1
+    assert space.largest_zero <= space.zero_cut < space.smallest_nonzero
+    sizes = np.abs(space.eigenvalues)
+    assert np.count_nonzero(sizes <= space.zero_cut) == space.dimension
+    assert sizes[sizes > space.zero_cut].min() == space.smallest_nonzero
 
 
 @pytest.mark.parametrize("z, renormalize", [(6, True), (2, False)])
