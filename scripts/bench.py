@@ -54,8 +54,9 @@ with their medians), point count and fit, under ``startup`` the import
 times in the same two units and their medians, and under ``tier1`` the
 test run's wall time, exit code and passed/failed/error counts, and under
 ``src_lines`` the non-blank lines of each ``src/dissipative_spins`` module
-and their total, so a change that shrinks the code quotes its size from
-the same file as its timings.
+and their total, and of each ``scripts/*.py`` file (``scripts``), so a
+change that shrinks the code quotes its size from the same file as its
+timings.
 """
 
 from __future__ import annotations
@@ -297,10 +298,13 @@ def time_tier1(root: Path) -> dict:
 
 
 def count_src_lines(root: Path) -> dict:
-    """Non-blank lines per ``src/dissipative_spins`` module, and their total."""
-    modules = {path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
-               for path in sorted((root / "src" / "dissipative_spins").glob("*.py"))}
-    return {"modules": modules, "total": sum(modules.values())}
+    """Non-blank lines per ``src/dissipative_spins`` module and their total, and per ``scripts/*.py``."""
+    def count(folder: Path) -> dict:
+        return {path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
+                for path in sorted(folder.glob("*.py"))}
+
+    modules = count(root / "src" / "dissipative_spins")
+    return {"modules": modules, "total": sum(modules.values()), "scripts": count(root / "scripts")}
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,8 @@ or a lambda (or sweep grid point) outside [0, models.MAX_RATE] exits 1.
 
 Exit codes: 0 success, 1 usage errors (an unknown flag, or a value argparse
 cannot read), unreadable or malformed input files and bad option values
-(such as a sweep span that is NaN, a --t-max that is not finite
-and positive, --restarts or --jobs below 1, or an oracle ring too stiff
+(such as a sweep span that is NaN, a --step or --t-max that is not
+finite and positive, --restarts or --jobs below 1, or an oracle ring too stiff
 to resolve), 2 fit or elimination
 failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 6
 sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
@@ -73,7 +73,7 @@ from .variational import (
 )
 
 CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
-MAX_ORACLE_SITES = 6  # largest sector 160 rows at n = 6 (0.4 s), 492 at n = 7
+MAX_ORACLE_SITES = 6  # largest sector 160 rows at n = 6 (0.14 s), 492 at n = 7 (1.9 s)
 MAX_SWEEP_POINTS = 10_000
 MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
 MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at once

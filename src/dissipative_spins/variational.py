@@ -1029,11 +1029,12 @@ def grid_size(lambda_min: float, lambda_max: float, step: float) -> int:
     The grid holds every lambda_min + k * step <= lambda_max + 1e-9. The
     division can round across that bound at the last point, so the count
     it gives is checked against the inequality itself. ValueError for a
-    step that is not positive, or a NaN span (lambda_max - lambda_min) /
-    step: a NaN bound, both bounds the same infinity, or inf / inf.
+    step that is not finite and positive (with an infinite one the first
+    point, lambda_min + 0 * step, is NaN), or a NaN span (lambda_max -
+    lambda_min) / step: a NaN bound or both bounds the same infinity.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, not {step}")
     top = lambda_max + _GRID_SLACK
     span = (top - lambda_min) / step
     if math.isnan(span):
@@ -1111,9 +1112,9 @@ def sweep(
     midpoint, clipped to the scan range, so ``fit_critical`` brackets the
     same crossing on the fine grid. ValueError, before any grid is built,
     for an unknown ``kind``, a bipartite one on a non-bipartite
-    ``lattice``, ``restarts`` or ``jobs`` below 1, or bounds ``grid_size``
-    refuses; and before any minimization for a grid point ``check_rate``
-    refuses.
+    ``lattice``, ``restarts`` or ``jobs`` below 1, or bounds or a step
+    ``grid_size`` refuses; and before any minimization for a grid point
+    ``check_rate`` refuses.
     """
     _check_ansatz(kind, lattice.bipartite)
     if restarts < 1 or jobs < 1:

@@ -182,6 +182,16 @@ def test_sweep_refuses_a_nan_span(capsys, monkeypatch, bounds):
     assert "NaN" in out.err
 
 
+@pytest.mark.parametrize("step", ["inf", "nan", "0", "-0.01"])
+def test_sweep_refuses_a_step_that_is_not_finite_and_positive(capsys, monkeypatch, step):
+    # --step inf built the grid [nan] and exited 1 blaming "rate lambda=nan"
+    monkeypatch.setattr(cli, "sweep", refuse)
+    assert run(["sweep", "--lambda-min", "0.4", "--lambda-max", "0.5", "--step", step]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"dspin sweep: step must be finite and positive, not {float(step)}\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     (["fit"], "--in"),
     (["oracle", "--n", "2"], "--out"),

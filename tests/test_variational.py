@@ -1193,10 +1193,22 @@ def test_grid_size_refuses_a_nan_span():
                 grid_size(lo, hi, 0.01)
             with pytest.raises(ValueError, match="NaN"):
                 sweep(lo, hi, 0.01, Z6, "uniform")
-    with pytest.raises(ValueError, match="NaN"):
-        grid_size(0.0, np.inf, np.inf)  # inf / inf
+    with pytest.raises(ValueError, match="step"):
+        grid_size(0.0, np.inf, np.inf)  # inf / inf, refused for its step first
     assert grid_size(0.6, 0.5, 0.01) == 0  # an empty range is still empty
     assert grid_size(0.4, np.inf, 0.01) > 10_000  # and an infinite one over any cap
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf, -np.inf])
+def test_grid_size_refuses_a_step_that_is_not_finite_and_positive(step):
+    # an infinite step counted 1 point, lambda_min + 0 * inf = NaN, and the
+    # sweep then failed on its rate instead of its step
+    with mock.patch.object(variational, "_sweep_chunk", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=f"step must be finite and positive, not {step}"):
+            grid_size(0.4, 0.5, step)
+        with pytest.raises(ValueError, match="step"):
+            sweep(0.4, 0.5, step, Z6, "uniform")
+    assert sweep_grid(0.4, 0.5, 1e300) == [0.4]  # a huge finite step is one point
 
 
 @pytest.mark.parametrize("restarts,jobs", [(0, 1), (-2, 1), (8, 0), (8, -3)])
