@@ -73,7 +73,7 @@ from .variational import (
 )
 
 CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
-MAX_ORACLE_SITES = 6  # largest sector 160 rows at n = 6 (0.14 s), 492 at n = 7 (1.9 s)
+MAX_ORACLE_SITES = 6  # largest sector 160 rows at n = 6 (0.12 s), 492 at n = 7 (1.6 s, 0.03 s of it the ring build)
 MAX_SWEEP_POINTS = 10_000
 MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
 MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at once

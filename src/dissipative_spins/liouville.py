@@ -2,12 +2,13 @@
 
 ``Liouvillian`` holds the generator of H and the jumps c_k as the stacked
 jumps and G = -i H - 1/2 sum_k c_k^dag c_k, so L rho = G rho + rho G^dag +
-sum_k c_k rho c_k^dag. ``apply``, ``adjoint`` and ``evolve`` (exp(t L) rho)
-form no d^2 x d^2 superoperator. The one layout is row-major: |i><j| is
-entry i d + j of rho.ravel(), and ``_rows`` is the one place where the
-entries L[(i, j), (k, l)] are formed, for ``steady_states`` and for
-``matrix``, the whole d^2 x d^2 generator that the bond compile and dense
-references read.
+sum_k c_k rho c_k^dag; the jump sum is one product S^dag S of the stacked
+jumps S read as a (k d, d) matrix. ``apply``, ``adjoint`` and ``evolve``
+(exp(t L) rho) form no d^2 x d^2 superoperator. The one layout is
+row-major: |i><j| is entry i d + j of rho.ravel(), and ``_rows`` is the one
+place where the entries L[(i, j), (k, l)] are formed, for ``steady_states``
+and for ``matrix``, the whole d^2 x d^2 generator that the bond compile and
+dense references read.
 
 Spectra of Lindblad generators come in conjugate pairs with non-positive
 real parts; the null space holds the steady states. ``steady_states``
@@ -110,7 +111,11 @@ def _rows(g: np.ndarray, cs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.nda
 
 
 def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
-    """The generator of H and the jumps c_k; no d^2 x d^2 work is done here."""
+    """The generator of H and the jumps c_k; no d^2 x d^2 work is done here.
+
+    G's jump sum is one (d, k d) @ (k d, d) product: sum_k c_k^dag c_k =
+    S^dag S with S the stacked jumps reshaped to (k d, d).
+    """
     h = np.asarray(hamiltonian, dtype=complex)
     d = h.shape[0]
     if h.shape != (d, d):
@@ -120,7 +125,8 @@ def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
         cs = cs.reshape(0, d, d)
     if cs.shape[1:] != (d, d):
         raise ValueError("jump operator dimension mismatch")
-    g = -1j * h - 0.5 * np.einsum("nji,njk->ik", cs.conj(), cs)
+    s = cs.reshape(-1, d)
+    g = -1j * h - 0.5 * (s.conj().T @ s)
     return Liouvillian(g=g, jumps=cs)
 
 

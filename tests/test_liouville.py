@@ -95,6 +95,35 @@ def test_matrix_is_the_applied_generator(seed, d, n_jumps):
     np.testing.assert_allclose(liou.adjoint(x).ravel(), liou.matrix.conj().T @ x.ravel(), atol=1e-11)
 
 
+@pytest.mark.parametrize("n_jumps", [0, 1, 5, 35])
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_g_is_the_jump_sum_taken_one_jump_at_a_time(d, n_jumps):
+    # G's jump sum is one product of the stacked jumps; summed one c^dag c
+    # at a time it agrees to the rounding of that sum, a few eps sum |c|^2
+    rng = np.random.default_rng(100 * d + n_jumps)
+    h = _random_matrix(rng, d)
+    h = h + h.conj().T
+    cs = rng.normal(size=(n_jumps, d, d)) + 1j * rng.normal(size=(n_jumps, d, d))
+    ref = -1j * h - 0.5 * sum((c.conj().T @ c for c in cs), np.zeros((d, d), dtype=complex))
+    got = build_liouvillian(h, cs).g
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * (np.abs(cs) ** 2).sum()
+
+
+@pytest.mark.parametrize("n, lam, decay", [(n, lam, False) for n in range(2, 7) for lam in (0.0, 0.7)]
+                         + [(5, 0.7, True)])
+def test_a_real_jump_set_gives_a_real_g(n, lam, decay, monkeypatch):
+    # the product's imaginary parts are sums of exact zeros, so G stays real
+    # and steady_states keeps its real path
+    model = local_jump_model(lam, np.sqrt(0.3) * pauli("-")) if decay else \
+        dissipative_heisenberg(lam, LatticeSpec(z=6))
+    liou = ring_liouvillian(model, n)
+    assert not liou.jumps.imag.any() and not liou.g.imag.any()
+    dtypes, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda f: dtypes.append(f.dtype) or eigvals(f))
+    steady_states(liou)
+    assert np.float64 in dtypes
+
+
 def test_build_rejects_mismatched_jumps():
     with pytest.raises(ValueError):
         build_liouvillian(np.zeros((4, 4)), [np.zeros((2, 2))])
