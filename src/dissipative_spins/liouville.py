@@ -133,12 +133,13 @@ def build_liouvillian(hamiltonian, jumps) -> Liouvillian:
 def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     """Exact generator of the model on a periodic chain of n_sites spins.
 
-    Every two-site jump is placed on each nearest-neighbor bond (i, i+1)
-    and every single-site jump on each site, one ``embed`` of the stack of
-    all terms of an arity per placement, and the jumps are stacked term by
-    term, each term's placements in order; for n_sites = 2 the two bonds
-    of the formal ring coincide, so the pair is counted once. The model
-    has no Hamiltonian, so H = 0. The jumps are its ``folded_jump_terms()``,
+    A jump's shape is its arity: every two-site (4x4) jump is placed on
+    each nearest-neighbor bond (i, i+1) and every single-site (2x2) jump on
+    each site, one ``embed`` of the stack of all terms of an arity per
+    placement, and the jumps are stacked term by term, each term's
+    placements in order; for n_sites = 2 the two bonds of the formal ring
+    coincide, so the pair is counted once. The model has no Hamiltonian,
+    so H = 0. The jumps are its ``folded_jump_terms()``,
     used exactly as they come, so any renormalization convention carries
     over unchanged (it rescales the generator without moving its null
     space).
@@ -149,10 +150,10 @@ def ring_liouvillian(model: DissipativeModel, n_sites: int) -> Liouvillian:
     bonds = [[i, (i + 1) % n_sites] for i in range(n_sites)] if n_sites > 2 else [[0, 1]]
     terms = model.folded_jump_terms()
     placed = [None] * len(terms)  # per term, its jump on each placement: (placements, d, d)
-    for arity, places in ((1, [[s] for s in range(n_sites)]), (2, bonds)):
-        of_arity = [t for t, jt in enumerate(terms) if jt.arity == arity]
+    for dim, places in ((2, [[s] for s in range(n_sites)]), (4, bonds)):
+        of_arity = [t for t, c in enumerate(terms) if len(c) == dim]
         if of_arity:  # one embed of all the terms of this arity per placement
-            stack = np.stack([terms[t].matrix for t in of_arity])
+            stack = np.stack([terms[t] for t in of_arity])
             for t, jumps in zip(of_arity, np.stack([embed(stack, at, n_sites) for at in places], axis=1)):
                 placed[t] = jumps
     # every bond carries every term, so the site translation is exact; the

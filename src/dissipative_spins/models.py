@@ -1,23 +1,25 @@
 """Declarative dissipative lattice models.
 
-A :class:`DissipativeModel` is a lattice description plus the jump terms of
-a translationally invariant, purely dissipative master equation: there is no
-Hamiltonian, and the jumps alone fix the dynamics. The constructors here
+A :class:`DissipativeModel` is a lattice description plus the jump operators
+of a translationally invariant, purely dissipative master equation: there is
+no Hamiltonian, and the jumps alone fix the dynamics. The constructors here
 build the dissipative Heisenberg (XXZ) family: a ferromagnetic pump set
 that makes every uniform product state dark, and an anisotropy set (rate
 lambda) whose dark states are the two Neel bond states.
 
-Two-site jump matrices are written in the basis {uu, ud, du, dd}. A model
-holds its jumps in two sets: ``jump_terms`` with the rate folded into the
-matrix (a term with rate g carries a sqrt(g) prefactor), and
-``rate_jump_terms`` at unit rate beside the one rate they share. The bond
-derivative is linear in each jump's rate, so the variational evaluator
-compiles the two sets apart and forms K = P + rate A; every other consumer
-takes ``folded_jump_terms()``, the one list with that rate folded in.
+A jump is its matrix, and its shape is its arity: 2x2 acts on one site,
+4x4 on two, written in the basis {uu, ud, du, dd}. A model holds its jumps
+in two sets: ``jump_terms`` with the rate folded into the matrix (a jump
+with rate g carries a sqrt(g) prefactor), and ``rate_jump_terms`` at unit
+rate beside the one rate they share. The bond derivative is linear in each
+jump's rate, so the variational evaluator compiles the two sets apart and
+forms K = P + rate A; every other consumer takes ``folded_jump_terms()``,
+the one list with that rate folded in.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,8 @@ class LatticeSpec:
 
     ``renormalize`` applies lambda = lambda'/(z-1) to every two-particle
     coupling rate (matrices divided by sqrt(z-1)) so the mean-field term
-    stays finite as z grows. ``z`` is an integer in [2, MAX_Z].
+    stays finite as z grows. ``z`` is an integer in [2, MAX_Z]: anything
+    ``operator.index`` refuses, a float such as 6.0 included, is refused.
     """
 
     z: int = 6
@@ -51,25 +54,12 @@ class LatticeSpec:
     renormalize: bool = True
 
     def __post_init__(self):
+        try:
+            operator.index(self.z)
+        except TypeError:
+            raise ValueError(f"coordination number z={self.z!r} must be an integer") from None
         if not 2 <= self.z <= MAX_Z:
             raise ValueError(f"coordination number z={self.z} must be >= 2 and at most {MAX_Z}")
-
-
-@dataclass(frozen=True)
-class JumpTerm:
-    arity: int
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        if self.arity not in (1, 2):
-            raise ValueError("jump arity must be 1 or 2")
-        d = 2**self.arity
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"jump {self.label!r}: matrix shape {self.matrix.shape} "
-                f"does not match arity {self.arity}"
-            )
 
 
 def check_rate(rate: float):
@@ -80,11 +70,13 @@ def check_rate(rate: float):
 
 @dataclass(frozen=True)
 class DissipativeModel:
-    """A lattice and its one- and two-site jumps, in two sets.
+    """A lattice and its one- and two-site jumps, in two sets of matrices.
 
-    ``jump_terms`` carry their rates folded into their matrices;
-    ``rate_jump_terms`` are written at unit rate and all run at ``rate``.
-    A model without a rate set leaves that list empty.
+    Each jump is a 2x2 (one-site) or 4x4 (two-site) matrix; its shape is
+    its arity, and any other shape is refused. ``jump_terms`` carry their
+    rates folded into their matrices; ``rate_jump_terms`` are written at
+    unit rate and all run at ``rate``. A model without a rate set leaves
+    that list empty.
     """
 
     lattice: LatticeSpec
@@ -94,15 +86,20 @@ class DissipativeModel:
 
     def __post_init__(self):
         check_rate(self.rate)
+        for name in ("jump_terms", "rate_jump_terms"):
+            for i, c in enumerate(getattr(self, name)):
+                if np.shape(c) not in ((2, 2), (4, 4)):
+                    raise ValueError(f"{name}[{i}] has shape {np.shape(c)}: "
+                                     "a jump is 2x2 (one site) or 4x4 (two sites)")
 
     def folded_jump_terms(self) -> list:
         """Every jump with its rate in its matrix: ``jump_terms``, then sqrt(rate) times each of the rate set."""
         s = np.sqrt(self.rate)
-        return self.jump_terms + [JumpTerm(t.arity, s * t.matrix, t.label) for t in self.rate_jump_terms]
+        return self.jump_terms + [s * c for c in self.rate_jump_terms]
 
 
 def ferro_pump_jumps():
-    """The three unit-rate pump operators out of the singlet.
+    """The three unit-rate 4x4 pump operators out of the singlet.
 
     |uu><psi-|, |dd><psi-| and |psi+><psi-| drain the antisymmetric Bell
     state into the spin-triplet space, so every symmetric product state
@@ -110,27 +107,17 @@ def ferro_pump_jumps():
     """
     psi_m = bell_state("-")
     psi_p = bell_state("+")
-    return [
-        JumpTerm(2, ketbra(_UU, psi_m), "uu<psi-"),
-        JumpTerm(2, ketbra(_DD, psi_m), "dd<psi-"),
-        JumpTerm(2, ketbra(psi_p, psi_m), "psi+<psi-"),
-    ]
+    return [ketbra(_UU, psi_m), ketbra(_DD, psi_m), ketbra(psi_p, psi_m)]
 
 
-def anisotropy_jumps(lam: float):
-    """Four rate-lambda operators draining the polarized bond states.
+def anisotropy_jumps():
+    """The four unit-rate 4x4 operators draining the polarized bond states.
 
-    sqrt(lambda) {|ud><uu|, |du><uu|, |ud><dd|, |du><dd|}: they lift the
-    SU(2) symmetry and leave |ud> and |du> (the Neel bond states) dark.
+    |ud><uu|, |du><uu|, |ud><dd| and |du><dd|: they lift the SU(2)
+    symmetry and leave |ud> and |du> (the Neel bond states) dark. A model
+    runs them at its ``rate``, lambda.
     """
-    check_rate(lam)
-    s = np.sqrt(lam)
-    return [
-        JumpTerm(2, s * ketbra(_UD, _UU), "ud<uu"),
-        JumpTerm(2, s * ketbra(_DU, _UU), "du<uu"),
-        JumpTerm(2, s * ketbra(_UD, _DD), "ud<dd"),
-        JumpTerm(2, s * ketbra(_DU, _DD), "du<dd"),
-    ]
+    return [ketbra(_UD, _UU), ketbra(_DU, _UU), ketbra(_UD, _DD), ketbra(_DU, _DD)]
 
 
 def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel:
@@ -145,11 +132,10 @@ def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel
     interaction part change).
     """
     scale = 1.0 / np.sqrt(lattice.z - 1)
-    jumps = [JumpTerm(2, scale * m if lattice.renormalize else m.copy(), label)
-             for label, m in _UNIT_JUMPS]
+    jumps = [scale * c if lattice.renormalize else c.copy() for c in _UNIT_JUMPS]
     return DissipativeModel(lattice=lattice, jump_terms=jumps[:3], rate_jump_terms=jumps[3:],
                             rate=lam)
 
 
-# (label, matrix) of the three pumps, then the four anisotropy jumps, at unit rate
-_UNIT_JUMPS = [(t.label, t.matrix) for t in ferro_pump_jumps() + anisotropy_jumps(1.0)]
+# the three pumps, then the four anisotropy jumps, at unit rate
+_UNIT_JUMPS = ferro_pump_jumps() + anisotropy_jumps()

@@ -278,11 +278,12 @@ def _bond_tensor(gens, half_zc):
 class CompiledBond:
     """The bond derivative K(alpha_A, alpha_B) = P + rate A of any model, compiled once.
 
-    Two-site jumps enter both the bond's own generator and the mean-field
-    terms; single-site ones act on each slot of the bond and enter the
-    bilinear part only. The compile folds the ``jump_terms`` into one
-    Hermitian 16x128 tensor P and the unit-rate ``rate_jump_terms`` into A
-    (0 for a model without a rate set), both in one stacked pass, and asks
+    A jump's shape is its arity: two-site (4x4) jumps enter both the bond's
+    own generator and the mean-field terms; single-site (2x2) ones act on
+    each slot of the bond and enter the bilinear part only. The compile
+    folds the ``jump_terms`` into one Hermitian 16x128 tensor P and the
+    unit-rate ``rate_jump_terms`` into A (0 for a model without a rate
+    set), both in one stacked pass, and asks
     ``liouville.coherence_orders`` of each Liouvillian it builds whether it
     keeps the rotation about z. ``matrix`` forms the complex P + rate A at
     any state with the model's rate, read by ``norm`` and ``reduced_derivative``;
@@ -296,10 +297,11 @@ class CompiledBond:
         gens = np.zeros((2, 2, 16, 16), dtype=complex)
         self._z_symmetric = True  # until a generator W is linear in breaks the rotation about z
         for part, terms in enumerate((model.jump_terms, model.rate_jump_terms)):
-            site = [t.matrix for t in terms if t.arity == 1]
-            # the bond's own jumps, then the single-site jumps on both slots of the bond
+            site = [c for c in terms if len(c) == 2]
+            # the bond's own jumps, then the single-site jumps on both slots of the bond;
+            # a jump of any other shape lands with the bond's and is refused there, not dropped
             local = [kron(c, eye) for c in site] + [kron(eye, c) for c in site]
-            for slot, cs in enumerate(([t.matrix for t in terms if t.arity == 2], local)):
+            for slot, cs in enumerate(([c for c in terms if len(c) != 2], local)):
                 if cs:
                     liou = build_liouvillian(zero, cs)
                     gens[part, slot] = liou.matrix

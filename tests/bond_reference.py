@@ -47,13 +47,13 @@ def term_by_term(model, ansatz) -> TermByTerm:
     d_loc = np.zeros((4, 4), dtype=complex)
     d_int = np.zeros((4, 4), dtype=complex)
     d_mf = np.zeros((4, 4), dtype=complex)
-    for term in model.folded_jump_terms():
-        if term.arity == 1:
-            d_loc += dissipator(kron(term.matrix, eye), pair)
-            d_loc += dissipator(kron(eye, term.matrix), pair)
+    for c in model.folded_jump_terms():
+        if len(c) == 2:  # one site
+            d_loc += dissipator(kron(c, eye), pair)
+            d_loc += dissipator(kron(eye, c), pair)
         else:
-            d_int += dissipator(term.matrix, pair)
+            d_int += dissipator(c, pair)
             for slot, nb in (("i", nb_i), ("j", nb_j)):
-                d_mf += zc * mean_field_jump_term(term.matrix, slot, nb, pair)
+                d_mf += zc * mean_field_jump_term(c, slot, nb, pair)
 
     return TermByTerm(d_loc, d_int, d_mf, trace_norm_hermitian(d_loc + d_int + d_mf))

@@ -315,7 +315,7 @@ def test_a8_mean_field_consistency_and_bound():
     )
     aniso = DissipativeModel(
         lattice=LatticeSpec(z=6),
-        jump_terms=anisotropy_jumps(1.0),
+        jump_terms=anisotropy_jumps(),
     )
     dim_ferro = steady_states(ring_liouvillian(ferro, 2)).dimension
     liou_aniso = ring_liouvillian(aniso, 2)

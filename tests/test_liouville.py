@@ -27,7 +27,6 @@ from dissipative_spins.liouville import (
 )
 from dissipative_spins.models import (
     DissipativeModel,
-    JumpTerm,
     LatticeSpec,
     anisotropy_jumps,
     dissipative_heisenberg,
@@ -138,8 +137,8 @@ def test_ring_apply_matches_embedded_jumps(n):
     model = dissipative_heisenberg(0.7, LatticeSpec(z=6))
     rho = _random_matrix(rng, 2**n)
     direct = sum(
-        dissipator(embed(t.matrix, [i, (i + 1) % n], n), rho)
-        for t in model.folded_jump_terms()
+        dissipator(embed(c, [i, (i + 1) % n], n), rho)
+        for c in model.folded_jump_terms()
         for i in range(n)
     )
     np.testing.assert_allclose(ring_liouvillian(model, n).apply(rho), direct, atol=1e-12)
@@ -206,7 +205,8 @@ def test_cp_spot_check():
 def aniso_only_model(lam=1.0):
     return DissipativeModel(
         lattice=LatticeSpec(z=6),
-        jump_terms=anisotropy_jumps(lam),
+        rate_jump_terms=anisotropy_jumps(),
+        rate=lam,
     )
 
 
@@ -281,7 +281,7 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
 def local_jump_model(lam, *cs):
     """The Heisenberg model plus the single-site jumps cs on every site."""
     model = dissipative_heisenberg(lam, LatticeSpec(z=6))
-    local = [JumpTerm(1, np.asarray(c, dtype=complex), "local") for c in cs]
+    local = [np.asarray(c, dtype=complex) for c in cs]
     return replace(model, jump_terms=model.jump_terms + local)
 
 
@@ -445,7 +445,7 @@ def test_a_zero_at_a_mirrored_momentum_counts_twice():
     # of |100><100| and |110><110| hold one each at momentum 1, whose
     # mirror, momentum 2, is not diagonalized but counts as well
     model = DissipativeModel(lattice=LatticeSpec(z=6),
-                             jump_terms=[JumpTerm(1, pauli("z").astype(complex), "dephasing")])
+                             jump_terms=[pauli("z").astype(complex)])
     liou = ring_liouvillian(model, 3)
     evals = np.linalg.eig(liou.matrix)[0]
     space = steady_states(liou)
@@ -476,8 +476,7 @@ def mixed_arity_model(lam):
     model = dissipative_heisenberg(lam, LatticeSpec(z=6))
     lopsided = np.array(kron(pauli("-"), 0.3 * pauli("z") + 0.2j * pauli("x")))
     lopsided[0, 0] = complex(-0.0, -0.0)
-    terms = [model.jump_terms[0], JumpTerm(1, quarter_turn("x"), "turn"), JumpTerm(2, lopsided, "lopsided"),
-             *model.jump_terms[1:], JumpTerm(1, 0.5 * pauli("-"), "decay")]
+    terms = [model.jump_terms[0], quarter_turn("x"), lopsided, *model.jump_terms[1:], 0.5 * pauli("-")]
     return replace(model, jump_terms=terms)
 
 
@@ -488,8 +487,8 @@ def test_ring_jumps_and_g_are_the_per_jump_kron_bitwise(n):
     bonds = [[i, (i + 1) % n] for i in range(n)] if n > 2 else [[0, 1]]
     for model in (dissipative_heisenberg(0.7, LatticeSpec(z=6)), mixed_arity_model(0.7)):
         ref = build_liouvillian(np.zeros((2**n, 2**n)), [
-            kron_embed(t.matrix, at, n) for t in model.folded_jump_terms()
-            for at in ([[s] for s in range(n)] if t.arity == 1 else bonds)])
+            kron_embed(c, at, n) for c in model.folded_jump_terms()
+            for at in ([[s] for s in range(n)] if len(c) == 2 else bonds)])
         got = ring_liouvillian(model, n)
         assert got.jumps.tobytes() == ref.jumps.tobytes() and got.jumps.shape == ref.jumps.shape
         assert got.g.tobytes() == ref.g.tobytes()
@@ -559,7 +558,7 @@ def test_a_copied_sector_is_the_conjugate_generators_sector():
     # entrywise conjugate L* maps sector (q, k) onto (q, -k), so its sector
     # (q, k), diagonalized for q > 0, is L's copied sector (-q, k)
     heisenberg = dissipative_heisenberg(0.7, LatticeSpec(z=6))
-    lopsided = JumpTerm(2, np.array(kron(pauli("-"), 0.5 * np.diag([1, 1j]))), "lopsided")
+    lopsided = np.array(kron(pauli("-"), 0.5 * np.diag([1, 1j])))
     liou = ring_liouvillian(replace(heisenberg, jump_terms=heisenberg.jump_terms + [lopsided]), 4)
     assert liou.matrix.imag.any() and coherence_orders(liou) is not None
     space = steady_states(liou)
@@ -611,7 +610,7 @@ def test_oracle_sees_the_rate_set_as_the_folded_jumps(n, lams):
     scale = 1 / np.sqrt(lattice.z - 1)
     for lam in lams:
         folded = DissipativeModel(lattice=lattice, jump_terms=[
-            replace(t, matrix=scale * t.matrix) for t in ferro_pump_jumps() + anisotropy_jumps(lam)])
+            scale * c for c in ferro_pump_jumps() + [np.sqrt(lam) * a for a in anisotropy_jumps()]])
         got = ring_liouvillian(dissipative_heisenberg(lam, lattice), n)
         ref = ring_liouvillian(folded, n)
         np.testing.assert_allclose(got.jumps, ref.jumps, rtol=0, atol=1e-15)
@@ -626,7 +625,7 @@ def test_exact_norm_matches_manual():
         bloch_to_density(np.array([0.3, 0.0, 0.2])),
         bloch_to_density(np.array([-0.1, 0.2, 0.0])),
     )
-    manual = sum(dissipator(t.matrix, rho) for t in model.folded_jump_terms())
+    manual = sum(dissipator(c, rho) for c in model.folded_jump_terms())
     assert exact_norm(liou, rho) == pytest.approx(
         trace_norm_hermitian(manual), abs=1e-12
     )

@@ -3,11 +3,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from dissipative_spins.liouville import ring_liouvillian
 from dissipative_spins.models import (
     MAX_RATE,
     MAX_Z,
     DissipativeModel,
-    JumpTerm,
     LatticeSpec,
     anisotropy_jumps,
     check_rate,
@@ -15,6 +15,7 @@ from dissipative_spins.models import (
     ferro_pump_jumps,
 )
 from dissipative_spins.operators import bell_state
+from dissipative_spins.variational import CompiledBond
 
 
 def test_lattice_spec_validation():
@@ -25,11 +26,39 @@ def test_lattice_spec_validation():
         LatticeSpec(z=1)
 
 
-def test_jump_term_validation():
+@pytest.mark.parametrize("z", [2, 6, MAX_Z, np.int64(6), np.int32(3), np.uint8(4)], ids=repr)
+def test_lattice_spec_accepts_integer_z(z):
+    assert LatticeSpec(z=z).z == z
+
+
+@pytest.mark.parametrize("z", [2.5, 6.0, np.float64(6.0), "6", None, 6 + 0j], ids=repr)
+def test_lattice_spec_refuses_non_integer_z(z):
+    # a float z of integral value is refused too: z counts neighbors
+    with pytest.raises(ValueError, match="must be an integer"):
+        LatticeSpec(z=z)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 3), (2, 4)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("jump_set", ["jump_terms", "rate_jump_terms"])
+def test_model_refuses_a_jump_of_any_other_shape(jump_set, shape):
+    # a jump's shape is its arity: 2x2 on one site, 4x4 on two
+    jumps = ferro_pump_jumps() + [np.zeros(shape, dtype=complex)]
+    with pytest.raises(ValueError, match=rf"{jump_set}\[3\] has shape \({shape[0]}, {shape[1]}\)"):
+        DissipativeModel(lattice=LatticeSpec(), **{jump_set: jumps}, rate=0.5)
+    DissipativeModel(lattice=LatticeSpec(), **{jump_set: jumps[:3] + [np.eye(2)]}, rate=0.5)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("jump_set", ["jump_terms", "rate_jump_terms"])
+def test_a_jump_of_another_shape_added_later_is_refused_not_dropped(jump_set, shape):
+    # the sets are plain lists, so a jump appended after construction skips
+    # the model's check; the bond compile and the ring must still not ignore it
+    model = dissipative_heisenberg(0.7, LatticeSpec())
+    getattr(model, jump_set).append(np.eye(*shape))
     with pytest.raises(ValueError):
-        JumpTerm(arity=3, matrix=np.eye(8), label="bad")
+        CompiledBond(model)
     with pytest.raises(ValueError):
-        JumpTerm(arity=1, matrix=np.eye(4), label="wrong shape")
+        ring_liouvillian(model, 3)
 
 
 def test_ferro_pump_set():
@@ -39,32 +68,25 @@ def test_ferro_pump_set():
     uu = np.zeros(4)
     uu[0] = 1.0
     # every ferro jump drains the singlet; none touches aligned states
-    for t in jumps:
-        assert t.arity == 2
-        assert np.linalg.norm(t.matrix @ uu) < 1e-15
-        assert np.linalg.norm(t.matrix @ minus) > 0.99
+    for c in jumps:
+        assert c.shape == (4, 4)
+        assert np.linalg.norm(c @ uu) < 1e-15
+        assert np.linalg.norm(c @ minus) > 0.99
 
 
-def test_anisotropy_scaling():
-    lam = 0.7
-    jumps = anisotropy_jumps(lam)
+def test_anisotropy_jumps_are_at_unit_rate():
+    # each is one |a><b| of the bond basis: the model's rate carries lambda
+    jumps = anisotropy_jumps()
     assert len(jumps) == 4
-    ref = anisotropy_jumps(1.0)
-    for a, b in zip(jumps, ref):
-        np.testing.assert_allclose(a.matrix, np.sqrt(lam) * b.matrix)
-    with pytest.raises(ValueError):
-        anisotropy_jumps(-0.5)
-    # a non-finite rate would only fail later, inside LAPACK
-    for lam in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="lambda"):
-            anisotropy_jumps(lam)
+    for c in jumps:
+        assert c.shape == (4, 4) and np.array_equal(c[c != 0], [1.0])
 
 
 def test_anisotropy_targets_aligned_states():
     # rate-lambda channels depolarize |uu> and |dd> into ud / du
     dd = np.zeros(4)
     dd[3] = 1.0
-    hits = sum(np.linalg.norm(t.matrix @ dd) > 0 for t in anisotropy_jumps(1.0))
+    hits = sum(np.linalg.norm(c @ dd) > 0 for c in anisotropy_jumps())
     assert hits == 2
 
 
@@ -73,7 +95,7 @@ def test_heisenberg_renormalization():
     renorm = dissipative_heisenberg(1.0, LatticeSpec(z=5, renormalize=True))
     scale = 1 / np.sqrt(5 - 1)
     for a, b in zip(renorm.folded_jump_terms(), plain.folded_jump_terms(), strict=True):
-        np.testing.assert_allclose(a.matrix, scale * b.matrix)
+        np.testing.assert_allclose(a, scale * b)
 
 
 def test_heisenberg_is_purely_dissipative():
@@ -86,8 +108,8 @@ def test_heisenberg_is_purely_dissipative():
     # lambda = 0 silences the anisotropy channels but keeps the slots
     silent = dissipative_heisenberg(0.0, LatticeSpec())
     assert len(silent.folded_jump_terms()) == 7
-    for t in silent.folded_jump_terms()[3:]:
-        assert np.abs(t.matrix).max() == 0.0
+    for c in silent.folded_jump_terms()[3:]:
+        assert np.abs(c).max() == 0.0
 
 
 @pytest.mark.parametrize("renormalize", [True, False])
@@ -98,10 +120,12 @@ def test_folded_jumps_are_the_rate_folded_matrices(z, renormalize):
     scale = 1 / np.sqrt(z - 1) if renormalize else 1.0
     for lam in np.linspace(0.0, 2.5, 11):
         model = dissipative_heisenberg(lam, LatticeSpec(z=z, renormalize=renormalize))
-        reference = ferro_pump_jumps() + anisotropy_jumps(lam)
+        reference = ferro_pump_jumps() + [np.sqrt(lam) * c for c in anisotropy_jumps()]
         for got, ref in zip(model.folded_jump_terms(), reference, strict=True):
-            assert (got.arity, got.label) == (ref.arity, ref.label)
-            np.testing.assert_allclose(got.matrix, scale * ref.matrix, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got, scale * ref, rtol=0, atol=1e-15)
+        # and bit for bit sqrt(rate) times the rate set the model holds
+        for got, c in zip(model.folded_jump_terms()[3:], model.rate_jump_terms, strict=True):
+            assert np.array_equal((np.sqrt(lam) * c).view(np.uint64), got.view(np.uint64))
 
 
 @pytest.mark.parametrize("renormalize", [True, False])
@@ -109,16 +133,15 @@ def test_folded_jumps_are_the_rate_folded_matrices(z, renormalize):
 def test_heisenberg_jumps_are_the_unit_matrices_at_their_scale_bitwise(z, renormalize):
     # every matrix holds the bits of the public unit-rate sets at the
     # lattice's scale, signed zeros included, and no two builds share one
-    unit = ferro_pump_jumps() + anisotropy_jumps(1.0)
+    unit = ferro_pump_jumps() + anisotropy_jumps()
     scale = 1 / np.sqrt(z - 1)
     first, second = (dissipative_heisenberg(0.3, LatticeSpec(z=z, renormalize=renormalize))
                      for _ in range(2))
     for got, again, ref in zip(first.jump_terms + first.rate_jump_terms,
                                second.jump_terms + second.rate_jump_terms, unit, strict=True):
-        want = scale * ref.matrix if renormalize else ref.matrix
-        assert (got.arity, got.label) == (ref.arity, ref.label)
-        assert np.array_equal(got.matrix.view(np.uint64), want.view(np.uint64))
-        assert not np.shares_memory(got.matrix, again.matrix)
+        want = scale * ref if renormalize else ref
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(got, again)
 
 
 def test_model_rate_must_be_finite_and_nonnegative():
@@ -149,8 +172,7 @@ def test_swap_closure():
     derivative: sum_c D(c) is invariant under conjugating every c by SWAP.
     """
     swap = np.eye(4)[[0, 2, 1, 3]]
-    for jumps in (ferro_pump_jumps(), anisotropy_jumps(0.37)):
-        mats = [t.matrix for t in jumps]
+    for mats in (ferro_pump_jumps(), anisotropy_jumps()):
         for m in mats:
             swapped = swap @ m @ swap
             overlaps = [abs(np.vdot(swapped, other)) for other in mats]

@@ -22,7 +22,6 @@ from scipy.optimize import minimize as scipy_minimize
 from dissipative_spins import variational
 from dissipative_spins.models import (
     DissipativeModel,
-    JumpTerm,
     LatticeSpec,
     dissipative_heisenberg,
 )
@@ -138,9 +137,9 @@ def _random_complex(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-def _with_jump(model, arity, c, label="added"):
+def _with_jump(model, c):
     """``model`` with one more jump at its own rate."""
-    model.jump_terms.append(JumpTerm(arity, np.asarray(c, dtype=complex), label))
+    model.jump_terms.append(np.asarray(c, dtype=complex))
     return model
 
 
@@ -150,8 +149,8 @@ def test_compiled_matches_explicit_with_local_jumps(seed, lam):
     # single-site jumps enter the bond part only, two-site jumps also the
     # mean field; generic ones of both beside the Heisenberg sets
     rng = np.random.default_rng(seed)
-    model = _with_jump(heis(lam), 1, 0.5 * _random_complex(rng, 2), "local")
-    model = _with_jump(model, 2, 0.5 * _random_complex(rng, 4), "generic")
+    model = _with_jump(heis(lam), 0.5 * _random_complex(rng, 2))
+    model = _with_jump(model, 0.5 * _random_complex(rng, 4))
     cb = CompiledBond(model)
     a = rng.uniform(-0.57, 0.57, 3)
     b = rng.uniform(-0.57, 0.57, 3)
@@ -170,8 +169,7 @@ def test_compiled_matches_explicit_without_two_site_jumps():
     rng = np.random.default_rng(7)
     model = DissipativeModel(
         lattice=LatticeSpec(z=4),
-        jump_terms=[JumpTerm(1, _random_complex(rng, 2), "local"),
-                    JumpTerm(1, _random_complex(rng, 2), "local 2")],
+        jump_terms=[_random_complex(rng, 2), _random_complex(rng, 2)],
     )
     cb = CompiledBond(model)
     a = rng.uniform(-0.57, 0.57, 3)
@@ -193,7 +191,7 @@ def test_engine_tensors_match_explicit(seed, lam):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-0.7, 0.7, (4, 2))
     b = rng.uniform(-0.7, 0.7, (4, 2))
-    for model in (heis(lam), _with_jump(heis(lam), 1, 0.3 * pauli("-"), "decay")):
+    for model in (heis(lam), _with_jump(heis(lam), 0.3 * pauli("-"))):
         bond = CompiledBond(model)
         for kind, bs in (("uniform", a), ("bipartite", b)):
             tensor = bond.tensor(kind)
@@ -252,21 +250,21 @@ def test_a_model_without_a_rate_set_has_k_equal_to_p():
 def test_engine_refuses_a_model_the_gauge_fixing_would_change():
     # single-site sigma_y and sigma_x jumps break the rotation about z
     with pytest.raises(ValueError, match="rotations about z"):
-        minimize_norm(_with_jump(heis(0.4), 1, 0.3 * pauli("y")))
+        minimize_norm(_with_jump(heis(0.4), 0.3 * pauli("y")))
     for direction in ("in-plane", "staggered-z"):
         with pytest.raises(ValueError, match="rotations about z"):
-            landau_expansion(_with_jump(heis(0.4), 1, 0.3 * pauli("y")), direction, 0.03, 11)
+            landau_expansion(_with_jump(heis(0.4), 0.3 * pauli("y")), direction, 0.03, 11)
     with pytest.raises(ValueError, match="rotations about z"):
-        CompiledBond(_with_jump(heis(0.4), 1, 0.3 * pauli("x"))).tensor("bipartite")
+        CompiledBond(_with_jump(heis(0.4), 0.3 * pauli("x"))).tensor("bipartite")
     # a phase jump diag(1, i) keeps the symmetry, but K is complex at ay = 0
     for kind in ("uniform", "bipartite"):
         with pytest.raises(ValueError, match="not real"):
-            minimize_norm(_with_jump(heis(0.4), 1, 0.3 * np.diag([1, 1j])), kind=kind)
+            minimize_norm(_with_jump(heis(0.4), 0.3 * np.diag([1, 1j])), kind=kind)
     # a two-site jump that is not closed under the slot swap: the uniform
     # bond is no longer singlet (+) triplet, the bipartite layout is fine
     sm = np.array([[0.0, 0.0], [1.0, 0.0]])
     model = heis(0.4)
-    model.jump_terms.append(JumpTerm(2, 0.5 * kron(sm, pauli("z")), "one-sided"))
+    model.jump_terms.append(0.5 * kron(sm, pauli("z")))
     with pytest.raises(ValueError, match="swap-symmetric"):
         CompiledBond(model).tensor("uniform")
     assert CompiledBond(model).tensor("bipartite").shape == (27, 32)
@@ -278,9 +276,9 @@ def test_a_jump_set_symmetric_only_as_a_set_is_refused(seed, lam):
     # 0.3 sigma_x and 0.3 sigma_y on every site keep the rotation about z
     # only as a set and are refused; 0.3 sqrt(2) sigma^+ and sigma^-, the
     # same generator, pass in both layouts with the original's K
-    original = _with_jump(_with_jump(heis(lam), 1, 0.3 * pauli("x")), 1, 0.3 * pauli("y"))
+    original = _with_jump(_with_jump(heis(lam), 0.3 * pauli("x")), 0.3 * pauli("y"))
     s = 0.3 * np.sqrt(2)
-    rewrite = _with_jump(_with_jump(heis(lam), 1, s * pauli("+")), 1, s * pauli("-"))
+    rewrite = _with_jump(_with_jump(heis(lam), s * pauli("+")), s * pauli("-"))
     bond = CompiledBond(rewrite)
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-0.7, 0.7, (2, 4, 2))
@@ -312,13 +310,13 @@ def test_the_rotation_check_reads_each_jumps_popcount_shift(jumps, seed, generic
     for (arity, shift), in_rate_set in jumps:
         pc = _POPCOUNT[:2**arity]
         c = _random_complex(rng, 2**arity) * (pc[:, None] - pc == shift)
-        (model.rate_jump_terms if in_rate_set else model.jump_terms).append(JumpTerm(arity, c))
+        (model.rate_jump_terms if in_rate_set else model.jump_terms).append(c)
     try:
         CompiledBond(model).tensor("bipartite")
     except ValueError as refusal:
         assert "rotations about z" not in str(refusal)
     arity = int(rng.integers(1, 3))
-    generic = JumpTerm(arity, _random_complex(rng, 2**arity))
+    generic = _random_complex(rng, 2**arity)
     (model.rate_jump_terms if generic_in_rate_set else model.jump_terms).append(generic)
     with pytest.raises(ValueError, match="rotations about z"):
         CompiledBond(model).tensor("bipartite")
@@ -372,16 +370,16 @@ def test_reduced_derivative_takes_every_model_it_took():
     # still read by reduced_derivative: the complex compile takes any jumps
     rng = np.random.default_rng(31)
     one_sided = heis(0.4)
-    one_sided.jump_terms.append(JumpTerm(2, 0.5 * kron(pauli("-"), pauli("z")), "one-sided"))
+    one_sided.jump_terms.append(0.5 * kron(pauli("-"), pauli("z")))
     random_rate_set = DissipativeModel(
         lattice=LatticeSpec(z=4, bipartite=True),
-        jump_terms=[JumpTerm(1, 0.5 * _random_complex(rng, 2)), JumpTerm(2, 0.5 * _random_complex(rng, 4))],
-        rate_jump_terms=[JumpTerm(1, 0.5 * _random_complex(rng, 2)), JumpTerm(2, 0.5 * _random_complex(rng, 4))],
+        jump_terms=[0.5 * _random_complex(rng, 2), 0.5 * _random_complex(rng, 4)],
+        rate_jump_terms=[0.5 * _random_complex(rng, 2), 0.5 * _random_complex(rng, 4)],
         rate=0.9,
     )
     models = [
-        _with_jump(heis(0.4), 1, 0.3 * pauli("x")),  # breaks the rotation about z
-        _with_jump(heis(0.4), 1, 0.3 * np.diag([1, 1j])),  # K complex at ay = 0
+        _with_jump(heis(0.4), 0.3 * pauli("x")),  # breaks the rotation about z
+        _with_jump(heis(0.4), 0.3 * np.diag([1, 1j])),  # K complex at ay = 0
         one_sided,  # not swap-symmetric
         random_rate_set,
         dissipative_heisenberg(0.7, LatticeSpec(z=6, bipartite=False)),  # uniform only
@@ -527,7 +525,7 @@ def test_minimize_takes_a_single_site_jump():
     is the term-by-term derivative's at the reported state, and with ay free a
     descent of the complex reference norm from seeded starts ends no lower.
     """
-    model = _with_jump(heis(0.4), 1, 0.3 * pauli("-"), "decay")
+    model = _with_jump(heis(0.4), 0.3 * pauli("-"))
     bond = CompiledBond(model)
     rng = np.random.default_rng(4)
     for kind in ("uniform", "bipartite"):
