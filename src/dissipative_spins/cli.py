@@ -22,18 +22,15 @@ cannot read), unreadable or malformed input files and bad option values
 (such as a sweep span that is NaN, a --step or --t-max that is not
 finite and positive, --restarts or --jobs below 1, or an oracle ring too stiff
 to resolve), 2 fit or elimination
-failure, 3 resource cap exceeded (oracle rings above MAX_ORACLE_SITES = 6
-sites, sweep grids above MAX_SWEEP_POINTS = 10,000 points, more than
-MAX_RESTARTS = 1,000 sweep restarts or MAX_LANDAU_SAMPLES = 1,000 Landau
-samples, problem files of more than MAX_PROBLEM_SITES = 6 sites or
-MAX_PROBLEM_JUMPS = 16 [jump] sections, validations whose work t_max (2
-||H||_2 + 2 sum_k ||c_k||_2^2) (jumps + 1) is above MAX_VALIDATION_WORK =
-10,000, the one cap on --t-max). --validate checks the H_eff and c_eff the
-run prints, so the elimination runs once. Sweeps are bit-stable for a fixed
---seed regardless of --jobs: each grid point derives its own seed from the
-global one and its coupling. The argument parser is built on the first
-``main`` call and kept; each call dispatches to the module's ``cmd_<name>``
-as it is then.
+failure, 3 resource cap exceeded (a MAX_* constant below: oracle sites,
+sweep points, restarts and their work with the refinement at its worst,
+Landau samples, problem sites and [jump] sections, and the products of a
+validation's propagation, the one cap on --t-max). --validate checks the
+H_eff and c_eff the run prints, so the elimination runs once. Sweeps are
+bit-stable for a fixed --seed regardless of --jobs: each grid point derives
+its own seed from the global one and its coupling. The argument parser is
+built on the first ``main`` call and kept; each call dispatches to the
+module's ``cmd_<name>`` as it is then.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from .effective import (
     validate_elimination,
 )
 from . import __version__
-from .liouville import ring_liouvillian, steady_states
+from .liouville import build_liouvillian, ring_liouvillian, steady_states
 from .models import LatticeSpec, dissipative_heisenberg
 from .operators import BALL_TOL
 from .opformat import (
@@ -76,12 +73,14 @@ CSV_HEADER = "lambda,ax_A,ay_A,az_A,ax_B,ay_B,az_B,m,ms,norm,converged,restarts"
 MAX_ORACLE_SITES = 6  # largest sector 160 rows at n = 6 (0.12 s), 492 at n = 7 (1.6 s, 0.03 s of it the ring build)
 MAX_SWEEP_POINTS = 10_000
 MAX_RESTARTS = 1_000  # per sweep point, all built before the first minimization
+REFINED_POINTS = 101  # at worst per bracket: every one an onset, sweep's 51 offsets of step/10 either side
+MAX_SWEEP_WORK = 1_000_000  # grid points x restarts, refined ones too; 12-13 min at 0.72-0.79 ms a simplex
 MAX_LANDAU_SAMPLES = 1_000  # one batched descent and polish, all samples at once
-MAX_PROBLEM_SITES = 6  # dense 2^n x 2^n operators; --validate took 0.3 s at n = 6, 1.4 s at n = 7
-MAX_PROBLEM_JUMPS = 16  # at n = 6, 16 rate-1 jumps took 0.3 s (10.5 s with --validate), 2,000 3.7 s
-# a bound on t_max ||L|| times the jumps + 1 terms of a generator product; near the cap at
-# n = 6 on one core, one rate-49 jump to t_max = 50 took 3.2 s and 16 rate-1 jumps to 18, 8-9 s
-MAX_VALIDATION_WORK = 10_000
+MAX_PROBLEM_SITES = 6  # dense 2^n x 2^n operators; --validate took 0.05 s at n = 6, 0.4 s at n = 7
+MAX_PROBLEM_JUMPS = 16  # at n = 6, 16 rate-1 jumps took 0.04 s, 2,000 3.7 s
+# products by Liouvillian.taylor_cost; near it at n = 6 on one core, one rate-49 decay jump to t_max = 44
+# took 1.0 s and 16 rate-1 jumps to 15.7, 1.6-2.3 s; at 0.12-0.20 ms a product, no run passes 6-10 s
+MAX_VALIDATION_WORK = 50_000
 
 
 def format_sweep_csv(records) -> str:
@@ -149,16 +148,10 @@ def _over_cap(message: str) -> int:
     return 3
 
 
-@np.errstate(over="ignore")  # work past the float range is past the cap
+@np.errstate(over="ignore", invalid="ignore")  # a G past the float range has an infinite bound
 def _validation_work(problem, t_max: float) -> float:
-    """t_max (2 ||H||_2 + 2 sum_k ||c_k||_2^2) (jumps + 1): the propagator's work, bounded.
-
-    The bracket bounds ||L||_2 (||G||_2 <= ||H||_2 + sum_k ||c_k||_2^2 / 2), which sets
-    the number of products exp(t L) takes; each product costs one G term and one per jump.
-    """
-    bound = (2 * np.linalg.norm(problem.hamiltonian, 2)
-             + 2 * sum(np.linalg.norm(c, 2) ** 2 for c in problem.jumps))
-    return t_max * bound * (len(problem.jumps) + 1)
+    """The products the full generator's ``evolve`` to t_max makes at most (``taylor_cost``)."""
+    return build_liouvillian(problem.hamiltonian, problem.jumps).taylor_cost(t_max)[1]
 
 
 def _write_out(args, text: str):
@@ -184,6 +177,9 @@ def cmd_sweep(args) -> int:
     if points > MAX_SWEEP_POINTS:
         return _over_cap(f"sweep: {points} grid points exceed the sweep cap "
                          f"({MAX_SWEEP_POINTS} points)")
+    work = (points + args.refine * REFINED_POINTS * max(points - 1, 0)) * args.restarts
+    if work > MAX_SWEEP_WORK:
+        return _over_cap(f"sweep: {work:,} restart simplices, refined at worst, exceed the work cap ({MAX_SWEEP_WORK:,})")
     records = sweep(
         args.lambda_min, args.lambda_max, args.step, _lattice(args), args.ansatz,
         restarts=args.restarts, seed=args.seed, jobs=args.jobs, refine=args.refine,

@@ -18,7 +18,7 @@ All operators act on the full (system x auxiliary) Hilbert space; callers
 describe the block structure through projectors. Jump rates are folded into
 the matrices as sqrt(gamma) prefactors. ``validate_elimination`` checks
 given effective operators: it propagates the full and the effective dynamics
-with ``Liouvillian.evolve``, which forms no d^2 x d^2 generator.
+with ``Liouvillian.evolve``, numpy alone, forming no d^2 x d^2 generator.
 """
 
 from __future__ import annotations

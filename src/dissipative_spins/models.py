@@ -14,13 +14,13 @@ with rate g carries a sqrt(g) prefactor), and ``rate_jump_terms`` at unit
 rate beside the one rate they share. The bond derivative is linear in each
 jump's rate, so the variational evaluator compiles the two sets apart and
 forms K = P + rate A; every other consumer takes ``folded_jump_terms()``,
-the one list with that rate folded in.
+the one tuple with that rate folded in.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,27 +75,29 @@ class DissipativeModel:
     Each jump is a 2x2 (one-site) or 4x4 (two-site) matrix; its shape is
     its arity, and any other shape is refused. ``jump_terms`` carry their
     rates folded into their matrices; ``rate_jump_terms`` are written at
-    unit rate and all run at ``rate``. A model without a rate set leaves
-    that list empty.
+    unit rate and all run at ``rate``, an empty tuple for none. A model is a
+    value: its sets hold read-only copies (change one by ``dataclasses.replace``).
     """
 
     lattice: LatticeSpec
-    jump_terms: list = field(default_factory=list)
-    rate_jump_terms: list = field(default_factory=list)  # unit rate, scaled by ``rate``
+    jump_terms: tuple = ()
+    rate_jump_terms: tuple = ()  # unit rate, scaled by ``rate``
     rate: float = 0.0
 
     def __post_init__(self):
         check_rate(self.rate)
         for name in ("jump_terms", "rate_jump_terms"):
-            for i, c in enumerate(getattr(self, name)):
-                if np.shape(c) not in ((2, 2), (4, 4)):
-                    raise ValueError(f"{name}[{i}] has shape {np.shape(c)}: "
-                                     "a jump is 2x2 (one site) or 4x4 (two sites)")
+            held = tuple(np.array(c) for c in getattr(self, name))
+            for i, c in enumerate(held):
+                if c.shape not in ((2, 2), (4, 4)):
+                    raise ValueError(f"{name}[{i}] has shape {c.shape}: a jump is 2x2 (one site) or 4x4 (two sites)")
+                c.flags.writeable = False
+            object.__setattr__(self, name, held)
 
-    def folded_jump_terms(self) -> list:
+    def folded_jump_terms(self) -> tuple:
         """Every jump with its rate in its matrix: ``jump_terms``, then sqrt(rate) times each of the rate set."""
         s = np.sqrt(self.rate)
-        return self.jump_terms + [s * c for c in self.rate_jump_terms]
+        return self.jump_terms + tuple(s * c for c in self.rate_jump_terms)
 
 
 def ferro_pump_jumps():
@@ -132,7 +134,7 @@ def dissipative_heisenberg(lam: float, lattice: LatticeSpec) -> DissipativeModel
     interaction part change).
     """
     scale = 1.0 / np.sqrt(lattice.z - 1)
-    jumps = [scale * c if lattice.renormalize else c.copy() for c in _UNIT_JUMPS]
+    jumps = [scale * c if lattice.renormalize else c for c in _UNIT_JUMPS]  # the model copies
     return DissipativeModel(lattice=lattice, jump_terms=jumps[:3], rate_jump_terms=jumps[3:],
                             rate=lam)
 

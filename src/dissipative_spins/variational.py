@@ -298,8 +298,7 @@ class CompiledBond:
         self._z_symmetric = True  # until a generator W is linear in breaks the rotation about z
         for part, terms in enumerate((model.jump_terms, model.rate_jump_terms)):
             site = [c for c in terms if len(c) == 2]
-            # the bond's own jumps, then the single-site jumps on both slots of the bond;
-            # a jump of any other shape lands with the bond's and is refused there, not dropped
+            # the bond's own jumps, then the single-site jumps on both slots of the bond
             local = [kron(c, eye) for c in site] + [kron(eye, c) for c in site]
             for slot, cs in enumerate(([c for c in terms if len(c) != 2], local)):
                 if cs:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dissipative_spins
-from dissipative_spins import cli, effective, variational
+from dissipative_spins import cli, effective, liouville, variational
 from dissipative_spins.cli import CSV_HEADER, main, read_sweep_csv
 from dissipative_spins.liouville import (
     Liouvillian,
@@ -107,6 +107,27 @@ def test_sweep_restarts_cap(capsys, monkeypatch):
     assert run(["sweep", "--lambda-min", "1.0", "--lambda-max", "1.0",
                 "--restarts", str(cli.MAX_RESTARTS + 1)]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_sweep_work_cap(capsys, monkeypatch):
+    # grid points x restarts, the refinement counted at its worst (101 more
+    # points a bracket), is refused before any grid is minimized
+    assert (cli.MAX_SWEEP_WORK, cli.MAX_RESTARTS, cli.REFINED_POINTS) == (1_000_000, 1_000, 101)
+    monkeypatch.setattr(cli, "sweep", refuse)
+    restarts = ["--lambda-min", "0", "--restarts", "1000"]
+    # 11 points refine to at most 11 + 101 * 10: 1,021,000 simplices
+    assert run(["sweep", *restarts, "--lambda-max", "1", "--step", "0.1"]) == 3
+    assert "work cap" in capsys.readouterr().err
+    # 1,001 points without refinement: 1,001,000
+    assert run(["sweep", *restarts, "--lambda-max", "1", "--step", "0.001", "--no-refine"]) == 3
+    assert "work cap" in capsys.readouterr().err
+    # at the ceiling the sweep is called: 10 points refine to at most 919
+    # (919,000), and 1,000 points unrefined are 1,000,000
+    calls = []
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: calls.append(args) or [])
+    assert run(["sweep", *restarts, "--lambda-max", "0.9", "--step", "0.1"]) == 0
+    assert run(["sweep", *restarts, "--lambda-max", "0.999", "--step", "0.001", "--no-refine"]) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("option", ["--restarts=0", "--jobs=0", "--jobs=-3"])
@@ -457,8 +478,8 @@ def test_effective_validation_work_past_the_float_range_meets_the_cap(tmp_path, 
 
 
 def test_effective_validates_a_subnormal_entry(tmp_path, capsys):
-    # the propagator's norm estimate overflows on a subnormal entry of L;
-    # the error it reports is that of the problem without it
+    # a subnormal entry of L warns nowhere in the propagation, and the
+    # error reported is that of the problem without it
     errors = []
     for p_e in ("1 0 1:uu", "1 1e-320 1:uu"):
         prob = tmp_path / "p.prob"
@@ -534,15 +555,38 @@ def test_effective_validation_work_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_validation_work_bounds_the_generator_norm():
-    # the work is t_max times a bound on ||L||_2, times jumps + 1
+    # the work counts steps of t_max B / theta, B a bound on ||L||_2, each of m
+    # terms of jumps + 1 products
     rng = np.random.default_rng(3)
     problem = parse_problem_text(BELL_PROBLEM + "[jump]\nrate = 0.3\n1 0 0:z\n").problem
     h = problem.h_ground + problem.h_excited + problem.v_plus + problem.v_minus
+    per_step = liouville.TAYLOR_TERMS * (len(problem.jumps) + 1)
     for _ in range(3):
         jumps = tuple(c * (rng.normal() + 1j * rng.normal()) for c in problem.jumps)
         norm = np.linalg.norm(build_liouvillian(h, jumps).matrix, 2)
         work = cli._validation_work(replace(problem, jumps=jumps), 2.5)
-        assert 2.5 * norm * (len(jumps) + 1) <= work * (1 + 1e-12)
+        assert work % per_step == 0
+        assert 2.5 * norm / liouville.TAYLOR_THETA <= work / per_step * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("t_max", [1.0, 12.5, 50.0])
+def test_validation_work_counts_the_products_it_admits(t_max, monkeypatch):
+    # every generator product a validation makes, the effective evolution's
+    # too, is within the work the cap priced
+    problem = parse_problem_text(BELL_PROBLEM).problem
+    products = []
+    apply = liouville.Liouvillian.apply
+
+    def counted(self, rho):
+        products.append(len(self.jumps) + 1)
+        return apply(self, rho)
+
+    monkeypatch.setattr(liouville.Liouvillian, "apply", counted)
+    down = np.diag([0.0, 1.0]).astype(complex)
+    effective.validate_elimination(problem, effective.effective_hamiltonian(problem),
+                                   effective.effective_jumps(problem), np.eye(2) / 2, down, [1],
+                                   t_max=t_max)
+    assert 0 < sum(products) <= cli._validation_work(problem, t_max)
 
 
 def driven_auxiliary_problem(n):
@@ -725,8 +769,8 @@ def test_oracle_resource_cap(capsys, monkeypatch):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Start-up loads no scipy module and no process pool.
 
-    scipy is imported on first use (``effective --validate``) and the
-    pool only by a sweep with more than one worker.
+    No command imports scipy, and the pool is imported only by a sweep
+    with more than one worker.
     """
     out = subprocess.run(
         [sys.executable, "-c",
@@ -740,19 +784,30 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
 
 
-def test_oracle_loads_no_scipy(tmp_path):
-    # the sectors need numpy alone
+@pytest.mark.parametrize("command", ["oracle", "effective"])
+def test_oracle_loads_no_scipy(tmp_path, command):
+    # the sectors and the validation's propagation need numpy alone
+    out_path = tmp_path / "out.txt"
+    if command == "oracle":
+        argv = ["oracle", "--n", "3"]
+    else:
+        (tmp_path / "p.prob").write_text(BELL_PROBLEM)
+        argv = ["effective", "--problem", str(tmp_path / "p.prob"), "--validate", "--t-max", "10"]
     out = subprocess.run(
         [sys.executable, "-c",
          "import json, sys\nfrom dissipative_spins.cli import main\n"
-         f"code = main(['oracle', '--n', '3', '--out', {str(tmp_path / 'o.json')!r}])\n"
+         f"code = main({argv + ['--out', str(out_path)]!r})\n"
          "print(json.dumps([code, sorted(sys.modules)]))"],
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
     code, loaded = json.loads(out.stdout)
     assert code == 0
-    assert json.loads((tmp_path / "o.json").read_text())["dark_dimension"] == 1
+    text = out_path.read_text()
+    if command == "oracle":
+        assert json.loads(text)["dark_dimension"] == 1
+    else:
+        assert 0 <= float(text.split("error = ")[1]) < 1e-2
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 

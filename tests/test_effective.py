@@ -251,7 +251,7 @@ def test_validation_checks_the_operators_it_is_given():
 
 
 def test_validation_leaves_global_random_stream_alone():
-    # expm_multiply's 1-norm estimate draws from np.random's global state
+    # the propagation is deterministic: it draws nothing from np.random's global state
     prob = single_flip_problem(e0=0.1)
     rho_aux = np.outer(DOWN, DOWN).astype(complex)
     np.random.seed(0)

@@ -6,11 +6,12 @@ anisotropy set alone, 1 for the full model away from the isotropic point's
 neighbors) follow from counting the annihilated subspaces by hand.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
@@ -84,14 +85,63 @@ def test_apply_matches_direct_master_equation(seed, d, n_jumps, with_h):
     st.integers(0, 3),
 )
 def test_matrix_is_the_applied_generator(seed, d, n_jumps):
-    # apply and adjoint never read the matrix, and the matrix comes from the
-    # same row gather as the oracle's sectors, so this keeps that gather honest
+    # apply never reads the matrix, and the matrix comes from the same row
+    # gather as the oracle's sectors, so this keeps that gather honest
     rng = np.random.default_rng(seed)
     h = _random_matrix(rng, d)
     liou = build_liouvillian(h + h.conj().T, [_random_matrix(rng, d) for _ in range(n_jumps)])
-    rho, x = _random_matrix(rng, d), _random_matrix(rng, d)
+    rho = _random_matrix(rng, d)
     np.testing.assert_allclose(liou.apply(rho).ravel(), liou.matrix @ rho.ravel(), atol=1e-11)
-    np.testing.assert_allclose(liou.adjoint(x).ravel(), liou.matrix.conj().T @ x.ravel(), atol=1e-11)
+
+
+def test_taylor_degree_meets_its_remainder_bound():
+    # theta^(m+1)/(m+1)! e^theta <= 2^-53 at m = 55, theta = 9.5; the root is 9.506
+    m, theta = liouville.TAYLOR_TERMS, liouville.TAYLOR_THETA
+
+    def log_remainder(th):
+        return (m + 1) * math.log(th) - math.lgamma(m + 2) + th
+
+    assert (m, theta) == (55, 9.5)
+    assert log_remainder(theta) <= -53 * math.log(2) < log_remainder(9.507)
+    assert log_remainder(9.506) <= -53 * math.log(2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 4, 8]),
+    st.integers(0, 5),
+    st.booleans(),
+    st.floats(-3.0, 3.0),
+)
+def test_evolve_is_the_exponential_of_the_generator(seed, d, n_jumps, with_h, log_tb):
+    # against expm of the dense generator, at t B from 1e-3 to 1e3 with B the
+    # bound on ||L||_2 that sizes the steps; trace and Hermiticity kept
+    rng = np.random.default_rng(seed)
+    h = _random_matrix(rng, d) if with_h else np.zeros((d, d))
+    liou = build_liouvillian(h + h.conj().T, [_random_matrix(rng, d) for _ in range(n_jumps)])
+    assume(liou.norm_bound > 0)
+    assert np.linalg.norm(liou.matrix, 2) <= liou.norm_bound * (1 + 1e-12)
+    a = _random_matrix(rng, d)
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    t = 10.0**log_tb / liou.norm_bound
+    got = liou.evolve(rho, t)
+    want = (expm(t * liou.matrix) @ rho.ravel()).reshape(d, d)
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(np.trace(got) - 1) <= 1e-12
+    assert np.abs(got - got.conj().T).max() <= 1e-12
+
+
+def test_evolve_refuses_what_leaves_the_float_range():
+    liou = build_liouvillian(pauli("x"), [pauli("-")])
+    with pytest.raises(ValueError, match="float range"):
+        liou.evolve(np.full((2, 2), np.nan), 1.0)
+    with pytest.raises(ValueError, match="runs backward"):
+        liou.evolve(np.eye(2) / 2, -1.0)
+    inf = Liouvillian(g=np.full((2, 2), np.inf + 0j), jumps=np.zeros((0, 2, 2)))
+    assert inf.norm_bound == np.inf and inf.taylor_cost(1.0) == (np.inf, np.inf)
+    with pytest.raises(ValueError, match="float range"):
+        inf.evolve(np.eye(2) / 2, 1.0)
 
 
 @pytest.mark.parametrize("n_jumps", [0, 1, 5, 35])
@@ -281,7 +331,7 @@ def test_blocked_kernel_matches_dense_reference_n5(lam, dim):
 def local_jump_model(lam, *cs):
     """The Heisenberg model plus the single-site jumps cs on every site."""
     model = dissipative_heisenberg(lam, LatticeSpec(z=6))
-    local = [np.asarray(c, dtype=complex) for c in cs]
+    local = tuple(np.asarray(c, dtype=complex) for c in cs)
     return replace(model, jump_terms=model.jump_terms + local)
 
 
@@ -559,7 +609,7 @@ def test_a_copied_sector_is_the_conjugate_generators_sector():
     # (q, k), diagonalized for q > 0, is L's copied sector (-q, k)
     heisenberg = dissipative_heisenberg(0.7, LatticeSpec(z=6))
     lopsided = np.array(kron(pauli("-"), 0.5 * np.diag([1, 1j])))
-    liou = ring_liouvillian(replace(heisenberg, jump_terms=heisenberg.jump_terms + [lopsided]), 4)
+    liou = ring_liouvillian(replace(heisenberg, jump_terms=heisenberg.jump_terms + (lopsided,)), 4)
     assert liou.matrix.imag.any() and coherence_orders(liou) is not None
     space = steady_states(liou)
     assert_same_spectrum(np.linalg.eig(liou.matrix)[0], space.eigenvalues)

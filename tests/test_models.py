@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,14 +51,37 @@ def test_model_refuses_a_jump_of_any_other_shape(jump_set, shape):
 @pytest.mark.parametrize("shape", [(8, 8), (3, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("jump_set", ["jump_terms", "rate_jump_terms"])
 def test_a_jump_of_another_shape_added_later_is_refused_not_dropped(jump_set, shape):
-    # the sets are plain lists, so a jump appended after construction skips
-    # the model's check; the bond compile and the ring must still not ignore it
+    # a set is a tuple: nothing is appended to a model, and the new model
+    # that adds the jump meets the shape check, naming the set and the jump
     model = dissipative_heisenberg(0.7, LatticeSpec())
-    getattr(model, jump_set).append(np.eye(*shape))
-    with pytest.raises(ValueError):
-        CompiledBond(model)
-    with pytest.raises(ValueError):
-        ring_liouvillian(model, 3)
+    held = getattr(model, jump_set)
+    with pytest.raises(AttributeError):
+        held.append(np.eye(*shape))
+    with pytest.raises(ValueError, match=rf"{jump_set}\[{len(held)}\] has shape"):
+        replace(model, **{jump_set: held + (np.eye(*shape),)})
+    assert getattr(model, jump_set) is held
+
+
+@pytest.mark.parametrize("jump_set", ["jump_terms", "rate_jump_terms"])
+def test_a_model_is_a_value(jump_set):
+    # the model holds read-only copies: writing into one of its matrices
+    # raises, and the caller's arrays, changed afterwards, do not reach it
+    source = [c.copy() for c in anisotropy_jumps()]
+    model = DissipativeModel(lattice=LatticeSpec(), **{jump_set: source}, rate=0.5)
+    held = getattr(model, jump_set)
+    assert isinstance(held, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        held[0][0, 0] = 1.0
+    for c in source:
+        c[...] = np.nan
+    source.append(np.eye(8))
+    assert len(held) == 4
+    for got, ref in zip(held, anisotropy_jumps(), strict=True):
+        assert np.array_equal(got, ref)
+    ring = ring_liouvillian(model, 3)
+    assert np.isfinite(ring.jumps).all()
+
+
 
 
 def test_ferro_pump_set():

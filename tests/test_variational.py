@@ -10,6 +10,7 @@ Summing magnitudes gives the disordered norm (3/2 - lambda)/(z-1) for
 lambda < 1/2 and (lambda + 1/2)/(z-1) up to lambda = 3/2.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -138,9 +139,8 @@ def _random_complex(rng, d):
 
 
 def _with_jump(model, c):
-    """``model`` with one more jump at its own rate."""
-    model.jump_terms.append(np.asarray(c, dtype=complex))
-    return model
+    """A new model: ``model`` with one more jump at its own rate."""
+    return replace(model, jump_terms=model.jump_terms + (np.asarray(c, dtype=complex),))
 
 
 @settings(deadline=None, max_examples=30)
@@ -263,8 +263,7 @@ def test_engine_refuses_a_model_the_gauge_fixing_would_change():
     # a two-site jump that is not closed under the slot swap: the uniform
     # bond is no longer singlet (+) triplet, the bipartite layout is fine
     sm = np.array([[0.0, 0.0], [1.0, 0.0]])
-    model = heis(0.4)
-    model.jump_terms.append(0.5 * kron(sm, pauli("z")))
+    model = _with_jump(heis(0.4), 0.5 * kron(sm, pauli("z")))
     with pytest.raises(ValueError, match="swap-symmetric"):
         CompiledBond(model).tensor("uniform")
     assert CompiledBond(model).tensor("bipartite").shape == (27, 32)
@@ -306,18 +305,18 @@ def test_the_rotation_check_reads_each_jumps_popcount_shift(jumps, seed, generic
     # complex entries, in either set: the rotation check never refuses
     # them; one more generic jump always makes it refuse
     rng = np.random.default_rng(seed)
-    model = DissipativeModel(lattice=Z6, rate=0.7)
+    sets = {True: [], False: []}  # the rate set and the other, by in_rate_set
     for (arity, shift), in_rate_set in jumps:
         pc = _POPCOUNT[:2**arity]
-        c = _random_complex(rng, 2**arity) * (pc[:, None] - pc == shift)
-        (model.rate_jump_terms if in_rate_set else model.jump_terms).append(c)
+        sets[in_rate_set].append(_random_complex(rng, 2**arity) * (pc[:, None] - pc == shift))
+    model = DissipativeModel(lattice=Z6, jump_terms=sets[False], rate_jump_terms=sets[True], rate=0.7)
     try:
         CompiledBond(model).tensor("bipartite")
     except ValueError as refusal:
         assert "rotations about z" not in str(refusal)
     arity = int(rng.integers(1, 3))
-    generic = _random_complex(rng, 2**arity)
-    (model.rate_jump_terms if generic_in_rate_set else model.jump_terms).append(generic)
+    sets[generic_in_rate_set].append(_random_complex(rng, 2**arity))
+    model = DissipativeModel(lattice=Z6, jump_terms=sets[False], rate_jump_terms=sets[True], rate=0.7)
     with pytest.raises(ValueError, match="rotations about z"):
         CompiledBond(model).tensor("bipartite")
 
@@ -369,8 +368,7 @@ def test_reduced_derivative_takes_every_model_it_took():
     # models the engine's real tensors refuse, and generic ones, are all
     # still read by reduced_derivative: the complex compile takes any jumps
     rng = np.random.default_rng(31)
-    one_sided = heis(0.4)
-    one_sided.jump_terms.append(0.5 * kron(pauli("-"), pauli("z")))
+    one_sided = _with_jump(heis(0.4), 0.5 * kron(pauli("-"), pauli("z")))
     random_rate_set = DissipativeModel(
         lattice=LatticeSpec(z=4, bipartite=True),
         jump_terms=[0.5 * _random_complex(rng, 2), 0.5 * _random_complex(rng, 4)],
