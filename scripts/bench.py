@@ -35,8 +35,11 @@ and the lowest CPU, writes the ``dspin oracle`` JSON of rings of 4, 5 and 6
 sites at lambda 0 and 0.7 and records its sha256 (``json_sha256``, the
 oracle's counterpart of ``csv_sha256``), and the median of 5 timings of each
 of ``liouville.ring_liouvillian`` and ``steady_states`` at each point,
-untraced: the traced ``liouville`` layers of the workloads also form the
-dense generator. Then it times the
+untraced and warm: the traced ``liouville`` layers of the workloads also
+form the dense generator. Before the ``dspin oracle`` call of each point it
+times one ``steady_states`` call with the sector plan cache emptied
+(``steady_states_first_ms``): the plan is built inside it, as in a one-shot
+``dspin oracle`` process. Then it times the
 start-up every ``dspin`` call pays: five fresh interpreters that only
 ``import dissipative_spins.cli``, on one BLAS thread and the lowest CPU,
 timed by ``time_child``, and one more under ``python -X importtime``
@@ -124,20 +127,28 @@ sys.exit(code)
 ORACLE_POINTS = [(n, lam) for n in (4, 5, 6) for lam in (0.0, 0.7)]
 ORACLE_REPEATS = 5
 # writes the ``dspin oracle`` JSON of each point into the directory argv[1] names, then
-# prints one JSON list: per point its sha256 and the median milliseconds of the two calls
+# prints one JSON list: per point its sha256, the milliseconds of a first steady_states call
+# with the sector plan cache emptied (a checkout without one has nothing to empty), and
+# the median milliseconds of the two calls, warm
 TIME_ORACLE = """\
 import hashlib, json, statistics, sys, time
 from pathlib import Path
-from dissipative_spins import cli
+from dissipative_spins import cli, liouville
 from dissipative_spins.liouville import ring_liouvillian, steady_states
 from dissipative_spins.models import LatticeSpec, dissipative_heisenberg
 out, points, repeats = Path(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
 rows = []
 for n, lam in points:
+    model = dissipative_heisenberg(lam, LatticeSpec())
+    liou = ring_liouvillian(model, n)
+    if hasattr(liouville, "_sector_plan"):
+        liouville._sector_plan.cache_clear()
+    t0 = time.perf_counter()
+    steady_states(liou)
+    first = 1e3 * (time.perf_counter() - t0)
     path = out / f"oracle_{n}_{lam}.json"
     if cli.main(["oracle", "--n", str(n), "--lambda", str(lam), "--out", str(path)]) != 0:
         sys.exit(f"oracle n = {n}, lambda = {lam} failed")
-    model = dissipative_heisenberg(lam, LatticeSpec())
     times = {"ring_liouvillian_ms": [], "steady_states_ms": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -148,7 +159,7 @@ for n, lam in points:
         for key, dt in zip(times, (t1 - t0, t2 - t1)):
             times[key].append(1e3 * dt)
     rows.append({"n": n, "lambda": lam, "json_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                 **{key: statistics.median(ts) for key, ts in times.items()}})
+                 "steady_states_first_ms": first, **{key: statistics.median(ts) for key, ts in times.items()}})
 print(json.dumps(rows))
 """
 

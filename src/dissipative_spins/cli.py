@@ -25,7 +25,7 @@ to resolve), 2 fit or elimination
 failure, 3 resource cap exceeded (a MAX_* constant below: oracle sites,
 sweep points, restarts and their work with the refinement at its worst,
 Landau samples, problem sites and [jump] sections, and the products of a
-validation's propagation, the one cap on --t-max). --validate checks the
+validation's full and effective propagations, the one cap on --t-max). --validate checks the
 H_eff and c_eff the run prints, so the elimination runs once. Sweeps are
 bit-stable for a fixed --seed regardless of --jobs: each grid point derives
 its own seed from the global one and its coupling. The argument parser is
@@ -149,9 +149,14 @@ def _over_cap(message: str) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a G past the float range has an infinite bound
-def _validation_work(problem, t_max: float) -> float:
-    """The products the full generator's ``evolve`` to t_max makes at most (``taylor_cost``)."""
-    return build_liouvillian(problem.hamiltonian, problem.jumps).taylor_cost(t_max)[1]
+def _validation_work(hamiltonian, jumps, t_max: float) -> float:
+    """The products ``evolve`` of the generator of hamiltonian and jumps to t_max makes at most (``taylor_cost``)."""
+    return build_liouvillian(hamiltonian, jumps).taylor_cost(t_max)[1]
+
+
+def _validation_over_cap(work: float) -> int:
+    return _over_cap(f"effective: validation work {work:.4g} exceeds the cap "
+                     f"({MAX_VALIDATION_WORK:,}); shorten --t-max or lower the rates")
 
 
 def _write_out(args, text: str):
@@ -242,11 +247,10 @@ def cmd_effective(args) -> int:
         return _over_cap(f"effective: {n_jumps} [jump] sections exceed the jump cap "
                          f"({MAX_PROBLEM_JUMPS})")
     pf = parse_problem_text(text)
-    if args.validate:
-        work = _validation_work(pf.problem, args.t_max)
+    if args.validate:  # the full evolution is priced before the elimination, the effective one after it
+        work = _validation_work(pf.problem.hamiltonian, pf.problem.jumps, args.t_max)
         if not work <= MAX_VALIDATION_WORK:
-            return _over_cap(f"effective: validation work {work:.4g} exceeds the cap "
-                             f"({MAX_VALIDATION_WORK:,}); shorten --t-max or lower the rates")
+            return _validation_over_cap(work)
     try:
         with np.errstate(over="raise", invalid="raise"):
             h_eff, c_eff = effective_hamiltonian(pf.problem), effective_jumps(pf.problem)
@@ -256,6 +260,11 @@ def cmd_effective(args) -> int:
     for name, op in [("H_eff", h_eff)] + [(f"c_eff {k}", c) for k, c in enumerate(c_eff)]:
         chunks += [f"[{name}]", format_operator(op, n_sites)]
     if args.validate:
+        # the full-space effective operators: the stripped ones are their blocks on the
+        # auxiliary rest state, whose norm_bound, and so whose steps, are no larger
+        work += _validation_work(h_eff, c_eff, args.t_max)
+        if not work <= MAX_VALIDATION_WORK:
+            return _validation_over_cap(work)
         n_sys = n_sites - len(pf.aux_sites)
         rho_sys = np.eye(2**n_sys, dtype=complex) / 2**n_sys
         down = np.zeros((2 ** len(pf.aux_sites),) * 2, dtype=complex)
@@ -278,7 +287,7 @@ def cmd_oracle(args) -> int:
         "n": args.n,
         "lambda": args.lam,
         "dark_dimension": space.dimension,
-        "max_real_part": float(space.eigenvalues.real.max()),
+        "max_real_part": space.max_real_part,
         "trace_defect": space.trace_defect,
         "conjugate_pair_defect": 0.0,  # each q < 0 spectrum is its partner's, conjugated
         "zero_cut": space.zero_cut,

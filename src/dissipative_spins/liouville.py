@@ -22,13 +22,20 @@ generator). Only q >= 0 is gathered: L(rho^dag) = L(rho)^dag makes each
 q < 0 spectrum a conjugated copy of its partner's. The count is read off
 those spectra, with the cut and the |eigenvalues| nearest it either side
 as a measure of how sure it is, and a ring whose rounding passes
-``ROUNDING_CAP`` is refused rather than counted.
+``ROUNDING_CAP`` is refused rather than counted. What of this is
+structure (the T-orbits, their periods and orders, the rows and gather
+indices, the momentum phases and weights, and each sector's kept orbits,
+dtype, stack slot and copies) is a sector plan, cached per (d, ring, real,
+conserved) and built on a shape's first call, not at import; it holds
+nothing that depends on lambda or on any entry, so a call does only the
+numeric work: the rows, the momentum sums, the spectra and the count.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +185,7 @@ class SteadySpace:
     zero_cut: float  # an |eigenvalue| up to this counts as zero
     largest_zero: float  # the largest |eigenvalue| counted as zero, the forced one of (0, 0) too
     smallest_nonzero: float | None  # the smallest |eigenvalue| not counted as zero; None for none
+    max_real_part: float  # the largest real part of the spectrum, 0 in exact arithmetic
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -209,16 +217,102 @@ def _popcount_shifts(d: int) -> np.ndarray:
     return pc[:, None] - pc
 
 
-def _site_rotations(liou: Liouvillian) -> np.ndarray:
-    """T^m as a map of basis states, m < n: (n, d); T rotates the ring's sites by one.
+def _site_rotations(d: int, ring: int) -> np.ndarray:
+    """T^m as a map of the d basis states, m < n: (n, d); T rotates the ring's sites by one.
 
-    Without a ring (``liou.ring`` 0) the only map is the identity, n = 1.
+    Without a ring (``ring`` 0) the only map is the identity, n = 1.
     """
-    i = np.arange(liou.dim)
-    if not liou.ring:
+    i = np.arange(d)
+    if not ring:
         return i[None]
-    m = np.arange(liou.ring)[:, None]
-    return ((i << m) | (i >> (liou.ring - m))) & (liou.dim - 1)
+    m = np.arange(ring)[:, None]
+    return ((i << m) | (i >> (ring - m))) & (d - 1)
+
+
+# the sector plan's records: a NamedTuple is defined at import in about a sixth of a frozen dataclass's time
+class _Sector(NamedTuple):
+    q: int
+    k: int               # momentum, and the index of its F_k in its order's momentum sums
+    keep: tuple | None   # np.ix_ of the orbits with k p = 0 mod n; None where all are kept
+    r: np.ndarray        # orbit representatives of the kept orbits, and their periods
+    p: np.ndarray
+    real: bool           # diagonalized in real arithmetic (dtype float, else complex)
+    group: int           # its stack, one per (size, dtype), and its slot there
+    slot: int
+    copies: tuple        # (q, k, conjugated) of each block its spectrum stands for
+
+
+class _Order(NamedTuple):
+    i: np.ndarray        # the rows (i, j) of L at its orbit representatives r_a
+    j: np.ndarray
+    take: np.ndarray     # R_m[a, b] = L[r_a, T^m r_b] as flat indices into those rows: (n, A * A)
+    phase: np.ndarray    # exp(-2 pi i k m / n) over its momenta k and m: (k's, n)
+    weight: np.ndarray   # sqrt(p_a p_b) / n: (A, A)
+    sectors: tuple       # its _Sectors, k ascending
+
+
+class _SectorPlan(NamedTuple):
+    rotations: np.ndarray  # T^m of the basis states: (n, d)
+    reps: np.ndarray       # representative and period of each T-orbit of entries |i><j|
+    periods: np.ndarray
+    orders: tuple          # an _Order per q >= 0, q ascending
+    groups: tuple          # (sectors in it, size, dtype) of each stack
+    u: np.ndarray          # the identity in sector (0, 0)'s basis, sqrt(p_a) on its diagonal orbits
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # the plan is cached and shared by every call of its shape
+    return a
+
+
+@functools.cache
+def _sector_plan(d: int, ring: int, real: bool, conserving: bool) -> _SectorPlan:
+    """The sector structure ``steady_states`` reads, which depends on these four alone.
+
+    Built on first use, never at import, and kept: the rotations, the
+    T-orbits and their periods, per order q >= 0 its rows, gather, momentum
+    phases and weights, and per sector its momentum, kept orbits, dtype,
+    stack slot and copies. Nothing in it depends on an entry of G or a jump.
+    """
+    rot = _site_rotations(d, ring)
+    n = len(rot)
+    orbit = (rot[:, :, None] * d + rot[:, None, :]).reshape(n, d * d)  # T^m |i><j|
+    reps = np.flatnonzero(orbit.min(axis=0) == np.arange(d * d))
+    period = n // (orbit[:, reps] == reps).sum(axis=0)
+    q_of = _popcount_shifts(d).ravel()[reps] if conserving else np.zeros(reps.size, dtype=int)
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    orders, groups = [], {}  # groups: (size, dtype) -> the sectors in its stack
+    for q in map(int, np.unique(q_of[q_of >= 0])):  # sector (-q, -k) is the conjugate of (q, k)
+        r, p = reps[q_of == q], period[q_of == q]
+        i, j = divmod(r, d)
+        a = np.arange(r.size)[:, None]
+        take = ((a * d + rot[:, i][:, None, :]) * d + rot[:, j][:, None, :]).reshape(n, -1)
+        ks = np.arange(n // 2 + 1 if real or q == 0 else n)
+        sectors = []
+        for k in ks:
+            keep = k * p % n == 0
+            if not keep.any():
+                continue
+            sector_real = real and 2 * k % n == 0
+            key = (int(keep.sum()), np.dtype(float if sector_real else complex))
+            slot = groups.setdefault(key, 0)
+            groups[key] += 1
+            copies = [(q, k, False)]  # the sectors this spectrum stands for
+            if 2 * k % n and (real or q == 0):  # (q, -k) is the conjugate: L is real, or q = 0 is its own partner
+                copies.append((q, n - k, True))
+            if q:  # the adjoint: (-q, -k) is the conjugate of (q, k)
+                copies += [(-q, -c % n, not conj) for _, c, conj in copies]
+            sectors.append(_Sector(q=q, k=k, keep=None if keep.all() else tuple(map(_frozen, np.ix_(keep, keep))),
+                                   r=_frozen(r[keep]), p=_frozen(p[keep]), real=sector_real,
+                                   group=list(groups).index(key), slot=slot, copies=tuple(copies)))
+        orders.append(_Order(i=_frozen(i), j=_frozen(j), take=_frozen(take), phase=_frozen(phase[ks]),
+                             weight=_frozen(np.sqrt(np.outer(p, p)) / n), sectors=tuple(sectors)))
+    first = orders[0].sectors[0]  # (0, 0): every diagonal |i><i| has q = 0, and k = 0 keeps all
+    i, j = divmod(first.r, d)
+    return _SectorPlan(rotations=_frozen(rot), reps=_frozen(reps), periods=_frozen(period),
+                       orders=tuple(orders),
+                       groups=tuple((count, size, dtype) for (size, dtype), count in groups.items()),
+                       u=_frozen(np.where(i == j, np.sqrt(first.p), 0.0)))
 
 
 def steady_states(liou: Liouvillian) -> SteadySpace:
@@ -242,10 +336,11 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     largest entry (so sigma_y or i c counts as real). Each spectrum's block
     is kept with its copies, the conjugated ones, and its zeros count once
     for each block it stands for (up to four). Every sector's matrix is
-    gathered first; then one ``eigvals`` call takes all sectors of one size
-    and dtype as a stack (bitwise the spectra of one call per sector,
-    though a stack of real sectors comes back complex for all when one has
-    a complex eigenvalue). An eigenvalue counts as zero up to the cut
+    gathered first, into its slot of a stack; then one ``eigvals`` call
+    takes all sectors of one size and dtype as that stack (bitwise the
+    spectra of one call per sector, though a stack of real sectors comes
+    back complex for all when one has a complex eigenvalue). An eigenvalue
+    counts as zero up to the cut
     max(``_NULL_TOL`` min(1, r), min(``_NULL_EPS`` r, ``ROUNDING_CAP``)),
     r the largest |eigenvalue|: rates far below 1, the rounding of
     ``eigvals`` (a zero near eps r) below the rates of order 1 a stiff
@@ -254,13 +349,21 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     The bounded semigroup has no Jordan block at zero, so the count of
     zeros is the number of independent steady states.
 
+    All of this that is structure (the orbits, their periods and orders,
+    the rows and the gather, the phases and weights, each sector's kept
+    orbits, dtype, stack slot and copies, and u below) is the sector plan
+    of (d, ring, real, conserved), built on a shape's first call and kept,
+    read-only; it holds nothing that depends on lambda or on any entry.
+    A call forms the rows, the momentum sums and the spectra, and counts.
+
     The sector spectra are kept on the result, and ``trace_defect`` is
     max |u^dag F_0| on the sector (0, 0), u the identity in that sector's
     basis (sqrt(p_a) on the diagonal orbits). Both it and the largest real
-    part are 0 in exact arithmetic; a ValueError refuses the ring when
-    either passes ``ROUNDING_CAP``, where rounding can have moved the rates
-    of order 1 onto the cut or a zero off it. A count clear of rounding has
-    ``largest_zero`` <= ``zero_cut`` < ``smallest_nonzero``, gaps wide.
+    part, ``max_real_part``, are 0 in exact arithmetic; a ValueError
+    refuses the ring when either passes ``ROUNDING_CAP``, where rounding can
+    have moved the rates of order 1 onto the cut or a zero off it. A count
+    clear of rounding has ``largest_zero`` <= ``zero_cut`` <
+    ``smallest_nonzero``, gaps wide.
     """
     d, g, cs = liou.dim, liou.g, liou.jumps
     if cs.imag.any():  # turn each jump by the conjugate phase of its largest entry
@@ -270,68 +373,41 @@ def steady_states(liou: Liouvillian) -> SteadySpace:
     real = not (g.imag.any() or cs.imag.any())
     if real:  # real arithmetic in the gather and in the real sectors
         g, cs = g.real, cs.real
-    rot = _site_rotations(liou)
-    n = len(rot)
-    orbit = (rot[:, :, None] * d + rot[:, None, :]).reshape(n, d * d)  # T^m |i><j|
-    reps = np.flatnonzero(orbit.min(axis=0) == np.arange(d * d))
-    period = n // (orbit[:, reps] == reps).sum(axis=0)
-    orders = coherence_orders(liou)
-    q_of = np.zeros(reps.size, dtype=int) if orders is None else orders[reps]
-    phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    sectors, fs = [], []  # (q, k, orbit representatives, their periods) of each sector, and its F
-    for q in np.unique(q_of[q_of >= 0]):  # sector (-q, -k) is the conjugate of (q, k)
-        r, p = reps[q_of == q], period[q_of == q]
-        i, j = divmod(r, d)
-        a = np.arange(r.size)[:, None]
-        # R_m[a, b] = L[r_a, T^m r_b] from the rows r_a of L: (n, A, A)
-        gather = _rows(g, cs, i, j)[a, rot[:, i][:, None, :], rot[:, j][:, None, :]]
-        ks = np.arange(n // 2 + 1 if real or q == 0 else n)
-        f_k = (phase[ks] @ gather.reshape(n, -1)).reshape(-1, r.size, r.size)
-        f_k *= np.sqrt(np.outer(p, p)) / n
-        for k, f in zip(ks, f_k):
-            keep = k * p % n == 0
-            if keep.any():
-                f = f[np.ix_(keep, keep)]
-                sectors.append((int(q), k, r[keep], p[keep]))
-                fs.append(f.real if real and 2 * k % n == 0 else f)
-    groups = {}  # one eigvals call per stack of sectors of one size and dtype
-    for s, f in enumerate(fs):
-        groups.setdefault((len(f), f.dtype), []).append(s)
-    spectra, radius = [None] * len(fs), 0.0  # and the largest |eigenvalue| of all of them
-    for members in groups.values():
-        stack = np.linalg.eigvals(np.stack([fs[s] for s in members]))
-        radius = max(radius, np.abs(stack).max())
-        for s, evals in zip(members, stack):
-            spectra[s] = evals
+    plan = _sector_plan(d, liou.ring, real, coherence_orders(liou) is not None)
+    stacks = [np.empty((count, size, size), dtype) for count, size, dtype in plan.groups]
+    for order in plan.orders:
+        f_k = (order.phase @ _rows(g, cs, order.i, order.j).ravel()[order.take]).reshape(-1, *order.weight.shape)
+        f_k *= order.weight
+        for s in order.sectors:
+            f = f_k[s.k] if s.keep is None else f_k[s.k][s.keep]
+            if s.real:
+                f = f.real
+            if s.q == 0 and s.k == 0:  # on the .real view, as it is stacked: a contiguous copy rounds otherwise
+                trace_defect = float(np.abs(plan.u @ f).max())
+            stacks[s.group][s.slot] = f
+    spectra = [np.linalg.eigvals(stack) for stack in stacks]
+    radius = max([0.0] + [np.abs(stack).max() for stack in spectra])  # the largest |eigenvalue| of all sectors
     cut = max(_NULL_TOL * min(1.0, radius), min(_NULL_EPS * radius, ROUNDING_CAP))
-    blocks, dimension, trace_defect = [], 0, 0.0
+    blocks, dimension = [], 0
     zeros, others = [], []  # the |eigenvalues| counted as zero, and the rest
-    for (q, k, r, p), f, evals in zip(sectors, fs, spectra):
+    for s in (s for order in plan.orders for s in order.sectors):
+        evals = spectra[s.group][s.slot]
         size = np.abs(evals)
         zero = size <= cut
-        if q == 0 and k == 0:
-            i, j = divmod(r, d)
-            u = np.where(i == j, np.sqrt(p), 0.0)
-            trace_defect = float(np.abs(u @ f).max())
+        if s.q == 0 and s.k == 0:
             zero[size.argmin()] = True  # u F = 0: this sector is singular, however its zero is rounded
         zeros.append(size[zero])
         others.append(size[~zero])
-        copies = [(q, k, evals)]  # the sectors this spectrum stands for
-        if 2 * k % n and (real or q == 0):  # (q, -k) is the conjugate: L is real, or q = 0 is its own partner
-            copies.append((q, n - k, evals.conj()))
-        if q:  # the adjoint: (-q, -k) is the conjugate of (q, k)
-            copies += [(-q, -c % n, e.conj()) for _, c, e in copies]
-        blocks += [SpectralBlock(q=c_q, k=c_k, eigenvalues=e) for c_q, c_k, e in copies]
-        dimension += len(copies) * zeros[-1].size
+        blocks += [SpectralBlock(q=q, k=k, eigenvalues=evals.conj() if conj else evals) for q, k, conj in s.copies]
+        dimension += len(s.copies) * zeros[-1].size
     zeros, others = np.concatenate(zeros), np.concatenate(others)
-    space = SteadySpace(dimension=dimension, blocks=blocks, trace_defect=trace_defect, zero_cut=float(cut),
-                        largest_zero=float(zeros.max()),
-                        smallest_nonzero=float(others.min()) if others.size else None)
-    top = float(space.eigenvalues.real.max())
+    top = float(np.concatenate([b.eigenvalues for b in blocks]).real.max())
     if max(trace_defect, abs(top)) > ROUNDING_CAP:  # 0 is in the spectrum, which lies in Re <= 0
         raise ValueError(f"the ring is too stiff to resolve: its trace defect {trace_defect:.3g} "
                          f"or largest real part {top:.3g} passes {ROUNDING_CAP:g}")
-    return space
+    return SteadySpace(dimension=dimension, blocks=blocks, trace_defect=trace_defect, zero_cut=float(cut),
+                       largest_zero=float(zeros.max()),
+                       smallest_nonzero=float(others.min()) if others.size else None, max_real_part=top)
 
 
 def exact_norm(liou: Liouvillian, rho: np.ndarray) -> float:

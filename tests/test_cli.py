@@ -3,7 +3,6 @@ import io
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -512,7 +511,9 @@ def test_effective_long_horizon_meets_only_the_work_cap(tmp_path, capsys, monkey
     assert not out.exists()
     monkeypatch.undo()
     horizon = 2100.0
-    assert cli._validation_work(problem, horizon) <= cli.MAX_VALIDATION_WORK
+    eff = effective.effective_hamiltonian(problem), effective.effective_jumps(problem)
+    assert (cli._validation_work(problem.hamiltonian, problem.jumps, horizon)
+            + cli._validation_work(*eff, horizon)) <= cli.MAX_VALIDATION_WORK
     assert run(["effective", "--problem", str(prob), "--validate", "--t-max", "2100",
                 "--out", str(out)]) == 0
     assert f"# trace distance at t = {horizon:g}" in out.read_text()
@@ -564,29 +565,47 @@ def test_validation_work_bounds_the_generator_norm():
     for _ in range(3):
         jumps = tuple(c * (rng.normal() + 1j * rng.normal()) for c in problem.jumps)
         norm = np.linalg.norm(build_liouvillian(h, jumps).matrix, 2)
-        work = cli._validation_work(replace(problem, jumps=jumps), 2.5)
+        work = cli._validation_work(h, jumps, 2.5)
         assert work % per_step == 0
         assert 2.5 * norm / liouville.TAYLOR_THETA <= work / per_step * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("t_max", [1.0, 12.5, 50.0])
 def test_validation_work_counts_the_products_it_admits(t_max, monkeypatch):
-    # every generator product a validation makes, the effective evolution's
-    # too, is within the work the cap priced
+    # the generator products of each evolution a validation makes are within
+    # the work the cap priced for it: the full one's from the problem, the
+    # effective one's from the full-space effective operators
     problem = parse_problem_text(BELL_PROBLEM).problem
-    products = []
+    products = {4: 0, 2: 0}  # per dimension: the full space, and the system alone
     apply = liouville.Liouvillian.apply
 
     def counted(self, rho):
-        products.append(len(self.jumps) + 1)
+        products[self.dim] += len(self.jumps) + 1
         return apply(self, rho)
 
     monkeypatch.setattr(liouville.Liouvillian, "apply", counted)
     down = np.diag([0.0, 1.0]).astype(complex)
-    effective.validate_elimination(problem, effective.effective_hamiltonian(problem),
-                                   effective.effective_jumps(problem), np.eye(2) / 2, down, [1],
-                                   t_max=t_max)
-    assert 0 < sum(products) <= cli._validation_work(problem, t_max)
+    h_eff, c_eff = effective.effective_hamiltonian(problem), effective.effective_jumps(problem)
+    effective.validate_elimination(problem, h_eff, c_eff, np.eye(2) / 2, down, [1], t_max=t_max)
+    assert 0 < products[4] <= cli._validation_work(problem.hamiltonian, problem.jumps, t_max)
+    assert 0 < products[2] <= cli._validation_work(h_eff, c_eff, t_max)
+
+
+def test_effective_validation_work_prices_the_effective_evolution(tmp_path, capsys, monkeypatch):
+    # a strong drive makes c_eff = c Htilde^-1 V+ large: the full evolution
+    # alone is under the cap, the two together are not, so the run is
+    # refused after the elimination, before any propagation, with nothing written
+    text = driven_auxiliary_problem(2).replace("0.025", "5")
+    problem = parse_problem_text(text).problem
+    full = cli._validation_work(problem.hamiltonian, problem.jumps, 50.0)
+    eff = cli._validation_work(effective.effective_hamiltonian(problem), effective.effective_jumps(problem), 50.0)
+    assert full <= cli.MAX_VALIDATION_WORK < full + eff
+    monkeypatch.setattr(cli, "validate_elimination", refuse)
+    prob, out = tmp_path / "p.prob", tmp_path / "eff.txt"
+    prob.write_text(text)
+    assert run(["effective", "--problem", str(prob), "--validate", "--out", str(out)]) == 3
+    assert f"validation work {full + eff:.4g} exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def driven_auxiliary_problem(n):

@@ -44,6 +44,7 @@ from dissipative_spins.operators import (
 )
 
 from test_operators import kron_embed
+from test_package import fresh
 
 
 def test_amplitude_damping_spectrum():
@@ -633,6 +634,7 @@ def test_the_count_is_apart_from_the_cut(n, lam):
     sizes = np.abs(space.eigenvalues)
     assert np.count_nonzero(sizes <= space.zero_cut) == space.dimension
     assert sizes[sizes > space.zero_cut].min() == space.smallest_nonzero
+    assert space.max_real_part == space.eigenvalues.real.max() <= 1e-9
 
 
 @pytest.mark.parametrize("z, renormalize", [(6, True), (2, False)])
@@ -666,6 +668,64 @@ def test_oracle_sees_the_rate_set_as_the_folded_jumps(n, lams):
         np.testing.assert_allclose(got.jumps, ref.jumps, rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.g, ref.g, rtol=0, atol=1e-15)
         assert steady_states(got).dimension == steady_states(ref).dimension, lam
+
+
+def plan_shapes():
+    """Generators of every kind of sector plan: rings of 2-5 sites, complex, sigma^-, mixing, ring-less."""
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    return ([ring_liouvillian(dissipative_heisenberg(0.7, LatticeSpec(z=6)), n) for n in range(2, 6)]
+            + [ring_liouvillian(local_jump_model(0.7, quarter_turn(axis)), n) for n in (3, 4) for axis in "zx"]
+            + [ring_liouvillian(local_jump_model(0.7, np.sqrt(0.3) * pauli("-")), 4),
+               ring_liouvillian(local_jump_model(1.0, 0.3 * pauli("x")), 3),
+               build_liouvillian(h + h.conj().T, rng.normal(size=(2, 8, 8)))])
+
+
+def test_the_sector_plan_gives_the_same_bits_in_any_cache_order():
+    # a plan built for this generator alone and one built after other shapes
+    # and other lambdas filled the cache give the same spectra, bit for bit
+    shapes = plan_shapes()
+    fresh = []
+    for liou in shapes:
+        liouville._sector_plan.cache_clear()
+        fresh.append(steady_states(liou))
+    liouville._sector_plan.cache_clear()
+    for lam in (0.0, 1.5):
+        for n in range(5, 1, -1):
+            steady_states(ring_liouvillian(dissipative_heisenberg(lam, LatticeSpec(z=2, renormalize=False)), n))
+    for liou in reversed(shapes):
+        steady_states(liou)
+    for liou, first in zip(shapes, fresh):
+        space = steady_states(liou)
+        assert [(b.q, b.k) for b in space.blocks] == [(b.q, b.k) for b in first.blocks]
+        assert all(np.array_equal(b.eigenvalues, c.eigenvalues) for b, c in zip(space.blocks, first.blocks))
+        for key in ("dimension", "trace_defect", "zero_cut", "largest_zero", "smallest_nonzero", "max_real_part"):
+            assert getattr(space, key) == getattr(first, key), key
+
+
+def plan_arrays(part):
+    """Every array a sector plan holds, through its records and tuples."""
+    if isinstance(part, np.ndarray):
+        return [part]
+    if isinstance(part, tuple):
+        return [a for item in part for a in plan_arrays(item)]
+    return []
+
+
+def test_the_sector_plan_is_read_only():
+    # the cache shares a plan among all calls of its shape, so none may write into it
+    plans = [liouville._sector_plan(*key) for key in [(16, 4, True, True), (8, 3, False, True), (8, 0, False, False)]]
+    arrays = plan_arrays(tuple(plans))
+    assert any(s.keep is not None for plan in plans for order in plan.orders for s in order.sectors)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        plans[0].u[0] = 1.0
+
+
+def test_the_sector_plan_is_built_on_first_use():
+    # importing the package, its CLI too, builds no plan: a run pays only for its own shape
+    assert fresh("import dissipative_spins.cli\nfrom dissipative_spins import liouville\n"
+                 "print(json.dumps(liouville._sector_plan.cache_info().currsize))") == 0
 
 
 def test_exact_norm_matches_manual():

@@ -58,7 +58,7 @@ def test_bench_counting_child_counts_a_sweep(tmp_path):
 
 def test_bench_oracle_child_hashes_the_oracle_json(tmp_path):
     # the oracle key of scripts/bench.py hashes what dspin oracle writes and
-    # times the two liouville calls it makes
+    # times the two liouville calls it makes, warm, and a first steady_states call
     bench = runpy.run_path(str(ROOT / "scripts" / "bench.py"))
     timed = bench["time_oracle"](ROOT, [[3, 0.7]], 2)  # SystemExit unless the child exits 0
     out = tmp_path / "oracle.json"
@@ -69,8 +69,9 @@ def test_bench_oracle_child_hashes_the_oracle_json(tmp_path):
     [point] = timed["points"]
     assert (point["n"], point["lambda"], timed["repeats"]) == (3, 0.7, 2)
     assert point["json_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
-    assert sorted(point) == ["json_sha256", "lambda", "n", "ring_liouvillian_ms", "steady_states_ms"]
-    assert point["ring_liouvillian_ms"] > 0 and point["steady_states_ms"] > 0
+    assert sorted(point) == ["json_sha256", "lambda", "n", "ring_liouvillian_ms", "steady_states_first_ms",
+                             "steady_states_ms"]
+    assert point["ring_liouvillian_ms"] > 0 and point["steady_states_ms"] > 0 and point["steady_states_first_ms"] > 0
 
 
 def test_bench_times_a_child_in_reference_units():
